@@ -28,6 +28,12 @@
 //!   `kernel_equivalence` and the minimum SWAR speedup over the gated
 //!   shapes so CI can require both.
 //!
+//! * **scan** (once, not per configuration) — the column-count
+//!   Algorithm 3 scan behind `ml::compute_coefficients` versus the
+//!   per-bit reference (a fold of `ml::add_register`) on filled
+//!   ELL(2, 20) sketches at p = 10 and p = 12. The JSON records the
+//!   minimum speedup and the verdict `scan_speedup_ok` (≥ 3×).
+//!
 //! Every comparison asserts that both paths produce bit-identical
 //! serialized state / estimates; the JSON records the verdict under
 //! `"equivalence"` and the process exits non-zero on any mismatch, which
@@ -35,8 +41,9 @@
 
 use ell_bench::hashes;
 use exaloglog::kernels::{self, Kernel};
+use exaloglog::ml::{self, MlCoefficients};
 use exaloglog::theory::bias_correction_c;
-use exaloglog::{ml, EllConfig, ExaLogLog};
+use exaloglog::{EllConfig, ExaLogLog};
 use std::time::Instant;
 
 struct Args {
@@ -146,6 +153,57 @@ fn estimate_by_scan(s: &ExaLogLog) -> f64 {
     let m = cfg.m() as f64;
     let raw = ml::ml_estimate_from_coefficients(&s.coefficients_scan(), m);
     raw / (1.0 + bias_correction_c(cfg.t(), cfg.d()) / m)
+}
+
+/// The per-bit Algorithm 3 reference: one `add_register` step per
+/// register, visiting every indicator bit.
+fn coefficients_per_bit(s: &ExaLogLog) -> MlCoefficients {
+    let mut coeffs = ml::empty_coefficients(0);
+    for r in s.registers() {
+        ml::add_register(&mut coeffs, s.config(), r);
+    }
+    coeffs
+}
+
+/// Minimum speedup of the column-count scan over the per-bit reference
+/// that `scan_speedup_ok` requires.
+const MIN_SCAN_SPEEDUP: f64 = 3.0;
+
+/// One scan measurement at precision `p`: the column-count scan
+/// (`coefficients_scan`) against the per-bit reference on an ELL(2, 20)
+/// sketch filled with `stream`, checking both give identical
+/// coefficients. Returns the JSON row and the speedup.
+fn bench_scan(p: u8, stream: &[u64], reps: usize, iters: usize, ok: &mut bool) -> (String, f64) {
+    let mut sketch = ExaLogLog::new(EllConfig::optimal(p).unwrap());
+    sketch.insert_hashes(stream);
+    if sketch.coefficients_scan() != coefficients_per_bit(&sketch) {
+        eprintln!("bench_registers: scan equivalence MISMATCH at p={p}");
+        *ok = false;
+    }
+    let per_op = 1e6 / iters as f64;
+    // Minimum over reps, as for the kernel rows: the speedup gate needs
+    // the least noise-contaminated figure.
+    let column_us = min_secs(reps.max(5), || {
+        for _ in 0..iters {
+            std::hint::black_box(std::hint::black_box(&sketch).coefficients_scan());
+        }
+    }) * per_op;
+    let per_bit_us = min_secs(reps.max(5), || {
+        for _ in 0..iters {
+            std::hint::black_box(coefficients_per_bit(std::hint::black_box(&sketch)));
+        }
+    }) * per_op;
+    let speedup = per_bit_us / column_us;
+    let label = format!("optimal_p{p}");
+    println!(
+        "    scan/{label:<18} column {column_us:9.2} us   per-bit {per_bit_us:9.2} us   speedup {speedup:5.2}x"
+    );
+    (
+        format!(
+            "    \"{label}\": {{\"column_us\": {column_us:.2}, \"per_bit_us\": {per_bit_us:.2}, \"speedup\": {speedup:.3}}}"
+        ),
+        speedup,
+    )
 }
 
 /// One merge-shape measurement: time `acc.clone + merge(b)` for the
@@ -498,6 +556,17 @@ fn main() {
         ));
     }
 
+    // ---- scan: column-count Algorithm 3 vs the per-bit reference -----
+    println!("scan (ELL(2, 20), {} hashes)", args.hashes);
+    let scan_iters = if args.quick { 20 } else { 100 };
+    let mut scan_rows = Vec::new();
+    let mut scan_min = f64::INFINITY;
+    for p in [10u8, 12] {
+        let (row, speedup) = bench_scan(p, &stream, args.reps, scan_iters, &mut ok);
+        scan_rows.push(row);
+        scan_min = scan_min.min(speedup);
+    }
+
     let kernels_available: Vec<String> = kernels::available()
         .iter()
         .map(|k| format!("\"{}\"", k.name()))
@@ -507,7 +576,8 @@ fn main() {
          \"hashes_per_run\": {},\n  \"reps\": {},\n  \"unit\": \"ns_per_op\",\n  \
          \"kernel\": \"{}\",\n  \"kernels_available\": [{}],\n  \"kernel_precision_p\": {},\n  \
          \"equivalence\": \"{}\",\n  \"kernel_equivalence\": \"{}\",\n  \
-         \"swar_merge_speedup_min\": {:.3},\n  \"configs\": [\n{}\n  ]\n}}\n",
+         \"swar_merge_speedup_min\": {:.3},\n  \"scan_speedup_min\": {:.3},\n  \
+         \"scan_speedup_ok\": {},\n  \"scan\": {{\n{}\n  }},\n  \"configs\": [\n{}\n  ]\n}}\n",
         if args.quick { "quick" } else { "full" },
         args.p,
         args.hashes,
@@ -518,6 +588,9 @@ fn main() {
         if ok { "ok" } else { "mismatch" },
         if kernel_ok { "ok" } else { "mismatch" },
         swar_min,
+        scan_min,
+        scan_min >= MIN_SCAN_SPEEDUP,
+        scan_rows.join(",\n"),
         blocks.join(",\n")
     );
     std::fs::write(&args.out, &json).unwrap_or_else(|e| {

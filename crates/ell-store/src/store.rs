@@ -100,7 +100,7 @@ impl SlotState {
     fn estimate_resident(&self) -> f64 {
         match self {
             SlotState::Adaptive(s) => s.estimate(),
-            SlotState::Hot(a) => a.snapshot().estimate(),
+            SlotState::Hot(a) => a.estimate(),
             _ => unreachable!("estimate_resident on a demoted slot"),
         }
     }

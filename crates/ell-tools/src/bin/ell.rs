@@ -18,13 +18,28 @@ use ell_tools::{
     save_store, save_tokens, save_windowed, store_ingest_parallel, tier_config_from_options,
     windowed_ingest, ToolError,
 };
+use std::io::Write;
 use std::path::{Path, PathBuf};
+
+/// `println!` that returns a failed stdout write as an error instead of
+/// panicking, so the command stops at the first write nobody reads.
+macro_rules! out {
+    ($($arg:tt)*) => {
+        writeln!(std::io::stdout().lock(), $($arg)*)?
+    };
+}
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    if let Err(e) = run(&args) {
-        eprintln!("ell: {e}");
-        std::process::exit(1);
+    match run(&args) {
+        Ok(()) => {}
+        // The reader closed stdout early (`ell ... | head`): it has all
+        // the output it wanted, so this is a quiet, successful exit.
+        Err(ToolError::Io(e)) if e.kind() == std::io::ErrorKind::BrokenPipe => {}
+        Err(e) => {
+            eprintln!("ell: {e}");
+            std::process::exit(1);
+        }
     }
 }
 
@@ -56,15 +71,16 @@ fn run(args: &[String]) -> Result<(), ToolError> {
                         .map_err(|_| ToolError::Usage("--p expects a small integer".into()))
                 })?;
                 let sketch = count_sources_with_algo(inputs, algo, p)?;
-                println!("{:.0}", sketch.estimate());
+                out!("{:.0}", sketch.estimate());
                 return Ok(());
             }
             let cfg = config_from_options(opts.get("t"), opts.get("d"), opts.get("p"))?;
             let sketch = count_sources(inputs, cfg)?;
-            println!("{:.0}", sketch.estimate());
+            // Save before printing, so a closed stdout cannot lose the file.
             if let Some(out) = opts.get("out") {
                 save_sketch(&sketch, Path::new(out))?;
             }
+            out!("{:.0}", sketch.estimate());
             Ok(())
         }
         "store" => run_store(rest),
@@ -75,7 +91,7 @@ fn run(args: &[String]) -> Result<(), ToolError> {
             }
             for path in &positional {
                 let sketch = load_any(Path::new(path))?;
-                println!("{path}\t{:.0}", sketch.estimate());
+                out!("{path}\t{:.0}", sketch.estimate());
             }
             Ok(())
         }
@@ -90,10 +106,10 @@ fn run(args: &[String]) -> Result<(), ToolError> {
             })?;
             let stdin = std::io::stdin();
             let tokens = collect_tokens(stdin.lock(), v)?;
-            println!("{:.0}", tokens.estimate());
             if let Some(out) = opts.get("out") {
                 save_tokens(&tokens, Path::new(out))?;
             }
+            out!("{:.0}", tokens.estimate());
             Ok(())
         }
         "similarity" => {
@@ -106,9 +122,13 @@ fn run(args: &[String]) -> Result<(), ToolError> {
             let a = load_sketch(Path::new(pa))?;
             let b = load_sketch(Path::new(pb))?;
             let rel = relate(&a, &b)?;
-            println!(
+            out!(
                 "|A|={:.0} |B|={:.0} |A∪B|={:.0} |A∩B|≈{:.0} J≈{:.3}",
-                rel.a, rel.b, rel.union, rel.intersection, rel.jaccard
+                rel.a,
+                rel.b,
+                rel.union,
+                rel.intersection,
+                rel.jaccard
             );
             Ok(())
         }
@@ -121,7 +141,7 @@ fn run(args: &[String]) -> Result<(), ToolError> {
             let path_refs: Vec<&Path> = paths.iter().map(PathBuf::as_path).collect();
             let merged = merge_files(&path_refs)?;
             save_sketch(&merged, Path::new(out))?;
-            println!("{:.0}", merged.estimate());
+            out!("{:.0}", merged.estimate());
             Ok(())
         }
         "reduce" => {
@@ -143,7 +163,7 @@ fn run(args: &[String]) -> Result<(), ToolError> {
             })?;
             let reduced = sketch.reduce(d, p)?;
             save_sketch(&reduced, Path::new(out))?;
-            println!("{:.0}", reduced.estimate());
+            out!("{:.0}", reduced.estimate());
             Ok(())
         }
         "compress" => {
@@ -158,14 +178,14 @@ fn run(args: &[String]) -> Result<(), ToolError> {
             save_compressed(&sketch, Path::new(out))?;
             let before = std::fs::metadata(input)?.len();
             let after = std::fs::metadata(out)?.len();
-            println!("{before} -> {after} bytes");
+            out!("{before} -> {after} bytes");
             Ok(())
         }
         "inspect" => {
             let (_, positional) = parse_options(rest, &[])?;
             for path in &positional {
                 let sketch = load_sketch(Path::new(path))?;
-                print!("{}", inspect(&sketch));
+                write!(std::io::stdout().lock(), "{}", inspect(&sketch))?;
             }
             Ok(())
         }
@@ -261,11 +281,11 @@ fn run_store(args: &[String]) -> Result<(), ToolError> {
                     cold += c2;
                 }
                 save_store(&store, out_path)?;
-                println!("{} keys, {events} events", store.key_count());
-                println!("demoted {warm} warm, {cold} cold; snapshot keeps their compressed form");
+                out!("{} keys, {events} events", store.key_count());
+                out!("demoted {warm} warm, {cold} cold; snapshot keeps their compressed form");
             } else {
                 save_store(&store, out_path)?;
-                println!("{} keys, {events} events", store.key_count());
+                out!("{} keys, {events} events", store.key_count());
             }
             Ok(())
         }
@@ -277,16 +297,16 @@ fn run_store(args: &[String]) -> Result<(), ToolError> {
                 ));
             };
             let store = load_store(Path::new(input))?;
-            println!("keys\t{}", store.key_count());
-            println!("memory_bytes\t{}", store.memory_bytes());
-            println!("scan_kernel\t{}", exaloglog::kernels::active().name());
-            print_tier_stats(&store.tier_stats());
+            out!("keys\t{}", store.key_count());
+            out!("memory_bytes\t{}", store.memory_bytes());
+            out!("scan_kernel\t{}", exaloglog::kernels::active().name());
+            print_tier_stats(&store.tier_stats())?;
             if opts.contains_key("entropy") {
                 // `state_entropy_bits` reads through warm/cold payloads
                 // without promoting, so this is residency-neutral.
                 for key in store.keys() {
                     let bits = store.state_entropy_bits(&key).expect("listed key exists");
-                    println!("entropy\t{key}\t{bits:.1}");
+                    out!("entropy\t{key}\t{bits:.1}");
                 }
             }
             Ok(())
@@ -322,9 +342,9 @@ fn run_store(args: &[String]) -> Result<(), ToolError> {
                 warm += w2;
                 cold += c2;
             }
-            println!("demoted\t{warm} warm, {cold} cold");
-            println!("memory_bytes\t{before} -> {}", store.memory_bytes());
-            print_tier_stats(&store.tier_stats());
+            out!("demoted\t{warm} warm, {cold} cold");
+            out!("memory_bytes\t{before} -> {}", store.memory_bytes());
+            print_tier_stats(&store.tier_stats())?;
             if let Some(out) = opts.get("out") {
                 save_store(&store, Path::new(out))?;
             }
@@ -337,12 +357,12 @@ fn run_store(args: &[String]) -> Result<(), ToolError> {
             };
             let store = load_store(Path::new(path))?;
             if opts.contains_key("merged") {
-                println!("{:.0}", store.merged_estimate());
+                out!("{:.0}", store.merged_estimate());
                 return Ok(());
             }
             if keys.is_empty() {
                 for (key, estimate) in store.estimates() {
-                    println!("{key}\t{estimate:.0}");
+                    out!("{key}\t{estimate:.0}");
                 }
                 return Ok(());
             }
@@ -358,7 +378,7 @@ fn run_store(args: &[String]) -> Result<(), ToolError> {
                 })
                 .collect::<Result<_, _>>()?;
             for (key, estimate) in rows {
-                println!("{key}\t{estimate:.0}");
+                out!("{key}\t{estimate:.0}");
             }
             Ok(())
         }
@@ -374,7 +394,7 @@ fn run_store(args: &[String]) -> Result<(), ToolError> {
             };
             let store = load_store(Path::new(input))?;
             let entries = export_store(&store, Path::new(out))?;
-            println!("{entries} entries exported to {out}");
+            out!("{entries} entries exported to {out}");
             Ok(())
         }
         "restore" => {
@@ -389,7 +409,7 @@ fn run_store(args: &[String]) -> Result<(), ToolError> {
             };
             let store = import_store(Path::new(dir))?;
             save_store(&store, Path::new(out))?;
-            println!("{} keys restored", store.key_count());
+            out!("{} keys restored", store.key_count());
             Ok(())
         }
         other => Err(ToolError::Usage(format!(
@@ -402,22 +422,30 @@ fn run_store(args: &[String]) -> Result<(), ToolError> {
 /// Prints the residency breakdown shared by `store stats`, `store
 /// tiers`, and `store window stats` (tab-separated `name\tvalue` rows,
 /// like the rest of the stats output).
-fn print_tier_stats(stats: &TierStats) {
-    println!(
+fn print_tier_stats(stats: &TierStats) -> Result<(), ToolError> {
+    out!(
         "tiers\thot={} sparse={} warm={} cold={}",
-        stats.hot_keys, stats.sparse_keys, stats.warm_keys, stats.cold_keys
+        stats.hot_keys,
+        stats.sparse_keys,
+        stats.warm_keys,
+        stats.cold_keys
     );
-    println!(
+    out!(
         "tier_traffic\tdemotions_warm={} demotions_cold={} promotions={} parked_deltas={}",
-        stats.demotions_warm, stats.demotions_cold, stats.promotions, stats.parked_deltas
+        stats.demotions_warm,
+        stats.demotions_cold,
+        stats.promotions,
+        stats.parked_deltas
     );
-    println!(
+    out!(
         "tier_bytes\tresident={} spilled={}",
-        stats.resident_bytes, stats.spilled_bytes
+        stats.resident_bytes,
+        stats.spilled_bytes
     );
     if stats.spill_errors > 0 {
-        println!("spill_errors\t{}", stats.spill_errors);
+        out!("spill_errors\t{}", stats.spill_errors);
     }
+    Ok(())
 }
 
 /// The `ell store window` subcommand family: a sliding-window keyed
@@ -485,7 +513,7 @@ fn run_store_window(args: &[String]) -> Result<(), ToolError> {
                 store.demote_idle();
             }
             save_windowed(&store, out_path)?;
-            println!(
+            out!(
                 "{} keys, {events} events, epoch {}",
                 store.key_count(),
                 store.current_epoch()
@@ -508,7 +536,7 @@ fn run_store_window(args: &[String]) -> Result<(), ToolError> {
             store.advance(epoch);
             let out = opts.get("out").map_or(input.as_str(), String::as_str);
             save_windowed(&store, Path::new(out))?;
-            println!("epoch {}", store.current_epoch());
+            out!("epoch {}", store.current_epoch());
             Ok(())
         }
         "query" => {
@@ -550,10 +578,10 @@ fn run_store_window(args: &[String]) -> Result<(), ToolError> {
             // runs (a restored snapshot starts with cold chains: the
             // first wide query per key is a lazy rebuild, the rest are
             // hits). `#`-prefixed so tab-separated consumers skip it.
-            let print_stats = |store: &WindowedStore| {
+            let print_stats = |store: &WindowedStore| -> Result<(), ToolError> {
                 if show_stats {
                     let s = store.window_stats();
-                    println!(
+                    out!(
                         "# suffix-cache: hits={} lazy_rebuilds={} entries_built={} \
                          dirty_invalidations={}",
                         s.suffix_hits,
@@ -562,13 +590,14 @@ fn run_store_window(args: &[String]) -> Result<(), ToolError> {
                         s.dirty_invalidations
                     );
                 }
+                Ok(())
             };
             if keys.is_empty() {
                 for key in store.keys() {
                     let estimate = estimate_of(&key).expect("listed key exists");
-                    println!("{key}\t{estimate:.0}");
+                    out!("{key}\t{estimate:.0}");
                 }
-                print_stats(&store);
+                print_stats(&store)?;
                 return Ok(());
             }
             // Resolve every key before printing anything, so scripts
@@ -582,9 +611,9 @@ fn run_store_window(args: &[String]) -> Result<(), ToolError> {
                 })
                 .collect::<Result<_, _>>()?;
             for (key, estimate) in rows {
-                println!("{key}\t{estimate:.0}");
+                out!("{key}\t{estimate:.0}");
             }
-            print_stats(&store);
+            print_stats(&store)?;
             Ok(())
         }
         "stats" => {
@@ -595,12 +624,12 @@ fn run_store_window(args: &[String]) -> Result<(), ToolError> {
                 ));
             };
             let store = load_windowed(Path::new(input))?;
-            println!("keys\t{}", store.key_count());
-            println!("epoch\t{}", store.current_epoch());
-            println!("epochs\t{}", store.epoch_window());
-            println!("memory_bytes\t{}", store.memory_bytes());
-            println!("scan_kernel\t{}", exaloglog::kernels::active().name());
-            print_tier_stats(&store.tier_stats());
+            out!("keys\t{}", store.key_count());
+            out!("epoch\t{}", store.current_epoch());
+            out!("epochs\t{}", store.epoch_window());
+            out!("memory_bytes\t{}", store.memory_bytes());
+            out!("scan_kernel\t{}", exaloglog::kernels::active().name());
+            print_tier_stats(&store.tier_stats())?;
             Ok(())
         }
         other => Err(ToolError::Usage(format!(

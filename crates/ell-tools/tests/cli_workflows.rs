@@ -221,6 +221,78 @@ fn run_cli(args: &[&str], stdin: &str) -> (bool, String, String) {
     )
 }
 
+/// Runs the real `ell` binary with the read end of its stdout already
+/// closed. Stdin is fed only afterwards, so a command that reads stdin
+/// to the end makes its first write into the closed pipe. Returns (exit
+/// success, stderr).
+fn run_cli_closed_stdout(args: &[&str], stdin: &str) -> (bool, String) {
+    let mut child = Command::new(env!("CARGO_BIN_EXE_ell"))
+        .args(args)
+        .stdin(Stdio::piped())
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("spawn ell binary");
+    drop(child.stdout.take());
+    child
+        .stdin
+        .take()
+        .expect("piped stdin")
+        .write_all(stdin.as_bytes())
+        .expect("ell reads all of stdin");
+    let out = child.wait_with_output().expect("wait for ell binary");
+    (
+        out.status.success(),
+        String::from_utf8_lossy(&out.stderr).into_owned(),
+    )
+}
+
+#[test]
+fn cli_closed_stdout_is_a_quiet_success() {
+    // `ell ... | head` closes the pipe early; that must end the command
+    // with status 0 and nothing on stderr, not a broken-pipe panic.
+    let dir = TempDir::new("closed_stdout");
+    let sketch = dir.path("c.ell");
+    let store = dir.path("s.ellk");
+    let window = dir.path("w.ellw");
+    let keyed: String = (0..500).map(|i| format!("key-{}\t{i}\n", i % 7)).collect();
+    let windowed: String = (0..500)
+        .map(|i| format!("key-{}\t{}\t{i}\n", i % 7, i / 100))
+        .collect();
+    let cases: [(&[&str], &str); 4] = [
+        (
+            &["count", "--out", sketch.to_str().unwrap()],
+            &lines(0..2000),
+        ),
+        (&["tokens"], &lines(0..2000)),
+        (
+            &["store", "ingest", "--out", store.to_str().unwrap(), "-"],
+            &keyed,
+        ),
+        (
+            &[
+                "store",
+                "window",
+                "ingest",
+                "--out",
+                window.to_str().unwrap(),
+                "-",
+            ],
+            &windowed,
+        ),
+    ];
+    for (args, stdin) in cases {
+        let (ok, stderr) = run_cli_closed_stdout(args, stdin);
+        assert!(ok, "{args:?} failed: {stderr}");
+        assert!(stderr.is_empty(), "{args:?} wrote to stderr: {stderr}");
+    }
+    // Output files are written before the summary line, so they survive.
+    let counted = load_sketch(&sketch).unwrap().estimate();
+    assert!((counted / 2000.0 - 1.0).abs() < 0.1, "{counted}");
+    assert_eq!(load_store(&store).unwrap().key_count(), 7);
+    assert_eq!(load_windowed(&window).unwrap().key_count(), 7);
+}
+
 #[test]
 fn cli_binary_count_algo_workflows() {
     let input = lines(0..3000);

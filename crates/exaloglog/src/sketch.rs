@@ -21,6 +21,7 @@ use crate::theory;
 use ell_bitpack::kernels::{self, Kernel, RunClass};
 use ell_bitpack::{mask, PackedArray};
 use ell_hash::Hasher64;
+use std::borrow::Cow;
 
 /// Serialization magic: identifies the format and its version.
 const MAGIC: &[u8; 4] = b"ELL1";
@@ -38,6 +39,16 @@ pub struct RegisterChange {
     pub old: u64,
     /// Register value after the update (`new > old`).
     pub new: u64,
+}
+
+/// The bias-corrected ML estimate (equations (19) and (4)) from the
+/// Algorithm 3 coefficients of a sketch with configuration `cfg` — the one
+/// formula behind [`ExaLogLog::estimate`] and
+/// [`crate::atomic::AtomicExaLogLog::estimate`].
+pub(crate) fn estimate_from_coefficients(cfg: &EllConfig, coeffs: &MlCoefficients) -> f64 {
+    let m = cfg.m() as f64;
+    let c = theory::bias_correction_c(cfg.t(), cfg.d());
+    ml::ml_estimate_from_coefficients(coeffs, m) / (1.0 + c / m)
 }
 
 /// The ExaLogLog distinct-count sketch (paper §2.3).
@@ -66,11 +77,15 @@ pub struct RegisterChange {
 /// bit-identical to a fresh [`ExaLogLog::coefficients_scan`] (asserted in
 /// debug builds). Bulk register overwrites that bypass the update
 /// algebra (the entropy decoder, atomic snapshots) drop the cache; in
-/// that window `estimate` transparently falls back to the scan, and
+/// that window `estimate` transparently falls back to the O(m)
+/// column-count scan ([`ml::compute_coefficients`]), and
 /// [`ExaLogLog::refresh_coefficients`] restores cached operation.
 /// Deserialization ([`ExaLogLog::from_bytes`],
-/// [`crate::compress::decompress`]) rebuilds the cache eagerly, so
-/// loaded sketches estimate at cached speed from the first call.
+/// [`crate::compress::decompress`]) rebuilds the cache eagerly with one
+/// such scan, so loaded sketches estimate at cached speed from the first
+/// call. A concurrent sketch that only needs a number should call
+/// [`crate::atomic::AtomicExaLogLog::estimate`], which scans the atomic
+/// words directly instead of building a cache-less snapshot.
 pub struct ExaLogLog {
     cfg: EllConfig,
     regs: PackedArray,
@@ -232,8 +247,9 @@ impl ExaLogLog {
     /// Overwrites register `i` without invariant checks — used by the
     /// entropy decoder and atomic snapshots, which reconstruct registers
     /// they have themselves produced from valid states. Drops the
-    /// coefficient cache (these are bulk overwrites; one scan on the next
-    /// estimate beats per-write bookkeeping).
+    /// coefficient cache (these are bulk overwrites; one column-count scan
+    /// on the next estimate, or an explicit
+    /// [`ExaLogLog::refresh_coefficients`], beats per-write bookkeeping).
     #[inline]
     pub(crate) fn set_register_unchecked(&mut self, i: usize, r: u64) {
         self.regs.set(i, r);
@@ -502,30 +518,18 @@ impl ExaLogLog {
     /// distinct inserted elements (equations (19) and (4)).
     #[must_use]
     pub fn estimate(&self) -> f64 {
-        let c = theory::bias_correction_c(self.cfg.t(), self.cfg.d());
-        self.estimate_ml_raw() / (1.0 + c / self.cfg.m() as f64)
+        estimate_from_coefficients(&self.cfg, &self.live_coefficients())
     }
 
     /// The raw ML estimate n̂_ML without the first-order bias correction.
     ///
     /// Solves the ML equation from the incrementally maintained
     /// coefficients in O(populated β levels); only a sketch whose cache
-    /// was dropped by a raw register overwrite pays the O(m·d)
+    /// was dropped by a raw register overwrite pays the O(m) column-count
     /// Algorithm 3 scan.
     #[must_use]
     pub fn estimate_ml_raw(&self) -> f64 {
-        let m = self.cfg.m() as f64;
-        match &self.coeffs {
-            Some(c) => {
-                debug_assert_eq!(
-                    **c,
-                    self.coefficients_scan(),
-                    "cached ML coefficients diverged from the Algorithm 3 scan"
-                );
-                ml::ml_estimate_from_coefficients(c, m)
-            }
-            None => ml::ml_estimate_from_coefficients(&self.coefficients_scan(), m),
-        }
+        ml::ml_estimate_from_coefficients(&self.live_coefficients(), self.cfg.m() as f64)
     }
 
     /// The log-likelihood coefficients (α, β) of this state (Algorithm 3)
@@ -533,6 +537,12 @@ impl ExaLogLog {
     /// otherwise.
     #[must_use]
     pub fn coefficients(&self) -> MlCoefficients {
+        self.live_coefficients().into_owned()
+    }
+
+    /// The cached coefficients when live (checked against a fresh scan in
+    /// debug builds), else a fresh scan.
+    fn live_coefficients(&self) -> Cow<'_, MlCoefficients> {
         match &self.coeffs {
             Some(c) => {
                 debug_assert_eq!(
@@ -540,16 +550,17 @@ impl ExaLogLog {
                     self.coefficients_scan(),
                     "cached ML coefficients diverged from the Algorithm 3 scan"
                 );
-                (**c).clone()
+                Cow::Borrowed(c)
             }
-            None => self.coefficients_scan(),
+            None => Cow::Owned(self.coefficients_scan()),
         }
     }
 
-    /// The log-likelihood coefficients computed from scratch with the full
-    /// O(m·d) register scan of Algorithm 3, regardless of cache state.
-    /// This is the reference path the incremental cache is verified
-    /// against (and the baseline `bench_registers` measures).
+    /// The log-likelihood coefficients computed from scratch with one
+    /// column-count register scan ([`ml::compute_coefficients`]),
+    /// regardless of cache state. This is the reference path the
+    /// incremental cache is verified against (and the baseline
+    /// `bench_registers` measures).
     #[must_use]
     pub fn coefficients_scan(&self) -> MlCoefficients {
         ml::compute_coefficients(&self.cfg, self.regs.iter())

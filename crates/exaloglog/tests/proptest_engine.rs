@@ -206,3 +206,61 @@ proptest! {
         prop_assert_eq!(by_extend.coefficients(), by_extend.coefficients_scan());
     }
 }
+
+/// A random register value satisfying `registers::is_valid`, biased
+/// towards the edge cases of Algorithm 3: empty registers, saturated
+/// registers at the maximum update value (φ capped at 64 − p), and
+/// registers with u ≤ d, whose lowest update value clamps to k = 1.
+fn valid_register(cfg: &EllConfig, rng: &mut SplitMix64) -> u64 {
+    let d = u64::from(cfg.d());
+    let max = cfg.max_update_value();
+    let u = match rng.next_u64() % 4 {
+        0 => 0,
+        1 => max,
+        2 => 1 + rng.next_u64() % d.clamp(1, max),
+        _ => 1 + rng.next_u64() % max,
+    };
+    if u == 0 {
+        return 0;
+    }
+    let indicators = rng.next_u64() & ell_bitpack::mask(cfg.d().into());
+    if u > d {
+        (u << d) | indicators
+    } else {
+        // Sentinel at bit d − u, random bits above it, none below.
+        let sentinel = d - u;
+        (u << d) | (1 << sentinel) | (indicators & !ell_bitpack::mask(sentinel as u32 + 1))
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// The column-count scan behind `compute_coefficients` equals the
+    /// per-bit Algorithm 3 oracle (a fold of `add_register`) for every
+    /// resolution t, every indicator width d the register width allows
+    /// (d = 0 HLL registers through 64-bit registers), and precisions up
+    /// to 16. (Larger p only lowers the φ cap further; p = 26 is checked
+    /// by the `ml` unit test `column_scan_at_max_precision`.)
+    #[test]
+    fn column_scan_equals_per_bit_oracle(
+        t in 0u8..=6,
+        d_raw in 0u8..=58,
+        p in 2u8..=16,
+        seed in any::<u64>(),
+        filled in 0usize..400,
+    ) {
+        let cfg = EllConfig::new(t, d_raw.min(58 - t), p).unwrap();
+        let mut rng = SplitMix64::new(seed);
+        let mut regs: Vec<u64> = (0..filled.min(cfg.m()))
+            .map(|_| valid_register(&cfg, &mut rng))
+            .collect();
+        regs.resize(cfg.m(), 0);
+        let mut oracle = ml::empty_coefficients(0);
+        for &r in &regs {
+            prop_assert!(exaloglog::registers::is_valid(&cfg, r), "invalid register {:#x}", r);
+            ml::add_register(&mut oracle, &cfg, r);
+        }
+        prop_assert_eq!(ml::compute_coefficients(&cfg, regs.into_iter()), oracle);
+    }
+}
