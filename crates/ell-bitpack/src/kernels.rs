@@ -31,9 +31,10 @@
 //!
 //! # Selection
 //!
-//! [`active`] picks the kernel once per process via [`OnceLock`]: the
-//! fastest supported kernel by default (`avx2` where detected, else
-//! `swar`), overridable with the `ELL_KERNEL=scalar|swar|avx2` environment
+//! [`active`] picks the kernel once per process via [`OnceLock`]: `swar`
+//! by default on every platform (the `avx2` kernel measures slower than
+//! `swar` on every merge row, even on hardware with native AVX2),
+//! overridable with the `ELL_KERNEL=scalar|swar|avx2` environment
 //! variable. Requesting `avx2` on hardware without it silently degrades to
 //! `swar`, so test matrices can set it unconditionally — but an
 //! *unrecognized* name panics on first use, so a typo fails the run
@@ -134,7 +135,7 @@ static ACTIVE: OnceLock<Kernel> = OnceLock::new();
 
 /// The process-wide kernel, selected once on first use: the `ELL_KERNEL`
 /// environment variable if set to a recognized name (normalized to the
-/// hardware), otherwise `avx2` where detected and `swar` elsewhere.
+/// hardware), otherwise `swar`.
 #[must_use]
 pub fn active() -> Kernel {
     *ACTIVE.get_or_init(select_from_env)
@@ -181,12 +182,12 @@ fn kernel_from_env_name(name: &str) -> Kernel {
     }
 }
 
+/// The kernel used when `ELL_KERNEL` is unset: `swar` everywhere. The
+/// `avx2` kernel stays selectable, but it is not the default — on an
+/// AVX2-capable host it runs the merge rows of `bench_registers` 2.5–4×
+/// slower than `swar`.
 fn default_kernel() -> Kernel {
-    if avx2_detected() {
-        Kernel::Avx2
-    } else {
-        Kernel::Swar
-    }
+    Kernel::Swar
 }
 
 // ---------------------------------------------------------------------
@@ -814,6 +815,11 @@ mod tests {
         assert_eq!(kernel_from_env_name("scalar"), Kernel::Scalar);
         assert_eq!(kernel_from_env_name("swar"), Kernel::Swar);
         assert_eq!(kernel_from_env_name("avx2"), Kernel::Avx2);
+    }
+
+    #[test]
+    fn default_kernel_is_swar_on_every_platform() {
+        assert_eq!(default_kernel(), Kernel::Swar);
     }
 
     #[test]

@@ -22,16 +22,17 @@
 //! The batched [`EllStore::ingest`] entry point groups a `(key, hash)`
 //! batch by shard, drains all hot-key inserts under one read lock per
 //! shard, and only then takes the write lock for the remainder.
+//! [`WindowedStore`] shares this shard table, key hash, handoff queues
+//! and flush protocol; each store adds only its per-key value and merge.
 //!
 //! # Parallel ingest sessions
 //!
-//! For sustained multi-threaded ingest, [`EllStore::session`] (and
-//! [`WindowedStore::session`]) open a buffered [`IngestSession`]: each
-//! thread accumulates hashes into thread-local delta sketches and hands
-//! them to per-shard queues that drain into the slots under one write
-//! lock per flush — the hot insert loop touches no shared state at all.
-//! See the [`session`](crate::IngestSession) module docs for the flush
-//! protocol and the exactness argument.
+//! For sustained multi-threaded ingest, [`EllStore::session`] and
+//! [`WindowedStore::session`] open one buffered [`Session`] type
+//! ([`IngestSession`] / [`WindowIngestSession`]): each thread
+//! accumulates hashes into thread-local delta sketches and hands them
+//! to per-shard queues that drain into the store under one write lock
+//! per flush — the hot insert loop touches no shared state at all.
 //!
 //! Because every per-key structure is monotone (token sets union,
 //! registers only grow, promotion is threshold-crossing), the final
@@ -87,6 +88,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+mod core;
 mod session;
 mod store;
 mod sync;
@@ -95,7 +97,7 @@ mod window;
 mod window_wire;
 mod wire;
 
-pub use session::{IngestSession, WindowIngestSession};
+pub use session::{IngestSession, Session, WindowIngestSession};
 pub use store::EllStore;
 pub use tiers::{Tier, TierConfig, TierStats};
 pub use window::{WindowStats, WindowedStore};

@@ -1,13 +1,17 @@
 //! Buffered-delta ingest sessions.
 //!
-//! A session gives each ingesting thread a private buffer of *delta
-//! sketches* — one [`AdaptiveExaLogLog`] per key (per epoch, for the
-//! windowed store) — so the hot insert loop touches no shared state at
+//! One [`Session`] type serves both stores: [`IngestSession`] buffers
+//! for an [`EllStore`], [`WindowIngestSession`] for a
+//! [`WindowedStore`]. A session gives each ingesting thread a private
+//! buffer of *delta sketches* — one [`AdaptiveExaLogLog`] per key and
+//! tag, where the tag is the epoch for the windowed store and nothing
+//! for the flat one — so the hot insert loop touches no shared state at
 //! all. Small deltas stay in the sparse token phase; heavy keys promote
 //! to dense registers inside the buffer. When the buffered hash count
 //! crosses the session's threshold, or at an explicit
-//! [`IngestSession::flush`] (and on drop), the deltas merge into the
-//! store through the word-level merge fast path.
+//! [`Session::flush`] (and on drop), the deltas merge into the store
+//! through the word-level merge fast path, by the one handoff protocol
+//! both stores share.
 //!
 //! # Buffer reuse
 //!
@@ -15,7 +19,9 @@
 //! delta merges into its slot *by reference* and is then reset in
 //! place, so the key strings, token vectors, and register arrays reach
 //! their working-set size once and are reused for every subsequent
-//! flush. Only when a shard's write lock is contended during an
+//! flush. A flushed windowed delta takes the next epoch its key sees,
+//! so a key keeps only as many deltas as epochs it buffers between two
+//! flushes. Only when a shard's write lock is contended during an
 //! auto-flush does the session clone the delta onto the store's handoff
 //! queue (keeping the buffer either way). Oversubscribed ingest — more
 //! sessions than cores — therefore degrades gracefully instead of
@@ -57,6 +63,7 @@
 //! assert!((store.estimate("events").unwrap() / 40_000.0 - 1.0).abs() < 0.1);
 //! ```
 
+use crate::core::Keyed;
 use crate::store::EllStore;
 use crate::window::WindowedStore;
 use exaloglog::adaptive::AdaptiveExaLogLog;
@@ -68,28 +75,61 @@ use std::collections::HashMap;
 pub(crate) const DEFAULT_AUTO_FLUSH: usize = 32 * 1024;
 
 /// A buffered ingest session for [`EllStore`] (see the module docs).
+pub type IngestSession<'a> = Session<'a, EllStore>;
+
+/// A buffered ingest session for [`WindowedStore`]: deltas are keyed by
+/// `(key, epoch)` and the flush resolves each delta against the
+/// *current* window position — live epochs merge into their ring slot,
+/// epochs that have rotated out fold into the key's retired union.
+/// Monotone merge makes the final state identical either way, so flush
+/// timing relative to rotation cannot change the serialized bytes.
+///
+/// Buffering an observation for an epoch newer than the window
+/// auto-advances the store immediately (matching
+/// [`WindowedStore::ingest`]); rotation is *not* deferred to the flush.
+///
+/// A flushed delta that lands in a *sealed* live epoch (older than the
+/// current one) dirties that key's precomputed suffix-union chain, just
+/// like direct late `ingest` writes into an older epoch: the next query
+/// lazily rebuilds the stale entries, and the invalidation is counted
+/// in [`WindowStats::dirty_invalidations`](crate::WindowStats). Session
+/// flushes therefore never affect query *correctness* — only whether
+/// the next query hits the suffix cache or rebuilds it.
+pub type WindowIngestSession<'a> = Session<'a, WindowedStore>;
+
+/// A buffered ingest session over either store (see the module docs);
+/// named through [`IngestSession`] and [`WindowIngestSession`].
 ///
 /// Not `Sync` — a session belongs to one ingesting thread; the *store*
 /// is the shared object. Unflushed data is invisible to queries until
-/// [`IngestSession::flush`] or drop.
+/// [`Session::flush`] or drop.
+// The bound is crate-private on purpose: only the two stores implement
+// it, and callers name sessions through the two aliases above.
+#[allow(private_bounds)]
 #[derive(Debug)]
-pub struct IngestSession<'a> {
-    store: &'a EllStore,
-    /// Per-key deltas with the key's shard index cached. Entries stay
-    /// allocated (reset, not dropped) across flushes; the buffer's
-    /// footprint is bounded by the session's distinct-key working set.
-    deltas: HashMap<String, (usize, AdaptiveExaLogLog)>,
+pub struct Session<'a, S: Keyed> {
+    store: &'a S,
+    /// Per-key tagged deltas. Entries stay allocated (reset, not
+    /// dropped) across flushes; the buffer's footprint is bounded by the
+    /// session's distinct-key working set.
+    deltas: HashMap<String, KeyDeltas<S::Tag>>,
     buffered: usize,
     auto_flush: usize,
+    /// Newest tag this session has advanced the store to: the epoch for
+    /// the windowed store, gating its (write-locking) `advance` so the
+    /// hot path takes no lock.
+    advanced_to: S::Tag,
 }
 
-impl<'a> IngestSession<'a> {
-    pub(crate) fn new(store: &'a EllStore) -> Self {
-        IngestSession {
+#[allow(private_bounds)]
+impl<'a, S: Keyed> Session<'a, S> {
+    pub(crate) fn new(store: &'a S, advanced_to: S::Tag) -> Self {
+        Session {
             store,
             deltas: HashMap::new(),
             buffered: 0,
             auto_flush: DEFAULT_AUTO_FLUSH,
+            advanced_to,
         }
     }
 
@@ -109,54 +149,53 @@ impl<'a> IngestSession<'a> {
         self.buffered
     }
 
-    /// Buffers one `(key, element-hash)` observation.
-    pub fn insert(&mut self, key: &str, hash: u64) {
-        match self.deltas.get_mut(key) {
-            Some((_, delta)) => {
-                delta.insert_hash(hash);
-            }
+    /// Flushes all buffered deltas and drains the store's handoff
+    /// queues (a barrier): on return, everything this session ever
+    /// buffered is merged into the store and visible to queries.
+    pub fn flush(&mut self) {
+        self.flush_with(true);
+    }
+
+    /// Buffers one observation of `key` under `tag`. A delta emptied by
+    /// an earlier flush takes the new tag instead of a fresh allocation.
+    fn buffer(&mut self, key: &str, tag: S::Tag, hash: u64) {
+        let store = self.store;
+        let entry = match self.deltas.get_mut(key) {
+            Some(entry) => entry,
             None => {
-                let si = self.store.shard_of(key);
-                let mut delta = self.store.new_adaptive();
-                delta.insert_hash(hash);
-                self.deltas.insert(key.to_owned(), (si, delta));
+                let fresh = KeyDeltas {
+                    shard: store.core().shard_of(key),
+                    first: (tag, store.new_delta()),
+                    more: Vec::new(),
+                };
+                self.deltas.entry(key.to_owned()).or_insert(fresh)
             }
-        }
+        };
+        entry.delta(tag, || store.new_delta()).insert_hash(hash);
         self.buffered += 1;
         if self.buffered >= self.auto_flush {
             self.flush_with(false);
         }
     }
 
-    /// Buffers a batch of observations.
-    pub fn ingest(&mut self, batch: &[(&str, u64)]) {
-        for &(key, hash) in batch {
-            self.insert(key, hash);
-        }
-    }
-
-    /// Flushes all buffered deltas and drains the store's handoff
-    /// queues (a barrier): on return, everything this session ever
-    /// buffered is merged into the slots and visible to queries.
-    pub fn flush(&mut self) {
-        self.flush_with(true);
-    }
-
     fn flush_with(&mut self, barrier: bool) {
         self.buffered = 0;
         let store = self.store;
-        let mut groups: Vec<Vec<(&String, &mut AdaptiveExaLogLog)>> = Vec::new();
-        groups.resize_with(store.shard_count(), Vec::new);
+        let mut groups: Vec<Vec<(&String, S::Tag, &mut AdaptiveExaLogLog)>> = Vec::new();
+        groups.resize_with(store.core().shard_count(), Vec::new);
         // Deltas reset by earlier flushes and not touched since stay
         // empty — skip them instead of paying a no-op merge.
-        for (key, (si, delta)) in self.deltas.iter_mut() {
-            if !delta.is_empty() {
-                groups[*si].push((key, delta));
+        for (key, entry) in self.deltas.iter_mut() {
+            let si = entry.shard;
+            for (tag, delta) in entry.iter_mut() {
+                if !delta.is_empty() {
+                    groups[si].push((key, *tag, delta));
+                }
             }
         }
         for (si, mut group) in groups.into_iter().enumerate() {
             if !group.is_empty() {
-                store.flush_group_ref(si, &mut group, barrier);
+                store.flush_group(si, &mut group, barrier);
             }
         }
         if barrier {
@@ -165,75 +204,70 @@ impl<'a> IngestSession<'a> {
     }
 }
 
-impl Drop for IngestSession<'_> {
+/// One key's buffered deltas with its shard index cached. The first
+/// tag's delta sits inline, so the flat store — whose keys never buffer
+/// a second tag — reaches its delta without another indirection; a
+/// windowed key buffering several epochs between flushes keeps the rest
+/// in `more`.
+#[derive(Debug)]
+struct KeyDeltas<T> {
+    shard: usize,
+    first: (T, AdaptiveExaLogLog),
+    more: Vec<(T, AdaptiveExaLogLog)>,
+}
+
+impl<T: Copy + PartialEq> KeyDeltas<T> {
+    fn iter_mut(&mut self) -> impl Iterator<Item = &mut (T, AdaptiveExaLogLog)> {
+        std::iter::once(&mut self.first).chain(&mut self.more)
+    }
+
+    /// The delta buffering `tag`: the one already tagged so, else one a
+    /// flush emptied (retagged, keeping its allocation), else a `fresh`
+    /// one.
+    fn delta(
+        &mut self,
+        tag: T,
+        fresh: impl FnOnce() -> AdaptiveExaLogLog,
+    ) -> &mut AdaptiveExaLogLog {
+        let same = self.iter_mut().position(|(t, _)| *t == tag);
+        let i = match same.or_else(|| self.iter_mut().position(|(_, d)| d.is_empty())) {
+            Some(i) => i,
+            None => {
+                self.more.push((tag, fresh()));
+                self.more.len()
+            }
+        };
+        let entry = if i == 0 {
+            &mut self.first
+        } else {
+            &mut self.more[i - 1]
+        };
+        entry.0 = tag;
+        &mut entry.1
+    }
+}
+
+impl<S: Keyed> Drop for Session<'_, S> {
     fn drop(&mut self) {
         self.flush_with(true);
     }
 }
 
-/// A buffered ingest session for [`WindowedStore`]: like
-/// [`IngestSession`], but deltas are keyed by `(key, epoch)` and the
-/// flush resolves each delta against the *current* window position —
-/// live epochs merge into their ring slot, epochs that have rotated out
-/// fold into the key's retired union. Monotone merge makes the final
-/// state identical either way, so flush timing relative to rotation
-/// cannot change the serialized bytes.
-///
-/// Buffering an observation for an epoch newer than the window
-/// auto-advances the store immediately (matching
-/// [`WindowedStore::ingest`]); rotation is *not* deferred to the flush.
-///
-/// A flushed delta that lands in a *sealed* live epoch (older than the
-/// current one) dirties that key's precomputed suffix-union chain, just
-/// like direct late `ingest` writes into an older epoch: the next query
-/// lazily rebuilds the stale entries, and the invalidation is counted
-/// in [`WindowStats::dirty_invalidations`](crate::WindowStats). Session
-/// flushes therefore never affect query *correctness* — only whether
-/// the next query hits the suffix cache or rebuilds it.
-#[derive(Debug)]
-pub struct WindowIngestSession<'a> {
-    store: &'a WindowedStore,
-    /// Per-key, per-epoch deltas (shard index cached per key). A
-    /// session rarely touches more than a couple of epochs per key, so
-    /// a small vec beats a nested map.
-    deltas: HashMap<String, (usize, Vec<(u64, AdaptiveExaLogLog)>)>,
-    /// Reset delta sketches recycled across flushes: a flushed
-    /// `(epoch, delta)` entry returns its sketch here, and the next
-    /// epoch the key touches pops one instead of allocating.
-    spare: Vec<AdaptiveExaLogLog>,
-    buffered: usize,
-    auto_flush: usize,
-    /// Highest epoch this session has advanced the store to; gates the
-    /// (write-locking) `advance` call so the hot path takes no lock.
-    advanced_to: u64,
-}
+impl IngestSession<'_> {
+    /// Buffers one `(key, element-hash)` observation.
+    pub fn insert(&mut self, key: &str, hash: u64) {
+        self.buffer(key, (), hash);
+    }
 
-impl<'a> WindowIngestSession<'a> {
-    pub(crate) fn new(store: &'a WindowedStore) -> Self {
-        WindowIngestSession {
-            store,
-            deltas: HashMap::new(),
-            spare: Vec::new(),
-            buffered: 0,
-            auto_flush: DEFAULT_AUTO_FLUSH,
-            advanced_to: store.current_epoch(),
+    /// Buffers a batch of observations.
+    pub fn ingest(&mut self, batch: &[(&str, u64)]) {
+        for &(key, hash) in batch {
+            self.insert(key, hash);
         }
     }
+}
 
-    /// Sets the buffered-hash count that triggers an automatic flush
-    /// (clamped to ≥ 1); see [`IngestSession::with_auto_flush`].
-    #[must_use]
-    pub fn with_auto_flush(mut self, hashes: usize) -> Self {
-        self.auto_flush = hashes.max(1);
-        self
-    }
-
-    /// The number of hashes buffered since the last flush.
-    #[must_use]
-    pub fn buffered_hashes(&self) -> usize {
-        self.buffered
-    }
-
+impl WindowIngestSession<'_> {
     /// Buffers one `(key, element-hash)` observation for `epoch`,
     /// advancing the window first when `epoch` is newer than anything
     /// the store has seen.
@@ -242,25 +276,7 @@ impl<'a> WindowIngestSession<'a> {
             self.store.advance(epoch);
             self.advanced_to = epoch;
         }
-        if !self.deltas.contains_key(key) {
-            let si = self.store.shard_of(key);
-            self.deltas.insert(key.to_owned(), (si, Vec::new()));
-        }
-        let (_, entries) = self.deltas.get_mut(key).expect("present: just ensured");
-        match entries.iter_mut().find(|(e, _)| *e == epoch) {
-            Some((_, delta)) => {
-                delta.insert_hash(hash);
-            }
-            None => {
-                let mut delta = self.spare.pop().unwrap_or_else(|| self.store.new_delta());
-                delta.insert_hash(hash);
-                entries.push((epoch, delta));
-            }
-        }
-        self.buffered += 1;
-        if self.buffered >= self.auto_flush {
-            self.flush_with(false);
-        }
+        self.buffer(key, epoch, hash);
     }
 
     /// Buffers a batch of observations belonging to `epoch`. An empty
@@ -275,53 +291,6 @@ impl<'a> WindowIngestSession<'a> {
         for &(key, hash) in batch {
             self.insert(key, epoch, hash);
         }
-    }
-
-    /// Flushes all buffered deltas and drains the store's handoff
-    /// queues (a barrier); see [`IngestSession::flush`].
-    pub fn flush(&mut self) {
-        self.flush_with(true);
-    }
-
-    fn flush_with(&mut self, barrier: bool) {
-        self.buffered = 0;
-        let store = self.store;
-        {
-            let mut groups: Vec<Vec<(&String, u64, &mut AdaptiveExaLogLog)>> = Vec::new();
-            groups.resize_with(store.shard_count(), Vec::new);
-            for (key, (si, entries)) in self.deltas.iter_mut() {
-                for (epoch, delta) in entries.iter_mut() {
-                    // Empty-epoch deltas (reset by an earlier flush, not
-                    // refilled) carry nothing — skip the merge entirely.
-                    if !delta.is_empty() {
-                        groups[*si].push((key, *epoch, delta));
-                    }
-                }
-            }
-            for (si, mut group) in groups.into_iter().enumerate() {
-                if !group.is_empty() {
-                    store.flush_group_ref(si, &mut group, barrier);
-                }
-            }
-        }
-        // Recycle every per-epoch delta (the store reset the flushed
-        // ones; stragglers are already empty): the key entries survive,
-        // the sketches go back to the spare pool.
-        for (_, (_, entries)) in self.deltas.iter_mut() {
-            for (_, mut delta) in entries.drain(..) {
-                delta.reset();
-                self.spare.push(delta);
-            }
-        }
-        if barrier {
-            store.drain_all_pending();
-        }
-    }
-}
-
-impl Drop for WindowIngestSession<'_> {
-    fn drop(&mut self) {
-        self.flush_with(true);
     }
 }
 
@@ -414,8 +383,8 @@ mod tests {
         // flushes and reset in place.
         assert_eq!(session.deltas.len(), 1);
         session.flush();
-        let (_, delta) = session.deltas.get("steady").unwrap();
-        assert!(delta.is_empty());
+        let entry = session.deltas.get("steady").unwrap();
+        assert!(entry.first.1.is_empty() && entry.more.is_empty());
     }
 
     #[test]
@@ -453,9 +422,11 @@ mod tests {
             }
         }
         session.flush();
-        // All per-epoch sketches were recycled rather than dropped.
-        assert!(!session.spare.is_empty());
-        let (_, entries) = session.deltas.get("k").unwrap();
-        assert!(entries.is_empty());
+        // Six epochs, but no flush interval spans more than two of them:
+        // flushed deltas were retagged with the next epoch rather than
+        // dropped and reallocated.
+        let entry = session.deltas.get_mut("k").unwrap();
+        assert_eq!(entry.more.len(), 1);
+        assert!(entry.iter_mut().all(|(_, delta)| delta.is_empty()));
     }
 }

@@ -1,24 +1,14 @@
 //! The sharded keyed store proper: slot lifecycle, batched ingest,
 //! tiered residency, and per-key / merged estimation.
 
+use crate::core::{group_by_key, Keyed, KeyedCore};
 use crate::sync::atomic::{AtomicU64, Ordering};
-use crate::sync::{Mutex, RwLock, TryLockError};
 use crate::tiers::{SpillStore, Tier, TierConfig, TierCounters, TierStats};
-use ell_hash::{Hasher64, WyHash};
 use exaloglog::adaptive::AdaptiveExaLogLog;
 use exaloglog::atomic::AtomicExaLogLog;
 use exaloglog::compress::{compress, decompress};
 use exaloglog::{EllConfig, EllError, ExaLogLog};
 use std::collections::HashMap;
-
-/// Seed of the key-partitioning hash. Fixed so that shard assignment —
-/// and therefore snapshot layout — is stable across processes.
-const KEY_HASH_SEED: u64 = 0xE115_70E5;
-
-/// Soft bound on a shard's handoff queue: once this many deltas are
-/// queued, the enqueueing session drains the shard itself (blocking on
-/// the write lock) instead of deferring to an opportunistic drain.
-pub(crate) const HANDOFF_SOFT_CAPACITY: usize = 64;
 
 /// One keyed counter plus its access-clock stamp.
 ///
@@ -84,6 +74,40 @@ struct ColdEntry {
 }
 
 impl SlotState {
+    /// The resident state for `sketch`: the locked adaptive path while
+    /// sparse, the atomic hot path once dense.
+    fn resident(sketch: AdaptiveExaLogLog) -> Self {
+        let mut state = SlotState::Adaptive(Box::new(sketch));
+        state.upgrade();
+        state
+    }
+
+    /// Upgrades a promoted slot to the atomic hot path. Called after
+    /// every write-path mutation so the upgrade decision depends only on
+    /// the slot state — never on thread interleaving. Every register
+    /// width is hot-capable (the atomic sketch packs registers into u64
+    /// words), so the only condition is dense promotion.
+    fn upgrade(&mut self) {
+        if let SlotState::Adaptive(s) = self {
+            if let Some(dense) = s.as_dense() {
+                *self = SlotState::Hot(AtomicExaLogLog::from_sketch(dense));
+            }
+        }
+    }
+
+    /// Merges `sketch` into a resident slot, upgrading it once dense.
+    fn merge_resident(&mut self, sketch: &AdaptiveExaLogLog) -> Result<(), EllError> {
+        match self {
+            SlotState::Hot(a) => sketch.merge_into_atomic(a),
+            SlotState::Adaptive(s) => {
+                s.merge_from(sketch)?;
+                self.upgrade();
+                Ok(())
+            }
+            _ => unreachable!("merge_resident on a demoted slot"),
+        }
+    }
+
     fn is_resident(&self) -> bool {
         matches!(self, SlotState::Adaptive(_) | SlotState::Hot(_))
     }
@@ -159,13 +183,9 @@ pub struct EllStore {
     cfg: EllConfig,
     /// Token parameter used for newly created (sparse) keys.
     v: u32,
-    hasher: WyHash,
-    shards: Vec<RwLock<HashMap<String, Slot>>>,
-    /// Per-shard handoff queues for buffered-delta ingest (see
-    /// [`crate::IngestSession`]): sessions park `(key, delta)` pairs
-    /// here and the queue is drained into the slots under the shard
-    /// write lock. Kept strictly parallel to `shards`.
-    pending: Vec<Mutex<Vec<(String, AdaptiveExaLogLog)>>>,
+    /// Shard maps of slots plus the handoff queues buffered sessions
+    /// (see [`crate::IngestSession`]) park untagged deltas on.
+    core: KeyedCore<Slot, ()>,
     tiers: TierConfig,
     /// The access clock driving demotion decisions; advanced by
     /// [`EllStore::tick`], stamped into `Slot::touched` on access.
@@ -194,23 +214,13 @@ impl EllStore {
     ///
     /// Rejects invalid shard counts and token parameters.
     pub fn with_token_parameter(shards: usize, cfg: EllConfig, v: u32) -> Result<Self, EllError> {
-        if shards == 0 || !shards.is_power_of_two() {
-            return Err(EllError::InvalidParameter {
-                reason: format!("shard count {shards} must be a nonzero power of two"),
-            });
-        }
+        let core = KeyedCore::new(shards)?;
         // Validate v eagerly so every later slot creation is infallible.
         AdaptiveExaLogLog::with_token_parameter(cfg, v)?;
-        let mut shard_maps = Vec::with_capacity(shards);
-        shard_maps.resize_with(shards, || RwLock::new(HashMap::new()));
-        let mut pending = Vec::with_capacity(shards);
-        pending.resize_with(shards, || Mutex::new(Vec::new()));
         Ok(EllStore {
             cfg,
             v,
-            hasher: WyHash::new(KEY_HASH_SEED),
-            shards: shard_maps,
-            pending,
+            core,
             tiers: TierConfig::new(),
             clock: AtomicU64::new(0),
             spill: None,
@@ -233,7 +243,7 @@ impl EllStore {
     /// The number of shards.
     #[must_use]
     pub fn shard_count(&self) -> usize {
-        self.shards.len()
+        self.core.shard_count()
     }
 
     /// Installs the tiered-residency configuration (see [`TierConfig`]
@@ -259,15 +269,14 @@ impl EllStore {
     /// interval, a batch boundary, an epoch) — idle age is measured in
     /// these units.
     pub fn tick(&self) -> u64 {
-        // ordering: Relaxed — the access clock is a coarse monotone
-        // counter feeding the idle-age heuristic; only the atomicity of
-        // the increment matters, never its order against slot data.
-        self.clock.fetch_add(1, Ordering::Relaxed) + 1
+        self.advance_clock(1)
     }
 
     /// Advances the access clock by `ticks` at once.
     pub fn advance_clock(&self, ticks: u64) -> u64 {
-        // ordering: Relaxed — same contract as `tick`.
+        // ordering: Relaxed — the access clock is a coarse monotone
+        // counter feeding the idle-age heuristic; only the atomicity of
+        // the increment matters, never its order against slot data.
         self.clock.fetch_add(ticks, Ordering::Relaxed) + ticks
     }
 
@@ -279,55 +288,15 @@ impl EllStore {
         self.clock.load(Ordering::Relaxed)
     }
 
-    fn now(&self) -> u64 {
-        // ordering: Relaxed — same contract as `clock`.
-        self.clock.load(Ordering::Relaxed)
-    }
-
-    pub(crate) fn shard_of(&self, key: &str) -> usize {
-        (self.hasher.hash_bytes(key.as_bytes()) as usize) & (self.shards.len() - 1)
-    }
-
-    /// Upgrades a promoted slot to the atomic hot path. Called after
-    /// every write-path mutation so the upgrade decision depends only on
-    /// the slot state — never on thread interleaving. Every register
-    /// width is hot-capable (the atomic sketch packs registers into u64
-    /// words), so the only condition is dense promotion.
-    fn maybe_upgrade(&self, state: &mut SlotState) {
-        if let SlotState::Adaptive(s) = state {
-            if let Some(dense) = s.as_dense() {
-                *state = SlotState::Hot(AtomicExaLogLog::from_sketch(dense));
-            }
-        }
-    }
-
-    pub(crate) fn new_adaptive(&self) -> AdaptiveExaLogLog {
-        AdaptiveExaLogLog::with_token_parameter(self.cfg, self.v)
-            .expect("parameters validated at store construction")
-    }
-
     /// Rebuilds the resident sketch for a demoted slot state: decode
     /// the payload (from memory or the spill segment), then fold in any
     /// parked session deltas. Monotone merge makes the result
     /// bit-identical to a slot that was never demoted.
     fn revive_state(&self, state: &SlotState) -> AdaptiveExaLogLog {
-        let (bytes, pending) = match state {
-            SlotState::Warm(w) => (None, w.pending.as_deref()),
-            SlotState::Cold(c) => {
-                let bytes = self
-                    .spill
-                    .as_ref()
-                    .expect("cold entries exist only with a spill store")
-                    .read(c.segment, c.offset, c.len)
-                    .expect("cold payload unreadable — spill segment missing or truncated");
-                (Some(bytes), c.pending.as_deref())
-            }
+        let (mut sketch, pending) = match state {
+            SlotState::Warm(w) => (decode_payload(&w.bytes), w.pending.as_deref()),
+            SlotState::Cold(c) => (decode_payload(&self.read_spill(c)), c.pending.as_deref()),
             _ => unreachable!("revive_state on a resident slot"),
-        };
-        let mut sketch = match (&bytes, state) {
-            (Some(b), _) => decode_payload(b),
-            (None, SlotState::Warm(w)) => decode_payload(&w.bytes),
-            _ => unreachable!(),
         };
         if let Some(delta) = pending {
             sketch
@@ -340,16 +309,26 @@ impl EllStore {
     /// Replaces a warm/cold slot with its revived resident sketch.
     fn promote_slot(&self, slot: &mut Slot) {
         debug_assert!(!slot.state.is_resident());
-        let mut state = SlotState::Adaptive(Box::new(self.revive_state(&slot.state)));
-        self.maybe_upgrade(&mut state);
-        slot.state = state;
+        slot.state = SlotState::resident(self.revive_state(&slot.state));
         TierCounters::count(&self.counters.promotions);
+    }
+
+    /// Records an access to `slot` under the shard write lock: promotes
+    /// a warm/cold slot back to residency and stamps the access clock.
+    fn access(&self, slot: &mut Slot, now: u64) {
+        if !slot.state.is_resident() {
+            self.promote_slot(slot);
+        }
+        // ordering: Relaxed — idle-age stamp; the demote sweep reads it
+        // under the same shard write lock, which is the happens-before
+        // edge. See CONCURRENCY.md § "Tier demote vs promote".
+        slot.touched.store(now, Ordering::Relaxed);
     }
 
     /// Inserts one `(key, element-hash)` observation (a direct
     /// single-shard path; use [`EllStore::ingest`] for batches).
     pub fn insert(&self, key: &str, hash: u64) {
-        self.ingest_shard(self.shard_of(key), &[(key, hash)]);
+        self.ingest_shard(self.core.shard_of(key), &[(key, hash)]);
     }
 
     /// Batched ingest: groups the batch by shard, drains inserts into
@@ -363,22 +342,16 @@ impl EllStore {
     /// splitting a workload across threads in any way yields the same
     /// store state.
     pub fn ingest(&self, batch: &[(&str, u64)]) {
-        let mut buckets: Vec<Vec<(&str, u64)>> = vec![Vec::new(); self.shards.len()];
-        for &(key, hash) in batch {
-            buckets[self.shard_of(key)].push((key, hash));
-        }
-        for (si, bucket) in buckets.iter().enumerate() {
-            if !bucket.is_empty() {
-                self.ingest_shard(si, bucket);
-            }
+        for (si, bucket) in self.core.route(batch) {
+            self.ingest_shard(si, &bucket);
         }
     }
 
     fn ingest_shard(&self, si: usize, bucket: &[(&str, u64)]) {
-        let now = self.now();
+        let now = self.clock();
         let mut leftover: Vec<(&str, u64)> = Vec::new();
         {
-            let map = self.shards[si].read().expect("shard lock poisoned");
+            let map = self.core.read(si);
             for &(key, hash) in bucket {
                 match map.get(key) {
                     Some(slot) => match &slot.state {
@@ -401,25 +374,13 @@ impl EllStore {
         if leftover.is_empty() {
             return;
         }
-        let mut map = self.shards[si].write().expect("shard lock poisoned");
-        // Group hashes per key (preserving per-key order) so each slot
-        // takes one batched insert; keys are independent, so the group
-        // iteration order cannot affect the result.
-        let mut grouped: HashMap<&str, Vec<u64>> = HashMap::new();
-        for &(key, hash) in &leftover {
-            grouped.entry(key).or_default().push(hash);
-        }
-        for (key, hashes) in grouped {
+        let mut map = self.core.write(si);
+        for (key, hashes) in group_by_key(&leftover) {
             match map.get_mut(key) {
                 Some(slot) => {
                     // A direct ingest always promotes a demoted slot —
                     // only buffered session flushes park lazily.
-                    if !slot.state.is_resident() {
-                        self.promote_slot(slot);
-                    }
-                    // ordering: Relaxed — idle-age stamp under the write
-                    // lock; see the hot-path stamp above.
-                    slot.touched.store(now, Ordering::Relaxed);
+                    self.access(slot, now);
                     match &mut slot.state {
                         // Another thread may have upgraded the slot
                         // between our read and write sections — the hot
@@ -429,21 +390,17 @@ impl EllStore {
                                 a.insert_hash(h);
                             }
                         }
-                        state @ SlotState::Adaptive(_) => {
-                            if let SlotState::Adaptive(s) = state {
-                                s.insert_hashes(&hashes);
-                            }
-                            self.maybe_upgrade(state);
+                        SlotState::Adaptive(s) => {
+                            s.insert_hashes(&hashes);
+                            slot.state.upgrade();
                         }
                         _ => unreachable!("promoted above"),
                     }
                 }
                 None => {
-                    let mut sketch = self.new_adaptive();
+                    let mut sketch = self.new_delta();
                     sketch.insert_hashes(&hashes);
-                    let mut state = SlotState::Adaptive(Box::new(sketch));
-                    self.maybe_upgrade(&mut state);
-                    map.insert(key.to_string(), Slot::new(state, now));
+                    map.insert(key.to_string(), Slot::new(SlotState::resident(sketch), now));
                 }
             }
         }
@@ -456,186 +413,7 @@ impl EllStore {
     /// the intended shape.
     #[must_use]
     pub fn session(&self) -> crate::IngestSession<'_> {
-        crate::IngestSession::new(self)
-    }
-
-    /// Flushes one shard's group of session deltas *by reference*: on an
-    /// uncontended (or barrier) lock the deltas merge straight from the
-    /// session's buffers into the slots and are reset in place, so the
-    /// session reuses its allocations across flushes. Contended
-    /// auto-flushes fall back to parking clones on the handoff queue.
-    pub(crate) fn flush_group_ref(
-        &self,
-        si: usize,
-        group: &mut [(&String, &mut AdaptiveExaLogLog)],
-        barrier: bool,
-    ) {
-        let guard = if barrier {
-            Some(self.shards[si].write().expect("shard lock poisoned"))
-        } else {
-            match self.shards[si].try_write() {
-                Err(TryLockError::WouldBlock) => None,
-                // Poison propagates like the blocking path's expect.
-                other => Some(other.expect("shard lock poisoned")),
-            }
-        };
-        match guard {
-            Some(mut map) => {
-                // Drain the handoff queue first so queued items never
-                // linger behind a direct merge (same happens-before
-                // story as `drain_shard`: queue pops happen under the
-                // write lock).
-                self.drain_queue_into(si, &mut map);
-                for (key, delta) in group.iter_mut() {
-                    self.merge_delta_ref(&mut map, key, delta);
-                    delta.reset();
-                }
-            }
-            None => {
-                let depth = {
-                    let mut queue = self.pending[si].lock().expect("handoff queue poisoned");
-                    for (key, delta) in group.iter_mut() {
-                        queue.push(((*key).clone(), delta.clone()));
-                        delta.reset();
-                    }
-                    queue.len()
-                };
-                if depth >= HANDOFF_SOFT_CAPACITY {
-                    self.drain_shard(si, true);
-                }
-            }
-        }
-    }
-
-    /// Drains every nonempty handoff queue (blocking). The final step of
-    /// a barrier flush: guarantees read-your-writes for the flushing
-    /// session even when its earlier opportunistic flushes left deltas
-    /// parked on contended shards.
-    pub(crate) fn drain_all_pending(&self) {
-        for si in 0..self.shards.len() {
-            let parked = !self.pending[si]
-                .lock()
-                .expect("handoff queue poisoned")
-                .is_empty();
-            if parked {
-                self.drain_shard(si, true);
-            }
-        }
-    }
-
-    /// Drains shard `si`'s handoff queue into its slots. Acquires the
-    /// shard write lock *first* and only then pops queued items, looping
-    /// until the queue is observed empty — so when any drainer returns
-    /// after observing an empty queue, every item enqueued before that
-    /// observation has been merged under a write lock that
-    /// happens-before the next acquisition. Non-blocking mode backs off
-    /// if the write lock is taken (some other drainer or writer will
-    /// pick the items up, or a barrier will).
-    fn drain_shard(&self, si: usize, blocking: bool) {
-        let mut map = if blocking {
-            self.shards[si].write().expect("shard lock poisoned")
-        } else {
-            match self.shards[si].try_write() {
-                Err(TryLockError::WouldBlock) => return,
-                // Poison propagates like the blocking path's expect.
-                other => other.expect("shard lock poisoned"),
-            }
-        };
-        self.drain_queue_into(si, &mut map);
-    }
-
-    /// Pops shard `si`'s queue until observed empty, merging under the
-    /// already-held write lock.
-    fn drain_queue_into(&self, si: usize, map: &mut HashMap<String, Slot>) {
-        loop {
-            let batch =
-                std::mem::take(&mut *self.pending[si].lock().expect("handoff queue poisoned"));
-            if batch.is_empty() {
-                return;
-            }
-            for (key, delta) in batch {
-                self.merge_delta(map, key, delta);
-            }
-        }
-    }
-
-    /// Merges one delta sketch into its slot (creating the slot if the
-    /// key is new). Hot slots take the lock-free register merge; demoted
-    /// slots **park** the delta (`pending`) instead of promoting — the
-    /// session flush path must never pay a decompress. The result is
-    /// bit-identical to inserting the delta's hashes directly because
-    /// register updates are monotone and order-free.
-    fn merge_delta(&self, map: &mut HashMap<String, Slot>, key: String, delta: AdaptiveExaLogLog) {
-        match map.get_mut(&key) {
-            Some(slot) => match &mut slot.state {
-                SlotState::Hot(a) => delta
-                    .merge_into_atomic(a)
-                    .expect("deltas share the store configuration"),
-                state @ SlotState::Adaptive(_) => {
-                    if let SlotState::Adaptive(s) = state {
-                        s.merge_from(&delta)
-                            .expect("deltas share the store configuration and token parameter");
-                    }
-                    self.maybe_upgrade(state);
-                }
-                SlotState::Warm(WarmEntry { pending, .. })
-                | SlotState::Cold(ColdEntry { pending, .. }) => {
-                    match pending {
-                        Some(p) => p
-                            .merge_from(&delta)
-                            .expect("deltas share the store configuration"),
-                        None => *pending = Some(Box::new(delta)),
-                    }
-                    TierCounters::count(&self.counters.parked_deltas);
-                }
-            },
-            None => {
-                let mut state = SlotState::Adaptive(Box::new(delta));
-                self.maybe_upgrade(&mut state);
-                map.insert(key, Slot::new(state, self.now()));
-            }
-        }
-    }
-
-    /// Borrowing variant of [`EllStore::merge_delta`] for the
-    /// buffer-reusing session flush: the delta stays owned by the
-    /// session (reset in place afterwards), so nothing is cloned on the
-    /// uncontended path except when the key is new or parked.
-    fn merge_delta_ref(
-        &self,
-        map: &mut HashMap<String, Slot>,
-        key: &str,
-        delta: &AdaptiveExaLogLog,
-    ) {
-        match map.get_mut(key) {
-            Some(slot) => match &mut slot.state {
-                SlotState::Hot(a) => delta
-                    .merge_into_atomic(a)
-                    .expect("deltas share the store configuration"),
-                state @ SlotState::Adaptive(_) => {
-                    if let SlotState::Adaptive(s) = state {
-                        s.merge_from(delta)
-                            .expect("deltas share the store configuration and token parameter");
-                    }
-                    self.maybe_upgrade(state);
-                }
-                SlotState::Warm(WarmEntry { pending, .. })
-                | SlotState::Cold(ColdEntry { pending, .. }) => {
-                    match pending {
-                        Some(p) => p
-                            .merge_from(delta)
-                            .expect("deltas share the store configuration"),
-                        None => *pending = Some(Box::new(delta.clone())),
-                    }
-                    TierCounters::count(&self.counters.parked_deltas);
-                }
-            },
-            None => {
-                let mut state = SlotState::Adaptive(Box::new(delta.clone()));
-                self.maybe_upgrade(&mut state);
-                map.insert(key.to_string(), Slot::new(state, self.now()));
-            }
-        }
+        crate::Session::new(self, ())
     }
 
     /// Merges a standalone sketch into `key` (creating the key if
@@ -652,35 +430,13 @@ impl EllStore {
                 reason: format!("store {} vs sketch {}", self.cfg, sketch.config()),
             });
         }
-        let si = self.shard_of(key);
-        let mut map = self.shards[si].write().expect("shard lock poisoned");
-        match map.get_mut(key) {
-            Some(slot) => {
-                if !slot.state.is_resident() {
-                    self.promote_slot(slot);
-                }
-                // ordering: Relaxed — idle-age stamp; the demote sweep
-                // reads it under the same shard write lock, which is the
-                // happens-before edge. See CONCURRENCY.md § "Tier
-                // demote vs promote".
-                slot.touched.store(self.now(), Ordering::Relaxed);
-                match &mut slot.state {
-                    SlotState::Hot(a) => sketch.merge_into_atomic(a)?,
-                    state @ SlotState::Adaptive(_) => {
-                        if let SlotState::Adaptive(s) = state {
-                            s.merge_from(sketch)?;
-                        }
-                        self.maybe_upgrade(state);
-                    }
-                    _ => unreachable!("promoted above"),
-                }
-            }
-            None => {
-                let mut state = SlotState::Adaptive(Box::new(sketch.clone()));
-                self.maybe_upgrade(&mut state);
-                map.insert(key.to_string(), Slot::new(state, self.now()));
-            }
+        let mut map = self.core.write(self.core.shard_of(key));
+        if let Some(slot) = map.get_mut(key) {
+            self.access(slot, self.clock());
+            return slot.state.merge_resident(sketch);
         }
+        let state = SlotState::resident(sketch.clone());
+        map.insert(key.to_string(), Slot::new(state, self.clock()));
         Ok(())
     }
 
@@ -691,28 +447,19 @@ impl EllStore {
     /// incremental estimator exactly like ingested keys — no extra
     /// warming needed here.
     pub(crate) fn place(&self, key: String, sketch: AdaptiveExaLogLog) {
-        let si = self.shard_of(&key);
-        let mut state = SlotState::Adaptive(Box::new(sketch));
-        self.maybe_upgrade(&mut state);
-        self.shards[si]
-            .write()
-            .expect("shard lock poisoned")
-            .insert(key, Slot::new(state, self.now()));
+        self.core
+            .insert(key, Slot::new(SlotState::resident(sketch), self.clock()));
     }
 
     /// Places restored compressed bytes under `key` as a warm slot —
     /// snapshots of warm entries restore without a dense round trip, so
     /// re-snapshotting reuses the identical payload.
     pub(crate) fn place_warm(&self, key: String, bytes: Vec<u8>) {
-        let si = self.shard_of(&key);
         let state = SlotState::Warm(WarmEntry {
             bytes: bytes.into_boxed_slice(),
             pending: None,
         });
-        self.shards[si]
-            .write()
-            .expect("shard lock poisoned")
-            .insert(key, Slot::new(state, self.now()));
+        self.core.insert(key, Slot::new(state, self.clock()));
     }
 
     /// The distinct-count estimate for one key (`None` if the key has
@@ -721,9 +468,9 @@ impl EllStore {
     /// residency-preserving bulk reads).
     #[must_use]
     pub fn estimate(&self, key: &str) -> Option<f64> {
-        let si = self.shard_of(key);
+        let si = self.core.shard_of(key);
         {
-            let map = self.shards[si].read().expect("shard lock poisoned");
+            let map = self.core.read(si);
             match map.get(key) {
                 None => return None,
                 Some(slot) if slot.state.is_resident() => {
@@ -733,21 +480,16 @@ impl EllStore {
                     // never corrupts state (the sweep re-checks
                     // residency under the write lock). See
                     // CONCURRENCY.md § "Tier demote vs promote".
-                    slot.touched.store(self.now(), Ordering::Relaxed);
+                    slot.touched.store(self.clock(), Ordering::Relaxed);
                     return Some(slot.state.estimate_resident());
                 }
                 Some(_) => {}
             }
         }
         // Demoted: promote under the write lock, then serve.
-        let mut map = self.shards[si].write().expect("shard lock poisoned");
+        let mut map = self.core.write(si);
         let slot = map.get_mut(key)?;
-        if !slot.state.is_resident() {
-            self.promote_slot(slot);
-        }
-        // ordering: Relaxed — idle-age stamp under the shard write
-        // lock; the lock is the happens-before edge to the sweep.
-        slot.touched.store(self.now(), Ordering::Relaxed);
+        self.access(slot, self.clock());
         Some(slot.state.estimate_resident())
     }
 
@@ -762,21 +504,21 @@ impl EllStore {
     /// Does not count as an access.
     #[must_use]
     pub fn key_tier(&self, key: &str) -> Option<Tier> {
-        let map = self.shards[self.shard_of(key)]
-            .read()
-            .expect("shard lock poisoned");
-        map.get(key).map(|slot| match &slot.state {
-            SlotState::Adaptive(s) => {
-                if s.is_sparse() {
-                    Tier::Sparse
-                } else {
-                    Tier::Hot
+        self.core
+            .read_key(key)
+            .get(key)
+            .map(|slot| match &slot.state {
+                SlotState::Adaptive(s) => {
+                    if s.is_sparse() {
+                        Tier::Sparse
+                    } else {
+                        Tier::Hot
+                    }
                 }
-            }
-            SlotState::Hot(_) => Tier::Hot,
-            SlotState::Warm(_) => Tier::Warm,
-            SlotState::Cold(_) => Tier::Cold,
-        })
+                SlotState::Hot(_) => Tier::Hot,
+                SlotState::Warm(_) => Tier::Warm,
+                SlotState::Cold(_) => Tier::Cold,
+            })
     }
 
     /// Demotes every sufficiently idle key one tier down the residency
@@ -790,69 +532,65 @@ impl EllStore {
         if !self.tiers.is_enabled() {
             return (0, 0);
         }
-        let now = self.now();
+        let now = self.clock();
         let mut to_warm = 0usize;
         let mut to_cold = 0usize;
-        for shard in &self.shards {
-            let mut map = shard.write().expect("shard lock poisoned");
-            for slot in map.values_mut() {
-                // ordering: Relaxed — idle-age read under the shard
-                // write lock, which orders it after every stamp written
-                // under the read lock (release of read → acquire of
-                // write). A stale stamp only delays demotion by one
-                // sweep. See CONCURRENCY.md § "Tier demote vs promote".
-                let idle = now.saturating_sub(slot.touched.load(Ordering::Relaxed));
-                match &mut slot.state {
-                    SlotState::Adaptive(_) | SlotState::Hot(_) => {
-                        if self.tiers.warm_threshold().is_some_and(|w| idle >= w) {
-                            let bytes = slot.state.encode_resident().into_boxed_slice();
-                            slot.state = SlotState::Warm(WarmEntry {
-                                bytes,
+        self.core.for_each_mut(|slot| {
+            // ordering: Relaxed — idle-age read under the shard write
+            // lock, which orders it after every stamp written under the
+            // read lock (release of read → acquire of write). A stale
+            // stamp only delays demotion by one sweep. See
+            // CONCURRENCY.md § "Tier demote vs promote".
+            let idle = now.saturating_sub(slot.touched.load(Ordering::Relaxed));
+            match &mut slot.state {
+                SlotState::Adaptive(_) | SlotState::Hot(_) => {
+                    if self.tiers.warm_threshold().is_some_and(|w| idle >= w) {
+                        let bytes = slot.state.encode_resident().into_boxed_slice();
+                        slot.state = SlotState::Warm(WarmEntry {
+                            bytes,
+                            pending: None,
+                        });
+                        to_warm += 1;
+                        TierCounters::count(&self.counters.demotions_warm);
+                    }
+                }
+                SlotState::Warm(w) => {
+                    let due = self.tiers.cold_threshold().is_some_and(|c| idle >= c);
+                    let Some(spill) = self.spill.as_ref().filter(|_| due) else {
+                        return;
+                    };
+                    // Settle parked deltas into the payload before it
+                    // leaves memory.
+                    if let Some(pending) = w.pending.take() {
+                        let mut sketch = decode_payload(&w.bytes);
+                        sketch
+                            .merge_from(&pending)
+                            .expect("parked deltas share the store configuration");
+                        w.bytes = SlotState::Adaptive(Box::new(sketch))
+                            .encode_resident()
+                            .into_boxed_slice();
+                    }
+                    match spill.append(&w.bytes) {
+                        Ok((segment, offset, len)) => {
+                            slot.state = SlotState::Cold(ColdEntry {
+                                segment,
+                                len,
+                                offset,
                                 pending: None,
                             });
-                            to_warm += 1;
-                            TierCounters::count(&self.counters.demotions_warm);
+                            to_cold += 1;
+                            TierCounters::count(&self.counters.demotions_cold);
+                        }
+                        Err(_) => {
+                            // Stay warm; the payload is still safe in
+                            // memory.
+                            TierCounters::count(&self.counters.spill_errors);
                         }
                     }
-                    SlotState::Warm(w) => {
-                        let due = self.tiers.cold_threshold().is_some_and(|c| idle >= c);
-                        if !due || self.spill.is_none() {
-                            continue;
-                        }
-                        // Settle parked deltas into the payload before it
-                        // leaves memory.
-                        if let Some(pending) = w.pending.take() {
-                            let mut sketch = decode_payload(&w.bytes);
-                            sketch
-                                .merge_from(&pending)
-                                .expect("parked deltas share the store configuration");
-                            w.bytes = SlotState::Adaptive(Box::new(sketch))
-                                .encode_resident()
-                                .into_boxed_slice();
-                        }
-                        let spill = self.spill.as_ref().expect("checked above");
-                        match spill.append(&w.bytes) {
-                            Ok((segment, offset, len)) => {
-                                slot.state = SlotState::Cold(ColdEntry {
-                                    segment,
-                                    len,
-                                    offset,
-                                    pending: None,
-                                });
-                                to_cold += 1;
-                                TierCounters::count(&self.counters.demotions_cold);
-                            }
-                            Err(_) => {
-                                // Stay warm; the payload is still safe in
-                                // memory.
-                                TierCounters::count(&self.counters.spill_errors);
-                            }
-                        }
-                    }
-                    SlotState::Cold(_) => {}
                 }
+                SlotState::Cold(_) => {}
             }
-        }
+        });
         (to_warm, to_cold)
     }
 
@@ -862,59 +600,42 @@ impl EllStore {
     /// slots and snapshots).
     pub fn promote_all(&self) -> usize {
         let mut n = 0usize;
-        for shard in &self.shards {
-            let mut map = shard.write().expect("shard lock poisoned");
-            for slot in map.values_mut() {
-                if !slot.state.is_resident() {
-                    self.promote_slot(slot);
-                    n += 1;
-                }
+        self.core.for_each_mut(|slot| {
+            if !slot.state.is_resident() {
+                self.promote_slot(slot);
+                n += 1;
             }
-        }
+        });
         n
-    }
-
-    /// Settles parked session deltas by promoting every slot that holds
-    /// some — the snapshot pre-pass, so serialized payloads always
-    /// include every flushed observation.
-    pub(crate) fn settle_parked(&self) {
-        for shard in &self.shards {
-            let mut map = shard.write().expect("shard lock poisoned");
-            for slot in map.values_mut() {
-                if slot.state.has_pending() {
-                    self.promote_slot(slot);
-                }
-            }
-        }
     }
 
     /// Key-sorted `(key, payload)` pairs for snapshotting: resident
     /// slots serialize canonically (`ELLS`/`ELL1`), warm slots embed
     /// their compressed payload verbatim (no dense round trip), cold
     /// slots embed the spill bytes without changing residency. Parked
-    /// deltas are settled first.
+    /// deltas are settled first (by promoting every slot that holds
+    /// some), so serialized payloads include every flushed observation.
     pub(crate) fn snapshot_payloads(&self) -> Vec<(String, Vec<u8>)> {
-        self.settle_parked();
-        let mut out: Vec<(String, Vec<u8>)> = Vec::new();
-        for shard in &self.shards {
-            let map = shard.read().expect("shard lock poisoned");
-            for (key, slot) in map.iter() {
-                let payload = match &slot.state {
-                    SlotState::Adaptive(s) => s.to_bytes(),
-                    SlotState::Hot(a) => AdaptiveExaLogLog::from_dense(a.snapshot()).to_bytes(),
-                    SlotState::Warm(w) => w.bytes.to_vec(),
-                    SlotState::Cold(c) => self
-                        .spill
-                        .as_ref()
-                        .expect("cold entries exist only with a spill store")
-                        .read(c.segment, c.offset, c.len)
-                        .expect("cold payload unreadable — spill segment missing or truncated"),
-                };
-                out.push((key.clone(), payload));
+        self.core.for_each_mut(|slot| {
+            if slot.state.has_pending() {
+                self.promote_slot(slot);
             }
-        }
-        out.sort_unstable_by(|a, b| a.0.cmp(&b.0));
-        out
+        });
+        self.core.sorted(|slot| match &slot.state {
+            SlotState::Adaptive(s) => s.to_bytes(),
+            SlotState::Hot(a) => AdaptiveExaLogLog::from_dense(a.snapshot()).to_bytes(),
+            SlotState::Warm(w) => w.bytes.to_vec(),
+            SlotState::Cold(c) => self.read_spill(c),
+        })
+    }
+
+    /// Reads a cold slot's payload back from the spill segment.
+    fn read_spill(&self, c: &ColdEntry) -> Vec<u8> {
+        self.spill
+            .as_ref()
+            .expect("cold entries exist only with a spill store")
+            .read(c.segment, c.offset, c.len)
+            .expect("cold payload unreadable — spill segment missing or truncated")
     }
 
     /// Tier occupancy, transition counters, and footprint — the
@@ -930,17 +651,12 @@ impl EllStore {
             spilled_bytes: self.spill.as_ref().map_or(0, SpillStore::spilled_bytes),
             ..TierStats::default()
         };
-        for shard in &self.shards {
-            let map = shard.read().expect("shard lock poisoned");
-            for slot in map.values() {
-                match &slot.state {
-                    SlotState::Adaptive(s) if s.is_sparse() => stats.sparse_keys += 1,
-                    SlotState::Adaptive(_) | SlotState::Hot(_) => stats.hot_keys += 1,
-                    SlotState::Warm(_) => stats.warm_keys += 1,
-                    SlotState::Cold(_) => stats.cold_keys += 1,
-                }
-            }
-        }
+        self.core.for_each(|_, slot| match &slot.state {
+            SlotState::Adaptive(s) if s.is_sparse() => stats.sparse_keys += 1,
+            SlotState::Adaptive(_) | SlotState::Hot(_) => stats.hot_keys += 1,
+            SlotState::Warm(_) => stats.warm_keys += 1,
+            SlotState::Cold(_) => stats.cold_keys += 1,
+        });
         stats.resident_bytes = self.memory_bytes();
         stats
     }
@@ -951,11 +667,8 @@ impl EllStore {
     /// without promoting. `None` if the key is absent.
     #[must_use]
     pub fn state_entropy_bits(&self, key: &str) -> Option<f64> {
-        let map = self.shards[self.shard_of(key)]
-            .read()
-            .expect("shard lock poisoned");
-        let slot = map.get(key)?;
-        let dense = match &slot.state {
+        let map = self.core.read_key(key);
+        let dense = match &map.get(key)?.state {
             SlotState::Adaptive(s) => s.to_dense(),
             SlotState::Hot(a) => a.snapshot(),
             state => self.revive_state(state).to_dense(),
@@ -966,10 +679,7 @@ impl EllStore {
     /// The number of distinct keys in the store.
     #[must_use]
     pub fn key_count(&self) -> usize {
-        self.shards
-            .iter()
-            .map(|s| s.read().expect("shard lock poisoned").len())
-            .sum()
+        self.core.key_count()
     }
 
     /// Whether the store holds no keys at all.
@@ -981,45 +691,20 @@ impl EllStore {
     /// All keys, sorted (a point-in-time copy).
     #[must_use]
     pub fn keys(&self) -> Vec<String> {
-        let mut keys: Vec<String> = self
-            .shards
-            .iter()
-            .flat_map(|s| {
-                s.read()
-                    .expect("shard lock poisoned")
-                    .keys()
-                    .cloned()
-                    .collect::<Vec<_>>()
-            })
-            .collect();
-        keys.sort_unstable();
-        keys
+        self.core.keys()
     }
 
     /// `(key, estimate)` for every key, sorted by key. Reads through
     /// warm/cold payloads without changing their residency.
     #[must_use]
     pub fn estimates(&self) -> Vec<(String, f64)> {
-        let mut out: Vec<(String, f64)> = self
-            .shards
-            .iter()
-            .flat_map(|s| {
-                s.read()
-                    .expect("shard lock poisoned")
-                    .iter()
-                    .map(|(k, slot)| {
-                        let est = if slot.state.is_resident() {
-                            slot.state.estimate_resident()
-                        } else {
-                            self.revive_state(&slot.state).estimate()
-                        };
-                        (k.clone(), est)
-                    })
-                    .collect::<Vec<_>>()
-            })
-            .collect();
-        out.sort_unstable_by(|a, b| a.0.cmp(&b.0));
-        out
+        self.core.sorted(|slot| {
+            if slot.state.is_resident() {
+                slot.state.estimate_resident()
+            } else {
+                self.revive_state(&slot.state).estimate()
+            }
+        })
     }
 
     /// A point-in-time copy of every entry as `(key, sketch)`, sorted by
@@ -1027,26 +712,11 @@ impl EllStore {
     /// decode without changing residency).
     #[must_use]
     pub fn entries(&self) -> Vec<(String, AdaptiveExaLogLog)> {
-        let mut out: Vec<(String, AdaptiveExaLogLog)> = self
-            .shards
-            .iter()
-            .flat_map(|s| {
-                s.read()
-                    .expect("shard lock poisoned")
-                    .iter()
-                    .map(|(k, slot)| {
-                        let sketch = match &slot.state {
-                            SlotState::Adaptive(sk) => (**sk).clone(),
-                            SlotState::Hot(a) => AdaptiveExaLogLog::from_dense(a.snapshot()),
-                            state => self.revive_state(state),
-                        };
-                        (k.clone(), sketch)
-                    })
-                    .collect::<Vec<_>>()
-            })
-            .collect();
-        out.sort_unstable_by(|a, b| a.0.cmp(&b.0));
-        out
+        self.core.sorted(|slot| match &slot.state {
+            SlotState::Adaptive(sk) => (**sk).clone(),
+            SlotState::Hot(a) => AdaptiveExaLogLog::from_dense(a.snapshot()),
+            state => self.revive_state(state),
+        })
     }
 
     /// The union of all per-key sketches as one dense sketch — the
@@ -1061,20 +731,17 @@ impl EllStore {
     #[must_use]
     pub fn merged(&self) -> ExaLogLog {
         let mut acc = ExaLogLog::new(self.cfg);
-        for shard in &self.shards {
-            let map = shard.read().expect("shard lock poisoned");
-            for slot in map.values() {
-                match &slot.state {
-                    // Empty or near-empty dense slots cost one word-level
-                    // zero scan inside merge_from — their all-zero runs
-                    // are classified as skippable wholesale.
-                    SlotState::Adaptive(s) => s.merge_into_dense(&mut acc),
-                    SlotState::Hot(a) => a.merge_into_dense(&mut acc),
-                    state => self.revive_state(state).merge_into_dense(&mut acc),
-                }
-                .expect("per-key sketches share the store configuration");
+        self.core.for_each(|_, slot| {
+            match &slot.state {
+                // Empty or near-empty dense slots cost one word-level
+                // zero scan inside merge_from — their all-zero runs are
+                // classified as skippable wholesale.
+                SlotState::Adaptive(s) => s.merge_into_dense(&mut acc),
+                SlotState::Hot(a) => a.merge_into_dense(&mut acc),
+                state => self.revive_state(state).merge_into_dense(&mut acc),
             }
-        }
+            .expect("per-key sketches share the store configuration");
+        });
         acc
     }
 
@@ -1091,27 +758,65 @@ impl EllStore {
     /// *not* counted — see [`TierStats::spilled_bytes`].
     #[must_use]
     pub fn memory_bytes(&self) -> usize {
-        let mut total = core::mem::size_of::<Self>()
-            + self.shards.capacity() * core::mem::size_of::<RwLock<HashMap<String, Slot>>>()
-            + self.pending.capacity()
-                * core::mem::size_of::<Mutex<Vec<(String, AdaptiveExaLogLog)>>>();
-        for shard in &self.shards {
-            let map = shard.read().expect("shard lock poisoned");
-            // A hashbrown table pays one control byte plus one
-            // (key, value) pair per bucket of capacity.
-            total += map.capacity() * (core::mem::size_of::<(String, Slot)>() + 1);
-            for (key, slot) in map.iter() {
-                total += key.len() + slot.state.heap_bytes();
+        core::mem::size_of::<Self>() + self.core.memory_bytes(|slot| slot.state.heap_bytes())
+    }
+}
+
+impl Keyed for EllStore {
+    type Value = Slot;
+    type Tag = ();
+    type Pin = ();
+
+    fn core(&self) -> &KeyedCore<Slot, ()> {
+        &self.core
+    }
+
+    fn new_delta(&self) -> AdaptiveExaLogLog {
+        AdaptiveExaLogLog::with_token_parameter(self.cfg, self.v)
+            .expect("parameters validated at store construction")
+    }
+
+    fn pinned<R>(&self, f: impl FnOnce(()) -> R) -> R {
+        f(())
+    }
+
+    /// Merges one delta sketch into its slot (creating the slot if the
+    /// key is new). Hot slots take the lock-free register merge; demoted
+    /// slots **park** the delta (`pending`) instead of promoting — the
+    /// session flush path must never pay a decompress. The delta stays
+    /// owned by its session or queue, so only a new or parked key
+    /// clones it. The result is bit-identical to inserting the delta's
+    /// hashes directly because register updates are monotone and
+    /// order-free.
+    fn merge_delta(
+        &self,
+        map: &mut HashMap<String, Slot>,
+        key: &str,
+        (): (),
+        delta: &AdaptiveExaLogLog,
+        (): (),
+    ) {
+        match map.get_mut(key) {
+            Some(slot) => match &mut slot.state {
+                SlotState::Warm(WarmEntry { pending, .. })
+                | SlotState::Cold(ColdEntry { pending, .. }) => {
+                    match pending {
+                        Some(p) => p
+                            .merge_from(delta)
+                            .expect("deltas share the store configuration"),
+                        None => *pending = Some(Box::new(delta.clone())),
+                    }
+                    TierCounters::count(&self.counters.parked_deltas);
+                }
+                state => state
+                    .merge_resident(delta)
+                    .expect("deltas share the store configuration and token parameter"),
+            },
+            None => {
+                let state = SlotState::resident(delta.clone());
+                map.insert(key.to_string(), Slot::new(state, self.clock()));
             }
         }
-        for queue in &self.pending {
-            let queue = queue.lock().expect("handoff queue poisoned");
-            total += queue.capacity() * core::mem::size_of::<(String, AdaptiveExaLogLog)>();
-            for (key, delta) in queue.iter() {
-                total += key.len() + delta.memory_bytes();
-            }
-        }
-        total
     }
 }
 

@@ -1,7 +1,7 @@
 //! Synchronization facade: the one place this crate touches
 //! `std::sync` primitives.
 //!
-//! `store.rs`, `window.rs`, and `tiers.rs` import their locks and
+//! `core.rs`, `store.rs`, `window.rs`, and `tiers.rs` import their locks and
 //! atomics from here instead of `std::sync` (enforced by
 //! `ci/xlint.rs`). A normal build re-exports the real types at zero
 //! cost; building with `RUSTFLAGS="--cfg ell_verify"` swaps in the
@@ -15,10 +15,14 @@
 //! behavior, so an `ell_verify` build still passes the ordinary suite.
 
 #[cfg(not(ell_verify))]
-pub(crate) use std::sync::{Mutex, RwLock, TryLockError};
+pub(crate) use std::sync::{
+    Mutex, MutexGuard, RwLock, RwLockReadGuard, RwLockWriteGuard, TryLockError,
+};
 
 #[cfg(ell_verify)]
-pub(crate) use shuttle::sync::{Mutex, RwLock, TryLockError};
+pub(crate) use shuttle::sync::{
+    Mutex, MutexGuard, RwLock, RwLockReadGuard, RwLockWriteGuard, TryLockError,
+};
 
 /// Atomic integer types and memory orderings.
 pub(crate) mod atomic {

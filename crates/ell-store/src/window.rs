@@ -93,26 +93,21 @@
 //! assert!(stats.suffix_hits + stats.lazy_rebuilds > 0);
 //! ```
 
-use crate::store::HANDOFF_SOFT_CAPACITY;
+use crate::core::{group_by_key, Keyed, KeyedCore};
 use crate::sync::atomic::{AtomicU64, Ordering};
-use crate::sync::{Mutex, RwLock, TryLockError};
+use crate::sync::{Mutex, RwLock};
 use crate::tiers::{TierCounters, TierStats};
-use ell_hash::{Hasher64, WyHash};
 use exaloglog::adaptive::AdaptiveExaLogLog;
 use exaloglog::compress::{compress, decompress};
 use exaloglog::{EllConfig, EllError, ExaLogLog};
 use std::collections::HashMap;
-
-/// Key-partitioning hash seed, shared with the flat store so the two
-/// layers shard identically for the same key space.
-const KEY_HASH_SEED: u64 = 0xE115_70E5;
 
 /// One key's windowed state: live (a full epoch ring) or warm (the same
 /// state as compressed bytes — sealed ring slots and retired unions are
 /// immutable except for late events, which makes them the prime
 /// demotion targets).
 #[derive(Debug)]
-enum WindowSlot {
+pub(crate) enum WindowSlot {
     Live(WindowRing),
     Warm(WarmRing),
 }
@@ -122,7 +117,7 @@ enum WindowSlot {
 /// warm keys entirely and the catch-up happens at promotion), one for
 /// the retired union, and any session deltas parked by lazy flushes.
 #[derive(Debug)]
-struct WarmRing {
+pub(crate) struct WarmRing {
     /// `(epoch, ELLZ payload)` per nonempty slot at demotion time,
     /// sorted by epoch (canonical for snapshots).
     slots: Vec<(u64, Box<[u8]>)>,
@@ -153,7 +148,7 @@ impl WarmRing {
 /// One key's live windowed state: the epoch ring, the retired union, and
 /// the rotation-amortized suffix-union chain over the sealed slots.
 #[derive(Debug)]
-struct WindowRing {
+pub(crate) struct WindowRing {
     /// Slot `e % E` holds epoch `e`'s sub-sketch for every live epoch
     /// `e` in `(current − E, current]`; slots for epochs the key never
     /// saw stay empty (and cost one zero-word scan to merge).
@@ -198,11 +193,35 @@ impl WindowRing {
                 .sum::<usize>()
     }
 
-    /// Records a write into the sealed slot of live epoch `epoch`
-    /// (`epoch < current`): suffix entries whose range includes it are
-    /// no longer unions of their slots. Returns whether any entry was
-    /// actually invalidated.
-    fn note_sealed_write(&mut self, current: u64, epoch: u64) -> bool {
+    /// Epochs since the last ingest or query touch, as of `current`.
+    fn idle(&self, current: u64) -> u64 {
+        // ordering: Relaxed — idle-age read under the shard write lock,
+        // which already orders it after every stamp made under a read
+        // lock; staleness only shifts a demotion by one sweep.
+        current.saturating_sub(self.touched.load(Ordering::Relaxed))
+    }
+
+    /// The sketch holding `epoch` under the pinned `current`: its ring
+    /// slot while the epoch is live, the retired union once it has left
+    /// the window.
+    fn epoch_target(&mut self, current: u64, epoch: u64) -> &mut ExaLogLog {
+        let e = self.ring.len() as u64;
+        if current - epoch < e {
+            &mut self.ring[(epoch % e) as usize]
+        } else {
+            &mut self.retired
+        }
+    }
+
+    /// Records a write for `epoch` under the pinned `current`. A write
+    /// into a *sealed* live slot (a late event for an epoch older than
+    /// the current one) means the suffix entries whose range includes
+    /// it are no longer unions of their slots; the next query rebuilds
+    /// them. Returns whether any entry was actually invalidated.
+    fn note_write(&mut self, current: u64, epoch: u64) -> bool {
+        if epoch == current || current - epoch >= self.ring.len() as u64 {
+            return false;
+        }
         let keep = (current - 1 - epoch) as usize;
         if self.valid > keep {
             self.valid = keep;
@@ -291,8 +310,12 @@ pub struct WindowedStore {
     /// ingest and queries, for write during rotation, so every operation
     /// sees one consistent window position.
     current: RwLock<u64>,
-    hasher: WyHash,
-    shards: Vec<RwLock<HashMap<String, WindowSlot>>>,
+    /// Shard maps of epoch rings plus the handoff queues buffered
+    /// sessions (see [`crate::WindowIngestSession`]) park
+    /// epoch-tagged deltas on; queued deltas drain into ring slots (or
+    /// retired unions, for rotated-out epochs) under the shard write
+    /// lock with the window position pinned.
+    core: KeyedCore<WindowSlot, u64>,
     /// Epochs of inactivity after which a key's ring demotes to the
     /// compressed warm tier (`None` disables tiering — the default).
     /// The demotion clock *is* the epoch counter: rotation and
@@ -304,18 +327,12 @@ pub struct WindowedStore {
     /// Empty sketch used to recycle rotated slots (`clone_from` keeps
     /// the slot's allocation) and to reset the query scratch.
     template: ExaLogLog,
-    /// Reusable per-shard accumulators for window queries: merged into
-    /// through the word-level fast path, never reallocated after
-    /// construction. One per shard so queries for keys on different
-    /// shards never contend (mirroring the sharded read concurrency of
-    /// the maps themselves).
-    scratches: Vec<Mutex<ExaLogLog>>,
-    /// Per-shard handoff queues for buffered-delta ingest (see
-    /// [`crate::WindowIngestSession`]): sessions park
-    /// `(key, epoch, delta)` triples here; the queue drains into ring
-    /// slots (or retired unions, for rotated-out epochs) under the shard
-    /// write lock with the window position pinned.
-    pending: Vec<Mutex<Vec<(String, u64, AdaptiveExaLogLog)>>>,
+    /// Reusable per-shard accumulators for window queries: allocated
+    /// by a shard's first query, then merged into through the
+    /// word-level fast path and never reallocated. One per shard so
+    /// queries for keys on different shards never contend (mirroring
+    /// the sharded read concurrency of the maps themselves).
+    scratches: Vec<Mutex<Option<ExaLogLog>>>,
     /// Suffix-cache effectiveness counters (see
     /// [`WindowedStore::window_stats`]).
     stats: WindowStatCells,
@@ -338,37 +355,26 @@ impl WindowedStore {
     /// Rejects a shard count that is zero or not a power of two, and a
     /// zero epoch count.
     pub fn new(shards: usize, cfg: EllConfig, epochs: usize) -> Result<Self, EllError> {
-        if shards == 0 || !shards.is_power_of_two() {
-            return Err(EllError::InvalidParameter {
-                reason: format!("shard count {shards} must be a nonzero power of two"),
-            });
-        }
+        let core = KeyedCore::new(shards)?;
         if epochs == 0 {
             return Err(EllError::InvalidParameter {
                 reason: "epoch ring needs at least one slot".into(),
             });
         }
-        let mut shard_maps = Vec::with_capacity(shards);
-        shard_maps.resize_with(shards, || RwLock::new(HashMap::new()));
-        let template = ExaLogLog::new(cfg);
-        let mut scratches = Vec::with_capacity(shards);
-        scratches.resize_with(shards, || Mutex::new(template.clone()));
         // Validate the default token parameter eagerly so session delta
         // creation is infallible.
         AdaptiveExaLogLog::new(cfg)?;
-        let mut pending = Vec::with_capacity(shards);
-        pending.resize_with(shards, || Mutex::new(Vec::new()));
+        let mut scratches = Vec::with_capacity(shards);
+        scratches.resize_with(shards, || Mutex::new(None));
         Ok(WindowedStore {
             cfg,
             epochs,
             current: RwLock::new(0),
-            hasher: WyHash::new(KEY_HASH_SEED),
-            shards: shard_maps,
+            core,
             warm_after: None,
             counters: TierCounters::default(),
             scratches,
-            template,
-            pending,
+            template: ExaLogLog::new(cfg),
             stats: WindowStatCells::default(),
         })
     }
@@ -409,17 +415,13 @@ impl WindowedStore {
     /// The number of shards.
     #[must_use]
     pub fn shard_count(&self) -> usize {
-        self.shards.len()
+        self.core.shard_count()
     }
 
     /// The newest epoch the window has advanced to (0 for a new store).
     #[must_use]
     pub fn current_epoch(&self) -> u64 {
         *self.current.read().expect("epoch lock poisoned")
-    }
-
-    pub(crate) fn shard_of(&self, key: &str) -> usize {
-        (self.hasher.hash_bytes(key.as_bytes()) as usize) & (self.shards.len() - 1)
     }
 
     /// Advances the window to `epoch` (a no-op when the window is
@@ -448,36 +450,27 @@ impl WindowedStore {
         // ones whose previous occupants leave the window; with a jump of
         // ≥ E epochs that is every slot, each folding exactly once.
         let first = (*current + 1).max(epoch.saturating_sub(e - 1));
-        for shard in &self.shards {
-            let mut map = shard.write().expect("shard lock poisoned");
-            for entry in map.values_mut() {
-                let WindowSlot::Live(ring) = entry else {
-                    continue;
-                };
-                for rotated in first..=epoch {
-                    let slot = (rotated % e) as usize;
-                    ring.retired
-                        .merge_from(&ring.ring[slot])
-                        .expect("ring slots share the store configuration");
-                    ring.ring[slot].clone_from(&self.template);
-                }
-                // The sealed set shifted under the chain; re-derive it
-                // lazily rather than paying E merges per key up front.
-                ring.valid = 0;
-                if let Some(after) = self.warm_after {
-                    // ordering: Relaxed — idle-age read under the shard
-                    // write lock, which already orders it after every
-                    // stamp made under a read lock; staleness only shifts
-                    // a demotion by one sweep.
-                    let idle = epoch.saturating_sub(ring.touched.load(Ordering::Relaxed));
-                    if idle >= after {
-                        let warm = self.demote_ring(epoch, ring);
-                        *entry = WindowSlot::Warm(warm);
-                        TierCounters::count(&self.counters.demotions_warm);
-                    }
-                }
+        self.core.for_each_mut(|entry| {
+            let WindowSlot::Live(ring) = entry else {
+                return;
+            };
+            for rotated in first..=epoch {
+                let slot = (rotated % e) as usize;
+                ring.retired
+                    .merge_from(&ring.ring[slot])
+                    .expect("ring slots share the store configuration");
+                ring.ring[slot].clone_from(&self.template);
             }
-        }
+            // The sealed set shifted under the chain; re-derive it
+            // lazily rather than paying E merges per key up front.
+            ring.valid = 0;
+            if self
+                .warm_after
+                .is_some_and(|after| ring.idle(epoch) >= after)
+            {
+                self.demote(entry, epoch);
+            }
+        });
         *current = epoch;
     }
 
@@ -493,23 +486,12 @@ impl WindowedStore {
         };
         let current = self.current.read().expect("epoch lock poisoned");
         let mut demoted = 0;
-        for shard in &self.shards {
-            let mut map = shard.write().expect("shard lock poisoned");
-            for entry in map.values_mut() {
-                let WindowSlot::Live(ring) = entry else {
-                    continue;
-                };
-                // ordering: Relaxed — same contract as the rotation
-                // sweep's idle read above.
-                let idle = current.saturating_sub(ring.touched.load(Ordering::Relaxed));
-                if idle >= after {
-                    let warm = self.demote_ring(*current, ring);
-                    *entry = WindowSlot::Warm(warm);
-                    TierCounters::count(&self.counters.demotions_warm);
-                    demoted += 1;
-                }
+        self.core.for_each_mut(|entry| {
+            if matches!(entry, WindowSlot::Live(ring) if ring.idle(*current) >= after) {
+                self.demote(entry, *current);
+                demoted += 1;
             }
-        }
+        });
         demoted
     }
 
@@ -519,16 +501,23 @@ impl WindowedStore {
     pub fn promote_all(&self) -> usize {
         let current = self.current.read().expect("epoch lock poisoned");
         let mut promoted = 0;
-        for shard in &self.shards {
-            let mut map = shard.write().expect("shard lock poisoned");
-            for entry in map.values_mut() {
-                if matches!(entry, WindowSlot::Warm(_)) {
-                    self.promote_slot(entry, *current);
-                    promoted += 1;
-                }
+        self.core.for_each_mut(|entry| {
+            if matches!(entry, WindowSlot::Warm(_)) {
+                self.live(entry, *current);
+                promoted += 1;
             }
-        }
+        });
         promoted
+    }
+
+    /// Replaces a live entry with its [`WarmRing`] under the pinned
+    /// `current` (a no-op on warm entries). Callers hold the shard
+    /// write lock.
+    fn demote(&self, entry: &mut WindowSlot, current: u64) {
+        if let WindowSlot::Live(ring) = entry {
+            *entry = WindowSlot::Warm(self.demote_ring(current, ring));
+            TierCounters::count(&self.counters.demotions_warm);
+        }
     }
 
     /// Compresses a live ring down to a [`WarmRing`]: one `ELLZ` payload
@@ -589,13 +578,8 @@ impl WindowedStore {
                 .expect("warm payloads share the store configuration");
         }
         for (epoch, delta) in &warm.pending {
-            let target = if current - *epoch < e {
-                &mut ring.ring[(*epoch % e) as usize]
-            } else {
-                &mut ring.retired
-            };
             delta
-                .merge_into_dense(target)
+                .merge_into_dense(ring.epoch_target(current, *epoch))
                 .expect("deltas share the store configuration");
         }
         // The suffix chain starts invalid; queries re-derive it lazily.
@@ -603,14 +587,32 @@ impl WindowedStore {
         ring
     }
 
-    /// Replaces a warm entry with its materialized live ring (a no-op on
-    /// live entries). Callers hold the shard write lock.
-    fn promote_slot(&self, entry: &mut WindowSlot, current: u64) {
+    /// `entry`'s live ring, replacing a warm entry with its
+    /// materialized ring first. Callers hold the shard write lock.
+    fn live<'e>(&self, entry: &'e mut WindowSlot, current: u64) -> &'e mut WindowRing {
         if let WindowSlot::Warm(warm) = &*entry {
-            let ring = self.materialize(warm, current);
-            *entry = WindowSlot::Live(ring);
+            *entry = WindowSlot::Live(self.materialize(warm, current));
             TierCounters::count(&self.counters.promotions);
         }
+        match entry {
+            WindowSlot::Live(ring) => ring,
+            WindowSlot::Warm(_) => unreachable!("promoted above"),
+        }
+    }
+
+    /// `key`'s entry in the write-locked `map`, created as an empty live
+    /// ring under the pinned `current` when the key is new.
+    fn entry<'m>(
+        &self,
+        map: &'m mut HashMap<String, WindowSlot>,
+        key: &str,
+        current: u64,
+    ) -> &'m mut WindowSlot {
+        if !map.contains_key(key) {
+            let ring = WindowRing::new(&self.template, self.epochs, current);
+            map.insert(key.to_string(), WindowSlot::Live(ring));
+        }
+        map.get_mut(key).expect("present: just ensured")
     }
 
     /// Inserts one `(key, element-hash)` observation for `epoch` (a
@@ -651,58 +653,21 @@ impl WindowedStore {
     /// Ingest with the window pinned at `current` (the epoch read lock
     /// is held by the caller's stack frame logic: `epoch ≤ current`).
     fn ingest_at(&self, current: u64, epoch: u64, batch: &[(&str, u64)]) {
-        let live = current - epoch < self.epochs as u64;
-        let slot = (epoch % self.epochs as u64) as usize;
-        let mut buckets: Vec<Vec<(&str, u64)>> = vec![Vec::new(); self.shards.len()];
-        for &(key, hash) in batch {
-            buckets[self.shard_of(key)].push((key, hash));
-        }
-        for (si, bucket) in buckets.iter().enumerate() {
-            if bucket.is_empty() {
-                continue;
-            }
-            let mut map = self.shards[si].write().expect("shard lock poisoned");
-            // Group hashes per key (preserving per-key order) so each
-            // ring takes one batched insert; keys are independent, so
-            // group iteration order cannot affect the result.
-            let mut grouped: HashMap<&str, Vec<u64>> = HashMap::new();
-            for &(key, hash) in bucket {
-                grouped.entry(key).or_default().push(hash);
-            }
-            fn target(ring: &mut WindowRing, live: bool, slot: usize) -> &mut ExaLogLog {
-                if live {
-                    &mut ring.ring[slot]
-                } else {
-                    &mut ring.retired
-                }
-            }
-            // A write into a *sealed* live slot (a late event for an
-            // epoch older than the current one) invalidates the suffix
-            // entries that cover it; the next query rebuilds them.
-            let sealed = live && epoch < current;
-            for (key, hashes) in grouped {
-                let entry = match map.get_mut(key) {
-                    Some(entry) => entry,
-                    None => map.entry(key.to_string()).or_insert_with(|| {
-                        WindowSlot::Live(WindowRing::new(&self.template, self.epochs, current))
-                    }),
-                };
+        for (si, bucket) in self.core.route(batch) {
+            let mut map = self.core.write(si);
+            for (key, hashes) in group_by_key(&bucket) {
+                let entry = self.entry(&mut map, key, current);
                 // A warm key promotes first; a *late* event re-demotes
                 // right after the merge without refreshing the idle
                 // stamp — catching up on history is not fresh traffic.
                 let was_warm = matches!(entry, WindowSlot::Warm(_));
-                self.promote_slot(entry, current);
-                let WindowSlot::Live(ring) = &mut *entry else {
-                    unreachable!("promote_slot leaves a live ring");
-                };
-                target(ring, live, slot).insert_hashes(&hashes);
-                if sealed && ring.note_sealed_write(current, epoch) {
+                let ring = self.live(entry, current);
+                ring.epoch_target(current, epoch).insert_hashes(&hashes);
+                if ring.note_write(current, epoch) {
                     self.stats.invalidate();
                 }
                 if was_warm && epoch < current {
-                    let warm = self.demote_ring(current, ring);
-                    *entry = WindowSlot::Warm(warm);
-                    TierCounters::count(&self.counters.demotions_warm);
+                    self.demote(entry, current);
                 } else {
                     // ordering: Relaxed — idle-age stamp; read only by
                     // the demotion sweeps under the shard write lock.
@@ -719,172 +684,7 @@ impl WindowedStore {
     /// thread is the intended shape.
     #[must_use]
     pub fn session(&self) -> crate::WindowIngestSession<'_> {
-        crate::WindowIngestSession::new(self)
-    }
-
-    pub(crate) fn new_delta(&self) -> AdaptiveExaLogLog {
-        AdaptiveExaLogLog::new(self.cfg).expect("configuration validated at store construction")
-    }
-
-    /// Merges one shard's worth of session deltas **by reference** —
-    /// the session keeps (and resets) its buffers. Same protocol as the
-    /// flat store: a barrier flush takes the shard write lock outright;
-    /// an auto-flush only `try_write`s, and on contention clones the
-    /// deltas onto the handoff queue instead (blocking-draining it once
-    /// it crosses [`HANDOFF_SOFT_CAPACITY`]). Whoever gets the lock
-    /// drains the queue first, so queued and by-ref deltas can never
-    /// reorder observably (register merge is commutative anyway).
-    pub(crate) fn flush_group_ref(
-        &self,
-        si: usize,
-        group: &mut [(&String, u64, &mut AdaptiveExaLogLog)],
-        barrier: bool,
-    ) {
-        let current = self.current.read().expect("epoch lock poisoned");
-        let guard = if barrier {
-            Some(self.shards[si].write().expect("shard lock poisoned"))
-        } else {
-            match self.shards[si].try_write() {
-                Ok(guard) => Some(guard),
-                Err(TryLockError::WouldBlock) => None,
-                // Poison propagates like the blocking path's expect.
-                other => Some(other.expect("shard lock poisoned")),
-            }
-        };
-        match guard {
-            Some(mut map) => {
-                self.drain_queue_into(si, &mut map, *current);
-                for (key, epoch, delta) in group.iter_mut() {
-                    self.merge_window_delta(&mut map, key, *epoch, delta, *current);
-                    delta.reset();
-                }
-            }
-            None => {
-                let depth = {
-                    let mut queue = self.pending[si].lock().expect("handoff queue poisoned");
-                    for (key, epoch, delta) in group.iter_mut() {
-                        queue.push(((*key).clone(), *epoch, delta.clone()));
-                        delta.reset();
-                    }
-                    queue.len()
-                };
-                if depth >= HANDOFF_SOFT_CAPACITY {
-                    drop(current);
-                    self.drain_shard(si, true);
-                }
-            }
-        }
-    }
-
-    /// Drains every nonempty handoff queue (blocking); the final step of
-    /// a barrier flush.
-    pub(crate) fn drain_all_pending(&self) {
-        for si in 0..self.shards.len() {
-            let parked = !self.pending[si]
-                .lock()
-                .expect("handoff queue poisoned")
-                .is_empty();
-            if parked {
-                self.drain_shard(si, true);
-            }
-        }
-    }
-
-    /// Drains shard `si`'s handoff queue into its rings with the window
-    /// position pinned: the epoch read lock is held for the whole drain,
-    /// so the live-or-retired decision for every queued delta is
-    /// consistent with rotation (rotation takes the epoch write lock).
-    /// Deltas whose epoch has left the window fold into the retired
-    /// union — exactly the state rotation would have produced had they
-    /// been flushed before it, so flush timing cannot change the final
-    /// bytes. Write lock first, then pop until the queue is observed
-    /// empty (same happens-before argument as the flat store).
-    fn drain_shard(&self, si: usize, blocking: bool) {
-        let current = self.current.read().expect("epoch lock poisoned");
-        let mut map = if blocking {
-            self.shards[si].write().expect("shard lock poisoned")
-        } else {
-            match self.shards[si].try_write() {
-                Ok(guard) => guard,
-                Err(TryLockError::WouldBlock) => return,
-                // Poison propagates like the blocking path's expect.
-                other => other.expect("shard lock poisoned"),
-            }
-        };
-        self.drain_queue_into(si, &mut map, *current);
-    }
-
-    /// Pops shard `si`'s handoff queue until it is observed empty,
-    /// merging every delta (the caller holds the shard write lock and
-    /// has the window pinned at `current`).
-    fn drain_queue_into(&self, si: usize, map: &mut HashMap<String, WindowSlot>, current: u64) {
-        loop {
-            let batch =
-                std::mem::take(&mut *self.pending[si].lock().expect("handoff queue poisoned"));
-            if batch.is_empty() {
-                return;
-            }
-            for (key, epoch, delta) in batch {
-                self.merge_window_delta(map, &key, epoch, &delta, current);
-            }
-        }
-    }
-
-    /// Merges one session delta for `(key, epoch)` into the shard map
-    /// under the pinned window position. Live rings take the merge
-    /// directly (deltas for rotated-out epochs fold into the retired
-    /// union — exactly the state rotation would have produced, so flush
-    /// timing cannot change the final bytes); **warm keys park the delta
-    /// on the entry** instead of promoting, and the next promotion folds
-    /// it in — the flush path never decompresses anything.
-    fn merge_window_delta(
-        &self,
-        map: &mut HashMap<String, WindowSlot>,
-        key: &str,
-        epoch: u64,
-        delta: &AdaptiveExaLogLog,
-        current: u64,
-    ) {
-        debug_assert!(epoch <= current, "sessions advance the window on buffer");
-        let live = current - epoch < self.epochs as u64;
-        let slot = (epoch % self.epochs as u64) as usize;
-        let entry = match map.get_mut(key) {
-            Some(entry) => entry,
-            None => map.entry(key.to_string()).or_insert_with(|| {
-                WindowSlot::Live(WindowRing::new(&self.template, self.epochs, current))
-            }),
-        };
-        match entry {
-            WindowSlot::Live(ring) => {
-                let target = if live {
-                    &mut ring.ring[slot]
-                } else {
-                    &mut ring.retired
-                };
-                delta
-                    .merge_into_dense(target)
-                    .expect("deltas share the store configuration");
-                // A session delta for a sealed epoch is a late write:
-                // truncate the suffix chain exactly like direct ingest.
-                if live && epoch < current && ring.note_sealed_write(current, epoch) {
-                    self.stats.invalidate();
-                }
-                if epoch == current {
-                    // ordering: Relaxed — idle-age stamp; read only by
-                    // the demotion sweeps under the shard write lock.
-                    ring.touched.store(current, Ordering::Relaxed);
-                }
-            }
-            WindowSlot::Warm(warm) => {
-                match warm.pending.iter_mut().find(|(parked, _)| *parked == epoch) {
-                    Some((_, parked)) => parked
-                        .merge_from(delta)
-                        .expect("deltas share the store configuration"),
-                    None => warm.pending.push((epoch, delta.clone())),
-                }
-                TierCounters::count(&self.counters.parked_deltas);
-            }
-        }
+        crate::Session::new(self, self.current_epoch())
     }
 
     /// Extends `ring`'s suffix chain so the first `needed` entries are
@@ -928,16 +728,16 @@ impl WindowedStore {
     /// current slot) — one clone plus one merge regardless of k.
     fn finish_window(&self, si: usize, ring: &WindowRing, current: u64, last_k: usize) -> f64 {
         let cur_slot = &ring.ring[(current % self.epochs as u64) as usize];
-        let mut scratch = self.scratches[si].lock().expect("scratch lock poisoned");
-        if last_k == 1 {
-            scratch.clone_from(&self.template);
-        } else {
-            scratch.clone_from(&ring.suffix[last_k - 2]);
-        }
-        scratch
-            .merge_from(cur_slot)
-            .expect("ring slots share the store configuration");
-        scratch.estimate()
+        self.scratch_estimate(si, |scratch| {
+            if last_k == 1 {
+                scratch.clone_from(&self.template);
+            } else {
+                scratch.clone_from(&ring.suffix[last_k - 2]);
+            }
+            scratch
+                .merge_from(cur_slot)
+                .expect("ring slots share the store configuration");
+        })
     }
 
     /// Finishes an all-time query from a valid suffix chain: the scratch
@@ -945,16 +745,27 @@ impl WindowedStore {
     /// merges instead of folding all E slots.
     fn finish_all_time(&self, si: usize, ring: &WindowRing, current: u64) -> f64 {
         let cur_slot = &ring.ring[(current % self.epochs as u64) as usize];
-        let mut scratch = self.scratches[si].lock().expect("scratch lock poisoned");
-        scratch.clone_from(&ring.retired);
-        if self.epochs >= 2 {
+        self.scratch_estimate(si, |scratch| {
+            scratch.clone_from(&ring.retired);
+            if self.epochs >= 2 {
+                scratch
+                    .merge_from(&ring.suffix[self.epochs - 2])
+                    .expect("ring slots share the store configuration");
+            }
             scratch
-                .merge_from(&ring.suffix[self.epochs - 2])
+                .merge_from(cur_slot)
                 .expect("ring slots share the store configuration");
-        }
-        scratch
-            .merge_from(cur_slot)
-            .expect("ring slots share the store configuration");
+        })
+    }
+
+    /// Fills shard `si`'s query scratch with `fill` and estimates it.
+    /// The scratch is allocated by the shard's first query, so a store
+    /// only pays for the shards it serves, and a warmed query loop
+    /// allocates nothing.
+    fn scratch_estimate(&self, si: usize, fill: impl FnOnce(&mut ExaLogLog)) -> f64 {
+        let mut slot = self.scratches[si].lock().expect("scratch lock poisoned");
+        let scratch = slot.get_or_insert_with(|| self.template.clone());
+        fill(scratch);
         scratch.estimate()
     }
 
@@ -970,9 +781,9 @@ impl WindowedStore {
         finish: impl Fn(usize, &WindowRing, u64) -> f64,
     ) -> Option<f64> {
         let current = self.current.read().expect("epoch lock poisoned");
-        let si = self.shard_of(key);
+        let si = self.core.shard_of(key);
         {
-            let map = self.shards[si].read().expect("shard lock poisoned");
+            let map = self.core.read(si);
             if let WindowSlot::Live(ring) = map.get(key)? {
                 if ring.valid >= needed {
                     self.stats.hit();
@@ -990,12 +801,8 @@ impl WindowedStore {
         // or the key is warm: promote and/or rebuild the missing entries
         // under the shard write lock, then answer there. Another thread
         // may have raced us to it.
-        let mut map = self.shards[si].write().expect("shard lock poisoned");
-        let entry = map.get_mut(key)?;
-        self.promote_slot(entry, *current);
-        let WindowSlot::Live(ring) = entry else {
-            unreachable!("promote_slot leaves a live ring");
-        };
+        let mut map = self.core.write(si);
+        let ring = self.live(map.get_mut(key)?, *current);
         // ordering: Relaxed — idle-age stamp under the write lock.
         ring.touched.store(*current, Ordering::Relaxed);
         if ring.valid < needed {
@@ -1072,10 +879,7 @@ impl WindowedStore {
             return None;
         }
         let slot = (epoch % self.epochs as u64) as usize;
-        let map = self.shards[self.shard_of(key)]
-            .read()
-            .expect("shard lock poisoned");
-        match map.get(key)? {
+        match self.core.read_key(key).get(key)? {
             WindowSlot::Live(ring) => Some(ring.ring[slot].clone()),
             WindowSlot::Warm(warm) => {
                 let mut ring = self.materialize(warm, *current);
@@ -1090,10 +894,7 @@ impl WindowedStore {
     #[must_use]
     pub fn retired_sketch(&self, key: &str) -> Option<ExaLogLog> {
         let current = self.current.read().expect("epoch lock poisoned");
-        let map = self.shards[self.shard_of(key)]
-            .read()
-            .expect("shard lock poisoned");
-        match map.get(key)? {
+        match self.core.read_key(key).get(key)? {
             WindowSlot::Live(ring) => Some(ring.retired.clone()),
             WindowSlot::Warm(warm) => Some(self.materialize(warm, *current).retired),
         }
@@ -1102,10 +903,7 @@ impl WindowedStore {
     /// The number of distinct keys in the store.
     #[must_use]
     pub fn key_count(&self) -> usize {
-        self.shards
-            .iter()
-            .map(|s| s.read().expect("shard lock poisoned").len())
-            .sum()
+        self.core.key_count()
     }
 
     /// Whether the store holds no keys at all.
@@ -1117,19 +915,7 @@ impl WindowedStore {
     /// All keys, sorted (a point-in-time copy).
     #[must_use]
     pub fn keys(&self) -> Vec<String> {
-        let mut keys: Vec<String> = self
-            .shards
-            .iter()
-            .flat_map(|s| {
-                s.read()
-                    .expect("shard lock poisoned")
-                    .keys()
-                    .cloned()
-                    .collect::<Vec<_>>()
-            })
-            .collect();
-        keys.sort_unstable();
-        keys
+        self.core.keys()
     }
 
     /// `(key, windowed estimate over the last `last_k` epochs)` for every
@@ -1140,16 +926,13 @@ impl WindowedStore {
     /// Panics when `last_k` is zero or exceeds the ring capacity.
     #[must_use]
     pub fn window_estimates(&self, last_k: usize) -> Vec<(String, f64)> {
-        let mut rows: Vec<(String, f64)> = self
-            .keys()
+        self.keys()
             .into_iter()
             .filter_map(|key| {
                 let estimate = self.estimate_window(&key, last_k)?;
                 Some((key, estimate))
             })
-            .collect();
-        rows.sort_unstable_by(|a, b| a.0.cmp(&b.0));
-        rows
+            .collect()
     }
 
     /// Approximate total in-memory footprint in bytes (keys + rings or
@@ -1158,22 +941,19 @@ impl WindowedStore {
     /// parked deltas, which is what the tiering trade is about.
     #[must_use]
     pub fn memory_bytes(&self) -> usize {
-        // Scaffolding: the template plus one query scratch per shard.
-        let mut total =
-            core::mem::size_of::<Self>() + (1 + self.shards.len()) * self.template.memory_bytes();
-        for shard in &self.shards {
-            let map = shard.read().expect("shard lock poisoned");
-            total += map.capacity()
-                * (core::mem::size_of::<(String, WindowSlot)>() + core::mem::size_of::<u64>());
-            for (key, entry) in map.iter() {
-                total += key.len();
-                total += match entry {
-                    WindowSlot::Live(ring) => ring.memory_bytes(),
-                    WindowSlot::Warm(warm) => warm.memory_bytes(),
-                };
-            }
-        }
-        total
+        // Scaffolding: the template plus the query scratches allocated
+        // so far.
+        let scratches = self
+            .scratches
+            .iter()
+            .filter(|s| s.lock().expect("scratch lock poisoned").is_some())
+            .count();
+        core::mem::size_of::<Self>()
+            + (1 + scratches) * self.template.memory_bytes()
+            + self.core.memory_bytes(|entry| match entry {
+                WindowSlot::Live(ring) => ring.memory_bytes(),
+                WindowSlot::Warm(warm) => warm.memory_bytes(),
+            })
     }
 
     /// Tier occupancy and transition counters. The windowed store only
@@ -1188,71 +968,41 @@ impl WindowedStore {
             resident_bytes: self.memory_bytes(),
             ..TierStats::default()
         };
-        for shard in &self.shards {
-            let map = shard.read().expect("shard lock poisoned");
-            for entry in map.values() {
-                match entry {
-                    WindowSlot::Live(_) => stats.hot_keys += 1,
-                    WindowSlot::Warm(_) => stats.warm_keys += 1,
-                }
-            }
-        }
+        self.core.for_each(|_, entry| match entry {
+            WindowSlot::Live(_) => stats.hot_keys += 1,
+            WindowSlot::Warm(_) => stats.warm_keys += 1,
+        });
         stats
     }
 
-    /// Folds every parked session delta into its warm entry's payloads
-    /// (materialize, merge, re-demote — the entry stays warm), so the
-    /// serialized form is canonical. The snapshot pre-pass.
-    fn settle_parked(&self) {
-        let current = self.current.read().expect("epoch lock poisoned");
-        for shard in &self.shards {
-            let mut map = shard.write().expect("shard lock poisoned");
-            for entry in map.values_mut() {
-                let settled = match &*entry {
-                    WindowSlot::Warm(warm) if !warm.pending.is_empty() => {
-                        let ring = self.materialize(warm, *current);
-                        Some(self.demote_ring(*current, &ring))
-                    }
-                    _ => None,
-                };
-                if let Some(warm) = settled {
-                    *entry = WindowSlot::Warm(warm);
-                }
-            }
-        }
-    }
-
     /// Internal iteration for the wire format: every `(key, state)`
-    /// pair, sorted by key. Parked deltas are settled first, so warm
-    /// payloads travel verbatim (no dense round trip) and restore →
-    /// re-snapshot is byte-identical.
+    /// pair, sorted by key. Parked deltas are first folded into their
+    /// warm entry's payloads (materialize, merge, re-demote — the entry
+    /// stays warm), so warm payloads travel verbatim in canonical form
+    /// (no dense round trip) and restore → re-snapshot is
+    /// byte-identical.
     pub(crate) fn wire_entries(&self) -> Vec<(String, WireRing)> {
-        self.settle_parked();
-        let mut out: Vec<(String, WireRing)> = self
-            .shards
-            .iter()
-            .flat_map(|s| {
-                s.read()
-                    .expect("shard lock poisoned")
-                    .iter()
-                    .map(|(k, entry)| {
-                        let wire = match entry {
-                            WindowSlot::Live(ring) => WireRing::Live {
-                                retired: ring.retired.clone(),
-                                slots: ring.ring.clone(),
-                            },
-                            WindowSlot::Warm(warm) => WireRing::Warm {
-                                retired: warm.retired.clone(),
-                                slots: warm.slots.clone(),
-                            },
-                        };
-                        (k.clone(), wire)
-                    })
-                    .collect::<Vec<_>>()
-            })
-            .collect();
-        out.sort_unstable_by(|a, b| a.0.cmp(&b.0));
-        out
+        {
+            let current = self.current.read().expect("epoch lock poisoned");
+            self.core.for_each_mut(|entry| {
+                if let WindowSlot::Warm(warm) = &*entry {
+                    if !warm.pending.is_empty() {
+                        let ring = self.materialize(warm, *current);
+                        *entry = WindowSlot::Warm(self.demote_ring(*current, &ring));
+                    }
+                }
+            });
+        }
+        self.core.sorted(|entry| match entry {
+            WindowSlot::Live(ring) => WireRing::Live {
+                retired: ring.retired.clone(),
+                slots: ring.ring.clone(),
+            },
+            WindowSlot::Warm(warm) => WireRing::Warm {
+                retired: warm.retired.clone(),
+                slots: warm.slots.clone(),
+            },
+        })
     }
 
     /// Wire-format restore seam: places a fully-formed live ring under
@@ -1267,21 +1017,16 @@ impl WindowedStore {
         slots: Vec<ExaLogLog>,
     ) -> bool {
         debug_assert_eq!(slots.len(), self.epochs);
-        let si = self.shard_of(&key);
-        self.shards[si]
-            .write()
-            .expect("shard lock poisoned")
-            .insert(
-                key,
-                WindowSlot::Live(WindowRing {
-                    ring: slots,
-                    retired,
-                    suffix: vec![self.template.clone(); self.epochs - 1],
-                    valid: 0,
-                    touched: AtomicU64::new(0),
-                }),
-            )
-            .is_none()
+        self.core.insert(
+            key,
+            WindowSlot::Live(WindowRing {
+                ring: slots,
+                retired,
+                suffix: vec![self.template.clone(); self.epochs - 1],
+                valid: 0,
+                touched: AtomicU64::new(0),
+            }),
+        )
     }
 
     /// Wire-format restore seam: places a warm entry under `key` with
@@ -1293,19 +1038,14 @@ impl WindowedStore {
         retired: Option<Box<[u8]>>,
         slots: Vec<(u64, Box<[u8]>)>,
     ) -> bool {
-        let si = self.shard_of(&key);
-        self.shards[si]
-            .write()
-            .expect("shard lock poisoned")
-            .insert(
-                key,
-                WindowSlot::Warm(WarmRing {
-                    slots,
-                    retired,
-                    pending: Vec::new(),
-                }),
-            )
-            .is_none()
+        self.core.insert(
+            key,
+            WindowSlot::Warm(WarmRing {
+                slots,
+                retired,
+                pending: Vec::new(),
+            }),
+        )
     }
 
     /// Wire-format restore seam: pins the current epoch without
@@ -1314,13 +1054,76 @@ impl WindowedStore {
     /// demote everything on its first advance.
     pub(crate) fn set_current_epoch(&self, epoch: u64) {
         *self.current.write().expect("epoch lock poisoned") = epoch;
-        for shard in &self.shards {
-            let map = shard.read().expect("shard lock poisoned");
-            for entry in map.values() {
-                if let WindowSlot::Live(ring) = entry {
-                    // ordering: Relaxed — idle-age stamp on restore.
-                    ring.touched.store(epoch, Ordering::Relaxed);
+        self.core.for_each(|_, entry| {
+            if let WindowSlot::Live(ring) = entry {
+                // ordering: Relaxed — idle-age stamp on restore.
+                ring.touched.store(epoch, Ordering::Relaxed);
+            }
+        });
+    }
+}
+
+impl Keyed for WindowedStore {
+    type Value = WindowSlot;
+    type Tag = u64;
+    type Pin = u64;
+
+    fn core(&self) -> &KeyedCore<WindowSlot, u64> {
+        &self.core
+    }
+
+    fn new_delta(&self) -> AdaptiveExaLogLog {
+        AdaptiveExaLogLog::new(self.cfg).expect("configuration validated at store construction")
+    }
+
+    /// Pins the window position: the epoch read lock is held for the
+    /// whole merge or drain, so the live-or-retired decision for every
+    /// delta is consistent with rotation (which takes the write lock).
+    fn pinned<R>(&self, f: impl FnOnce(u64) -> R) -> R {
+        let current = self.current.read().expect("epoch lock poisoned");
+        f(*current)
+    }
+
+    /// Merges one session delta for `(key, epoch)` into the shard map
+    /// under the pinned window position. Live rings take the merge
+    /// directly (deltas for rotated-out epochs fold into the retired
+    /// union — exactly the state rotation would have produced, so flush
+    /// timing cannot change the final bytes); **warm keys park the delta
+    /// on the entry** instead of promoting, and the next promotion folds
+    /// it in — the flush path never decompresses anything.
+    fn merge_delta(
+        &self,
+        map: &mut HashMap<String, WindowSlot>,
+        key: &str,
+        epoch: u64,
+        delta: &AdaptiveExaLogLog,
+        current: u64,
+    ) {
+        debug_assert!(epoch <= current, "sessions advance the window on buffer");
+        match self.entry(map, key, current) {
+            WindowSlot::Live(ring) => {
+                delta
+                    .merge_into_dense(ring.epoch_target(current, epoch))
+                    .expect("deltas share the store configuration");
+                // A session delta for a sealed epoch is a late write:
+                // truncate the suffix chain exactly like direct ingest.
+                if ring.note_write(current, epoch) {
+                    self.stats.invalidate();
                 }
+                if epoch == current {
+                    // ordering: Relaxed — idle-age stamp; read only by
+                    // the demotion sweeps under the shard write lock.
+                    ring.touched.store(current, Ordering::Relaxed);
+                }
+            }
+            WindowSlot::Warm(warm) => {
+                match warm.pending.iter_mut().find(|(parked, _)| *parked == epoch) {
+                    Some((_, parked)) => parked
+                        .merge_from(delta)
+                        .expect("deltas share the store configuration"),
+                    None => warm.pending.push((epoch, delta.clone())),
+                }
+                TierCounters::count(&self.counters.parked_deltas);
             }
         }
     }

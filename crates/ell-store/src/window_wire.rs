@@ -38,6 +38,7 @@
 //! a restore → re-snapshot cycle reproduces the identical bytes.
 
 use crate::window::{WindowedStore, WireRing};
+use crate::wire::{check_config, corrupt, corrupt_at, open, put_header, put_prefixed, Reader};
 use exaloglog::compress::decompress;
 use exaloglog::{EllConfig, EllError, ExaLogLog};
 
@@ -45,29 +46,56 @@ const MAGIC: &[u8; 4] = b"ELLW";
 const VERSION: u8 = 2;
 /// magic + version + (t, d, p) + epochs + shards + current + entry count.
 const HEADER_LEN: usize = 4 + 1 + 3 + 4 + 4 + 8 + 8;
-/// Plausibility bounds on the header-declared shard and ring sizes.
-/// Restoring allocates per-shard scratch sketches and per-entry
-/// `epochs`-sized rings *before* reading payloads, so a crafted header
-/// must not be able to force a huge allocation out of a tiny snapshot.
-const MAX_WIRE_SHARDS: usize = 1 << 16;
+/// Plausibility bound on the header-declared ring size (the shard
+/// count shares the `ELLK` bound). It only rejects absurd headers: a
+/// live entry still materializes E dense slots out of as few as 4·E
+/// bytes, an amplification this bound does not remove. Query scratches
+/// are allocated per shard on first use, so an empty store costs one
+/// template sketch however many shards its header declares.
 const MAX_WIRE_EPOCHS: usize = 1 << 16;
 
 const TIER_LIVE: u8 = 0;
 const TIER_WARM: u8 = 1;
 
-fn corrupt(reason: String) -> EllError {
-    EllError::CorruptSerialization { reason }
-}
-
+/// Appends a live sketch as `ELL1` behind its length (0 = empty).
 fn push_sketch(out: &mut Vec<u8>, sketch: &ExaLogLog) {
     if sketch.is_empty() {
         out.extend_from_slice(&0u32.to_le_bytes());
     } else {
-        let payload = sketch.to_bytes();
-        let len = u32::try_from(payload.len()).expect("sketch payload exceeds u32 wire field");
-        out.extend_from_slice(&len.to_le_bytes());
-        out.extend_from_slice(&payload);
+        put_prefixed(out, &sketch.to_bytes());
     }
+}
+
+/// Reads a live sketch written by [`push_sketch`].
+fn read_sketch(
+    r: &mut Reader<'_>,
+    cfg: &EllConfig,
+    what: impl Fn() -> String,
+) -> Result<ExaLogLog, EllError> {
+    let payload = r.prefixed()?;
+    if payload.is_empty() {
+        return Ok(ExaLogLog::new(*cfg));
+    }
+    let sketch = ExaLogLog::from_bytes(payload).map_err(|e| corrupt_at(&what, e))?;
+    check_config(sketch.config(), cfg, what)?;
+    Ok(sketch)
+}
+
+/// Reads a warm `ELLZ` payload (`None` for a zero length). Warm
+/// payloads are kept verbatim, but still validated: they must
+/// decompress to the header configuration.
+fn read_warm(
+    r: &mut Reader<'_>,
+    cfg: &EllConfig,
+    what: impl Fn() -> String,
+) -> Result<Option<Box<[u8]>>, EllError> {
+    let payload = r.prefixed()?;
+    if payload.is_empty() {
+        return Ok(None);
+    }
+    let sketch = decompress(payload).map_err(|e| corrupt_at(&what, e))?;
+    check_config(sketch.config(), cfg, what)?;
+    Ok(Some(payload.into()))
 }
 
 impl WindowedStore {
@@ -82,10 +110,7 @@ impl WindowedStore {
     pub fn snapshot_bytes(&self) -> Vec<u8> {
         let entries = self.wire_entries();
         let mut out = Vec::with_capacity(HEADER_LEN + entries.len() * 64);
-        out.extend_from_slice(MAGIC);
-        out.push(VERSION);
-        let cfg = self.config();
-        out.extend_from_slice(&[cfg.t(), cfg.d(), cfg.p()]);
+        put_header(&mut out, MAGIC, VERSION, self.config());
         let window =
             u32::try_from(self.epoch_window()).expect("epoch window exceeds u32 wire field");
         out.extend_from_slice(&window.to_le_bytes());
@@ -94,9 +119,7 @@ impl WindowedStore {
         out.extend_from_slice(&self.current_epoch().to_le_bytes());
         out.extend_from_slice(&(entries.len() as u64).to_le_bytes());
         for (key, entry) in &entries {
-            let key_len = u32::try_from(key.len()).expect("key length exceeds u32 wire field");
-            out.extend_from_slice(&key_len.to_le_bytes());
-            out.extend_from_slice(key.as_bytes());
+            put_prefixed(&mut out, key.as_bytes());
             match entry {
                 WireRing::Live { retired, slots } => {
                     out.push(TIER_LIVE);
@@ -107,24 +130,13 @@ impl WindowedStore {
                 }
                 WireRing::Warm { retired, slots } => {
                     out.push(TIER_WARM);
-                    match retired {
-                        Some(payload) => {
-                            let len = u32::try_from(payload.len())
-                                .expect("warm payload exceeds u32 wire field");
-                            out.extend_from_slice(&len.to_le_bytes());
-                            out.extend_from_slice(payload);
-                        }
-                        None => out.extend_from_slice(&0u32.to_le_bytes()),
-                    }
+                    put_prefixed(&mut out, retired.as_deref().unwrap_or_default());
                     let slot_count =
                         u32::try_from(slots.len()).expect("slot count exceeds u32 wire field");
                     out.extend_from_slice(&slot_count.to_le_bytes());
                     for (epoch, payload) in slots {
                         out.extend_from_slice(&epoch.to_le_bytes());
-                        let len = u32::try_from(payload.len())
-                            .expect("warm payload exceeds u32 wire field");
-                        out.extend_from_slice(&len.to_le_bytes());
-                        out.extend_from_slice(payload);
+                        put_prefixed(&mut out, payload);
                     }
                 }
             }
@@ -143,32 +155,11 @@ impl WindowedStore {
     ///
     /// Fails on any structural defect of the snapshot bytes.
     pub fn from_snapshot_bytes(bytes: &[u8]) -> Result<Self, EllError> {
-        if bytes.len() < HEADER_LEN {
-            return Err(corrupt(format!(
-                "{} bytes is shorter than the ELLW header",
-                bytes.len()
-            )));
-        }
-        if &bytes[..4] != MAGIC {
-            return Err(corrupt("bad magic".into()));
-        }
-        let version = bytes[4];
-        if version == 0 || version > VERSION {
-            return Err(corrupt(format!("unsupported snapshot version {version}")));
-        }
-        let cfg = EllConfig::new(bytes[5], bytes[6], bytes[7])?;
-        let epochs =
-            u32::from_le_bytes(bytes[8..12].try_into().expect("header length checked")) as usize;
-        let shards =
-            u32::from_le_bytes(bytes[12..16].try_into().expect("header length checked")) as usize;
-        let current = u64::from_le_bytes(bytes[16..24].try_into().expect("header length checked"));
-        let entry_count =
-            u64::from_le_bytes(bytes[24..32].try_into().expect("header length checked"));
-        if shards > MAX_WIRE_SHARDS {
-            return Err(corrupt(format!(
-                "implausible shard count {shards} (limit {MAX_WIRE_SHARDS})"
-            )));
-        }
+        let (version, cfg, mut r) = open(bytes, MAGIC, HEADER_LEN, 1..=VERSION)?;
+        let epochs = r.u32()?;
+        let shards = r.shards()?;
+        let current = r.u64()?;
+        let entry_count = r.u64()?;
         if epochs > MAX_WIRE_EPOCHS {
             return Err(corrupt(format!(
                 "implausible epoch ring size {epochs} (limit {MAX_WIRE_EPOCHS})"
@@ -191,132 +182,61 @@ impl WindowedStore {
         }
         let store = WindowedStore::new(shards, cfg, epochs)?;
 
-        let mut cursor = HEADER_LEN;
-        let take = |cursor: &mut usize, len: usize| -> Result<&[u8], EllError> {
-            let end = cursor
-                .checked_add(len)
-                .ok_or_else(|| corrupt("entry length overflows the snapshot".into()))?;
-            if end > bytes.len() {
-                return Err(corrupt(format!(
-                    "entry at offset {cursor} runs past the end ({len} bytes needed)"
-                )));
-            }
-            let slice = &bytes[*cursor..end];
-            *cursor = end;
-            Ok(slice)
-        };
-        let take_u32 = |cursor: &mut usize| -> Result<usize, EllError> {
-            let raw = take(cursor, 4)?;
-            Ok(u32::from_le_bytes(raw.try_into().expect("4 bytes")) as usize)
-        };
-        let take_u64 = |cursor: &mut usize| -> Result<u64, EllError> {
-            let raw = take(cursor, 8)?;
-            Ok(u64::from_le_bytes(raw.try_into().expect("8 bytes")))
-        };
-        let take_sketch = |cursor: &mut usize, what: &str| -> Result<ExaLogLog, EllError> {
-            let len = take_u32(cursor)?;
-            if len == 0 {
-                return Ok(ExaLogLog::new(cfg));
-            }
-            let sketch = ExaLogLog::from_bytes(take(cursor, len)?)
-                .map_err(|e| corrupt(format!("{what}: {e}")))?;
-            if sketch.config() != &cfg {
-                return Err(corrupt(format!(
-                    "{what}: configuration {} does not match header {cfg}",
-                    sketch.config()
-                )));
-            }
-            Ok(sketch)
-        };
-        // Warm payloads are kept verbatim, but still validated: they
-        // must decompress to the header configuration.
-        let take_warm = |cursor: &mut usize, what: &str| -> Result<Box<[u8]>, EllError> {
-            let len = take_u32(cursor)?;
-            let payload = take(cursor, len)?;
-            let sketch = decompress(payload).map_err(|e| corrupt(format!("{what}: {e}")))?;
-            if sketch.config() != &cfg {
-                return Err(corrupt(format!(
-                    "{what}: configuration {} does not match header {cfg}",
-                    sketch.config()
-                )));
-            }
-            Ok(payload.to_vec().into_boxed_slice())
-        };
         for i in 0..entry_count {
-            let key_len = take_u32(&mut cursor)?;
-            let key = core::str::from_utf8(take(&mut cursor, key_len)?)
-                .map_err(|e| corrupt(format!("entry {i}: key is not UTF-8: {e}")))?
-                .to_string();
+            let key = r.key(i)?;
+            let what = || format!("entry {i} ({key:?})");
             let tier = if version == 1 {
                 TIER_LIVE
             } else {
-                take(&mut cursor, 1)?[0]
+                r.take(1)?[0]
             };
             let placed = match tier {
                 TIER_LIVE => {
-                    let retired = take_sketch(&mut cursor, "retired union")?;
+                    let retired = read_sketch(&mut r, &cfg, || "retired union".into())?;
                     let mut slots = Vec::with_capacity(epochs);
                     for slot in 0..epochs {
-                        slots.push(take_sketch(
-                            &mut cursor,
-                            &format!("entry {i} ({key:?}) slot {slot}"),
-                        )?);
+                        let at = || format!("{} slot {slot}", what());
+                        slots.push(read_sketch(&mut r, &cfg, at)?);
                     }
                     store.place_ring(key.clone(), retired, slots)
                 }
                 TIER_WARM => {
-                    let retired_len_at = cursor;
-                    let retired =
-                        if u32::from_le_bytes(take(&mut cursor, 4)?.try_into().expect("4 bytes"))
-                            == 0
-                        {
-                            None
-                        } else {
-                            // Rewind: take_warm reads its own length prefix.
-                            cursor = retired_len_at;
-                            Some(take_warm(
-                                &mut cursor,
-                                &format!("entry {i} ({key:?}) warm retired union"),
-                            )?)
-                        };
-                    let slot_count = take_u32(&mut cursor)?;
+                    let at = || format!("{} warm retired union", what());
+                    let retired = read_warm(&mut r, &cfg, at)?;
+                    let slot_count = r.u32()?;
                     if slot_count > epochs {
                         return Err(corrupt(format!(
-                            "entry {i} ({key:?}): {slot_count} warm slots exceed the ring size {epochs}"
+                            "{}: {slot_count} warm slots exceed the ring size {epochs}",
+                            what()
                         )));
                     }
                     let mut slots = Vec::with_capacity(slot_count);
                     let mut last_epoch = None;
                     for s in 0..slot_count {
-                        let epoch = take_u64(&mut cursor)?;
+                        let epoch = r.u64()?;
                         if epoch > current || last_epoch.is_some_and(|prev| epoch <= prev) {
                             return Err(corrupt(format!(
-                                "entry {i} ({key:?}): warm slot {s} epoch {epoch} out of order or beyond current {current}"
+                                "{}: warm slot {s} epoch {epoch} out of order or beyond current {current}",
+                                what()
                             )));
                         }
                         last_epoch = Some(epoch);
-                        let payload =
-                            take_warm(&mut cursor, &format!("entry {i} ({key:?}) warm slot {s}"))?;
+                        let at = || format!("{} warm slot {s}", what());
+                        let payload = read_warm(&mut r, &cfg, at)?
+                            .ok_or_else(|| corrupt_at(at, "empty payload"))?;
                         slots.push((epoch, payload));
                     }
                     store.place_warm_ring(key.clone(), retired, slots)
                 }
                 other => {
-                    return Err(corrupt(format!(
-                        "entry {i} ({key:?}): unknown tier byte {other}"
-                    )));
+                    return Err(corrupt_at(what, format!("unknown tier byte {other}")));
                 }
             };
             if !placed {
                 return Err(corrupt(format!("duplicate key {key:?}")));
             }
         }
-        if cursor != bytes.len() {
-            return Err(corrupt(format!(
-                "{} trailing bytes after the last entry",
-                bytes.len() - cursor
-            )));
-        }
+        r.finish()?;
         // Set last: also stamps restored live rings as freshly touched.
         store.set_current_epoch(current);
         Ok(store)
@@ -457,6 +377,27 @@ mod tests {
         assert_eq!(restored.config(), store.config());
         assert_eq!(restored.epoch_window(), 6);
         assert_eq!(restored.shard_count(), 16);
+    }
+
+    #[test]
+    fn a_bare_header_does_not_allocate_per_shard_scratches() {
+        // 32 bytes: p=12, 4096 shards, an 8-epoch ring, zero entries.
+        let cfg = EllConfig::optimal(12).unwrap();
+        let mut header = Vec::new();
+        header.extend_from_slice(MAGIC);
+        header.push(VERSION);
+        header.extend_from_slice(&[cfg.t(), cfg.d(), cfg.p()]);
+        header.extend_from_slice(&8u32.to_le_bytes());
+        header.extend_from_slice(&4096u32.to_le_bytes());
+        header.extend_from_slice(&0u64.to_le_bytes());
+        header.extend_from_slice(&0u64.to_le_bytes());
+        assert_eq!(header.len(), HEADER_LEN);
+        let store = WindowedStore::from_snapshot_bytes(&header).unwrap();
+        assert!(
+            store.memory_bytes() < 2 << 20,
+            "an empty store costs {} bytes",
+            store.memory_bytes()
+        );
     }
 
     #[test]

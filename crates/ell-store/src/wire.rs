@@ -38,8 +38,146 @@ const HEADER_LEN: usize = 4 + 1 + 3 + 1 + 4 + 8;
 /// header must not force a huge allocation out of a tiny snapshot.
 const MAX_WIRE_SHARDS: usize = 1 << 16;
 
-fn corrupt(reason: String) -> EllError {
+pub(crate) fn corrupt(reason: String) -> EllError {
     EllError::CorruptSerialization { reason }
+}
+
+/// A decode error for the payload `what` names. The name is built only
+/// on this error path, so decoding a healthy snapshot formats nothing.
+pub(crate) fn corrupt_at(what: impl FnOnce() -> String, err: impl core::fmt::Display) -> EllError {
+    corrupt(format!("{}: {err}", what()))
+}
+
+/// Rejects a payload whose configuration differs from the header's.
+pub(crate) fn check_config(
+    found: &EllConfig,
+    header: &EllConfig,
+    what: impl FnOnce() -> String,
+) -> Result<(), EllError> {
+    if found == header {
+        Ok(())
+    } else {
+        let err = format!("configuration {found} does not match header {header}");
+        Err(corrupt_at(what, err))
+    }
+}
+
+/// Writes the header prefix both formats share: magic, version, and
+/// the `(t, d, p)` sketch configuration.
+pub(crate) fn put_header(out: &mut Vec<u8>, magic: &[u8; 4], version: u8, cfg: &EllConfig) {
+    out.extend_from_slice(magic);
+    out.push(version);
+    out.extend_from_slice(&[cfg.t(), cfg.d(), cfg.p()]);
+}
+
+/// Checks a snapshot's length against `header_len`, its magic, and its
+/// version against `versions`; returns the version, the sketch
+/// configuration, and a reader positioned after them.
+pub(crate) fn open<'a>(
+    bytes: &'a [u8],
+    magic: &[u8; 4],
+    header_len: usize,
+    versions: core::ops::RangeInclusive<u8>,
+) -> Result<(u8, EllConfig, Reader<'a>), EllError> {
+    if bytes.len() < header_len {
+        return Err(corrupt(format!(
+            "{} bytes is shorter than the {} header",
+            bytes.len(),
+            String::from_utf8_lossy(magic)
+        )));
+    }
+    if &bytes[..4] != magic {
+        return Err(corrupt("bad magic".into()));
+    }
+    let version = bytes[4];
+    if !versions.contains(&version) {
+        return Err(corrupt(format!("unsupported snapshot version {version}")));
+    }
+    let cfg = EllConfig::new(bytes[5], bytes[6], bytes[7])?;
+    Ok((version, cfg, Reader::at(bytes, 8)))
+}
+
+/// Appends `bytes` behind its `u32` length prefix.
+pub(crate) fn put_prefixed(out: &mut Vec<u8>, bytes: &[u8]) {
+    let len = u32::try_from(bytes.len()).expect("length exceeds u32 wire field");
+    out.extend_from_slice(&len.to_le_bytes());
+    out.extend_from_slice(bytes);
+}
+
+/// A bounds-checked little-endian cursor over snapshot bytes, shared by
+/// the `ELLK` and `ELLW` decoders: every read either stays inside the
+/// input or fails with a corruption error.
+pub(crate) struct Reader<'a> {
+    bytes: &'a [u8],
+    pos: usize,
+}
+
+impl<'a> Reader<'a> {
+    /// A cursor at offset `pos` of `bytes`.
+    pub(crate) fn at(bytes: &'a [u8], pos: usize) -> Self {
+        Reader { bytes, pos }
+    }
+
+    pub(crate) fn take(&mut self, len: usize) -> Result<&'a [u8], EllError> {
+        let end = self
+            .pos
+            .checked_add(len)
+            .ok_or_else(|| corrupt("entry length overflows the snapshot".into()))?;
+        if end > self.bytes.len() {
+            return Err(corrupt(format!(
+                "entry at offset {} runs past the end ({len} bytes needed)",
+                self.pos
+            )));
+        }
+        let slice = &self.bytes[self.pos..end];
+        self.pos = end;
+        Ok(slice)
+    }
+
+    pub(crate) fn u32(&mut self) -> Result<usize, EllError> {
+        let raw = self.take(4)?;
+        Ok(u32::from_le_bytes(raw.try_into().expect("4 bytes")) as usize)
+    }
+
+    pub(crate) fn u64(&mut self) -> Result<u64, EllError> {
+        let raw = self.take(8)?;
+        Ok(u64::from_le_bytes(raw.try_into().expect("8 bytes")))
+    }
+
+    /// The header-declared shard count, bounded by [`MAX_WIRE_SHARDS`].
+    pub(crate) fn shards(&mut self) -> Result<usize, EllError> {
+        let shards = self.u32()?;
+        if shards > MAX_WIRE_SHARDS {
+            return Err(corrupt(format!(
+                "implausible shard count {shards} (limit {MAX_WIRE_SHARDS})"
+            )));
+        }
+        Ok(shards)
+    }
+
+    /// A `u32`-length-prefixed byte string.
+    pub(crate) fn prefixed(&mut self) -> Result<&'a [u8], EllError> {
+        let len = self.u32()?;
+        self.take(len)
+    }
+
+    /// A length-prefixed UTF-8 key.
+    pub(crate) fn key(&mut self, entry: u64) -> Result<String, EllError> {
+        let raw = self.prefixed()?;
+        core::str::from_utf8(raw)
+            .map(str::to_string)
+            .map_err(|e| corrupt(format!("entry {entry}: key is not UTF-8: {e}")))
+    }
+
+    /// Succeeds only when every byte has been consumed.
+    pub(crate) fn finish(&self) -> Result<(), EllError> {
+        match self.bytes.len() - self.pos {
+            0 => Ok(()),
+            rest => Err(corrupt(format!(
+                "{rest} trailing bytes after the last entry"
+            ))),
+        }
+    }
 }
 
 impl EllStore {
@@ -52,22 +190,14 @@ impl EllStore {
     pub fn snapshot_bytes(&self) -> Vec<u8> {
         let entries = self.snapshot_payloads();
         let mut out = Vec::with_capacity(HEADER_LEN + entries.len() * 64);
-        out.extend_from_slice(MAGIC);
-        out.push(VERSION);
-        let cfg = self.config();
-        out.extend_from_slice(&[cfg.t(), cfg.d(), cfg.p()]);
+        put_header(&mut out, MAGIC, VERSION, self.config());
         out.push(self.token_parameter() as u8); // cast: v ≤ 58 by construction (checked in with_token_parameter)
         let shards = u32::try_from(self.shard_count()).expect("shard count exceeds u32 wire field");
         out.extend_from_slice(&shards.to_le_bytes());
         out.extend_from_slice(&(entries.len() as u64).to_le_bytes());
         for (key, payload) in &entries {
-            let key_len = u32::try_from(key.len()).expect("key length exceeds u32 wire field");
-            out.extend_from_slice(&key_len.to_le_bytes());
-            out.extend_from_slice(key.as_bytes());
-            let payload_len =
-                u32::try_from(payload.len()).expect("payload length exceeds u32 wire field");
-            out.extend_from_slice(&payload_len.to_le_bytes());
-            out.extend_from_slice(payload);
+            put_prefixed(&mut out, key.as_bytes());
+            put_prefixed(&mut out, payload);
         }
         out
     }
@@ -84,96 +214,34 @@ impl EllStore {
     ///
     /// Fails on any structural defect of the snapshot bytes.
     pub fn from_snapshot_bytes(bytes: &[u8]) -> Result<Self, EllError> {
-        if bytes.len() < HEADER_LEN {
-            return Err(corrupt(format!(
-                "{} bytes is shorter than the ELLK header",
-                bytes.len()
-            )));
-        }
-        if &bytes[..4] != MAGIC {
-            return Err(corrupt("bad magic".into()));
-        }
-        if bytes[4] != VERSION {
-            return Err(corrupt(format!(
-                "unsupported snapshot version {}",
-                bytes[4]
-            )));
-        }
-        let cfg = EllConfig::new(bytes[5], bytes[6], bytes[7])?;
-        let v = u32::from(bytes[8]);
-        let shards =
-            u32::from_le_bytes(bytes[9..13].try_into().expect("header length checked")) as usize;
-        let entry_count = u64::from_le_bytes(
-            bytes[13..21]
-                .try_into()
-                .expect("header length checked above"),
-        );
-        if shards > MAX_WIRE_SHARDS {
-            return Err(corrupt(format!(
-                "implausible shard count {shards} (limit {MAX_WIRE_SHARDS})"
-            )));
-        }
+        let (_, cfg, mut r) = open(bytes, MAGIC, HEADER_LEN, VERSION..=VERSION)?;
+        let v = u32::from(r.take(1)?[0]);
+        let shards = r.shards()?;
+        let entry_count = r.u64()?;
         let store = EllStore::with_token_parameter(shards, cfg, v)?;
 
-        let mut cursor = HEADER_LEN;
-        let take = |cursor: &mut usize, len: usize| -> Result<&[u8], EllError> {
-            let end = cursor
-                .checked_add(len)
-                .ok_or_else(|| corrupt("entry length overflows the snapshot".into()))?;
-            if end > bytes.len() {
-                return Err(corrupt(format!(
-                    "entry at offset {cursor} runs past the end ({len} bytes needed)"
-                )));
-            }
-            let slice = &bytes[*cursor..end];
-            *cursor = end;
-            Ok(slice)
-        };
-        let take_u32 = |cursor: &mut usize| -> Result<usize, EllError> {
-            let raw = take(cursor, 4)?;
-            Ok(u32::from_le_bytes(raw.try_into().expect("4 bytes")) as usize)
-        };
         for i in 0..entry_count {
-            let key_len = take_u32(&mut cursor)?;
-            let key = core::str::from_utf8(take(&mut cursor, key_len)?)
-                .map_err(|e| corrupt(format!("entry {i}: key is not UTF-8: {e}")))?
-                .to_string();
-            let sketch_len = take_u32(&mut cursor)?;
-            let payload = take(&mut cursor, sketch_len)?;
+            let key = r.key(i)?;
+            let payload = r.prefixed()?;
             if store.key_tier(&key).is_some() {
                 return Err(corrupt(format!("duplicate key {key:?}")));
             }
+            let what = || format!("entry {i} ({key:?})");
             if payload.len() >= 4 && &payload[..4] == b"ELLZ" {
                 // A warm entry: validate it decompresses to the header
                 // configuration, then keep the compressed payload as a
                 // warm slot — a re-snapshot reuses it verbatim.
-                let dense = decompress(payload)
-                    .map_err(|e| corrupt(format!("entry {i} ({key:?}): {e}")))?;
-                if dense.config() != &cfg {
-                    return Err(corrupt(format!(
-                        "entry {i} ({key:?}): configuration {} does not match header {cfg}",
-                        dense.config()
-                    )));
-                }
+                let dense = decompress(payload).map_err(|e| corrupt_at(what, e))?;
+                check_config(dense.config(), &cfg, what)?;
                 store.place_warm(key, payload.to_vec());
             } else {
-                let sketch = AdaptiveExaLogLog::from_bytes(payload)
-                    .map_err(|e| corrupt(format!("entry {i} ({key:?}): {e}")))?;
-                if sketch.config() != &cfg {
-                    return Err(corrupt(format!(
-                        "entry {i} ({key:?}): configuration {} does not match header {cfg}",
-                        sketch.config()
-                    )));
-                }
+                let sketch =
+                    AdaptiveExaLogLog::from_bytes(payload).map_err(|e| corrupt_at(what, e))?;
+                check_config(sketch.config(), &cfg, what)?;
                 store.place(key, sketch);
             }
         }
-        if cursor != bytes.len() {
-            return Err(corrupt(format!(
-                "{} trailing bytes after the last entry",
-                bytes.len() - cursor
-            )));
-        }
+        r.finish()?;
         Ok(store)
     }
 }

@@ -1,5 +1,5 @@
-//! Real-type models: the production `AtomicExaLogLog` and `EllStore`
-//! running on the deterministic scheduler.
+//! Real-type models: the production `AtomicExaLogLog`, `EllStore` and
+//! `WindowedStore` running on the deterministic scheduler.
 //!
 //! These compile only under `RUSTFLAGS="--cfg ell_verify"`, which swaps
 //! the `sync` facades in `exaloglog` and `ell-store` from `std::sync`
@@ -16,7 +16,7 @@
 //! iteration order (which is seeded per-process, not per-schedule).
 #![cfg(ell_verify)]
 
-use ell_store::EllStore;
+use ell_store::{EllStore, WindowedStore};
 use ell_verify::Config;
 use exaloglog::atomic::AtomicExaLogLog;
 use exaloglog::EllConfig;
@@ -117,6 +117,49 @@ fn real_store_sessions_race_barrier_flush() {
             store.estimate("k"),
             seq.estimate("k"),
             "racing sessions diverged from the sequential ingest"
+        );
+    });
+    report.assert_clean(100);
+}
+
+#[test]
+fn real_window_sessions_race_barrier_flush_and_advance() {
+    // The shared handoff core under the window's epoch pin: two sessions
+    // auto-flush every hash (so contended flushes park on the queue)
+    // while a third thread rotates the window past every buffered epoch.
+    let report = ell_verify::explore(&Config::default().random_only(100).seed(15), || {
+        let store = Arc::new(WindowedStore::new(1, small_cfg(), 2).expect("store"));
+
+        let s = Arc::clone(&store);
+        let session_a = shuttle::thread::spawn(move || {
+            let mut sess = s.session().with_auto_flush(1);
+            sess.insert("k", 0, 0x1111_2222_3333_4444);
+            sess.insert("k", 1, 0x5555_6666_7777_8888);
+            // Drop runs the session's own barrier flush.
+        });
+        let s = Arc::clone(&store);
+        let session_b = shuttle::thread::spawn(move || {
+            let mut sess = s.session().with_auto_flush(1);
+            sess.insert("k", 0, 0x9999_AAAA_BBBB_CCCC);
+            sess.flush();
+        });
+        let s = Arc::clone(&store);
+        let rotator = shuttle::thread::spawn(move || s.advance(3));
+        session_a.join().expect("session a");
+        session_b.join().expect("session b");
+        rotator.join().expect("rotator");
+
+        // Sequential reference: the same events through direct ingest,
+        // then the same rotation.
+        let seq = WindowedStore::new(1, small_cfg(), 2).expect("store");
+        seq.ingest(0, &[("k", 0x1111_2222_3333_4444)]);
+        seq.ingest(0, &[("k", 0x9999_AAAA_BBBB_CCCC)]);
+        seq.ingest(1, &[("k", 0x5555_6666_7777_8888)]);
+        seq.advance(3);
+        assert_eq!(
+            store.snapshot_bytes(),
+            seq.snapshot_bytes(),
+            "racing window sessions diverged from the sequential ingest"
         );
     });
     report.assert_clean(100);
