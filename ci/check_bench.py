@@ -23,17 +23,14 @@ For every file the script enforces, in order:
 4. **Tiering gates.** When the file carries ``warm_bytes_reduction``
    (the tiers bench), it must be ``>= --min-warm-reduction`` (default
    2.0: compressing the idle tail must at least halve resident memory),
-   and ``hot_ingest_ratio`` must be ``<= --max-hot-ratio`` (default
-   1.10: demoted neighbors must not tax the hot path).
+   and ``hot_ingest_ratio`` must be present and ``<= --max-hot-ratio``
+   (default 1.10: demoted neighbors must not tax the hot path).
 5. **Kernel gates.** When the file carries ``kernel_equivalence`` (the
-   registers bench), it must be ``"ok"`` — every scan kernel produced
+   registers bench), it must be ``"ok"`` — the SWAR kernel produced
    bytes identical to the scalar reference — and
    ``swar_merge_speedup_min`` must be ``>= --min-kernel-speedup``
-   (default 1.2: the portable SWAR kernel must beat the scalar scan on
-   the gated overlap/sparse merge shapes; the SWAR gate is used because
-   it is portable and reliable even on a one-core CI machine, while
-   AVX2 rows stay informational — emulated AVX2 can be slower than
-   scalar).
+   (default 1.2: the SWAR kernel must beat the scalar scan on the gated
+   overlap/sparse merge shapes).
 
 One summary line is printed per file; the exit status is non-zero if any
 check failed anywhere.
@@ -144,6 +141,8 @@ def check_file(
     warm_reduction = _number(data, "warm_bytes_reduction", failures)
     if warm_reduction is not None:
         hot_ratio = _number(data, "hot_ingest_ratio", failures)
+        if "hot_ingest_ratio" not in data:
+            failures.append("warm_bytes_reduction present but hot_ingest_ratio missing")
         if warm_reduction < min_warm_reduction:
             failures.append(
                 f"warm_bytes_reduction {warm_reduction:.2f} is below "
@@ -158,8 +157,7 @@ def check_file(
             tier_note = f"warm reduction {warm_reduction:.2f}x (gate {min_warm_reduction:.1f})"
             if overall is not None:
                 tier_note += f", tiered {overall:.2f}x"
-            if hot_ratio is not None:
-                tier_note += f", hot ratio {hot_ratio:.3f} (gate {max_hot_ratio:.2f})"
+            tier_note += f", hot ratio {hot_ratio:.3f} (gate {max_hot_ratio:.2f})"
 
     kernel_note = ""
     kernel_equivalence = data.get("kernel_equivalence")

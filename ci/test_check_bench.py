@@ -142,9 +142,18 @@ class TierGateTests(unittest.TestCase):
         self.assertIn("warm reduction 3.00x", out)
 
     def test_low_reduction_fails(self):
-        ok, out = run_check({"bench": "tiers", "warm_bytes_reduction": 1.1})
+        ok, out = run_check(
+            {"bench": "tiers", "warm_bytes_reduction": 1.1, "hot_ingest_ratio": 1.02}
+        )
         self.assertFalse(ok)
         self.assertIn("below the 2.0 gate", out)
+
+    def test_missing_hot_ratio_fails(self):
+        # A half-written tiers report must FAIL, not silently skip the
+        # hot-path gate.
+        ok, out = run_check({"bench": "tiers", "warm_bytes_reduction": 3.0})
+        self.assertFalse(ok)
+        self.assertIn("hot_ingest_ratio missing", out)
 
     def test_high_hot_ratio_fails(self):
         ok, out = run_check(
@@ -170,7 +179,7 @@ class KernelGateTests(unittest.TestCase):
         ok, out = run_check(
             {
                 "bench": "registers",
-                "kernel_equivalence": "avx2 diverged",
+                "kernel_equivalence": "swar diverged",
                 "swar_merge_speedup_min": 1.8,
             }
         )

@@ -12,10 +12,9 @@
 //!    line or within the three lines above it. The comment is the
 //!    reviewable artifact: a memory-ordering choice with no recorded
 //!    reason is unauditable.
-//! 2. **unsafe-scope** — `unsafe` is forbidden outside the AVX2 kernel
-//!    module (and the bench binary's instrumented allocator); inside
-//!    the allowlist every `unsafe` block needs an adjacent `// SAFETY:`
-//!    comment.
+//! 2. **unsafe-scope** — `unsafe` is forbidden everywhere except the
+//!    bench binary's instrumented allocator; inside the allowlist every
+//!    `unsafe` block needs an adjacent `// SAFETY:` comment.
 //! 3. **sync-facade** — library code in the facade crates (`exaloglog`,
 //!    `ell-store`) must route scheduler-relevant sync types through the
 //!    crate's `sync` module, never `std::sync`/`core::sync::atomic`
@@ -58,24 +57,14 @@ const ATOMIC_ORDERINGS: [&str; 5] = [
 
 /// Files allowed to contain `unsafe`, with the reason on record.
 /// Every block inside them still needs a `// SAFETY:` comment.
-const UNSAFE_ALLOWLIST: [(&str, &str); 2] = [
-    (
-        "crates/ell-bitpack/src/kernels.rs",
-        "AVX2 intrinsics module; #![deny(unsafe_code)] at crate root, #![allow] scoped to avx2",
-    ),
-    (
-        "crates/ell-bench/src/bin/bench_window.rs",
-        "bench-only GlobalAlloc shim for peak-RSS instrumentation; never linked into libraries",
-    ),
-];
+const UNSAFE_ALLOWLIST: [(&str, &str); 1] = [(
+    "crates/ell-bench/src/bin/bench_window.rs",
+    "bench-only GlobalAlloc shim for peak-RSS instrumentation; never linked into libraries",
+)];
 
 /// Library sites allowed to panic, with the reason on record.
 /// Matched as (path suffix, line must contain).
-const PANIC_ALLOWLIST: [(&str, &str, &str); 1] = [(
-    "crates/ell-bitpack/src/kernels.rs",
-    "ELL_KERNEL=",
-    "explicit operator override: an unknown kernel name must fail loudly, not fall back",
-)];
+const PANIC_ALLOWLIST: [(&str, &str, &str); 0] = [];
 
 /// Facade crates whose library code must not touch `std::sync` /
 /// `core::sync::atomic` directly (check 3). The `sync.rs` facade file
@@ -334,7 +323,7 @@ fn check_file(rel: &str, src: &str, findings: &mut Vec<Finding>) {
                     check: "unsafe-scope",
                     file: rel.to_string(),
                     line: n,
-                    message: "`unsafe` outside the allowlisted AVX2 kernel / bench allocator files"
+                    message: "`unsafe` outside the allowlisted bench allocator file"
                         .to_string(),
                 });
             } else if !has_justification(&lines, i, "SAFETY:") {

@@ -4,7 +4,6 @@
 //!
 //! ```text
 //! bench_insert [--quick] [--out FILE] [--hashes N] [--reps N] [--p P]
-//!              [--kernel scalar|swar|avx2]
 //! ```
 //!
 //! `--quick` shrinks the workload so the whole sweep finishes in a few
@@ -60,10 +59,6 @@ fn parse_args() -> Args {
             }
             "--out" => {
                 args.out = need(&argv, i, "--out");
-                i += 2;
-            }
-            "--kernel" => {
-                ell_bench::force_kernel_or_exit("bench_insert", &need(&argv, i, "--kernel"));
                 i += 2;
             }
             "--hashes" => {
@@ -154,12 +149,11 @@ fn main() {
     }
 
     let json = format!(
-        "{{\n  \"bench\": \"insert\",\n  \"mode\": \"{}\",\n  \"kernel\": \"{}\",\n  \"dispatch\": \"dyn\",\n  \
+        "{{\n  \"bench\": \"insert\",\n  \"mode\": \"{}\",\n  \"dispatch\": \"dyn\",\n  \
          \"precision_p\": {},\n  \
          \"hashes_per_run\": {},\n  \"reps\": {},\n  \"unit\": \"ns_per_op\",\n  \
          \"results\": [\n{}\n  ]\n}}\n",
         if args.quick { "quick" } else { "full" },
-        ell_bench::active_kernel_name(),
         args.p,
         args.hashes,
         args.reps,

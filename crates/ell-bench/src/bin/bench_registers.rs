@@ -6,7 +6,6 @@
 //!
 //! ```text
 //! bench_registers [--quick] [--out FILE] [--hashes N] [--reps N] [--p P]
-//!                 [--kernel scalar|swar|avx2]
 //! ```
 //!
 //! Four comparisons per configuration:
@@ -21,10 +20,10 @@
 //! * **estimate** — repeated single-insert-then-estimate through the
 //!   incrementally cached ML coefficients versus re-running the
 //!   Algorithm 3 register scan per estimate.
-//! * **kernels** — the steady-state word-run merge scan under each scan
-//!   kernel the hardware supports (SWAR and AVX2) versus the scalar
-//!   reference kernel, on the scan-dominated shapes (sparse incoming,
-//!   mostly-overlapping fold, self-merge). The JSON records
+//! * **kernels** — the steady-state word-run merge scan under the SWAR
+//!   kernel versus the scalar reference kernel, timed interleaved, on
+//!   the scan-dominated shapes (sparse incoming, mostly-overlapping
+//!   fold, self-merge). The JSON records
 //!   `kernel_equivalence` and the minimum SWAR speedup over the gated
 //!   shapes so CI can require both.
 //!
@@ -40,7 +39,7 @@
 //! is what lets CI gate on it.
 
 use ell_bench::hashes;
-use exaloglog::kernels::{self, Kernel};
+use exaloglog::kernels;
 use exaloglog::ml::{self, MlCoefficients};
 use exaloglog::theory::bias_correction_c;
 use exaloglog::{EllConfig, ExaLogLog};
@@ -101,10 +100,6 @@ fn parse_args() -> Args {
                     eprintln!("bench_registers: --p expects a small integer");
                     std::process::exit(2);
                 });
-                i += 2;
-            }
-            "--kernel" => {
-                ell_bench::force_kernel_or_exit("bench_registers", &need(&argv, i, "--kernel"));
                 i += 2;
             }
             other => {
@@ -272,10 +267,10 @@ fn bench_merge_shape(
 
 /// One kernel-comparison measurement: the *steady-state* word-run merge
 /// (`base ∪ incoming` already folded in, so repeated merges are pure
-/// scan-and-skip work — exactly the cost the kernels vectorize) under
-/// each supported kernel versus the scalar reference kernel. Verifies
-/// that every kernel produces bytes identical to the scalar merge, and
-/// returns the JSON row plus the SWAR speedup.
+/// scan-and-skip work — exactly the cost the SWAR kernel speeds up) under
+/// the SWAR kernel versus the scalar reference kernel. Verifies that
+/// SWAR produces bytes identical to the scalar merge, and returns the
+/// JSON row plus the SWAR speedup.
 fn bench_kernel_shape(
     label: &str,
     base: &ExaLogLog,
@@ -284,57 +279,48 @@ fn bench_kernel_shape(
     iters: usize,
     kernel_ok: &mut bool,
 ) -> (String, f64) {
-    // Equivalence: each kernel's merge of the *original* shape must match
-    // the scalar kernel's, bit for bit.
-    let mut scalar_merged = base.clone();
-    scalar_merged
-        .merge_from_with_kernel(incoming, Kernel::Scalar)
-        .unwrap();
-    for kernel in kernels::available() {
-        let mut merged = base.clone();
-        merged.merge_from_with_kernel(incoming, kernel).unwrap();
-        if merged.to_bytes() != scalar_merged.to_bytes() {
-            eprintln!(
-                "bench_registers: kernel equivalence MISMATCH in shape {label} (kernel {})",
-                kernel.name()
-            );
-            *kernel_ok = false;
-        }
+    // Equivalence: the SWAR merge of the *original* shape must match the
+    // scalar kernel's, bit for bit.
+    let merged = kernels::available().map(|kernel| {
+        let mut m = base.clone();
+        m.merge_from_with_kernel(incoming, kernel).unwrap();
+        m
+    });
+    if merged[0].to_bytes() != merged[1].to_bytes() {
+        eprintln!("bench_registers: kernel equivalence MISMATCH in shape {label}");
+        *kernel_ok = false;
     }
 
-    let per_op = 1e9 / iters as f64;
-    let mut fields = Vec::new();
-    let mut swar_speedup = f64::NAN;
-    let mut scalar_ns = f64::NAN;
-    for kernel in kernels::available() {
-        // Steady state: after the first merge the accumulator already
-        // contains the union, so every further merge is scan-only.
-        // Minimum over reps, not median: on a busy single-core machine
-        // the minimum is the least noise-contaminated estimate, and the
-        // speedup gate needs run-to-run stability.
-        let mut acc = scalar_merged.clone();
-        let ns = min_secs(reps.max(5), || {
+    // Steady state: the accumulator already contains the union, so every
+    // further merge is scan-only and leaves it unchanged. Both kernels
+    // scan the same two buffers, so their placement in memory (cache-set
+    // conflicts differ from run to run) cannot favour one of them. The
+    // kernels run back to back inside each rep, alternating which goes
+    // first, so a burst of host noise hits both rather than one; each
+    // keeps its minimum over reps, the least noise-contaminated figure.
+    let [mut acc, _] = merged;
+    let mut best = [f64::INFINITY; 2];
+    for rep in 0..reps.max(5) {
+        for i in 0..2 {
+            let k = (i + rep) % 2;
+            let kernel = kernels::available()[k];
+            let t0 = Instant::now();
             for _ in 0..iters {
                 acc.merge_from_with_kernel(incoming, kernel).unwrap();
                 std::hint::black_box(&acc);
             }
-        }) * per_op;
-        let name = kernel.name();
-        fields.push(format!("\"{name}_ns\": {ns:.1}"));
-        match kernel {
-            Kernel::Scalar => scalar_ns = ns,
-            Kernel::Swar => {
-                swar_speedup = scalar_ns / ns;
-                fields.push(format!("\"swar_speedup\": {swar_speedup:.3}"));
-            }
-            Kernel::Avx2 => {
-                fields.push(format!("\"avx2_speedup\": {:.3}", scalar_ns / ns));
-            }
+            best[k] = best[k].min(t0.elapsed().as_secs_f64());
         }
-        println!("    kernel/{label:<18} {name:<6} {ns:10.1} ns");
     }
+    let per_op = 1e9 / iters as f64;
+    let [scalar_ns, swar_ns] = best.map(|secs| secs * per_op);
+    let swar_speedup = scalar_ns / swar_ns;
+    println!("    kernel/{label:<18} scalar {scalar_ns:10.1} ns");
+    println!("    kernel/{label:<18} swar   {swar_ns:10.1} ns");
     (
-        format!("        \"{label}\": {{{}}}", fields.join(", ")),
+        format!(
+            "        \"{label}\": {{\"scalar_ns\": {scalar_ns:.1}, \"swar_ns\": {swar_ns:.1}, \"swar_speedup\": {swar_speedup:.3}}}"
+        ),
         swar_speedup,
     )
 }
@@ -452,7 +438,7 @@ fn main() {
             ),
         ];
 
-        // ---- scan kernels: swar/avx2 vs the scalar reference ---------
+        // ---- scan kernels: swar vs the scalar reference --------------
         // The kernel rows measure *scan* cost, so they use a register
         // array large enough (>= 2^12 registers) for the word scan to
         // dominate the handful of boundary register merges; at tiny m
@@ -466,7 +452,7 @@ fn main() {
         // Sparse incoming: a handful of isolated nonzero registers, so
         // the steady-state merge is dominated by the word scan (zero and
         // equal runs) rather than by per-register boundary merges, which
-        // cost the same under every kernel.
+        // cost the same under both kernels.
         let ksparse = {
             let mut s = ExaLogLog::new(kernel_cfg);
             s.insert_hashes(&hashes(8, 0xB0A7));
@@ -567,14 +553,10 @@ fn main() {
         scan_min = scan_min.min(speedup);
     }
 
-    let kernels_available: Vec<String> = kernels::available()
-        .iter()
-        .map(|k| format!("\"{}\"", k.name()))
-        .collect();
     let json = format!(
         "{{\n  \"bench\": \"registers\",\n  \"mode\": \"{}\",\n  \"precision_p\": {},\n  \
          \"hashes_per_run\": {},\n  \"reps\": {},\n  \"unit\": \"ns_per_op\",\n  \
-         \"kernel\": \"{}\",\n  \"kernels_available\": [{}],\n  \"kernel_precision_p\": {},\n  \
+         \"kernel_precision_p\": {},\n  \
          \"equivalence\": \"{}\",\n  \"kernel_equivalence\": \"{}\",\n  \
          \"swar_merge_speedup_min\": {:.3},\n  \"scan_speedup_min\": {:.3},\n  \
          \"scan_speedup_ok\": {},\n  \"scan\": {{\n{}\n  }},\n  \"configs\": [\n{}\n  ]\n}}\n",
@@ -582,8 +564,6 @@ fn main() {
         args.p,
         args.hashes,
         args.reps,
-        ell_bench::active_kernel_name(),
-        kernels_available.join(", "),
         args.p.max(13),
         if ok { "ok" } else { "mismatch" },
         if kernel_ok { "ok" } else { "mismatch" },

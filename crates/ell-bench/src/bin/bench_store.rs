@@ -4,7 +4,6 @@
 //!
 //! ```text
 //! bench_store [--quick] [--out FILE] [--ops N] [--keys N] [--zipf S]
-//!             [--kernel scalar|swar|avx2]
 //!             [--shards N] [--threads LIST]
 //! ```
 //!
@@ -81,10 +80,6 @@ fn parse_args() -> Args {
             }
             "--out" => {
                 args.out = need(&argv, i, "--out");
-                i += 2;
-            }
-            "--kernel" => {
-                ell_bench::force_kernel_or_exit("bench_store", &need(&argv, i, "--kernel"));
                 i += 2;
             }
             "--ops" => {
@@ -297,7 +292,7 @@ fn main() {
     );
 
     let json = format!(
-        "{{\n  \"bench\": \"store\",\n  \"mode\": \"{}\",\n  \"kernel\": \"{}\",\n  \"ops\": {},\n  \
+        "{{\n  \"bench\": \"store\",\n  \"mode\": \"{}\",\n  \"ops\": {},\n  \
          \"key_universe\": {},\n  \"zipf_s\": {},\n  \"shards\": {},\n  \"reps\": {},\n  \
          \"available_parallelism\": {cores},\n  \
          \"scaling_factor\": {scaling_factor:.3},\n  \"scaling_threads\": {scaling_threads},\n  \
@@ -307,7 +302,6 @@ fn main() {
          \"deterministic_across_threads\": {},\n  \"roundtrip_ok\": {},\n  \
          \"results\": [\n{}\n  ]\n}}\n",
         if args.quick { "quick" } else { "full" },
-        ell_bench::active_kernel_name(),
         args.ops,
         args.keys,
         args.zipf,

@@ -6,7 +6,6 @@
 //!
 //! ```text
 //! bench_tiers [--quick] [--out FILE] [--keys N] [--base N] [--zipf S]
-//!             [--kernel scalar|swar|avx2]
 //!             [--shards N] [--reps N]
 //! ```
 //!
@@ -85,10 +84,6 @@ fn parse_args() -> Args {
             }
             "--out" => {
                 args.out = need(&argv, i, "--out");
-                i += 2;
-            }
-            "--kernel" => {
-                ell_bench::force_kernel_or_exit("bench_tiers", &need(&argv, i, "--kernel"));
                 i += 2;
             }
             "--keys" => {
@@ -360,7 +355,7 @@ fn main() {
     let _ = std::fs::remove_dir_all(&spill_dir);
 
     let json = format!(
-        "{{\n  \"bench\": \"tiers\",\n  \"mode\": \"{}\",\n  \"kernel\": \"{}\",\n  \"keys\": {},\n  \
+        "{{\n  \"bench\": \"tiers\",\n  \"mode\": \"{}\",\n  \"keys\": {},\n  \
          \"base_distinct_per_key\": {},\n  \"zipf_s\": {},\n  \"zipf_overlay_events\": {},\n  \
          \"shards\": {},\n  \"reps\": {},\n  \
          \"ingest_ns_untiered\": {ingest_ns_untiered:.1},\n  \
@@ -377,7 +372,6 @@ fn main() {
          \"query_ns_cold\": {query_ns_cold:.1},\n  \
          \"tier_bit_identity\": {tier_bit_identity}\n}}\n",
         if args.quick { "quick" } else { "full" },
-        ell_bench::active_kernel_name(),
         args.keys,
         args.base,
         args.zipf,

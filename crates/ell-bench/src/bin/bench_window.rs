@@ -8,7 +8,6 @@
 //! bench_window [--quick] [--out FILE] [--rounds N] [--epochs E]
 //!              [--keys N] [--events N] [--zipf S] [--drift D]
 //!              [--shards N] [--threads LIST] [--queries N]
-//!              [--kernel scalar|swar|avx2]
 //! ```
 //!
 //! The workload is the drifting Zipf [`WindowedStream`]: `--rounds`
@@ -226,10 +225,6 @@ fn parse_args() -> Args {
                     .split(',')
                     .map(|part| parse_or_die(part.to_string(), "--threads"))
                     .collect();
-                i += 2;
-            }
-            "--kernel" => {
-                ell_bench::force_kernel_or_exit("bench_window", &need(&argv, i, "--kernel"));
                 i += 2;
             }
             other => {
@@ -591,7 +586,6 @@ fn main() {
 
     let json = format!(
         "{{\n  \"bench\": \"window\",\n  \"mode\": \"{}\",\n  \"config\": \"{cfg}\",\n  \
-         \"kernel\": \"{}\",\n  \
          \"epoch_ring\": {},\n  \"rounds\": {},\n  \"events_per_epoch\": {},\n  \
          \"key_universe\": {},\n  \"zipf_s\": {},\n  \"drift_per_epoch\": {},\n  \
          \"shards\": {},\n  \"queries_per_k\": {},\n  \"available_parallelism\": {cores},\n  \
@@ -615,7 +609,6 @@ fn main() {
          \"entries_built\": {}, \"dirty_invalidations\": {}}},\n  \
          \"ingest\": [\n{}\n  ],\n  \"window_queries\": [\n{}\n  ]\n}}\n",
         if args.quick { "quick" } else { "full" },
-        ell_bench::active_kernel_name(),
         args.epochs,
         args.rounds,
         args.events,

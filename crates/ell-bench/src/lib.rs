@@ -32,42 +32,6 @@ pub fn hashes(n: usize, seed: u64) -> Vec<u64> {
     (0..n).map(|_| rng.next_u64()).collect()
 }
 
-/// Handles a `--kernel NAME` benchmark flag: pins the process-wide scan
-/// kernel before first use. Exits with status 2 on an unknown name or a
-/// conflicting already-active kernel, so a bench run never silently
-/// measures the wrong kernel.
-pub fn force_kernel_or_exit(bench: &str, name: &str) {
-    let Some(kernel) = exaloglog::kernels::Kernel::parse(name) else {
-        eprintln!("{bench}: --kernel expects scalar|swar|avx2, got {name:?}");
-        std::process::exit(2);
-    };
-    match exaloglog::kernels::force(kernel) {
-        Ok(pinned) => {
-            if pinned != kernel {
-                eprintln!(
-                    "{bench}: kernel {} unavailable on this hardware; running {}",
-                    kernel.name(),
-                    pinned.name()
-                );
-            }
-        }
-        Err(active) => {
-            eprintln!(
-                "{bench}: kernel already selected as {} before --kernel {name} took effect",
-                active.name()
-            );
-            std::process::exit(2);
-        }
-    }
-}
-
-/// The name of the scan kernel the process is running (`"scalar"`,
-/// `"swar"`, `"avx2"`), for bench JSON records.
-#[must_use]
-pub fn active_kernel_name() -> &'static str {
-    exaloglog::kernels::active().name()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

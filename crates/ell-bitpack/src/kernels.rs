@@ -1,5 +1,5 @@
-//! Vectorized word kernels: runtime-dispatched scan primitives over the
-//! packed little-endian byte buffer.
+//! Word kernels: the scan primitives over the packed little-endian byte
+//! buffer.
 //!
 //! Every hot path in the sketch stack — merge run-skipping, nonzero
 //! iteration, emptiness checks — reduces to one of three primitives over
@@ -10,183 +10,69 @@
 //! * classifying single words into zero / nonzero runs ([`ZeroRuns`]),
 //! * testing a whole buffer for zero ([`is_all_zero`]).
 //!
-//! Each primitive exists in three implementations selected by [`Kernel`]:
+//! Each primitive exists in two implementations selected by [`Kernel`]:
 //!
 //! | kernel   | technique                                               |
 //! |----------|---------------------------------------------------------|
 //! | `scalar` | one word at a time — the reference implementation       |
 //! | `swar`   | 4×-unrolled portable SWAR block masks (branch per block)|
-//! | `avx2`   | `_mm256_cmpeq_epi64` + `movemask` (x86-64, detected at runtime) |
+//!
+//! `swar` is the production kernel ([`active`]); `scalar` is the oracle
+//! the property tests and the `bench_registers` speedup gate compare it
+//! against. There is no runtime selection: tests and benchmarks pass an
+//! explicit [`Kernel`] to the `*_with` entry points to compare the two
+//! inside one process.
 //!
 //! # Bit-identity contract
 //!
-//! All kernels are **observationally identical**: for any input buffer(s),
-//! the set of `(index, value)` pairs visited, the zero verdicts, and —
-//! through the consumers in `exaloglog` — the merged register arrays are
-//! bit-for-bit equal to the scalar reference. Kernels may partition the
+//! Both kernels are **observationally identical**: for any input
+//! buffer(s), the set of `(index, value)` pairs visited, the zero
+//! verdicts, and — through the consumers in `exaloglog` — the merged
+//! register arrays are bit-for-bit equal. The kernels partition the
 //! buffer into *runs* differently (block granularity differs), but never
 //! in a way an observer of the visited fields can distinguish. This
 //! contract is enforced by `tests/proptest_kernels.rs` across widths
 //! 1..=64, including fields straddling run boundaries.
-//!
-//! # Selection
-//!
-//! [`active`] picks the kernel once per process via [`OnceLock`]: `swar`
-//! by default on every platform (the `avx2` kernel measures slower than
-//! `swar` on every merge row, even on hardware with native AVX2),
-//! overridable with the `ELL_KERNEL=scalar|swar|avx2` environment
-//! variable. Requesting `avx2` on hardware without it silently degrades to
-//! `swar`, so test matrices can set it unconditionally — but an
-//! *unrecognized* name panics on first use, so a typo fails the run
-//! instead of quietly measuring the default kernel. Benchmarks and
-//! tests can instead pass an explicit [`Kernel`] to the `*_with` entry
-//! points to compare kernels inside one process.
-
-use std::sync::OnceLock;
 
 use crate::mask;
 
-/// Words per SWAR/AVX2 block: 4 × 64 bits = one 256-bit vector.
+/// Words per SWAR block: 4 × 64 bits.
 const BLOCK: usize = 4;
 
 // ---------------------------------------------------------------------
-// Kernel selection.
+// Kernels.
 // ---------------------------------------------------------------------
 
 /// A word-scan implementation. See the [module docs](self) for the
-/// dispatch table and the bit-identity contract.
+/// table and the bit-identity contract.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Kernel {
-    /// Word-at-a-time reference implementation (always available).
+    /// Word-at-a-time reference implementation.
     Scalar,
-    /// Portable 4×-unrolled SWAR block masks (always available).
+    /// Portable 4×-unrolled SWAR block masks (the production kernel).
     Swar,
-    /// 256-bit AVX2 compares (x86-64 with runtime-detected AVX2 only).
-    Avx2,
 }
 
 impl Kernel {
-    /// The kernel's name as used by `ELL_KERNEL` and bench reports.
+    /// The kernel's name as used in bench reports and `ell store stats`.
     #[must_use]
     pub const fn name(self) -> &'static str {
         match self {
             Kernel::Scalar => "scalar",
             Kernel::Swar => "swar",
-            Kernel::Avx2 => "avx2",
-        }
-    }
-
-    /// Parses a kernel name (`"scalar"`, `"swar"`, `"avx2"`).
-    #[must_use]
-    pub fn parse(name: &str) -> Option<Kernel> {
-        match name {
-            "scalar" => Some(Kernel::Scalar),
-            "swar" => Some(Kernel::Swar),
-            "avx2" => Some(Kernel::Avx2),
-            _ => None,
-        }
-    }
-
-    /// Whether this kernel can run on the current hardware.
-    #[must_use]
-    pub fn is_supported(self) -> bool {
-        match self {
-            Kernel::Scalar | Kernel::Swar => true,
-            Kernel::Avx2 => avx2_detected(),
-        }
-    }
-
-    /// Degrades an unsupported kernel to the closest supported one
-    /// (`avx2` → `swar` off AVX2 hardware). Every scan entry point
-    /// normalizes its kernel argument, so an [`Kernel::Avx2`] value
-    /// constructed on non-AVX2 hardware is safe — it simply runs SWAR.
-    #[must_use]
-    pub fn normalize(self) -> Kernel {
-        if self == Kernel::Avx2 && !avx2_detected() {
-            Kernel::Swar
-        } else {
-            self
         }
     }
 }
 
-/// All kernels supported on the current hardware, fastest last.
+/// Both kernels, reference first.
 #[must_use]
-pub fn available() -> Vec<Kernel> {
-    [Kernel::Scalar, Kernel::Swar, Kernel::Avx2]
-        .into_iter()
-        .filter(|k| k.is_supported())
-        .collect()
+pub const fn available() -> [Kernel; 2] {
+    [Kernel::Scalar, Kernel::Swar]
 }
 
-#[inline]
-fn avx2_detected() -> bool {
-    #[cfg(target_arch = "x86_64")]
-    {
-        std::arch::is_x86_feature_detected!("avx2")
-    }
-    #[cfg(not(target_arch = "x86_64"))]
-    {
-        false
-    }
-}
-
-static ACTIVE: OnceLock<Kernel> = OnceLock::new();
-
-/// The process-wide kernel, selected once on first use: the `ELL_KERNEL`
-/// environment variable if set to a recognized name (normalized to the
-/// hardware), otherwise `swar`.
+/// The kernel every production entry point runs: [`Kernel::Swar`].
 #[must_use]
-pub fn active() -> Kernel {
-    *ACTIVE.get_or_init(select_from_env)
-}
-
-/// Pins the process-wide kernel before first use (e.g. from a benchmark's
-/// `--kernel` flag). The request is normalized to the hardware; returns
-/// the kernel actually pinned, or `Err` with the already-active kernel if
-/// selection has happened and disagrees.
-pub fn force(kernel: Kernel) -> Result<Kernel, Kernel> {
-    let k = kernel.normalize();
-    match ACTIVE.set(k) {
-        Ok(()) => Ok(k),
-        Err(_) => {
-            let current = active();
-            if current == k {
-                Ok(k)
-            } else {
-                Err(current)
-            }
-        }
-    }
-}
-
-fn select_from_env() -> Kernel {
-    match std::env::var("ELL_KERNEL") {
-        Ok(name) => kernel_from_env_name(&name).normalize(),
-        Err(_) => default_kernel(),
-    }
-}
-
-/// Resolves an `ELL_KERNEL` value to a kernel.
-///
-/// # Panics
-///
-/// Panics on an unrecognized name: a misconfigured run (a CI matrix
-/// typo, a stale script) must fail loudly rather than silently measure
-/// the default kernel, which is what the warn-and-continue fallback
-/// this replaced allowed.
-fn kernel_from_env_name(name: &str) -> Kernel {
-    match Kernel::parse(name) {
-        Some(k) => k,
-        None => panic!("ELL_KERNEL={name:?} is not one of scalar|swar|avx2"),
-    }
-}
-
-/// The kernel used when `ELL_KERNEL` is unset: `swar` everywhere. The
-/// `avx2` kernel stays selectable, but it is not the default — on an
-/// AVX2-capable host it runs the merge rows of `bench_registers` 2.5–4×
-/// slower than `swar`.
-fn default_kernel() -> Kernel {
+pub const fn active() -> Kernel {
     Kernel::Swar
 }
 
@@ -275,94 +161,6 @@ fn nonzero_bit(x: u64) -> u32 {
 }
 
 // ---------------------------------------------------------------------
-// AVX2 block-mask producers (the only unsafe code in the crate).
-// ---------------------------------------------------------------------
-
-/// 256-bit compare kernels. Bounds are enforced here with safe slice
-/// indexing; feature availability is guaranteed by [`Kernel::normalize`],
-/// which every scan entry point applies before an `Avx2` value can reach
-/// this module.
-#[cfg(target_arch = "x86_64")]
-mod avx2 {
-    #![allow(unsafe_code)]
-
-    use core::arch::x86_64::{
-        __m256i, _mm256_castsi256_pd, _mm256_cmpeq_epi64, _mm256_loadu_si256, _mm256_movemask_pd,
-        _mm256_or_si256, _mm256_setzero_si256, _mm256_testz_si256,
-    };
-
-    /// Per-word-pair (equal, zero-incoming) masks for one 4-word block.
-    /// Bit `j` of the first mask is `a[j] == b[j]`; of the second,
-    /// `b[j] == 0`.
-    #[inline]
-    pub(super) fn pair_masks(a: &[u8], b: &[u8], byte0: usize) -> (u32, u32) {
-        // The intrinsics below read exactly the 32 bytes holding words
-        // [byte0/8, byte0/8 + 4) of both `WordView`s; the dispatcher
-        // must never hand us a block that overhangs either buffer.
-        debug_assert!(
-            byte0 + 32 <= a.len() && byte0 + 32 <= b.len(),
-            "AVX2 block read [{byte0}, {}) exceeds a WordView byte length ({}, {})",
-            byte0 + 32,
-            a.len(),
-            b.len()
-        );
-        let a32: &[u8; 32] = a[byte0..byte0 + 32].try_into().expect("32-byte block");
-        let b32: &[u8; 32] = b[byte0..byte0 + 32].try_into().expect("32-byte block");
-        // SAFETY: both pointers reference 32 in-bounds bytes (checked by
-        // the slice conversions above); `loadu` has no alignment
-        // requirement; AVX2 availability is guaranteed by kernel
-        // normalization (see module docs).
-        unsafe {
-            let va = _mm256_loadu_si256(a32.as_ptr().cast::<__m256i>());
-            let vb = _mm256_loadu_si256(b32.as_ptr().cast::<__m256i>());
-            let eq = _mm256_movemask_pd(_mm256_castsi256_pd(_mm256_cmpeq_epi64(va, vb)));
-            let zero = _mm256_movemask_pd(_mm256_castsi256_pd(_mm256_cmpeq_epi64(
-                vb,
-                _mm256_setzero_si256(),
-            )));
-            (eq as u32, zero as u32)
-        }
-    }
-
-    /// Per-word zero mask for one 4-word block: bit `j` is `v[j] == 0`.
-    #[inline]
-    pub(super) fn zero_mask(v: &[u8], byte0: usize) -> u32 {
-        // Same contract as `pair_masks`: the load covers exactly the 32
-        // bytes of one in-bounds 4-word block of the `WordView`.
-        debug_assert!(
-            byte0 + 32 <= v.len(),
-            "AVX2 block read [{byte0}, {}) exceeds the WordView byte length ({})",
-            byte0 + 32,
-            v.len()
-        );
-        let v32: &[u8; 32] = v[byte0..byte0 + 32].try_into().expect("32-byte block");
-        // SAFETY: 32 in-bounds bytes; unaligned load; AVX2 guaranteed by
-        // kernel normalization.
-        unsafe {
-            let vv = _mm256_loadu_si256(v32.as_ptr().cast::<__m256i>());
-            _mm256_movemask_pd(_mm256_castsi256_pd(_mm256_cmpeq_epi64(
-                vv,
-                _mm256_setzero_si256(),
-            ))) as u32
-        }
-    }
-
-    /// Whether every 32-byte block of `chunks` is zero.
-    #[inline]
-    pub(super) fn all_zero_blocks(chunks: core::slice::ChunksExact<'_, u8>) -> bool {
-        // SAFETY: each chunk is exactly 32 in-bounds bytes; unaligned
-        // loads; AVX2 guaranteed by kernel normalization.
-        unsafe {
-            let mut acc = _mm256_setzero_si256();
-            for c in chunks {
-                acc = _mm256_or_si256(acc, _mm256_loadu_si256(c.as_ptr().cast::<__m256i>()));
-            }
-            _mm256_testz_si256(acc, acc) == 1
-        }
-    }
-}
-
-// ---------------------------------------------------------------------
 // Block-mask dispatch.
 // ---------------------------------------------------------------------
 
@@ -371,13 +169,8 @@ mod avx2 {
 /// clamp run extension to the real word count, so those bits are never
 /// observed.
 #[inline]
-fn pair_block_masks(kernel: Kernel, a: WordView<'_>, b: WordView<'_>, base: usize) -> (u32, u32) {
+fn pair_block_masks(a: WordView<'_>, b: WordView<'_>, base: usize) -> (u32, u32) {
     let byte0 = base * 8;
-    #[cfg(target_arch = "x86_64")]
-    if kernel == Kernel::Avx2 && byte0 + 32 <= a.bytes.len() && byte0 + 32 <= b.bytes.len() {
-        return avx2::pair_masks(a.bytes, b.bytes, byte0);
-    }
-    let _ = kernel;
     if byte0 + 32 <= a.bytes.len() && byte0 + 32 <= b.bytes.len() {
         let aw = load4(a.bytes, byte0);
         let bw = load4(b.bytes, byte0);
@@ -410,13 +203,8 @@ fn pair_block_masks(kernel: Kernel, a: WordView<'_>, b: WordView<'_>, base: usiz
 /// Zero mask for the 4-word block of `v` starting at word `base`; same
 /// out-of-range convention as [`pair_block_masks`].
 #[inline]
-fn zero_block_mask(kernel: Kernel, v: WordView<'_>, base: usize) -> u32 {
+fn zero_block_mask(v: WordView<'_>, base: usize) -> u32 {
     let byte0 = base * 8;
-    #[cfg(target_arch = "x86_64")]
-    if kernel == Kernel::Avx2 && byte0 + 32 <= v.bytes.len() {
-        return avx2::zero_mask(v.bytes, byte0);
-    }
-    let _ = kernel;
     if byte0 + 32 <= v.bytes.len() {
         let w = load4(v.bytes, byte0);
         (1 ^ nonzero_bit(w[0]))
@@ -521,12 +309,11 @@ pub struct RunCursor {
 }
 
 impl RunCursor {
-    /// Creates a cursor at word 0. The kernel is normalized to the
-    /// hardware (see [`Kernel::normalize`]).
+    /// Creates a cursor at word 0.
     #[must_use]
     pub fn new(kernel: Kernel) -> Self {
         RunCursor {
-            kernel: kernel.normalize(),
+            kernel,
             w: 0,
             pending: None,
             blk: usize::MAX,
@@ -602,7 +389,7 @@ impl RunCursor {
     #[inline]
     fn block(&mut self, a: WordView<'_>, b: WordView<'_>, blk: usize) -> (u32, u32) {
         if self.blk != blk {
-            let (eq, zero) = pair_block_masks(self.kernel, a, b, blk * BLOCK);
+            let (eq, zero) = pair_block_masks(a, b, blk * BLOCK);
             self.blk = blk;
             self.blk_eq = eq;
             self.blk_zero = zero;
@@ -639,12 +426,12 @@ pub struct ZeroRuns<'a> {
 }
 
 impl<'a> ZeroRuns<'a> {
-    /// Creates the scanner. The kernel is normalized to the hardware.
+    /// Creates the scanner.
     #[must_use]
     pub fn new(view: WordView<'a>, kernel: Kernel) -> Self {
         ZeroRuns {
             view,
-            kernel: kernel.normalize(),
+            kernel,
             w: 0,
             pending: None,
             blk: usize::MAX,
@@ -665,7 +452,7 @@ impl<'a> ZeroRuns<'a> {
     #[inline]
     fn block(&mut self, blk: usize) -> u32 {
         if self.blk != blk {
-            self.blk_zero = zero_block_mask(self.kernel, self.view, blk * BLOCK);
+            self.blk_zero = zero_block_mask(self.view, blk * BLOCK);
             self.blk = blk;
         }
         self.blk_zero
@@ -726,10 +513,10 @@ impl Iterator for ZeroRuns<'_> {
 // ---------------------------------------------------------------------
 
 /// Returns true if every byte of `bytes` is zero, scanning 32 bytes per
-/// step under the SWAR and AVX2 kernels.
+/// step under the SWAR kernel.
 #[must_use]
 pub fn is_all_zero(bytes: &[u8], kernel: Kernel) -> bool {
-    match kernel.normalize() {
+    match kernel {
         Kernel::Scalar => bytes.iter().all(|&b| b == 0),
         Kernel::Swar => {
             let mut chunks = bytes.chunks_exact(32);
@@ -740,18 +527,6 @@ pub fn is_all_zero(bytes: &[u8], kernel: Kernel) -> bool {
                 }
             }
             chunks.remainder().iter().all(|&b| b == 0)
-        }
-        Kernel::Avx2 => {
-            #[cfg(target_arch = "x86_64")]
-            {
-                let chunks = bytes.chunks_exact(32);
-                let tail = chunks.remainder();
-                avx2::all_zero_blocks(chunks) && tail.iter().all(|&b| b == 0)
-            }
-            #[cfg(not(target_arch = "x86_64"))]
-            {
-                unreachable!("Avx2 normalizes to Swar off x86-64")
-            }
         }
     }
 }
@@ -799,33 +574,11 @@ mod tests {
     }
 
     #[test]
-    fn kernel_names_roundtrip() {
-        for k in [Kernel::Scalar, Kernel::Swar, Kernel::Avx2] {
-            assert_eq!(Kernel::parse(k.name()), Some(k));
-        }
-        assert_eq!(Kernel::parse("neon"), None);
-        assert!(Kernel::Scalar.is_supported());
-        assert!(Kernel::Swar.is_supported());
-        assert!(available().contains(&Kernel::Swar));
-        assert_eq!(Kernel::Swar.normalize(), Kernel::Swar);
-    }
-
-    #[test]
-    fn env_kernel_resolves_known_names() {
-        assert_eq!(kernel_from_env_name("scalar"), Kernel::Scalar);
-        assert_eq!(kernel_from_env_name("swar"), Kernel::Swar);
-        assert_eq!(kernel_from_env_name("avx2"), Kernel::Avx2);
-    }
-
-    #[test]
-    fn default_kernel_is_swar_on_every_platform() {
-        assert_eq!(default_kernel(), Kernel::Swar);
-    }
-
-    #[test]
-    #[should_panic(expected = "ELL_KERNEL=\"sse9\" is not one of scalar|swar|avx2")]
-    fn env_kernel_unknown_name_fails_loudly() {
-        let _ = kernel_from_env_name("sse9");
+    fn swar_is_the_only_production_kernel() {
+        assert_eq!(active(), Kernel::Swar);
+        assert_eq!(available(), [Kernel::Scalar, Kernel::Swar]);
+        assert_eq!(Kernel::Scalar.name(), "scalar");
+        assert_eq!(Kernel::Swar.name(), "swar");
     }
 
     #[test]
@@ -939,11 +692,5 @@ mod tests {
             assert_eq!(seen, want, "width {width}");
         }
         for_each_nonzero_lane(0, 8, |_, _| panic!("no lanes in a zero word"));
-    }
-
-    #[test]
-    fn force_after_init_reports_active() {
-        let first = active();
-        assert_eq!(force(first), Ok(first));
     }
 }

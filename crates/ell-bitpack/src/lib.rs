@@ -34,9 +34,8 @@
 //! Sketch hot paths use it to skip whole runs of empty or identical
 //! registers per comparison instead of per field — see
 //! [`PackedArray::for_each_nonzero`]. The run classification itself is
-//! performed by the runtime-dispatched scan kernels in [`kernels`]
-//! (scalar reference, portable SWAR, AVX2), all property-tested
-//! bit-identical.
+//! performed by the scan kernels in [`kernels`] (portable SWAR, checked
+//! against a scalar reference), property-tested bit-identical.
 //!
 //! # Example
 //!
@@ -52,9 +51,7 @@
 //! assert_eq!(regs.get(1), 0);
 //! ```
 
-// `deny` rather than `forbid`: the AVX2 intrinsics in `kernels::avx2`
-// carry a scoped `#![allow(unsafe_code)]`; everything else stays safe.
-#![deny(unsafe_code)]
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 use core::fmt;
@@ -453,7 +450,7 @@ impl PackedArray {
     }
 
     /// Returns true if every field is zero, scanning 32 bytes per step
-    /// through the active word kernel (see [`kernels::active`]).
+    /// through the production word kernel (see [`kernels::active`]).
     #[must_use]
     pub fn is_all_zero(&self) -> bool {
         kernels::is_all_zero(&self.bits, kernels::active())
@@ -492,7 +489,7 @@ impl PackedArray {
     }
 
     /// Calls `visit(i, value)` for every nonzero field, in index order,
-    /// using the active scan kernel (see [`kernels::active`]).
+    /// using the production scan kernel (see [`kernels::active`]).
     pub fn for_each_nonzero(&self, visit: impl FnMut(usize, u64)) {
         self.for_each_nonzero_with(kernels::active(), visit);
     }

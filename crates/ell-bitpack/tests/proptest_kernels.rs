@@ -1,6 +1,7 @@
-//! Property tests for the scan kernels: every kernel (scalar reference,
-//! portable SWAR, AVX2 where the hardware has it) must be bit-identical
-//! to the scalar path — same nonzero fields visited in the same order,
+//! Property tests for the scan kernels: the SWAR kernel and the
+//! production entry points that run it (`PackedArray::for_each_nonzero`,
+//! `PackedArray::is_all_zero`) must be bit-identical to the scalar
+//! reference — same nonzero fields visited in the same order,
 //! same zero verdicts, and run partitions that merge to the same maximal
 //! same-class runs — across widths 1..=64, including fields straddling
 //! word and run boundaries, plus a deterministic sweep of adversarial
@@ -57,7 +58,8 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
     /// Nonzero iteration visits exactly the nonzero fields, in index
-    /// order, identically under every kernel.
+    /// order, identically under both kernels and through the production
+    /// `for_each_nonzero`.
     #[test]
     fn nonzero_iteration_bit_identical(
         width in 1u32..=64,
@@ -78,9 +80,12 @@ proptest! {
                 width
             );
         }
+        let mut production = Vec::new();
+        a.for_each_nonzero(|i, v| production.push((i, v)));
+        prop_assert_eq!(production, reference, "for_each_nonzero width {}", width);
     }
 
-    /// The merge run partition of every kernel coalesces to the scalar
+    /// The merge run partition of each kernel coalesces to the scalar
     /// (maximal) partition, covers the buffer contiguously, and agrees
     /// with the per-word scalar classification everywhere.
     #[test]
@@ -116,7 +121,8 @@ proptest! {
     }
 
     /// Zero-run scanning and the whole-buffer zero test agree with the
-    /// scalar reference under every kernel.
+    /// scalar reference under both kernels and through the production
+    /// `PackedArray::is_all_zero`.
     #[test]
     fn zero_scan_bit_identical(
         width in 1u32..=64,
@@ -135,6 +141,7 @@ proptest! {
             );
             prop_assert_eq!(kernels::is_all_zero(a.as_bytes(), kernel), all_zero);
         }
+        prop_assert_eq!(a.is_all_zero(), all_zero);
     }
 }
 

@@ -328,7 +328,7 @@ impl ExaLogLog {
     /// differ in d or p use [`ExaLogLog::merged_with`].
     ///
     /// The merge scans the two register arrays as 64-bit words through
-    /// the active scan kernel (see [`kernels::active`]) and skips whole
+    /// the production scan kernel (see [`kernels::active`]) and skips whole
     /// runs that cannot change `self` — words that are zero in `other`
     /// (nothing to contribute) or bit-identical in both sketches
     /// (register merge is idempotent) — before falling back to
@@ -347,9 +347,9 @@ impl ExaLogLog {
 
     /// [`ExaLogLog::merge_from`] under an explicit scan [`Kernel`].
     ///
-    /// Every kernel produces a bit-identical merged sketch (enforced by
-    /// property tests); this entry point exists so benchmarks and the
-    /// kernel test matrix can compare kernels within one process.
+    /// Both kernels produce a bit-identical merged sketch (enforced by
+    /// property tests); this entry point exists so benchmarks and tests
+    /// can compare them within one process.
     pub fn merge_from_with_kernel(&mut self, other: &Self, kernel: Kernel) -> Result<(), EllError> {
         if self.cfg != other.cfg {
             return Err(EllError::IncompatibleSketches {

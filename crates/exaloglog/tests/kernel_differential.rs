@@ -1,11 +1,10 @@
 //! Differential tests for the merge scan kernels: `merge_from` under
-//! every kernel the hardware supports must produce a serialized sketch
-//! bit-identical to the reference `merge_from_per_register` path, across
-//! register widths from 6 to 64 bits (aligned and straddling) and
-//! adversarial shapes — empty sketches, identical sketches, disjoint and
-//! overlapping streams, self-merges. A separate unit test pins the
-//! `ELL_KERNEL` override so the CI kernel matrix provably exercises each
-//! forced kernel.
+//! both kernels must produce a serialized sketch bit-identical to the
+//! reference `merge_from_per_register` path, across register widths from
+//! 6 to 64 bits (aligned and straddling) and adversarial shapes — empty
+//! sketches, identical sketches, disjoint and overlapping streams,
+//! self-merges. A separate test runs the production `merge_from` entry
+//! point, which always uses the SWAR kernel.
 
 use ell_hash::SplitMix64;
 use exaloglog::kernels::{self, Kernel};
@@ -114,21 +113,11 @@ fn adversarial_merge_shapes() {
     }
 }
 
-/// `merge_from` (active-kernel path) also matches the reference — this is
-/// what the CI kernel matrix runs under each forced `ELL_KERNEL`, and the
-/// active kernel must honour the override so those runs mean something.
+/// `merge_from` (the production entry point) runs the SWAR kernel and
+/// matches the reference.
 #[test]
-fn forced_kernel_is_honoured_and_identical() {
-    let active = kernels::active();
-    if let Ok(name) = std::env::var("ELL_KERNEL") {
-        if let Some(requested) = Kernel::parse(&name) {
-            assert_eq!(
-                active,
-                requested.normalize(),
-                "ELL_KERNEL={name} must pin the active kernel"
-            );
-        }
-    }
+fn active_kernel_merge_matches_reference() {
+    assert_eq!(kernels::active(), Kernel::Swar);
     for cfg in configs() {
         let dense = sketch_of(cfg, 3, 3000);
         let other = sketch_of(cfg, 5, 500);
@@ -136,11 +125,6 @@ fn forced_kernel_is_honoured_and_identical() {
         fast.merge_from(&other).unwrap();
         let mut reference = dense.clone();
         reference.merge_from_per_register(&other).unwrap();
-        assert_eq!(
-            fast.to_bytes(),
-            reference.to_bytes(),
-            "active kernel {} diverged",
-            active.name()
-        );
+        assert_eq!(fast.to_bytes(), reference.to_bytes());
     }
 }
