@@ -86,7 +86,8 @@ impl SlotState {
     /// every write-path mutation so the upgrade decision depends only on
     /// the slot state — never on thread interleaving. Every register
     /// width is hot-capable (the atomic sketch packs registers into u64
-    /// words), so the only condition is dense promotion.
+    /// words), so the only condition is dense promotion. The dense
+    /// sketch's cached coefficients seed the hot coefficient counters.
     fn upgrade(&mut self) {
         if let SlotState::Adaptive(s) = self {
             if let Some(dense) = s.as_dense() {
@@ -144,7 +145,8 @@ impl SlotState {
     }
 
     /// Heap bytes owned by this slot beyond its inline enum size (the
-    /// inline size is accounted through the shard map's capacity).
+    /// inline size is accounted through the shard map's capacity). A hot
+    /// slot's heap holds its register words and coefficient counters.
     fn heap_bytes(&self) -> usize {
         let pending_bytes =
             |p: &Option<Box<AdaptiveExaLogLog>>| p.as_ref().map_or(0, |s| s.memory_bytes());
@@ -332,7 +334,8 @@ impl EllStore {
     }
 
     /// Batched ingest: groups the batch by shard, drains inserts into
-    /// hot keys under one read lock per shard, then applies the rest
+    /// hot keys under one read lock per shard (one
+    /// [`AtomicExaLogLog::extend_hashes`] per key), then applies the rest
     /// (new keys, sparse keys, demoted keys — which promote back first)
     /// under the write lock, batching consecutive hashes per key through
     /// the sketch's `insert_hashes` hot path.
@@ -352,23 +355,26 @@ impl EllStore {
         let mut leftover: Vec<(&str, u64)> = Vec::new();
         {
             let map = self.core.read(si);
+            let mut hot: Vec<(&Slot, &AtomicExaLogLog, u64)> = Vec::with_capacity(bucket.len());
             for &(key, hash) in bucket {
-                match map.get(key) {
-                    Some(slot) => match &slot.state {
-                        SlotState::Hot(a) => {
-                            a.insert_hash(hash);
-                            // ordering: Relaxed — idle-age stamp raced by
-                            // other readers; `demote_idle` reads it under
-                            // the shard write lock, whose acquire already
-                            // orders it after every stamp made under a
-                            // read lock. Worst case a lost race delays a
-                            // demotion by one sweep.
-                            slot.touched.store(now, Ordering::Relaxed);
-                        }
-                        _ => leftover.push((key, hash)),
-                    },
-                    None => leftover.push((key, hash)),
+                match map.get(key).map(|slot| (slot, &slot.state)) {
+                    Some((slot, SlotState::Hot(a))) => hot.push((slot, a, hash)),
+                    _ => leftover.push((key, hash)),
                 }
+            }
+            // One `extend_hashes` per key: its coefficient terms reach the
+            // shared counters in one publish, not one per register change,
+            // so concurrent ingests of a hot key rarely contend on them.
+            hot.sort_by_key(|&(slot, ..)| std::ptr::from_ref(slot) as usize);
+            for run in hot.chunk_by(|x, y| std::ptr::eq(x.0, y.0)) {
+                let (slot, a, _) = run[0];
+                a.extend_hashes(run.iter().map(|&(.., hash)| hash));
+                // ordering: Relaxed — idle-age stamp raced by other
+                // readers; `demote_idle` reads it under the shard write
+                // lock, whose acquire already orders it after every stamp
+                // made under a read lock. Worst case a lost race delays a
+                // demotion by one sweep.
+                slot.touched.store(now, Ordering::Relaxed);
             }
         }
         if leftover.is_empty() {
@@ -385,11 +391,7 @@ impl EllStore {
                         // Another thread may have upgraded the slot
                         // between our read and write sections — the hot
                         // path also works under the write lock.
-                        SlotState::Hot(a) => {
-                            for h in hashes {
-                                a.insert_hash(h);
-                            }
-                        }
+                        SlotState::Hot(a) => a.extend_hashes(hashes),
                         SlotState::Adaptive(s) => {
                             s.insert_hashes(&hashes);
                             slot.state.upgrade();
@@ -441,11 +443,11 @@ impl EllStore {
     }
 
     /// Places a restored sketch under `key`, replacing any existing
-    /// slot. Used by snapshot restoration. Deserialization already
-    /// rebuilds the dense coefficient cache eagerly, so slots that stay
-    /// on the locked adaptive path serve per-key estimates from the
-    /// incremental estimator exactly like ingested keys — no extra
-    /// warming needed here.
+    /// slot. Used by snapshot restoration. A restored dense sketch goes
+    /// straight to the hot atomic path ([`SlotState::resident`]); the
+    /// coefficients its deserialization cached seed the hot slot's
+    /// coefficient counters, so its first estimate costs no register
+    /// scan. Sparse sketches stay on the locked adaptive path.
     pub(crate) fn place(&self, key: String, sketch: AdaptiveExaLogLog) {
         self.core
             .insert(key, Slot::new(SlotState::resident(sketch), self.clock()));
@@ -828,6 +830,14 @@ mod tests {
     fn cfg() -> EllConfig {
         // 24-bit registers: hot-path capable.
         EllConfig::new(2, 16, 6).unwrap()
+    }
+
+    #[test]
+    fn slot_state_stays_small() {
+        // Every slot pays this inline size, cold ones included; the hot
+        // sketch keeps its coefficient counters behind one pointer so
+        // they do not grow it.
+        assert_eq!(core::mem::size_of::<SlotState>(), 40);
     }
 
     #[test]

@@ -189,6 +189,9 @@ impl DistinctCounter for AtomicExaLogLog {
     fn insert_hash(&mut self, h: u64) {
         AtomicExaLogLog::insert_hash(self, h);
     }
+    fn insert_hashes(&mut self, hashes: &[u64]) {
+        self.extend_hashes(hashes.iter().copied());
+    }
     fn estimate(&self) -> f64 {
         AtomicExaLogLog::estimate(self)
     }

@@ -25,18 +25,20 @@
 //! accumulator (one table load and one add per 8 bits); the lanes are
 //! folded into per-bit column counters before any lane can overflow. The
 //! column counts turn into exact (α·2^64, β) once at the end, so the
-//! result is bit-identical to the per-bit loop of [`add_register`], which
-//! stays as the primitive of the incremental cache below and as the test
-//! oracle. At p = 12 with ELL(2, 20) this cuts a scan from ~310 µs to
-//! ~23 µs (`bench_registers`, 2-core Intel Xeon).
+//! result is bit-identical to a fold of [`add_register`], the paper's
+//! per-bit loop kept as the test oracle. At p = 12 with ELL(2, 20) this
+//! cuts a scan from ~310 µs to ~23 µs (`bench_registers`, 2-core Intel
+//! Xeon).
 //!
 //! Because each register's contribution to (α, β) is independent of every
 //! other register and all arithmetic is exact (α is tracked as the integer
 //! α·2^64, β as counts), the coefficients can also be maintained
-//! *incrementally*: [`add_register`]/[`remove_register`] fold one
-//! register's contribution in or out, and [`apply_register_change`]
-//! updates a coefficient set in O(1) for the common indicator-bit-only
-//! register change. The incremental path is bit-identical to a fresh
+//! *incrementally*. [`register_transition`] is the one place that knows
+//! how a register change moves probability mass: it emits the change's
+//! terms to a [`CoefficientSink`]. [`apply_register_change`] updates a
+//! `u128` coefficient set through it; the lock-free
+//! [`crate::atomic::AtomicExaLogLog`] applies the same terms to atomic
+//! counters. The incremental path is bit-identical to a fresh
 //! [`compute_coefficients`] scan — `ExaLogLog` keeps a cached coefficient
 //! set up to date through it and asserts the equivalence in debug builds.
 //!
@@ -262,9 +264,140 @@ impl<'a> ColumnScan<'a> {
     }
 }
 
+/// Receives the coefficient changes of one register transition from
+/// [`register_transition`], in this order: every β increment, then one
+/// α decrease, then every β decrement.
+///
+/// This is how Algorithm 3's per-register logic serves two consumers:
+/// the sequential `u128` cache ([`MlCoefficients`]) and the lock-free
+/// counters of [`crate::atomic::AtomicExaLogLog`]. Emitting increments
+/// before decrements lets the atomic consumer publish them in that order
+/// without buffering (see CONCURRENCY.md § "Coefficient counters on hot
+/// slots").
+pub trait CoefficientSink {
+    /// β\[`level`\] grows by one: a value at that level was seen.
+    fn add_beta(&mut self, level: usize);
+    /// α·2^64 falls by `amount`, a multiple of 2^p (every α term is).
+    fn sub_alpha(&mut self, amount: u128);
+    /// β\[`level`\] shrinks by one: a seen value left the indicator
+    /// window.
+    fn sub_beta(&mut self, level: usize);
+}
+
+impl CoefficientSink for MlCoefficients {
+    fn add_beta(&mut self, level: usize) {
+        self.beta[level] += 1;
+    }
+
+    fn sub_alpha(&mut self, amount: u128) {
+        self.alpha_times_2_64 -= amount;
+    }
+
+    fn sub_beta(&mut self, level: usize) {
+        debug_assert!(self.beta[level] > 0, "β[{level}] underflow");
+        self.beta[level] -= 1;
+    }
+}
+
+/// 2^64·ω(u): the α share of the values above a register maximum u.
+fn omega_times_2_64(cfg: &EllConfig, u: u64) -> u128 {
+    let (num, e) = omega_exact(cfg, u);
+    u128::from(num) << (64 - e)
+}
+
+/// Emits the Algorithm 3 terms that turn the coefficients of register
+/// value `old` into those of `new`, where `new` is `old` joined with
+/// further updates (an insert or a register merge).
+///
+/// Algorithm 3 gives every update value k one of three roles in a
+/// register with maximum u: unseen (k > u, or an unset indicator bit),
+/// adding 2^(−φ(k)) to α; seen (k = u, or a set indicator bit), adding
+/// one to β\[φ(k)\]; or below the indicator window, adding nothing. A
+/// transition only moves values from unseen to seen, and from either
+/// role to below the window, so α never increases. The terms are
+/// emitted value by value, except for the unseen values that drop
+/// straight below the new window, which leave α as one difference of
+/// tail probabilities ω. The cost is O(values that change role), not
+/// O(d).
+pub fn register_transition<S: CoefficientSink + ?Sized>(
+    sink: &mut S,
+    cfg: &EllConfig,
+    old: u64,
+    new: u64,
+) {
+    let d = cfg.d();
+    let d64 = u64::from(d);
+    let indicators = ell_bitpack::mask(u32::from(d));
+    let (u, v) = (old >> d, new >> d);
+    debug_assert!(v >= u, "register maxima only grow");
+    let up = v - u;
+    // The values `old` has seen, in the frame of `new`: bit b stands for
+    // value v − d + b. The old maximum is the implicit bit d of its field.
+    let shifted = if up == 0 {
+        old & indicators
+    } else if u == 0 || up > d64 {
+        0
+    } else {
+        ((1u64 << d) | (old & indicators)) >> up
+    };
+    // Bits below d + 1 − v would stand for values k ≤ 0: the sentinel of
+    // a register with maximum ≤ d, never an update value.
+    let valid = indicators & !ell_bitpack::mask((d64 + 1).saturating_sub(v) as u32);
+    debug_assert_eq!(shifted & valid & !new, 0, "register bits may only be added");
+
+    let mut alpha_drop = 0i128;
+    let mut seen = |sink: &mut S, k: u64| {
+        let j = phi(cfg, k);
+        alpha_drop += 1i128 << (64 - j);
+        sink.add_beta(j as usize);
+    };
+    let mut added = new & valid & !shifted;
+    while added != 0 {
+        seen(sink, v + u64::from(added.trailing_zeros()) - d64);
+        added &= added - 1;
+    }
+    // Bits of the old field (value u − d + b) that fall below the new
+    // window, restricted to update values k ≥ 1.
+    let mut dropped = 0u64;
+    let mut old_field = 0u64;
+    if up > 0 {
+        seen(sink, v);
+        if u > 0 {
+            old_field = (1u64 << d) | (old & indicators);
+            let below_one = ell_bitpack::mask((d64 + 1).saturating_sub(u) as u32);
+            dropped = ell_bitpack::mask(up.min(d64 + 1) as u32) & !below_one;
+            let mut unseen = dropped & !old_field;
+            while unseen != 0 {
+                let k = u + u64::from(unseen.trailing_zeros()) - d64;
+                alpha_drop += 1i128 << (64 - phi(cfg, k));
+                unseen &= unseen - 1;
+            }
+        }
+        // The values strictly between the old maximum and the new window
+        // were all unseen.
+        if v > u + d64 + 1 {
+            alpha_drop +=
+                omega_times_2_64(cfg, u) as i128 - omega_times_2_64(cfg, v - d64 - 1) as i128;
+        }
+    }
+    debug_assert!(alpha_drop >= 0, "a register transition never raises α");
+    sink.sub_alpha(alpha_drop as u128);
+    let mut gone = dropped & old_field;
+    while gone != 0 {
+        let k = u + u64::from(gone.trailing_zeros()) - d64;
+        sink.sub_beta(phi(cfg, k) as usize);
+        gone &= gone - 1;
+    }
+}
+
 /// Adds one register's contribution to a coefficient set (one loop
-/// iteration of Algorithm 3). Exact integer arithmetic: folding the same
-/// registers in any order yields bit-identical coefficients.
+/// iteration of Algorithm 3, as the paper states it: ω(u) to α, the
+/// maximum to β, then one step per indicator bit). Exact integer
+/// arithmetic: folding the same registers in any order yields
+/// bit-identical coefficients. No estimator uses this loop; it is the
+/// independent reference that the tests check [`register_transition`]
+/// and the column-count scan against, and the baseline
+/// `bench_registers` times the scan against.
 pub fn add_register(coeffs: &mut MlCoefficients, cfg: &EllConfig, r: u64) {
     let d = cfg.d();
     let p = u32::from(cfg.p());
@@ -292,69 +425,11 @@ pub fn add_register(coeffs: &mut MlCoefficients, cfg: &EllConfig, r: u64) {
     }
 }
 
-/// Removes one register's contribution from a coefficient set — the exact
-/// inverse of [`add_register`].
-///
-/// # Panics
-///
-/// Panics (debug) if the coefficients never contained this register's
-/// contribution (β underflow).
-pub fn remove_register(coeffs: &mut MlCoefficients, cfg: &EllConfig, r: u64) {
-    let d = cfg.d();
-    let u = r >> d;
-    let (num, e) = omega_exact(cfg, u);
-    coeffs.alpha_times_2_64 -= u128::from(num) << (64 - e);
-    if u >= 1 {
-        let j = phi(cfg, u) as usize;
-        debug_assert!(coeffs.beta[j] > 0, "β[{j}] underflow");
-        coeffs.beta[j] -= 1;
-    }
-    if u >= 2 {
-        let k_lo = if u > u64::from(d) {
-            u - u64::from(d)
-        } else {
-            1
-        };
-        for k in k_lo..u {
-            let j = phi(cfg, k);
-            if r & (1u64 << (u64::from(d) - (u - k))) == 0 {
-                coeffs.alpha_times_2_64 -= 1u128 << (64 - j);
-            } else {
-                debug_assert!(coeffs.beta[j as usize] > 0, "β[{j}] underflow");
-                coeffs.beta[j as usize] -= 1;
-            }
-        }
-    }
-}
-
 /// Replaces one register's contribution: the coefficients transition from
-/// describing a state with register value `old` to one with value `new`.
-///
-/// The dominant change shape — the maximum is unchanged and one or more
-/// indicator bits were added (`registers::update` with a value inside the
-/// window, or a same-maximum merge) — is applied in O(bits added): each
-/// freshly seen value moves its probability mass 2^(−φ(k)) from the
-/// unseen side (α) to the observed side (β). Any change of the register
-/// maximum falls back to [`remove_register`] + [`add_register`].
+/// describing a state with register value `old` to one with value `new`
+/// ([`register_transition`] applied to the `u128` cache).
 pub fn apply_register_change(coeffs: &mut MlCoefficients, cfg: &EllConfig, old: u64, new: u64) {
-    let d = cfg.d();
-    let u = new >> d;
-    if old >> d == u {
-        // Indicator-only change: `new` has a superset of `old`'s bits.
-        debug_assert_eq!(old & !new, 0, "register bits may only be added");
-        let mut added = new ^ old;
-        while added != 0 {
-            let b = u64::from(added.trailing_zeros());
-            let k = u - (u64::from(d) - b);
-            let j = phi(cfg, k);
-            coeffs.alpha_times_2_64 -= 1u128 << (64 - j);
-            coeffs.beta[j as usize] += 1;
-            added &= added - 1;
-        }
-    } else {
-        remove_register(coeffs, cfg, old);
-        add_register(coeffs, cfg, new);
-    }
+    register_transition(coeffs, cfg, old, new);
 }
 
 /// Solves the ML equation f(x) = α·2^(u_max)·x − φ(x) = 0 and returns the
@@ -527,6 +602,51 @@ mod tests {
             }
             scan.add_empty(empty as u64);
             assert_eq!(scan.finish(), oracle, "t={t} d={d}");
+        }
+    }
+
+    #[test]
+    fn transitions_match_the_per_bit_algorithm() {
+        // Every step of random insert and merge chains, from empty to the
+        // maximum update value, against the per-bit oracle: the change
+        // old → new must turn old's contribution into new's.
+        use crate::registers::{merge, update};
+        for (t, d, p) in [
+            (2u8, 20u8, 10u8),
+            (0, 0, 4),
+            (1, 9, 2),
+            (0, 58, 3),
+            (6, 2, 26),
+            (2, 24, 26),
+        ] {
+            let c = cfg(t, d, p);
+            let max = c.max_update_value();
+            let mut rng = ell_hash::SplitMix64::new(u64::from(t) << 8 | u64::from(d));
+            for _ in 0..300 {
+                let mut r = 0u64;
+                for step in 0..12 {
+                    let k = match step % 4 {
+                        0 => 1 + rng.next_u64() % max,
+                        1 => (r >> d)
+                            .saturating_sub(rng.next_u64() % (u64::from(d) + 2))
+                            .max(1),
+                        2 => ((r >> d) + 1 + rng.next_u64() % 3).min(max),
+                        _ => max,
+                    };
+                    let next = if rng.next_u64().is_multiple_of(3) {
+                        merge(r, update(update(0, k, d), 1 + rng.next_u64() % max, d), d)
+                    } else {
+                        update(r, k, d)
+                    };
+                    let mut want = empty_coefficients(0);
+                    add_register(&mut want, &c, next);
+                    let mut got = empty_coefficients(0);
+                    add_register(&mut got, &c, r);
+                    apply_register_change(&mut got, &c, r, next);
+                    assert_eq!(got, want, "cfg {c}: {r:#x} -> {next:#x}");
+                    r = next;
+                }
+            }
         }
     }
 

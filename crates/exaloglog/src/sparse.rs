@@ -237,10 +237,11 @@ impl SparseExaLogLog {
     /// Folds this sketch into a lock-free atomic accumulator of the same
     /// configuration: a dense phase merges register-wise (word-scan over
     /// nonzero registers, CAS per hit), a sparse phase replays its decoded
-    /// token hashes through the atomic insert path. Because register
-    /// updates are monotone, the result is bit-identical to inserting the
-    /// original hash stream directly — this is the keyed store's
-    /// buffered-delta flush into hot slots.
+    /// token hashes through the atomic insert path
+    /// ([`AtomicExaLogLog::extend_hashes`], one coefficient publish per
+    /// call). Because register updates are monotone, the result is
+    /// bit-identical to inserting the original hash stream directly — this
+    /// is the keyed store's buffered-delta flush into hot slots.
     ///
     /// # Errors
     ///
@@ -253,9 +254,7 @@ impl SparseExaLogLog {
         }
         match &self.phase {
             Phase::Sparse(tokens) => {
-                for h in tokens.hashes() {
-                    acc.insert_hash(h);
-                }
+                acc.extend_hashes(tokens.hashes());
                 Ok(())
             }
             Phase::Dense(sketch) => acc.merge_from(sketch),

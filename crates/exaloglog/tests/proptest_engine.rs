@@ -11,6 +11,7 @@
 //! suite (including the registry-driven `tests/trait_laws.rs` laws).
 
 use ell_hash::SplitMix64;
+use exaloglog::atomic::AtomicExaLogLog;
 use exaloglog::ml;
 use exaloglog::{EllConfig, ExaLogLog};
 use proptest::prelude::*;
@@ -68,7 +69,9 @@ proptest! {
     /// coefficients equal a fresh Algorithm 3 scan, the ML estimate is
     /// bit-identical to the scan-based one, and the serialized state
     /// equals a reference sketch driven through the sequential insert /
-    /// per-register merge paths.
+    /// per-register merge paths. An `AtomicExaLogLog` twin driven through
+    /// the same operations keeps coefficient counters equal to its scan
+    /// and estimates bit-identically to the sequential sketch.
     #[test]
     fn incremental_coefficients_match_scan(
         cfg_idx in 0usize..10,
@@ -77,6 +80,7 @@ proptest! {
         let cfg = configs()[cfg_idx];
         let mut fast = ExaLogLog::new(cfg);
         let mut reference = ExaLogLog::new(cfg);
+        let mut atomic = AtomicExaLogLog::new(cfg);
         for op in ops {
             match op {
                 Op::Insert { seed, n } => {
@@ -84,6 +88,7 @@ proptest! {
                     fast.insert_hashes(&hs);
                     for &h in &hs {
                         reference.insert_hash(h);
+                        atomic.insert_hash(h);
                     }
                 }
                 Op::Merge { seed, n } => {
@@ -91,12 +96,17 @@ proptest! {
                     other.insert_hashes(&hashes(seed, n));
                     fast.merge_from(&other).unwrap();
                     reference.merge_from_per_register(&other).unwrap();
+                    atomic.merge_from(&other).unwrap();
                 }
                 Op::Clear => {
                     fast.clear();
                     reference.clear();
+                    atomic = AtomicExaLogLog::new(cfg);
                 }
                 Op::Roundtrip => {
+                    atomic = AtomicExaLogLog::from_sketch(
+                        &ExaLogLog::from_bytes(&atomic.snapshot().to_bytes()).unwrap(),
+                    );
                     fast = ExaLogLog::from_bytes(&fast.to_bytes()).unwrap();
                     // Deserialization rebuilds the cache eagerly: the
                     // restored sketch must estimate through the
@@ -112,6 +122,8 @@ proptest! {
             prop_assert_eq!(fast.estimate_ml_raw().to_bits(), scan_estimate.to_bits());
             prop_assert_eq!(fast.to_bytes(), reference.to_bytes());
             prop_assert_eq!(fast.estimate().to_bits(), reference.estimate().to_bits());
+            prop_assert_eq!(atomic.coefficients(), Some(atomic.coefficients_scan()));
+            prop_assert_eq!(atomic.estimate().to_bits(), fast.estimate().to_bits());
         }
     }
 
@@ -262,5 +274,36 @@ proptest! {
             ml::add_register(&mut oracle, &cfg, r);
         }
         prop_assert_eq!(ml::compute_coefficients(&cfg, regs.into_iter()), oracle);
+    }
+
+    /// The incremental transition behind `apply_register_change` (and the
+    /// atomic counters) equals the per-bit oracle: turning register `r`'s
+    /// contribution into that of `r` joined with an insert or a register
+    /// merge gives exactly `add_register` of the result, for every t, d
+    /// and p.
+    #[test]
+    fn register_transition_equals_per_bit_oracle(
+        t in 0u8..=6,
+        d_raw in 0u8..=58,
+        p in 2u8..=26,
+        seed in any::<u64>(),
+    ) {
+        let cfg = EllConfig::new(t, d_raw.min(58 - t), p).unwrap();
+        let d = cfg.d();
+        let mut rng = SplitMix64::new(seed);
+        for _ in 0..32 {
+            let r = valid_register(&cfg, &mut rng);
+            let next = if rng.next_u64().is_multiple_of(2) {
+                exaloglog::registers::merge(r, valid_register(&cfg, &mut rng), d)
+            } else {
+                exaloglog::registers::update(r, 1 + rng.next_u64() % cfg.max_update_value(), d)
+            };
+            let mut want = ml::empty_coefficients(0);
+            ml::add_register(&mut want, &cfg, next);
+            let mut got = ml::empty_coefficients(0);
+            ml::add_register(&mut got, &cfg, r);
+            ml::apply_register_change(&mut got, &cfg, r, next);
+            prop_assert_eq!(got, want, "{:#x} -> {:#x}", r, next);
+        }
     }
 }
