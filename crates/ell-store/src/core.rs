@@ -4,7 +4,7 @@
 //! agree on everything except what a key holds: a power-of-two table of
 //! `RwLock<HashMap<String, V>>` shards routed by a fixed-seed key hash,
 //! and one handoff queue per shard on which buffered
-//! [`Session`](crate::Session)s park `(key, tag, delta)` triples when the
+//! [`Session`](crate::Session)s park `(key, tag, hashes)` runs when the
 //! shard is contended. `V` is one sketch slot for the flat store and an
 //! epoch ring for the windowed one; the tag `T` is `()` and the epoch.
 //! [`KeyedCore`] owns that table and its iteration helpers, and the
@@ -12,7 +12,7 @@
 //! parameterized by each store's per-key merge.
 //!
 //! Register merge is commutative and idempotent (paper §1, §2), so a
-//! parked delta may be applied by any thread at any time: the protocol
+//! parked run may be applied by any thread at any time: the protocol
 //! only has to guarantee that nothing parked is lost and that a barrier
 //! flush leaves every queue empty behind it (CONCURRENCY.md § "Session
 //! handoff", modeled by `ell-verify::models::handoff`).
@@ -28,13 +28,24 @@ use std::collections::HashMap;
 /// shared by both stores so they shard a key space identically.
 const KEY_HASH_SEED: u64 = 0xE115_70E5;
 
-/// Soft bound on a shard's handoff queue: once this many deltas are
+/// Soft bound on a shard's handoff queue: once this many runs are
 /// queued, the enqueueing session drains the shard itself (blocking on
 /// the write lock) instead of deferring to a later flush.
 const HANDOFF_SOFT_CAPACITY: usize = 64;
 
-/// One shard's handoff queue of parked `(key, tag, delta)` triples.
-type Queue<T> = Vec<(String, T, AdaptiveExaLogLog)>;
+/// One shard's handoff queue of parked `(key, tag, hashes)` runs.
+type Queue<T> = Vec<(String, T, Vec<u64>)>;
+
+/// One key's share of a session flush: every hash buffered for `key`
+/// under `tag`, bound for shard `shard`. One key may arrive as several
+/// runs (merges commute), but a run never mixes keys or tags.
+#[derive(Debug)]
+pub(crate) struct Run<'l, T> {
+    pub(crate) shard: usize,
+    pub(crate) key: &'l str,
+    pub(crate) tag: T,
+    pub(crate) hashes: &'l [u64],
+}
 
 /// The shard table plus the per-shard handoff queues (kept strictly
 /// parallel to the shards).
@@ -72,8 +83,18 @@ impl<V, T> KeyedCore<V, T> {
         self.shards.len()
     }
 
+    /// The fixed-seed key hash shard routing is derived from.
+    pub(crate) fn key_hash(&self, key: &str) -> u64 {
+        self.hasher.hash_bytes(key.as_bytes())
+    }
+
+    /// The shard a key with hash `key_hash` lives in: its low bits.
+    pub(crate) fn shard_of_hash(&self, key_hash: u64) -> usize {
+        (key_hash as usize) & (self.shards.len() - 1)
+    }
+
     pub(crate) fn shard_of(&self, key: &str) -> usize {
-        (self.hasher.hash_bytes(key.as_bytes()) as usize) & (self.shards.len() - 1)
+        self.shard_of_hash(self.key_hash(key))
     }
 
     pub(crate) fn read(&self, si: usize) -> RwLockReadGuard<'_, HashMap<String, V>> {
@@ -157,7 +178,7 @@ impl<V, T> KeyedCore<V, T> {
     /// Deep footprint of the table: the shard and queue vectors, each
     /// map's bucket capacity (a hashbrown table pays one control byte
     /// plus one `(key, value)` pair per bucket), key strings, parked
-    /// deltas, and `heap_bytes` of every value.
+    /// runs, and `heap_bytes` of every value.
     pub(crate) fn memory_bytes(&self, heap_bytes: impl Fn(&V) -> usize) -> usize {
         let mut total = self.shards.capacity() * core::mem::size_of::<RwLock<HashMap<String, V>>>()
             + self.queues.capacity() * core::mem::size_of::<Mutex<Queue<T>>>();
@@ -168,9 +189,9 @@ impl<V, T> KeyedCore<V, T> {
                 total += key.len() + heap_bytes(value);
             }
             let queue = self.queue(si);
-            total += queue.capacity() * core::mem::size_of::<(String, T, AdaptiveExaLogLog)>();
-            for (key, _, delta) in queue.iter() {
-                total += key.len() + delta.memory_bytes();
+            total += queue.capacity() * core::mem::size_of::<(String, T, Vec<u64>)>();
+            for (key, _, hashes) in queue.iter() {
+                total += key.len() + core::mem::size_of_val(hashes.as_slice());
             }
         }
         total
@@ -195,44 +216,39 @@ pub(crate) fn group_by_key<'k>(bucket: &[(&'k str, u64)]) -> HashMap<&'k str, Ve
 pub(crate) trait Keyed {
     /// What each key holds in the shard maps.
     type Value;
-    /// What a buffered delta is tagged with besides its key.
-    type Tag: Copy + PartialEq + core::fmt::Debug;
+    /// What a buffered observation is tagged with besides its key.
+    type Tag: Copy + Ord + core::fmt::Debug;
     /// Store-wide state pinned for the length of one handoff merge.
     type Pin: Copy;
 
     fn core(&self) -> &KeyedCore<Self::Value, Self::Tag>;
 
-    /// An empty delta sketch for a session buffer.
+    /// An empty sketch for a new key or a parked pending entry.
     fn new_delta(&self) -> AdaptiveExaLogLog;
 
     /// Runs `f` with the store-wide state pinned. The windowed store
-    /// holds its epoch read lock for the duration, so every delta's
+    /// holds its epoch read lock for the duration, so every run's
     /// live-or-retired decision agrees with rotation.
     fn pinned<R>(&self, f: impl FnOnce(Self::Pin) -> R) -> R;
 
-    /// Merges one delta into `key`'s value (creating the key if new)
-    /// under the held shard write lock.
-    fn merge_delta(
+    /// Folds one run of `key`'s hashes under `tag` into its value
+    /// (creating the key if new) under the held shard write lock. The
+    /// only per-key merge of the handoff protocol.
+    fn merge_hashes(
         &self,
         map: &mut HashMap<String, Self::Value>,
         key: &str,
         tag: Self::Tag,
-        delta: &AdaptiveExaLogLog,
+        hashes: &[u64],
         pin: Self::Pin,
     );
 
-    /// Flushes one shard's group of session deltas *by reference*: on an
-    /// uncontended (or barrier) lock the deltas merge straight from the
-    /// session's buffers and are reset in place, so the session reuses
-    /// its allocations across flushes. A contended auto-flush parks
-    /// clones on the handoff queue instead, and blocking-drains the
-    /// queue itself once it reaches [`HANDOFF_SOFT_CAPACITY`].
-    fn flush_group(
-        &self,
-        si: usize,
-        group: &mut [(&String, Self::Tag, &mut AdaptiveExaLogLog)],
-        barrier: bool,
-    ) {
+    /// Flushes one shard's runs of a session log: on an uncontended (or
+    /// barrier) lock each run folds straight from the session's log into
+    /// its slot. A contended auto-flush parks copies of the runs on the
+    /// handoff queue instead, and blocking-drains the queue itself once
+    /// it reaches [`HANDOFF_SOFT_CAPACITY`].
+    fn flush_runs(&self, si: usize, runs: &[Run<'_, Self::Tag>], barrier: bool) {
         let core = self.core();
         let overflow = self.pinned(|pin| {
             let guard = if barrier {
@@ -245,18 +261,17 @@ pub(crate) trait Keyed {
                     // Drain the queue first so queued items never linger
                     // behind a direct merge.
                     self.drain_queue_into(si, &mut map, pin);
-                    for (key, tag, delta) in group.iter_mut() {
-                        self.merge_delta(&mut map, key, *tag, delta, pin);
-                        delta.reset();
+                    for run in runs {
+                        self.merge_hashes(&mut map, run.key, run.tag, run.hashes, pin);
                     }
                     false
                 }
                 None => {
                     let mut queue = core.queue(si);
-                    for (key, tag, delta) in group.iter_mut() {
-                        queue.push(((*key).clone(), *tag, delta.clone()));
-                        delta.reset();
-                    }
+                    queue.extend(
+                        runs.iter()
+                            .map(|run| (run.key.to_owned(), run.tag, run.hashes.to_vec())),
+                    );
                     queue.len() >= HANDOFF_SOFT_CAPACITY
                 }
             }
@@ -271,7 +286,7 @@ pub(crate) trait Keyed {
 
     /// Drains every nonempty handoff queue (blocking). The final step of
     /// a barrier flush: read-your-writes for the flushing session even
-    /// when its earlier auto-flushes left deltas parked on contended
+    /// when its earlier auto-flushes left runs parked on contended
     /// shards.
     fn drain_all_pending(&self) {
         for si in 0..self.core().shard_count() {
@@ -300,8 +315,8 @@ pub(crate) trait Keyed {
             if batch.is_empty() {
                 return;
             }
-            for (key, tag, delta) in &batch {
-                self.merge_delta(map, key, *tag, delta, pin);
+            for (key, tag, hashes) in &batch {
+                self.merge_hashes(map, key, *tag, hashes, pin);
             }
         }
     }

@@ -29,10 +29,12 @@
 //!
 //! For sustained multi-threaded ingest, [`EllStore::session`] and
 //! [`WindowedStore::session`] open one buffered [`Session`] type
-//! ([`IngestSession`] / [`WindowIngestSession`]): each thread
-//! accumulates hashes into thread-local delta sketches and hands them
-//! to per-shard queues that drain into the store under one write lock
-//! per flush — the hot insert loop touches no shared state at all.
+//! ([`IngestSession`] / [`WindowIngestSession`]): each thread appends
+//! observations to a thread-local log, and each flush sorts the log
+//! once and folds every key's run of hashes into its slot under one
+//! write lock per shard (parking the runs on a per-shard queue when the
+//! lock is contended) — the hot insert loop touches no shared state at
+//! all.
 //!
 //! Because every per-key structure is monotone (token sets union,
 //! registers only grow, promotion is threshold-crossing), the final

@@ -1,45 +1,46 @@
-//! Buffered-delta ingest sessions.
+//! Buffered ingest sessions.
 //!
 //! One [`Session`] type serves both stores: [`IngestSession`] buffers
 //! for an [`EllStore`], [`WindowIngestSession`] for a
 //! [`WindowedStore`]. A session gives each ingesting thread a private
-//! buffer of *delta sketches* — one [`AdaptiveExaLogLog`] per key and
-//! tag, where the tag is the epoch for the windowed store and nothing
-//! for the flat one — so the hot insert loop touches no shared state at
-//! all. Small deltas stay in the sparse token phase; heavy keys promote
-//! to dense registers inside the buffer. When the buffered hash count
-//! crosses the session's threshold, or at an explicit
-//! [`Session::flush`] (and on drop), the deltas merge into the store
-//! through the word-level merge fast path, by the one handoff protocol
-//! both stores share.
+//! append-only *log*, so the hot insert loop touches no shared state at
+//! all: buffering an observation hashes its key once (the store's
+//! fixed-seed key hash, which also picks the shard), copies the key
+//! bytes into a session arena, and appends one `(key_hash, tag, key,
+//! hash)` record, where the tag is the epoch for the windowed store and
+//! nothing for the flat one. No event looks anything up. When the log
+//! reaches the session's threshold, or at an explicit
+//! [`Session::flush`] (and on drop), the flush sorts the records once
+//! by `(shard, key_hash, tag)`, takes each shard's lock once, and folds
+//! every key's run of hashes straight into its slot through the one
+//! handoff protocol both stores share. A sparse slot takes a run as one
+//! sorted token batch, a hot slot as one batched atomic insert.
 //!
 //! # Buffer reuse
 //!
-//! Flushing does not tear the buffer down: on the uncontended path each
-//! delta merges into its slot *by reference* and is then reset in
-//! place, so the key strings, token vectors, and register arrays reach
-//! their working-set size once and are reused for every subsequent
-//! flush. A flushed windowed delta takes the next epoch its key sees,
-//! so a key keeps only as many deltas as epochs it buffers between two
-//! flushes. Only when a shard's write lock is contended during an
-//! auto-flush does the session clone the delta onto the store's handoff
-//! queue (keeping the buffer either way). Oversubscribed ingest — more
-//! sessions than cores — therefore degrades gracefully instead of
-//! churning the allocator on every flush.
+//! A flush empties the log and the key arena but keeps their capacity,
+//! so a session reaches its working-set size once and then buffers
+//! without allocating. The session holds O(auto-flush threshold)
+//! records, however many distinct keys it has seen. Only when a shard's
+//! write lock is contended during an auto-flush does the session copy
+//! its runs onto the store's handoff queue. Oversubscribed ingest —
+//! more sessions than cores — therefore degrades gracefully instead of
+//! stalling on locks.
 //!
 //! # Exactness
 //!
 //! Register updates are monotone and register merge is idempotent,
-//! commutative and associative, so folding a delta into a slot produces
-//! *bit-for-bit* the state direct insertion of the buffered hashes would
-//! have — regardless of how many threads buffered what, when each delta
-//! was flushed, or which thread drained the queue. The
+//! commutative and associative, so the order of events inside a flush
+//! is free, and folding a run into a slot produces *bit-for-bit* the
+//! state direct insertion of the buffered hashes would have — regardless
+//! of how many threads buffered what, when each run was flushed, or
+//! which thread drained the queue. The
 //! `proptest_session` suite pins this equivalence against sequential
 //! [`EllStore::ingest`] for random flush points and schedules.
 //!
 //! Flushing into a key that has been demoted to the warm or cold tier
-//! does **not** promote it: the store parks the delta on the slot and
-//! folds it in at the next promotion (see the
+//! does **not** promote it: the store parks the hashes in a pending
+//! sketch on the slot and folds it in at the next promotion (see the
 //! [`tiers`](crate::TierConfig) lifecycle), keeping the flush path free
 //! of decompression work.
 //!
@@ -63,32 +64,31 @@
 //! assert!((store.estimate("events").unwrap() / 40_000.0 - 1.0).abs() < 0.1);
 //! ```
 
-use crate::core::Keyed;
+use crate::core::{Keyed, Run};
 use crate::store::EllStore;
 use crate::window::WindowedStore;
-use exaloglog::adaptive::AdaptiveExaLogLog;
-use std::collections::HashMap;
 
 /// Default number of buffered hashes that triggers an automatic flush.
-/// Large enough to amortize the handoff, small enough to bound the
-/// session's memory (deltas below break-even are a few tokens each).
+/// Large enough to amortize the sort and the handoff, small enough to
+/// bound the session's memory (one log record per buffered hash).
 pub(crate) const DEFAULT_AUTO_FLUSH: usize = 32 * 1024;
 
 /// A buffered ingest session for [`EllStore`] (see the module docs).
 pub type IngestSession<'a> = Session<'a, EllStore>;
 
-/// A buffered ingest session for [`WindowedStore`]: deltas are keyed by
-/// `(key, epoch)` and the flush resolves each delta against the
-/// *current* window position — live epochs merge into their ring slot,
-/// epochs that have rotated out fold into the key's retired union.
-/// Monotone merge makes the final state identical either way, so flush
-/// timing relative to rotation cannot change the serialized bytes.
+/// A buffered ingest session for [`WindowedStore`]: observations are
+/// logged with their epoch and the flush resolves each `(key, epoch)`
+/// run against the *current* window position — live epochs merge into
+/// their ring slot, epochs that have rotated out fold into the key's
+/// retired union. Monotone merge makes the final state identical either
+/// way, so flush timing relative to rotation cannot change the
+/// serialized bytes.
 ///
 /// Buffering an observation for an epoch newer than the window
 /// auto-advances the store immediately (matching
 /// [`WindowedStore::ingest`]); rotation is *not* deferred to the flush.
 ///
-/// A flushed delta that lands in a *sealed* live epoch (older than the
+/// A flushed run that lands in a *sealed* live epoch (older than the
 /// current one) dirties that key's precomputed suffix-union chain, just
 /// like direct late `ingest` writes into an older epoch: the next query
 /// lazily rebuilds the stale entries, and the invalidation is counted
@@ -109,11 +109,7 @@ pub type WindowIngestSession<'a> = Session<'a, WindowedStore>;
 #[derive(Debug)]
 pub struct Session<'a, S: Keyed> {
     store: &'a S,
-    /// Per-key tagged deltas. Entries stay allocated (reset, not
-    /// dropped) across flushes; the buffer's footprint is bounded by the
-    /// session's distinct-key working set.
-    deltas: HashMap<String, KeyDeltas<S::Tag>>,
-    buffered: usize,
+    log: Log<S::Tag>,
     auto_flush: usize,
     /// Newest tag this session has advanced the store to: the epoch for
     /// the windowed store, gating its (write-locking) `advance` so the
@@ -126,8 +122,7 @@ impl<'a, S: Keyed> Session<'a, S> {
     pub(crate) fn new(store: &'a S, advanced_to: S::Tag) -> Self {
         Session {
             store,
-            deltas: HashMap::new(),
-            buffered: 0,
+            log: Log::default(),
             auto_flush: DEFAULT_AUTO_FLUSH,
             advanced_to,
         }
@@ -146,104 +141,136 @@ impl<'a, S: Keyed> Session<'a, S> {
     /// The number of hashes buffered since the last flush.
     #[must_use]
     pub fn buffered_hashes(&self) -> usize {
-        self.buffered
+        self.log.len()
     }
 
-    /// Flushes all buffered deltas and drains the store's handoff
-    /// queues (a barrier): on return, everything this session ever
-    /// buffered is merged into the store and visible to queries.
+    /// Flushes the log and drains the store's handoff queues (a
+    /// barrier): on return, everything this session ever buffered is
+    /// merged into the store and visible to queries.
     pub fn flush(&mut self) {
         self.flush_with(true);
     }
 
-    /// Buffers one observation of `key` under `tag`. A delta emptied by
-    /// an earlier flush takes the new tag instead of a fresh allocation.
+    /// Buffers one observation of `key` under `tag`.
     fn buffer(&mut self, key: &str, tag: S::Tag, hash: u64) {
-        let store = self.store;
-        let entry = match self.deltas.get_mut(key) {
-            Some(entry) => entry,
-            None => {
-                let fresh = KeyDeltas {
-                    shard: store.core().shard_of(key),
-                    first: (tag, store.new_delta()),
-                    more: Vec::new(),
-                };
-                self.deltas.entry(key.to_owned()).or_insert(fresh)
-            }
-        };
-        entry.delta(tag, || store.new_delta()).insert_hash(hash);
-        self.buffered += 1;
-        if self.buffered >= self.auto_flush {
+        if !self.log.fits(key) {
+            self.flush_with(false);
+        }
+        self.log
+            .push(self.store.core().key_hash(key), key, tag, hash);
+        if self.log.len() >= self.auto_flush {
             self.flush_with(false);
         }
     }
 
     fn flush_with(&mut self, barrier: bool) {
-        self.buffered = 0;
         let store = self.store;
-        let mut groups: Vec<Vec<(&String, S::Tag, &mut AdaptiveExaLogLog)>> = Vec::new();
-        groups.resize_with(store.core().shard_count(), Vec::new);
-        // Deltas reset by earlier flushes and not touched since stay
-        // empty — skip them instead of paying a no-op merge.
-        for (key, entry) in self.deltas.iter_mut() {
-            let si = entry.shard;
-            for (tag, delta) in entry.iter_mut() {
-                if !delta.is_empty() {
-                    groups[si].push((key, *tag, delta));
-                }
-            }
+        let core = store.core();
+        let runs = self.log.runs(|key_hash| core.shard_of_hash(key_hash));
+        for group in runs.chunk_by(|a, b| a.shard == b.shard) {
+            store.flush_runs(group[0].shard, group, barrier);
         }
-        for (si, mut group) in groups.into_iter().enumerate() {
-            if !group.is_empty() {
-                store.flush_group(si, &mut group, barrier);
-            }
-        }
+        self.log.clear();
         if barrier {
             store.drain_all_pending();
         }
     }
 }
 
-/// One key's buffered deltas with its shard index cached. The first
-/// tag's delta sits inline, so the flat store — whose keys never buffer
-/// a second tag — reaches its delta without another indirection; a
-/// windowed key buffering several epochs between flushes keeps the rest
-/// in `more`.
+/// The session's append-only buffer: one [`Record`] per buffered
+/// observation plus the key bytes the records point into.
 #[derive(Debug)]
-struct KeyDeltas<T> {
-    shard: usize,
-    first: (T, AdaptiveExaLogLog),
-    more: Vec<(T, AdaptiveExaLogLog)>,
+struct Log<T> {
+    records: Vec<Record<T>>,
+    /// Key arena: every record's key, back to back.
+    keys: String,
+    /// The records' hashes in sorted record order, filled by
+    /// [`Log::runs`] so that each run is one contiguous slice.
+    hashes: Vec<u64>,
 }
 
-impl<T: Copy + PartialEq> KeyDeltas<T> {
-    fn iter_mut(&mut self) -> impl Iterator<Item = &mut (T, AdaptiveExaLogLog)> {
-        std::iter::once(&mut self.first).chain(&mut self.more)
+/// One buffered observation.
+#[derive(Debug)]
+struct Record<T> {
+    key_hash: u64,
+    tag: T,
+    /// `keys[key_start..key_end]` is the record's key.
+    key_start: u32,
+    key_end: u32,
+    hash: u64,
+}
+
+impl<T> Default for Log<T> {
+    fn default() -> Self {
+        Log {
+            records: Vec::new(),
+            keys: String::new(),
+            hashes: Vec::new(),
+        }
+    }
+}
+
+impl<T: Copy + Ord> Log<T> {
+    fn len(&self) -> usize {
+        self.records.len()
     }
 
-    /// The delta buffering `tag`: the one already tagged so, else one a
-    /// flush emptied (retagged, keeping its allocation), else a `fresh`
-    /// one.
-    fn delta(
-        &mut self,
-        tag: T,
-        fresh: impl FnOnce() -> AdaptiveExaLogLog,
-    ) -> &mut AdaptiveExaLogLog {
-        let same = self.iter_mut().position(|(t, _)| *t == tag);
-        let i = match same.or_else(|| self.iter_mut().position(|(_, d)| d.is_empty())) {
-            Some(i) => i,
-            None => {
-                self.more.push((tag, fresh()));
-                self.more.len()
+    /// Whether `key` still fits the arena's 32-bit offsets.
+    fn fits(&self, key: &str) -> bool {
+        self.keys.len() + key.len() <= u32::MAX as usize
+    }
+
+    fn push(&mut self, key_hash: u64, key: &str, tag: T, hash: u64) {
+        let key_start = self.keys.len() as u32;
+        self.keys.push_str(key);
+        self.records.push(Record {
+            key_hash,
+            tag,
+            key_start,
+            key_end: self.keys.len() as u32,
+            hash,
+        });
+    }
+
+    fn key(&self, record: &Record<T>) -> &str {
+        &self.keys[record.key_start as usize..record.key_end as usize]
+    }
+
+    /// Sorts the records by `(shard, key_hash, tag)` and cuts them into
+    /// runs, ordered by shard. A run ends wherever the key hash, the tag
+    /// or the key bytes change, so distinct keys whose hashes collide
+    /// never share a run (they may split each other's runs, which is
+    /// harmless: merges commute).
+    fn runs(&mut self, shard_of: impl Fn(u64) -> usize) -> Vec<Run<'_, T>> {
+        self.records
+            .sort_unstable_by_key(|r| (shard_of(r.key_hash), r.key_hash, r.tag));
+        self.hashes.clear();
+        self.hashes.extend(self.records.iter().map(|r| r.hash));
+        let mut runs = Vec::new();
+        let mut start = 0;
+        for end in 1..=self.records.len() {
+            let first = &self.records[start];
+            let same = self.records.get(end).is_some_and(|r| {
+                r.key_hash == first.key_hash && r.tag == first.tag && self.key(r) == self.key(first)
+            });
+            if !same {
+                runs.push(Run {
+                    shard: shard_of(first.key_hash),
+                    key: self.key(first),
+                    tag: first.tag,
+                    hashes: &self.hashes[start..end],
+                });
+                start = end;
             }
-        };
-        let entry = if i == 0 {
-            &mut self.first
-        } else {
-            &mut self.more[i - 1]
-        };
-        entry.0 = tag;
-        &mut entry.1
+        }
+        runs
+    }
+
+    /// Empties the log, keeping every buffer's capacity.
+    fn clear(&mut self) {
+        self.records.clear();
+        self.keys.clear();
+        self.hashes.clear();
     }
 }
 
@@ -299,6 +326,7 @@ mod tests {
     use super::*;
     use ell_hash::SplitMix64;
     use exaloglog::EllConfig;
+    use std::collections::HashMap;
 
     fn cfg() -> EllConfig {
         EllConfig::new(2, 16, 6).unwrap()
@@ -370,21 +398,72 @@ mod tests {
     }
 
     #[test]
-    fn flat_session_reuses_buffers_across_flushes() {
+    fn flush_empties_the_log_and_keeps_its_capacity() {
         let store = EllStore::new(2, cfg()).unwrap();
         let mut session = store.session().with_auto_flush(64);
         let mut rng = SplitMix64::new(14);
-        for _ in 0..10 {
-            for _ in 0..100 {
-                session.insert("steady", rng.next_u64());
-            }
+        for i in 0..1_000 {
+            session.insert(["steady", "other-key"][i % 2], rng.next_u64());
         }
-        // One key, many flushes: exactly one delta entry, kept across
-        // flushes and reset in place.
-        assert_eq!(session.deltas.len(), 1);
+        // Many auto-flushes: the log never grew past its threshold.
+        assert!(session.log.len() < 64);
+        let caps = (
+            session.log.records.capacity(),
+            session.log.keys.capacity(),
+            session.log.hashes.capacity(),
+        );
+        assert!(caps.0 >= 63 && caps.1 > 0 && caps.2 > 0);
         session.flush();
-        let entry = session.deltas.get("steady").unwrap();
-        assert!(entry.first.1.is_empty() && entry.more.is_empty());
+        assert_eq!(session.buffered_hashes(), 0);
+        assert!(session.log.keys.is_empty() && session.log.hashes.is_empty());
+        assert_eq!(
+            (
+                session.log.records.capacity(),
+                session.log.keys.capacity(),
+                session.log.hashes.capacity(),
+            ),
+            caps
+        );
+        assert_eq!(store.key_count(), 2);
+    }
+
+    #[test]
+    fn runs_split_colliding_keys_and_tags() {
+        // Two distinct keys forced onto one key hash, three tags each,
+        // interleaved: every `(key, tag)` receives exactly its own
+        // hashes, and no run mixes keys or tags.
+        let mut log: Log<u64> = Log::default();
+        let mut expected: HashMap<(String, u64), Vec<u64>> = HashMap::new();
+        let mut rng = SplitMix64::new(16);
+        for i in 0..300u64 {
+            let key = ["left", "right"][(rng.next_u64() % 2) as usize];
+            let tag = rng.next_u64() % 3;
+            log.push(0xC0FFEE, key, tag, i);
+            expected.entry((key.to_owned(), tag)).or_default().push(i);
+        }
+        // A key alone on its hash under two tags, a key in another
+        // shard, and one sharing the shard.
+        log.push(0xB0FFEE, "solo", 4, 999);
+        log.push(0xB0FFEE, "solo", 5, 998);
+        log.push(0xC0FFEF, "elsewhere", 0, 1_000);
+        log.push(0xD0FFEE, "neighbour", 0, 1_001);
+        expected.insert(("solo".to_owned(), 4), vec![999]);
+        expected.insert(("solo".to_owned(), 5), vec![998]);
+        expected.insert(("elsewhere".to_owned(), 0), vec![1_000]);
+        expected.insert(("neighbour".to_owned(), 0), vec![1_001]);
+        let runs = log.runs(|key_hash| (key_hash & 3) as usize);
+        assert!(runs.windows(2).all(|w| w[0].shard <= w[1].shard));
+        let mut got: HashMap<(String, u64), Vec<u64>> = HashMap::new();
+        for run in &runs {
+            assert!(!run.hashes.is_empty());
+            got.entry((run.key.to_owned(), run.tag))
+                .or_default()
+                .extend_from_slice(run.hashes);
+        }
+        for hashes in got.values_mut() {
+            hashes.sort_unstable();
+        }
+        assert_eq!(got, expected);
     }
 
     #[test]
@@ -412,21 +491,30 @@ mod tests {
     }
 
     #[test]
-    fn window_session_recycles_delta_buffers() {
-        let store = WindowedStore::new(2, cfg(), 4).unwrap();
-        let mut session = store.session().with_auto_flush(32);
+    fn window_session_lands_each_epoch_in_its_own_slot() {
+        // Six epochs buffered between two flushes, none of them rotated
+        // out of the 8-epoch ring: each epoch's hashes land in that
+        // epoch's ring slot and nowhere else.
+        let store = WindowedStore::new(2, cfg(), 8).unwrap();
+        let twin = WindowedStore::new(2, cfg(), 8).unwrap();
+        let mut session = store.session();
         let mut rng = SplitMix64::new(15);
         for epoch in 0..6u64 {
-            for _ in 0..50 {
-                session.insert("k", epoch, rng.next_u64());
+            let hashes: Vec<u64> = (0..50 * (epoch + 1)).map(|_| rng.next_u64()).collect();
+            for &h in &hashes {
+                session.insert("k", epoch, h);
             }
+            let refs: Vec<(&str, u64)> = hashes.iter().map(|&h| ("k", h)).collect();
+            twin.ingest(epoch, &refs);
         }
+        assert_eq!(session.buffered_hashes(), 50 * 21);
         session.flush();
-        // Six epochs, but no flush interval spans more than two of them:
-        // flushed deltas were retagged with the next epoch rather than
-        // dropped and reallocated.
-        let entry = session.deltas.get_mut("k").unwrap();
-        assert_eq!(entry.more.len(), 1);
-        assert!(entry.iter_mut().all(|(_, delta)| delta.is_empty()));
+        for epoch in 0..6u64 {
+            let slot = store.epoch_sketch("k", epoch).unwrap();
+            assert_eq!(slot, twin.epoch_sketch("k", epoch).unwrap());
+            let est = slot.estimate() / (50.0 * (epoch + 1) as f64);
+            assert!((est - 1.0).abs() < 0.1, "epoch {epoch}: {est}");
+        }
+        assert_eq!(store.snapshot_bytes(), twin.snapshot_bytes());
     }
 }

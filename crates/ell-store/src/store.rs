@@ -96,6 +96,18 @@ impl SlotState {
         }
     }
 
+    /// Inserts `hashes` into a resident slot, upgrading it once dense.
+    fn insert_resident(&mut self, hashes: &[u64]) {
+        match self {
+            SlotState::Hot(a) => a.extend_hashes(hashes.iter().copied()),
+            SlotState::Adaptive(s) => {
+                s.insert_hashes(hashes);
+                self.upgrade();
+            }
+            _ => unreachable!("insert_resident on a demoted slot"),
+        }
+    }
+
     /// Merges `sketch` into a resident slot, upgrading it once dense.
     fn merge_resident(&mut self, sketch: &AdaptiveExaLogLog) -> Result<(), EllError> {
         match self {
@@ -186,7 +198,7 @@ pub struct EllStore {
     /// Token parameter used for newly created (sparse) keys.
     v: u32,
     /// Shard maps of slots plus the handoff queues buffered sessions
-    /// (see [`crate::IngestSession`]) park untagged deltas on.
+    /// (see [`crate::IngestSession`]) park untagged runs of hashes on.
     core: KeyedCore<Slot, ()>,
     tiers: TierConfig,
     /// The access clock driving demotion decisions; advanced by
@@ -387,30 +399,28 @@ impl EllStore {
                     // A direct ingest always promotes a demoted slot —
                     // only buffered session flushes park lazily.
                     self.access(slot, now);
-                    match &mut slot.state {
-                        // Another thread may have upgraded the slot
-                        // between our read and write sections — the hot
-                        // path also works under the write lock.
-                        SlotState::Hot(a) => a.extend_hashes(hashes),
-                        SlotState::Adaptive(s) => {
-                            s.insert_hashes(&hashes);
-                            slot.state.upgrade();
-                        }
-                        _ => unreachable!("promoted above"),
-                    }
+                    // Another thread may have upgraded the slot between
+                    // our read and write sections — the hot path also
+                    // works under the write lock.
+                    slot.state.insert_resident(&hashes);
                 }
                 None => {
-                    let mut sketch = self.new_delta();
-                    sketch.insert_hashes(&hashes);
-                    map.insert(key.to_string(), Slot::new(SlotState::resident(sketch), now));
+                    map.insert(key.to_string(), self.new_slot(&hashes, now));
                 }
             }
         }
     }
 
-    /// Opens a buffered ingest session: inserts accumulate into
-    /// session-local delta sketches and flush into the shard slots
-    /// through the word-level merge fast path (see
+    /// A new resident slot holding `hashes`, stamped `now`.
+    fn new_slot(&self, hashes: &[u64], now: u64) -> Slot {
+        let mut sketch = self.new_delta();
+        sketch.insert_hashes(hashes);
+        Slot::new(SlotState::resident(sketch), now)
+    }
+
+    /// Opens a buffered ingest session: inserts append to a session-local
+    /// log, and each flush sorts it once and folds every key's run of
+    /// hashes straight into its shard slot (see
     /// [`crate::IngestSession`]). One session per ingesting thread is
     /// the intended shape.
     #[must_use]
@@ -782,41 +792,34 @@ impl Keyed for EllStore {
         f(())
     }
 
-    /// Merges one delta sketch into its slot (creating the slot if the
-    /// key is new). Hot slots take the lock-free register merge; demoted
-    /// slots **park** the delta (`pending`) instead of promoting — the
-    /// session flush path must never pay a decompress. The delta stays
-    /// owned by its session or queue, so only a new or parked key
-    /// clones it. The result is bit-identical to inserting the delta's
-    /// hashes directly because register updates are monotone and
-    /// order-free.
-    fn merge_delta(
+    /// Folds one run of session hashes into its slot (creating the slot
+    /// if the key is new): hot slots take the lock-free batch insert,
+    /// sparse slots the batched token insert. Demoted slots **park** the
+    /// hashes in their `pending` sketch instead of promoting — the
+    /// session flush path must never pay a decompress. The result is
+    /// bit-identical to inserting the hashes directly because register
+    /// updates are monotone and order-free.
+    fn merge_hashes(
         &self,
         map: &mut HashMap<String, Slot>,
         key: &str,
         (): (),
-        delta: &AdaptiveExaLogLog,
+        hashes: &[u64],
         (): (),
     ) {
         match map.get_mut(key) {
             Some(slot) => match &mut slot.state {
                 SlotState::Warm(WarmEntry { pending, .. })
                 | SlotState::Cold(ColdEntry { pending, .. }) => {
-                    match pending {
-                        Some(p) => p
-                            .merge_from(delta)
-                            .expect("deltas share the store configuration"),
-                        None => *pending = Some(Box::new(delta.clone())),
-                    }
+                    pending
+                        .get_or_insert_with(|| Box::new(self.new_delta()))
+                        .insert_hashes(hashes);
                     TierCounters::count(&self.counters.parked_deltas);
                 }
-                state => state
-                    .merge_resident(delta)
-                    .expect("deltas share the store configuration and token parameter"),
+                state => state.insert_resident(hashes),
             },
             None => {
-                let state = SlotState::resident(delta.clone());
-                map.insert(key.to_string(), Slot::new(state, self.clock()));
+                map.insert(key.to_string(), self.new_slot(hashes, self.clock()));
             }
         }
     }

@@ -164,15 +164,15 @@ pub struct TierStats {
     /// Promotions back to an in-memory sketch (ingest, query, sweep
     /// settling, or an explicit promote-all).
     pub promotions: u64,
-    /// Session deltas parked on warm/cold slots by lazy flushes and
-    /// merged later at promotion.
+    /// Session runs parked on warm/cold slots by lazy flushes (one per
+    /// key and flush) and merged later at promotion.
     pub parked_deltas: u64,
     /// Cold demotions abandoned because the segment write failed (the
     /// key stays warm).
     pub spill_errors: u64,
     /// Deep in-memory footprint in bytes at snapshot time.
     pub resident_bytes: usize,
-    /// Bytes appended to the spill segment file so far.
+    /// Bytes this store has appended to the spill segment file so far.
     pub spilled_bytes: u64,
 }
 
@@ -207,6 +207,12 @@ const SEGMENT_FILE: &str = "ell-spill-000000.seg";
 /// The append-only on-disk byte store behind the cold tier. One
 /// segment file, created lazily on the first spill; reads seek into it
 /// under the same lock, so the handle is shared safely across threads.
+///
+/// The file is opened `O_APPEND`, so every write lands at the file's
+/// current end. Other stores or processes may share the spill directory
+/// and append to the same file, so a record's offset is read from the
+/// handle's position after the write, never predicted from a length
+/// this store tracks itself.
 #[derive(Debug)]
 pub(crate) struct SpillStore {
     dir: PathBuf,
@@ -216,7 +222,8 @@ pub(crate) struct SpillStore {
 #[derive(Debug, Default)]
 struct SpillInner {
     file: Option<File>,
-    len: u64,
+    /// Bytes this store has appended.
+    appended: u64,
 }
 
 impl SpillStore {
@@ -228,7 +235,9 @@ impl SpillStore {
     }
 
     /// Appends `bytes` to the segment file, returning the
-    /// `(segment, offset, length)` address to index it under.
+    /// `(segment, offset, length)` address to index it under. A failed
+    /// write truncates the file back to where it began, so no partial
+    /// record stays behind.
     pub(crate) fn append(&self, bytes: &[u8]) -> std::io::Result<(u32, u64, u32)> {
         let mut inner = self.inner.lock().expect("spill lock poisoned");
         if inner.file.is_none() {
@@ -239,13 +248,17 @@ impl SpillStore {
                 .append(true)
                 .read(true)
                 .open(path)?;
-            inner.len = file.metadata()?.len();
             inner.file = Some(file);
         }
-        let offset = inner.len;
         let file = inner.file.as_mut().expect("opened above");
-        file.write_all(bytes)?;
-        inner.len += bytes.len() as u64;
+        let start = file.seek(SeekFrom::End(0))?;
+        if let Err(err) = file.write_all(bytes) {
+            // Best effort: the write error is the one worth reporting.
+            let _ = file.set_len(start);
+            return Err(err);
+        }
+        let offset = file.stream_position()? - bytes.len() as u64;
+        inner.appended += bytes.len() as u64;
         Ok((0, offset, bytes.len() as u32))
     }
 
@@ -267,9 +280,9 @@ impl SpillStore {
         Ok(buf)
     }
 
-    /// Total bytes appended to the segment file.
+    /// Total bytes this store has appended to the segment file.
     pub(crate) fn spilled_bytes(&self) -> u64 {
-        self.inner.lock().expect("spill lock poisoned").len
+        self.inner.lock().expect("spill lock poisoned").appended
     }
 }
 
@@ -300,6 +313,26 @@ mod tests {
         assert_eq!(spill.read(0, off_a, len_a).unwrap(), b"alpha-payload");
         assert_eq!(spill.read(0, off_b, len_b).unwrap(), b"beta");
         assert_eq!(spill.spilled_bytes(), 17);
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn stores_sharing_a_directory_index_their_own_bytes() {
+        let dir = std::env::temp_dir().join(format!("ell-spill-shared-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let a = SpillStore::new(dir.clone());
+        let b = SpillStore::new(dir.clone());
+        let first = a.append(b"first-from-a").unwrap();
+        let second = b.append(b"second-from-b").unwrap();
+        let third = a.append(b"third-from-a").unwrap();
+        assert_eq!(a.read(first.0, first.1, first.2).unwrap(), b"first-from-a");
+        assert_eq!(
+            b.read(second.0, second.1, second.2).unwrap(),
+            b"second-from-b"
+        );
+        assert_eq!(a.read(third.0, third.1, third.2).unwrap(), b"third-from-a");
+        assert_eq!(a.spilled_bytes(), 24);
+        assert_eq!(b.spilled_bytes(), 13);
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

@@ -312,7 +312,7 @@ pub struct WindowedStore {
     current: RwLock<u64>,
     /// Shard maps of epoch rings plus the handoff queues buffered
     /// sessions (see [`crate::WindowIngestSession`]) park
-    /// epoch-tagged deltas on; queued deltas drain into ring slots (or
+    /// epoch-tagged runs of hashes on; queued runs drain into ring slots (or
     /// retired unions, for rotated-out epochs) under the shard write
     /// lock with the window position pinned.
     core: KeyedCore<WindowSlot, u64>,
@@ -677,9 +677,9 @@ impl WindowedStore {
         }
     }
 
-    /// Opens a buffered ingest session: inserts accumulate into
-    /// session-local per-`(key, epoch)` delta sketches and flush into
-    /// the ring slots through the word-level merge fast path (see
+    /// Opens a buffered ingest session: inserts append to a session-local
+    /// log, and each flush sorts it once and folds every `(key, epoch)`
+    /// run of hashes straight into its ring slot (see
     /// [`crate::WindowIngestSession`]). One session per ingesting
     /// thread is the intended shape.
     #[must_use]
@@ -1078,34 +1078,33 @@ impl Keyed for WindowedStore {
 
     /// Pins the window position: the epoch read lock is held for the
     /// whole merge or drain, so the live-or-retired decision for every
-    /// delta is consistent with rotation (which takes the write lock).
+    /// run is consistent with rotation (which takes the write lock).
     fn pinned<R>(&self, f: impl FnOnce(u64) -> R) -> R {
         let current = self.current.read().expect("epoch lock poisoned");
         f(*current)
     }
 
-    /// Merges one session delta for `(key, epoch)` into the shard map
-    /// under the pinned window position. Live rings take the merge
-    /// directly (deltas for rotated-out epochs fold into the retired
-    /// union — exactly the state rotation would have produced, so flush
-    /// timing cannot change the final bytes); **warm keys park the delta
-    /// on the entry** instead of promoting, and the next promotion folds
-    /// it in — the flush path never decompresses anything.
-    fn merge_delta(
+    /// Folds one run of session hashes for `(key, epoch)` into the shard
+    /// map under the pinned window position. Live rings take the hashes
+    /// directly (runs for rotated-out epochs fold into the retired union
+    /// — exactly the state rotation would have produced, so flush timing
+    /// cannot change the final bytes); **warm keys park the hashes in
+    /// the entry's pending sketch for that epoch** instead of promoting,
+    /// and the next promotion folds them in — the flush path never
+    /// decompresses anything.
+    fn merge_hashes(
         &self,
         map: &mut HashMap<String, WindowSlot>,
         key: &str,
         epoch: u64,
-        delta: &AdaptiveExaLogLog,
+        hashes: &[u64],
         current: u64,
     ) {
         debug_assert!(epoch <= current, "sessions advance the window on buffer");
         match self.entry(map, key, current) {
             WindowSlot::Live(ring) => {
-                delta
-                    .merge_into_dense(ring.epoch_target(current, epoch))
-                    .expect("deltas share the store configuration");
-                // A session delta for a sealed epoch is a late write:
+                ring.epoch_target(current, epoch).insert_hashes(hashes);
+                // A session run for a sealed epoch is a late write:
                 // truncate the suffix chain exactly like direct ingest.
                 if ring.note_write(current, epoch) {
                     self.stats.invalidate();
@@ -1117,12 +1116,14 @@ impl Keyed for WindowedStore {
                 }
             }
             WindowSlot::Warm(warm) => {
-                match warm.pending.iter_mut().find(|(parked, _)| *parked == epoch) {
-                    Some((_, parked)) => parked
-                        .merge_from(delta)
-                        .expect("deltas share the store configuration"),
-                    None => warm.pending.push((epoch, delta.clone())),
-                }
+                let i = match warm.pending.iter().position(|(parked, _)| *parked == epoch) {
+                    Some(i) => i,
+                    None => {
+                        warm.pending.push((epoch, self.new_delta()));
+                        warm.pending.len() - 1
+                    }
+                };
+                warm.pending[i].1.insert_hashes(hashes);
                 TierCounters::count(&self.counters.parked_deltas);
             }
         }

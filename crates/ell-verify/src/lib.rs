@@ -16,7 +16,7 @@
 //! | model | real code | invariant checked |
 //! |---|---|---|
 //! | [`models::cas_merge`] | `exaloglog::atomic::rmw_register` | concurrent CAS insert + merge converge to the sequential join |
-//! | [`models::handoff`] | `ell-store::core::Keyed::flush_group` / `drain_shard` (shared by `EllStore` and `WindowedStore`) | no parked delta is lost; barrier drain leaves the queue empty |
+//! | [`models::handoff`] | `ell-store::core::Keyed::flush_runs` / `drain_shard` (shared by `EllStore` and `WindowedStore`) | no parked run is lost; barrier drain leaves the queue empty |
 //! | [`models::suffix_chain`] | `ell-store::window::with_suffixes` | every chain-served answer equals recomputation from the slots |
 //! | [`models::snapshot`] | `exaloglog::atomic::snapshot` | snapshots are monotone, untorn, and legal sub-states |
 //! | [`models::tiers`] | `ell-store::store::demote_idle` / promote-on-access | demote/promote/flush races conserve every contribution |

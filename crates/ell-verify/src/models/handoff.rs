@@ -1,13 +1,13 @@
 //! Protocol 2: session handoff-queue drain vs barrier flush.
 //!
-//! The real code: `Keyed::flush_group` in `ell-store/src/core.rs`, the
+//! The real code: `Keyed::flush_runs` in `ell-store/src/core.rs`, the
 //! one implementation both `EllStore` and `WindowedStore` flush
 //! through, tries the shard write lock opportunistically; on contention
-//! it parks `(key, tag, delta)` clones on the shard's `Mutex<Vec<…>>`
+//! it parks `(key, tag, hashes)` run copies on the shard's `Mutex<Vec<…>>`
 //! handoff queue, and once the queue depth reaches
 //! `HANDOFF_SOFT_CAPACITY` the enqueuer itself performs a blocking
 //! drain. Barrier flushes take the write lock outright, drain the queue
-//! *first*, merge their own deltas, and finish with
+//! *first*, merge their own runs, and finish with
 //! `drain_all_pending`. Every drainer loops `mem::take` on the queue
 //! under the write lock until it observes empty.
 //!
@@ -54,7 +54,7 @@ impl Shard {
         self.drain_queue_into(&mut slot);
     }
 
-    /// Port of `flush_group`: opportunistic merge, else park and
+    /// Port of `flush_runs`: opportunistic merge, else park and
     /// maybe force-drain.
     fn flush(&self, delta: u64, barrier: bool) {
         let guard = if barrier {

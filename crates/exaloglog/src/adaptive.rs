@@ -186,19 +186,6 @@ impl AdaptiveExaLogLog {
         }
     }
 
-    /// Resets the sketch to the empty state while keeping its backing
-    /// allocations (see [`SparseExaLogLog::reset`]): the sparse phase
-    /// keeps its token-vector capacity, the promoted phase keeps its
-    /// register array and stays dense. This is the buffer-reuse seam for
-    /// the store's ingest sessions — a delta that is flushed by
-    /// reference and reset costs no allocation on the next fill.
-    pub fn reset(&mut self) {
-        match self {
-            AdaptiveExaLogLog::Sparse(s) => s.reset(),
-            AdaptiveExaLogLog::Dense(d) => d.clear(),
-        }
-    }
-
     /// The ML distinct-count estimate (token ML while sparse, register
     /// ML with bias correction once promoted).
     #[must_use]
@@ -462,31 +449,6 @@ mod tests {
         let mut a = AdaptiveExaLogLog::new(EllConfig::new(2, 16, 8).unwrap()).unwrap();
         let b = AdaptiveExaLogLog::new(EllConfig::new(2, 16, 9).unwrap()).unwrap();
         assert!(a.merge_from(&b).is_err());
-    }
-
-    #[test]
-    fn reset_empties_both_phases_without_changing_canonical_form() {
-        let mut s = AdaptiveExaLogLog::new(cfg()).unwrap();
-        assert!(s.is_empty());
-        s.insert_hashes(&hashes(100, 10));
-        assert!(!s.is_empty());
-        s.reset();
-        assert!(s.is_empty() && s.is_sparse());
-        // Refilling a reset sparse buffer reproduces the canonical bytes
-        // of a fresh sketch fed the same stream.
-        let stream = hashes(200, 11);
-        s.insert_hashes(&stream);
-        let mut fresh = AdaptiveExaLogLog::new(cfg()).unwrap();
-        fresh.insert_hashes(&stream);
-        assert_eq!(s.to_bytes(), fresh.to_bytes());
-        // A promoted buffer resets in place and stays dense (the cheap
-        // zero-scan merge case), still reporting empty.
-        s.insert_hashes(&hashes(50_000, 12));
-        assert!(!s.is_sparse());
-        let dense_mem = s.memory_bytes();
-        s.reset();
-        assert!(s.is_empty() && !s.is_sparse());
-        assert_eq!(s.memory_bytes(), dense_mem, "reset must not reallocate");
     }
 
     #[test]

@@ -223,6 +223,9 @@ impl DistinctCounter for TokenSet {
     fn insert_hash(&mut self, h: u64) {
         TokenSet::insert_hash(self, h);
     }
+    fn insert_hashes(&mut self, hashes: &[u64]) {
+        TokenSet::insert_hashes(self, hashes);
+    }
     fn estimate(&self) -> f64 {
         TokenSet::estimate(self)
     }

@@ -24,6 +24,12 @@ const SPARSE_MAGIC: &[u8; 4] = b"ELLS";
 /// Header: magic + (t, d, p) + v + phase tag.
 const SPARSE_HEADER_LEN: usize = 9;
 
+/// The token count at which the tight (v+6)-bit token encoding costs
+/// as many bits as the dense register array: the §4.3 break-even.
+fn break_even_tokens(cfg: &EllConfig, v: u32) -> usize {
+    (cfg.register_array_bytes() * 8).div_ceil(v as usize + 6)
+}
+
 /// An ExaLogLog sketch that starts in sparse (token-collecting) mode and
 /// upgrades itself to the dense register representation at the break-even
 /// point.
@@ -96,9 +102,7 @@ impl SparseExaLogLog {
         match &mut self.phase {
             Phase::Sparse(tokens) => {
                 let changed = tokens.insert_hash(hash);
-                // Break-even: once the tight token encoding uses as many
-                // bits as the dense register array, convert.
-                if tokens.storage_bits() >= self.cfg.register_array_bytes() * 8 {
+                if tokens.len() >= break_even_tokens(&self.cfg, self.v) {
                     self.densify();
                 }
                 changed
@@ -115,18 +119,37 @@ impl SparseExaLogLog {
     /// Inserts a whole slice of pre-hashed elements, equivalent to
     /// sequential [`SparseExaLogLog::insert_hash`] calls in order.
     ///
-    /// While sparse, elements go through the one-by-one path (each insert
-    /// may trigger densification); once dense, the remainder of the slice
-    /// takes the dense sketch's unrolled batch path.
+    /// While sparse, the slice goes into the token set in sorted batches
+    /// ([`TokenSet::insert_hashes`]), each no larger than the room left
+    /// below break-even, with one break-even check per batch; once dense,
+    /// the remainder takes the dense sketch's unrolled batch path. The
+    /// state is exactly the sequential one: the token count only grows,
+    /// so a batch crosses break-even iff some insert inside it would
+    /// have, and a token reproduces its hash's register update for every
+    /// `p + t ≤ v`, so densifying after the batch rather than in the
+    /// middle of it yields the same registers.
     pub fn insert_hashes(&mut self, hashes: &[u64]) {
+        let break_even = break_even_tokens(&self.cfg, self.v);
         let mut rest = hashes;
         while !rest.is_empty() {
-            if let Phase::Dense(sketch) = &mut self.phase {
-                sketch.insert_hashes(rest);
-                return;
+            match &mut self.phase {
+                Phase::Dense(sketch) => {
+                    sketch.insert_hashes(rest);
+                    return;
+                }
+                Phase::Sparse(tokens) => {
+                    // Sorting past break-even would be wasted on hashes
+                    // the dense registers absorb faster. A decoded set
+                    // may already sit at break-even: still take a step.
+                    let room = break_even.saturating_sub(tokens.len()).max(1);
+                    let (batch, tail) = rest.split_at(room.min(rest.len()));
+                    tokens.insert_hashes(batch);
+                    rest = tail;
+                    if tokens.len() >= break_even {
+                        self.densify();
+                    }
+                }
             }
-            self.insert_hash(rest[0]);
-            rest = &rest[1..];
         }
     }
 
@@ -147,18 +170,6 @@ impl SparseExaLogLog {
         match &self.phase {
             Phase::Sparse(tokens) => tokens.is_empty(),
             Phase::Dense(sketch) => sketch.is_empty(),
-        }
-    }
-
-    /// Resets the sketch to the empty state while keeping its backing
-    /// allocations: a sparse phase clears its token vector (capacity
-    /// retained), a dense phase zeroes its register array in place and
-    /// stays dense. Merging a reset dense sketch costs one word-level
-    /// zero scan, so reused delta buffers stay cheap either way.
-    pub fn reset(&mut self) {
-        match &mut self.phase {
-            Phase::Sparse(tokens) => tokens.clear(),
-            Phase::Dense(sketch) => sketch.clear(),
         }
     }
 
@@ -186,7 +197,7 @@ impl SparseExaLogLog {
         match (&mut self.phase, &other.phase) {
             (Phase::Sparse(a), Phase::Sparse(b)) => {
                 a.merge_from(b)?;
-                if a.storage_bits() >= self.cfg.register_array_bytes() * 8 {
+                if a.len() >= break_even_tokens(&self.cfg, self.v) {
                     self.densify();
                 }
                 Ok(())
@@ -534,6 +545,26 @@ mod tests {
         bat.insert_hashes(&hashes);
         assert_eq!(seq, bat);
         assert!(!bat.is_sparse());
+    }
+
+    #[test]
+    fn batch_that_ends_exactly_at_break_even_densifies() {
+        // One batch of exactly the break-even token count must promote,
+        // one short of it must not — the same decisions as one-by-one.
+        let c = EllConfig::new(2, 16, 6).unwrap();
+        let break_even = break_even_tokens(&c, 26);
+        let mut rng = SplitMix64::new(11);
+        for n in [break_even - 1, break_even, break_even + 1] {
+            let hashes: Vec<u64> = (0..n).map(|_| rng.next_u64()).collect();
+            let mut seq = SparseExaLogLog::new(c).unwrap();
+            for &h in &hashes {
+                seq.insert_hash(h);
+            }
+            let mut bat = SparseExaLogLog::new(c).unwrap();
+            bat.insert_hashes(&hashes);
+            assert_eq!(bat.is_sparse(), n < break_even, "n = {n}");
+            assert_eq!(seq, bat, "n = {n}");
+        }
     }
 
     #[test]

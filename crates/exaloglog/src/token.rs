@@ -73,6 +73,35 @@ pub fn rho_token(token: u64, v: u32) -> f64 {
     2f64.powi(-(e as i32))
 }
 
+/// Batches up to this size insert token by token (binary search plus a
+/// memmove each); larger ones sort and merge in place.
+const SMALL_BATCH: usize = 4;
+
+/// The first index of the sorted `run` whose token is ≥ `b`, found by
+/// galloping down from the end: O(log d) for an answer d places from
+/// the top.
+fn gallop_down(run: &[u64], b: u64) -> usize {
+    let mut hi = run.len();
+    let mut step = 1;
+    // Invariant: every token in run[hi..] is ≥ b.
+    while hi > 0 && run[hi - 1] >= b {
+        let lo = hi.saturating_sub(step);
+        if run[lo] >= b {
+            hi = lo;
+            step *= 2;
+        } else {
+            return lo + 1 + run[lo + 1..hi].partition_point(|&a| a < b);
+        }
+    }
+    hi
+}
+
+std::thread_local! {
+    /// Per-thread buffer [`TokenSet::insert_hashes`] sorts a batch's new
+    /// tokens in, so batches allocate nothing once it has grown.
+    static SCRATCH: core::cell::RefCell<Vec<u64>> = const { core::cell::RefCell::new(Vec::new()) };
+}
+
 /// A deduplicated collection of hash tokens with direct ML estimation.
 ///
 /// ```
@@ -131,14 +160,6 @@ impl TokenSet {
         self.tokens.is_empty()
     }
 
-    /// Removes every token while keeping the backing allocation, so a
-    /// buffer that is filled and drained repeatedly (delta-sketch reuse
-    /// in the store's ingest sessions) stops reallocating once it has
-    /// reached its working-set size.
-    pub fn clear(&mut self) {
-        self.tokens.clear();
-    }
-
     /// Bulk-builds a token set from hashes: encode, sort, deduplicate.
     /// Much faster than repeated [`TokenSet::insert_hash`] for large
     /// batches (O(n log n) instead of O(n²) worst case).
@@ -177,6 +198,73 @@ impl TokenSet {
         self.tokens.iter().map(move |&t| decode_token(t, v))
     }
 
+    /// Inserts a batch of hashes; equivalent to [`TokenSet::insert_hash`]
+    /// on each in turn. Tiny batches take the binary-search path; larger
+    /// ones encode and sort only the new tokens (in a reused per-thread
+    /// scratch buffer) and merge them into the existing run in place, so
+    /// a batch costs O(n + k log k) instead of a memmove per new token.
+    pub fn insert_hashes(&mut self, hashes: &[u64]) {
+        if hashes.len() <= SMALL_BATCH {
+            for &h in hashes {
+                self.insert_hash(h);
+            }
+            return;
+        }
+        let v = self.v;
+        SCRATCH.with(|scratch| {
+            let mut new = scratch.borrow_mut();
+            new.clear();
+            new.extend(hashes.iter().map(|&h| encode_token(h, v)));
+            new.sort_unstable();
+            new.dedup();
+            self.merge_sorted(&new);
+        });
+    }
+
+    /// Merges the sorted, distinct run `new` into the token run in
+    /// place. The vector grows by `new.len()` or an eighth of its length,
+    /// whichever is more, so a set fed many small batches reallocates
+    /// rarely while the many small sets of a keyed store keep little
+    /// spare capacity. A backward merge fills the vector from the top: each new token gallops down
+    /// to its place and the old tokens above it move up in one block, so
+    /// every old token moves once at `memmove` speed and a batch of k
+    /// costs O(n + k log n) however the runs interleave. The duplicates
+    /// it drops leave a gap at the front, closed by one final shift.
+    fn merge_sorted(&mut self, new: &[u64]) {
+        let n = self.tokens.len();
+        let total = n + new.len();
+        if self.tokens.capacity() - n < new.len() {
+            self.tokens.reserve_exact(new.len().max(n / 8));
+        }
+        if n == 0 || new.is_empty() || self.tokens[n - 1] < new[0] {
+            self.tokens.extend_from_slice(new);
+            return;
+        }
+        self.tokens.resize(total, 0);
+        let t = &mut self.tokens[..];
+        // Old tokens t[..i] are unmerged; the union fills t[w..total].
+        let (mut i, mut w) = (n, total);
+        for &b in new.iter().rev() {
+            let p = gallop_down(&t[..i], b);
+            t.copy_within(p..i, w - (i - p));
+            w -= i - p;
+            let duplicate = i > p && t[w] == b;
+            i = p;
+            if !duplicate {
+                w -= 1;
+                t[w] = b;
+            }
+        }
+        if w > i {
+            t.copy_within(0..i, w - i);
+        }
+        let gap = w - i;
+        if gap > 0 {
+            self.tokens.copy_within(gap.., 0);
+            self.tokens.truncate(total - gap);
+        }
+    }
+
     /// Merges another token set collected with the same `v`.
     pub fn merge_from(&mut self, other: &TokenSet) -> Result<(), EllError> {
         if self.v != other.v {
@@ -184,29 +272,7 @@ impl TokenSet {
                 reason: format!("token parameters differ: v={} vs v={}", self.v, other.v),
             });
         }
-        // Sorted-merge union.
-        let mut merged = Vec::with_capacity(self.tokens.len() + other.tokens.len());
-        let (mut i, mut j) = (0, 0);
-        while i < self.tokens.len() && j < other.tokens.len() {
-            match self.tokens[i].cmp(&other.tokens[j]) {
-                core::cmp::Ordering::Less => {
-                    merged.push(self.tokens[i]);
-                    i += 1;
-                }
-                core::cmp::Ordering::Greater => {
-                    merged.push(other.tokens[j]);
-                    j += 1;
-                }
-                core::cmp::Ordering::Equal => {
-                    merged.push(self.tokens[i]);
-                    i += 1;
-                    j += 1;
-                }
-            }
-        }
-        merged.extend_from_slice(&self.tokens[i..]);
-        merged.extend_from_slice(&other.tokens[j..]);
-        self.tokens = merged;
+        self.merge_sorted(&other.tokens);
         Ok(())
     }
 
@@ -433,6 +499,33 @@ mod tests {
         // Mismatched v rejected.
         let c = TokenSet::new(13).unwrap();
         assert!(a.merge_from(&c).is_err());
+    }
+
+    #[test]
+    fn batched_insert_equals_one_by_one() {
+        // Batches of every size class, with repeats inside a batch and
+        // against tokens already present, in both merge directions.
+        let mut rng = SplitMix64::new(8);
+        let pool: Vec<u64> = (0..700).map(|_| rng.next_u64()).collect();
+        let mut batched = TokenSet::new(12).unwrap();
+        let mut single = TokenSet::new(12).unwrap();
+        for len in [0usize, 1, 3, 4, 5, 17, 64, 200, 2, 500, 900, 7] {
+            let batch: Vec<u64> = (0..len)
+                .map(|_| pool[(rng.next_u64() % pool.len() as u64) as usize])
+                .collect();
+            batched.insert_hashes(&batch);
+            for &h in &batch {
+                single.insert_hash(h);
+            }
+            assert_eq!(batched, single, "after a batch of {len}");
+        }
+        // Appending strictly larger tokens takes the no-merge shortcut.
+        let top: Vec<u64> = (0..10).map(|i| u64::MAX - i).collect();
+        batched.insert_hashes(&top);
+        for &h in &top {
+            single.insert_hash(h);
+        }
+        assert_eq!(batched, single);
     }
 
     #[test]

@@ -5,7 +5,7 @@
 //! to a dense [`ExaLogLog`] fed the same hashes, and merges must give
 //! the same result whichever side happens to be sparse or dense.
 
-use exaloglog::{AdaptiveExaLogLog, EllConfig, ExaLogLog};
+use exaloglog::{AdaptiveExaLogLog, EllConfig, ExaLogLog, SparseExaLogLog};
 use proptest::prelude::*;
 
 fn hash_stream(seed: u64, n: usize) -> Vec<u64> {
@@ -121,5 +121,49 @@ proptest! {
                 "sparse union estimate {} vs exact {}", est, n
             );
         }
+    }
+
+    /// Batched inserts are exactly one-by-one inserts, in serialized
+    /// state and in estimate bits, for random batch splits of a stream
+    /// that straddles break-even (0.875·2^p tokens for these
+    /// configurations): the sparse batch path sorts and merges whole
+    /// batches and checks break-even once per batch. Each hash repeats
+    /// about three times, so batches meet tokens that earlier batches
+    /// inserted, on both sides of break-even.
+    #[test]
+    fn batched_inserts_equal_one_by_one_across_break_even(
+        seed in any::<u64>(),
+        p in 4u8..8,
+        distinct_permille in 1usize..2000,
+        splits in proptest::collection::vec(1usize..80, 1..12),
+    ) {
+        let cfg = EllConfig::optimal(p).unwrap();
+        let pool = hash_stream(seed, ((1usize << p) * distinct_permille / 1000).max(1));
+        let mut rng = ell_hash::SplitMix64::new(seed ^ 0x5851_F42D_4C95_7F2D);
+        let hashes: Vec<u64> = (0..3 * pool.len())
+            .map(|_| pool[(rng.next_u64() % pool.len() as u64) as usize])
+            .collect();
+        let mut one_adaptive = AdaptiveExaLogLog::new(cfg).unwrap();
+        let mut one_sparse = SparseExaLogLog::new(cfg).unwrap();
+        for &h in &hashes {
+            one_adaptive.insert_hash(h);
+            one_sparse.insert_hash(h);
+        }
+        let mut batched_adaptive = AdaptiveExaLogLog::new(cfg).unwrap();
+        let mut batched_sparse = SparseExaLogLog::new(cfg).unwrap();
+        let mut rest = hashes.as_slice();
+        for &len in splits.iter().cycle() {
+            if rest.is_empty() {
+                break;
+            }
+            let (batch, tail) = rest.split_at(len.min(rest.len()));
+            batched_adaptive.insert_hashes(batch);
+            batched_sparse.insert_hashes(batch);
+            rest = tail;
+        }
+        prop_assert_eq!(batched_adaptive.to_bytes(), one_adaptive.to_bytes());
+        prop_assert_eq!(batched_adaptive.estimate().to_bits(), one_adaptive.estimate().to_bits());
+        prop_assert_eq!(batched_sparse.to_bytes(), one_sparse.to_bytes());
+        prop_assert_eq!(batched_sparse.estimate().to_bits(), one_sparse.estimate().to_bits());
     }
 }
