@@ -4,12 +4,13 @@
 //! agree on everything except what a key holds: a power-of-two table of
 //! `RwLock<HashMap<String, V>>` shards routed by a fixed-seed key hash,
 //! and one handoff queue per shard on which buffered
-//! [`Session`](crate::Session)s park `(key, tag, hashes)` runs when the
-//! shard is contended. `V` is one sketch slot for the flat store and an
+//! [`Session`](crate::Session)s park a flush's runs for that shard when
+//! it is contended. `V` is one sketch slot for the flat store and an
 //! epoch ring for the windowed one; the tag `T` is `()` and the epoch.
-//! [`KeyedCore`] owns that table and its iteration helpers, and the
-//! [`Keyed`] trait carries the single copy of the flush/drain protocol,
-//! parameterized by each store's per-key merge.
+//! [`KeyedCore`] owns that table and its iteration helpers,
+//! [`group_runs`] cuts every ingest batch and session log into per-key
+//! runs, and the [`Keyed`] trait carries the single copy of the
+//! flush/drain protocol, parameterized by each store's per-key merge.
 //!
 //! Register merge is commutative and idempotent (paper §1, §2), so a
 //! parked run may be applied by any thread at any time: the protocol
@@ -22,29 +23,201 @@ use ell_hash::{Hasher64, WyHash};
 use exaloglog::adaptive::AdaptiveExaLogLog;
 use exaloglog::EllError;
 use std::collections::HashMap;
+use std::ops::Range;
 
 /// Seed of the key-partitioning hash. Fixed so that shard assignment —
 /// and therefore snapshot layout — is stable across processes, and
 /// shared by both stores so they shard a key space identically.
 const KEY_HASH_SEED: u64 = 0xE115_70E5;
 
-/// Soft bound on a shard's handoff queue: once this many runs are
-/// queued, the enqueueing session drains the shard itself (blocking on
-/// the write lock) instead of deferring to a later flush.
+/// Soft bound on a shard's handoff queue: once this many flushes are
+/// parked on it, the enqueueing session drains the shard itself
+/// (blocking on the write lock) instead of deferring to a later flush.
 const HANDOFF_SOFT_CAPACITY: usize = 64;
 
-/// One shard's handoff queue of parked `(key, tag, hashes)` runs.
-type Queue<T> = Vec<(String, T, Vec<u64>)>;
+/// One shard's handoff queue: one item per parked flush.
+type Queue<T> = Vec<Parked<T>>;
 
-/// One key's share of a session flush: every hash buffered for `key`
-/// under `tag`, bound for shard `shard`. One key may arrive as several
-/// runs (merges commute), but a run never mixes keys or tags.
+/// One key's share of an ingest batch or session flush: every hash
+/// observed for `key` under `tag`, bound for shard `shard`. One key may
+/// arrive as several runs (merges commute), but a run never mixes keys
+/// or tags.
 #[derive(Debug)]
 pub(crate) struct Run<'l, T> {
     pub(crate) shard: usize,
     pub(crate) key: &'l str,
     pub(crate) tag: T,
     pub(crate) hashes: &'l [u64],
+}
+
+/// A contended flush's runs for one shard, owned so they can wait on
+/// the handoff queue: the keys back to back in one arena, the hashes
+/// back to back in one buffer.
+#[derive(Debug)]
+struct Parked<T> {
+    keys: String,
+    hashes: Vec<u64>,
+    /// Per run: its tag and where its key and its hashes lie.
+    runs: Vec<(T, Range<usize>, Range<usize>)>,
+}
+
+impl<T: Copy> Parked<T> {
+    fn new(runs: &[Run<'_, T>]) -> Self {
+        let mut parked = Parked {
+            keys: String::with_capacity(runs.iter().map(|run| run.key.len()).sum()),
+            hashes: Vec::with_capacity(runs.iter().map(|run| run.hashes.len()).sum()),
+            runs: Vec::with_capacity(runs.len()),
+        };
+        for run in runs {
+            let (key_start, hashes_start) = (parked.keys.len(), parked.hashes.len());
+            parked.keys.push_str(run.key);
+            parked.hashes.extend_from_slice(run.hashes);
+            parked.runs.push((
+                run.tag,
+                key_start..parked.keys.len(),
+                hashes_start..parked.hashes.len(),
+            ));
+        }
+        parked
+    }
+
+    /// The parked `(key, tag, hashes)` runs, in flush order.
+    fn runs(&self) -> impl Iterator<Item = (&str, T, &[u64])> {
+        self.runs
+            .iter()
+            .map(|(tag, key, hashes)| (&self.keys[key.clone()], *tag, &self.hashes[hashes.clone()]))
+    }
+}
+
+impl<T> Parked<T> {
+    fn heap_bytes(&self) -> usize {
+        self.keys.capacity()
+            + self.hashes.capacity() * core::mem::size_of::<u64>()
+            + self.runs.capacity() * core::mem::size_of::<(T, Range<usize>, Range<usize>)>()
+    }
+}
+
+/// The shard of `shards` (a power of two) a key with hash `key_hash`
+/// lives in: its low bits.
+fn shard_of_hash(key_hash: u64, shards: usize) -> usize {
+    (key_hash as usize) & (shards - 1)
+}
+
+/// Groups a batch of `(key_hash, tag, key, hash)` records into runs,
+/// one per distinct `(key, tag)`, ordered by shard (the low bits of the
+/// key hash, `shards` a power of two) and, within a shard, by first
+/// appearance. Each run's hashes lie contiguously in `hashes`, in input
+/// order, so a key's slot sees exactly the sequence direct insertion
+/// would have fed it.
+///
+/// One pass assigns every record to its run through a flat
+/// open-addressed table probed with the key-hash bits above the shard
+/// bits; a hit also compares the tag and the key bytes, so keys whose
+/// hashes collide never share a run. One counting pass then orders the
+/// runs by shard, and one gather lays out their hashes. No comparison
+/// sort: each record costs one probe and one store.
+pub(crate) fn group_runs<'l, T: Copy + Eq>(
+    shards: usize,
+    records: impl ExactSizeIterator<Item = (u64, T, &'l str, u64)>,
+    hashes: &'l mut Vec<u64>,
+) -> Vec<Run<'l, T>> {
+    /// A run under construction: its first record's identity, its
+    /// length, and (after ordering) a cursor into `hashes`.
+    struct Head<'l, T> {
+        key_hash: u64,
+        tag: T,
+        key: &'l str,
+        len: usize,
+        end: usize,
+    }
+    const EMPTY: u32 = u32::MAX;
+    debug_assert!(shards.is_power_of_two());
+    let n = records.len();
+    assert!(
+        n < EMPTY as usize,
+        "batch of {n} records overflows the run table"
+    );
+    let shard_bits = shards.trailing_zeros();
+    let shard_of = |key_hash| shard_of_hash(key_hash, shards);
+    let mask = (2 * n).max(16).next_power_of_two() - 1;
+    let mut table = vec![EMPTY; mask + 1];
+    let mut heads: Vec<Head<'l, T>> = Vec::new();
+    let mut run_of: Vec<(u32, u64)> = Vec::with_capacity(n);
+    for (key_hash, tag, key, hash) in records {
+        let mut at = (key_hash >> shard_bits) as usize & mask;
+        let run = loop {
+            let r = table[at];
+            if r == EMPTY {
+                table[at] = heads.len() as u32;
+                heads.push(Head {
+                    key_hash,
+                    tag,
+                    key,
+                    len: 0,
+                    end: 0,
+                });
+                break heads.len() - 1;
+            }
+            let head = &heads[r as usize];
+            if head.key_hash == key_hash && head.tag == tag && head.key == key {
+                break r as usize;
+            }
+            at = (at + 1) & mask;
+        };
+        heads[run].len += 1;
+        run_of.push((run as u32, hash));
+    }
+    drop(table);
+    // Counting sort of the runs by shard, stable in first appearance.
+    let mut first = vec![0usize; shards + 1];
+    for head in &heads {
+        first[shard_of(head.key_hash) + 1] += 1;
+    }
+    for si in 0..shards {
+        first[si + 1] += first[si];
+    }
+    let mut order = vec![0u32; heads.len()];
+    for (r, head) in heads.iter().enumerate() {
+        let slot = &mut first[shard_of(head.key_hash)];
+        order[*slot] = r as u32;
+        *slot += 1;
+    }
+    let mut at = 0;
+    for &r in &order {
+        let head = &mut heads[r as usize];
+        head.end = at;
+        at += head.len;
+    }
+    // Gather: `end` runs from each run's start to its end.
+    hashes.clear();
+    hashes.resize(n, 0);
+    for &(r, hash) in &run_of {
+        let head = &mut heads[r as usize];
+        hashes[head.end] = hash;
+        head.end += 1;
+    }
+    let hashes: &'l [u64] = hashes;
+    order
+        .iter()
+        .map(|&r| {
+            let head = &heads[r as usize];
+            Run {
+                shard: shard_of(head.key_hash),
+                key: head.key,
+                tag: head.tag,
+                hashes: &hashes[head.end - head.len..head.end],
+            }
+        })
+        .collect()
+}
+
+/// The runs of `runs` (ordered by shard, as [`group_runs`] leaves them)
+/// cut into one slice per shard, with the shard index.
+pub(crate) fn by_shard<'r, 'l, T>(
+    runs: &'r [Run<'l, T>],
+) -> impl Iterator<Item = (usize, &'r [Run<'l, T>])> {
+    runs.chunk_by(|a, b| a.shard == b.shard)
+        .map(|group| (group[0].shard, group))
 }
 
 /// The shard table plus the per-shard handoff queues (kept strictly
@@ -88,13 +261,8 @@ impl<V, T> KeyedCore<V, T> {
         self.hasher.hash_bytes(key.as_bytes())
     }
 
-    /// The shard a key with hash `key_hash` lives in: its low bits.
-    pub(crate) fn shard_of_hash(&self, key_hash: u64) -> usize {
-        (key_hash as usize) & (self.shards.len() - 1)
-    }
-
     pub(crate) fn shard_of(&self, key: &str) -> usize {
-        self.shard_of_hash(self.key_hash(key))
+        shard_of_hash(self.key_hash(key), self.shards.len())
     }
 
     pub(crate) fn read(&self, si: usize) -> RwLockReadGuard<'_, HashMap<String, V>> {
@@ -118,17 +286,22 @@ impl<V, T> KeyedCore<V, T> {
         self.queues[si].lock().expect("handoff queue poisoned")
     }
 
-    /// Splits a batch into per-shard buckets (batch order kept within
-    /// each) and yields the nonempty ones with their shard index.
-    pub(crate) fn route<'k>(
+    /// Groups a direct batch of `(key, hash)` observations, all under
+    /// `tag`, into per-key runs ordered by shard (see [`group_runs`]);
+    /// the runs' hashes land in `hashes`.
+    pub(crate) fn group<'l>(
         &self,
-        batch: &[(&'k str, u64)],
-    ) -> impl Iterator<Item = (usize, Vec<(&'k str, u64)>)> {
-        let mut buckets = vec![Vec::new(); self.shards.len()];
-        for &(key, hash) in batch {
-            buckets[self.shard_of(key)].push((key, hash));
-        }
-        buckets.into_iter().enumerate().filter(|b| !b.1.is_empty())
+        tag: T,
+        batch: &[(&'l str, u64)],
+        hashes: &'l mut Vec<u64>,
+    ) -> Vec<Run<'l, T>>
+    where
+        T: Copy + Eq,
+    {
+        let records = batch
+            .iter()
+            .map(|&(key, hash)| (self.key_hash(key), tag, key, hash));
+        group_runs(self.shards.len(), records, hashes)
     }
 
     /// The read-locked shard holding `key`.
@@ -189,24 +362,11 @@ impl<V, T> KeyedCore<V, T> {
                 total += key.len() + heap_bytes(value);
             }
             let queue = self.queue(si);
-            total += queue.capacity() * core::mem::size_of::<(String, T, Vec<u64>)>();
-            for (key, _, hashes) in queue.iter() {
-                total += key.len() + core::mem::size_of_val(hashes.as_slice());
-            }
+            total += queue.capacity() * core::mem::size_of::<Parked<T>>();
+            total += queue.iter().map(Parked::heap_bytes).sum::<usize>();
         }
         total
     }
-}
-
-/// Groups a shard's bucket by key, keeping per-key order, so each value
-/// takes one batched insert; keys are independent, so the group
-/// iteration order cannot affect the result.
-pub(crate) fn group_by_key<'k>(bucket: &[(&'k str, u64)]) -> HashMap<&'k str, Vec<u64>> {
-    let mut grouped: HashMap<&str, Vec<u64>> = HashMap::new();
-    for &(key, hash) in bucket {
-        grouped.entry(key).or_default().push(hash);
-    }
-    grouped
 }
 
 /// A store built on a [`KeyedCore`]: what the generic
@@ -217,7 +377,7 @@ pub(crate) trait Keyed {
     /// What each key holds in the shard maps.
     type Value;
     /// What a buffered observation is tagged with besides its key.
-    type Tag: Copy + Ord + core::fmt::Debug;
+    type Tag: Copy + Eq + core::fmt::Debug;
     /// Store-wide state pinned for the length of one handoff merge.
     type Pin: Copy;
 
@@ -245,9 +405,10 @@ pub(crate) trait Keyed {
 
     /// Flushes one shard's runs of a session log: on an uncontended (or
     /// barrier) lock each run folds straight from the session's log into
-    /// its slot. A contended auto-flush parks copies of the runs on the
-    /// handoff queue instead, and blocking-drains the queue itself once
-    /// it reaches [`HANDOFF_SOFT_CAPACITY`].
+    /// its slot. A contended auto-flush parks one owned copy of the
+    /// whole group on the handoff queue instead, and blocking-drains the
+    /// queue itself once it holds [`HANDOFF_SOFT_CAPACITY`] parked
+    /// flushes.
     fn flush_runs(&self, si: usize, runs: &[Run<'_, Self::Tag>], barrier: bool) {
         let core = self.core();
         let overflow = self.pinned(|pin| {
@@ -267,11 +428,9 @@ pub(crate) trait Keyed {
                     false
                 }
                 None => {
+                    let parked = Parked::new(runs);
                     let mut queue = core.queue(si);
-                    queue.extend(
-                        runs.iter()
-                            .map(|run| (run.key.to_owned(), run.tag, run.hashes.to_vec())),
-                    );
+                    queue.push(parked);
                     queue.len() >= HANDOFF_SOFT_CAPACITY
                 }
             }
@@ -315,9 +474,95 @@ pub(crate) trait Keyed {
             if batch.is_empty() {
                 return;
             }
-            for (key, tag, hashes) in &batch {
-                self.merge_hashes(map, key, *tag, hashes, pin);
+            for (key, tag, hashes) in batch.iter().flat_map(Parked::runs) {
+                self.merge_hashes(map, key, tag, hashes, pin);
             }
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::EllStore;
+    use ell_hash::{mix64, SplitMix64};
+    use exaloglog::EllConfig;
+    use std::time::Duration;
+
+    fn cfg() -> EllConfig {
+        EllConfig::new(2, 16, 6).unwrap()
+    }
+
+    #[test]
+    fn grouped_batches_keep_colliding_keys_apart() {
+        // A direct batch (one tag) whose five keys share two key hashes
+        // between them: each key gets exactly its own hashes, in batch
+        // order, as one run.
+        let keys = ["a", "b", "c", "d", "e"];
+        let key_hash = |key: &str| if key < "c" { 0x51 } else { 0x52 };
+        let mut rng = SplitMix64::new(5);
+        let batch: Vec<(&str, u64)> = (0..500)
+            .map(|_| (keys[(rng.next_u64() % 5) as usize], rng.next_u64()))
+            .collect();
+        let mut hashes = Vec::new();
+        let records = batch
+            .iter()
+            .map(|&(key, hash)| (key_hash(key), (), key, hash));
+        let runs = group_runs(4, records, &mut hashes);
+        assert_eq!(runs.len(), keys.len());
+        assert!(runs.windows(2).all(|w| w[0].shard <= w[1].shard));
+        for run in &runs {
+            assert_eq!(run.shard, (key_hash(run.key) & 3) as usize);
+            let own: Vec<u64> = batch
+                .iter()
+                .filter(|e| e.0 == run.key)
+                .map(|e| e.1)
+                .collect();
+            assert_eq!(run.hashes, own);
+        }
+        assert!(group_runs::<()>(4, std::iter::empty(), &mut hashes).is_empty());
+    }
+
+    #[test]
+    fn contended_flush_parks_one_item_and_returns() {
+        // More runs than the soft capacity, on a shard whose write lock
+        // is held elsewhere: a non-barrier flush parks them as one item
+        // and returns instead of blocking on the lock.
+        let store = EllStore::new(1, cfg()).unwrap();
+        let twin = EllStore::new(1, cfg()).unwrap();
+        let keys: Vec<String> = (0..2 * HANDOFF_SOFT_CAPACITY)
+            .map(|i| format!("k{i}"))
+            .collect();
+        let hashes: Vec<u64> = (0..16).map(mix64).collect();
+        let runs: Vec<Run<'_, ()>> = keys
+            .iter()
+            .map(|key| Run {
+                shard: 0,
+                key,
+                tag: (),
+                hashes: &hashes,
+            })
+            .collect();
+        let (tx, rx) = std::sync::mpsc::channel();
+        let guard = store.core().write(0);
+        std::thread::scope(|s| {
+            let (store, runs) = (&store, &runs);
+            s.spawn(move || {
+                store.flush_runs(0, runs, false);
+                tx.send(()).expect("the test thread waits for this");
+            });
+            let returned = rx.recv_timeout(Duration::from_secs(10)).is_ok();
+            let parked = store.core().queue(0).len();
+            drop(guard);
+            assert!(returned, "a contended flush blocked on the write lock");
+            assert_eq!(parked, 1);
+        });
+        store.drain_all_pending();
+        for key in &keys {
+            for &hash in &hashes {
+                twin.insert(key, hash);
+            }
+        }
+        assert_eq!(store.snapshot_bytes(), twin.snapshot_bytes());
     }
 }

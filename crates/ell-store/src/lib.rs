@@ -20,8 +20,10 @@
 //!   concurrently without serializing the shard.
 //!
 //! The batched [`EllStore::ingest`] entry point groups a `(key, hash)`
-//! batch by shard, drains all hot-key inserts under one read lock per
-//! shard, and only then takes the write lock for the remainder.
+//! batch into one run per key, ordered by shard, with one probe of a
+//! batch-local table per event; per shard it then drains the hot keys'
+//! runs under one read lock, and only then takes the write lock for the
+//! remainder, looking each key up in the shard map once per batch.
 //! [`WindowedStore`] shares this shard table, key hash, handoff queues
 //! and flush protocol; each store adds only its per-key value and merge.
 //!
@@ -30,11 +32,11 @@
 //! For sustained multi-threaded ingest, [`EllStore::session`] and
 //! [`WindowedStore::session`] open one buffered [`Session`] type
 //! ([`IngestSession`] / [`WindowIngestSession`]): each thread appends
-//! observations to a thread-local log, and each flush sorts the log
-//! once and folds every key's run of hashes into its slot under one
-//! write lock per shard (parking the runs on a per-shard queue when the
-//! lock is contended) — the hot insert loop touches no shared state at
-//! all.
+//! observations to a thread-local log, and each flush groups the log
+//! once (the same grouper direct batches use) and folds every key's run
+//! of hashes into its slot under one write lock per shard (parking the
+//! shard's runs as one item on a per-shard queue when the lock is
+//! contended) — the hot insert loop touches no shared state at all.
 //!
 //! Because every per-key structure is monotone (token sets union,
 //! registers only grow, promotion is threshold-crossing), the final

@@ -10,10 +10,11 @@
 //! hash)` record, where the tag is the epoch for the windowed store and
 //! nothing for the flat one. No event looks anything up. When the log
 //! reaches the session's threshold, or at an explicit
-//! [`Session::flush`] (and on drop), the flush sorts the records once
-//! by `(shard, key_hash, tag)`, takes each shard's lock once, and folds
-//! every key's run of hashes straight into its slot through the one
-//! handoff protocol both stores share. A sparse slot takes a run as one
+//! [`Session::flush`] (and on drop), the flush groups the log once into
+//! one run per `(key, tag)`, ordered by shard — the same grouper direct
+//! batches go through, with no comparison sort — takes each shard's lock
+//! once, and folds every key's run of hashes straight into its slot
+//! through the one handoff protocol both stores share. A sparse slot takes a run as one
 //! sorted token batch, a hot slot as one batched atomic insert.
 //!
 //! # Buffer reuse
@@ -23,7 +24,8 @@
 //! without allocating. The session holds O(auto-flush threshold)
 //! records, however many distinct keys it has seen. Only when a shard's
 //! write lock is contended during an auto-flush does the session copy
-//! its runs onto the store's handoff queue. Oversubscribed ingest —
+//! that shard's runs, as one parked item, onto the store's handoff
+//! queue. Oversubscribed ingest —
 //! more sessions than cores — therefore degrades gracefully instead of
 //! stalling on locks.
 //!
@@ -64,12 +66,12 @@
 //! assert!((store.estimate("events").unwrap() / 40_000.0 - 1.0).abs() < 0.1);
 //! ```
 
-use crate::core::{Keyed, Run};
+use crate::core::{by_shard, group_runs, Keyed, Run};
 use crate::store::EllStore;
 use crate::window::WindowedStore;
 
 /// Default number of buffered hashes that triggers an automatic flush.
-/// Large enough to amortize the sort and the handoff, small enough to
+/// Large enough to amortize the grouping and the handoff, small enough to
 /// bound the session's memory (one log record per buffered hash).
 pub(crate) const DEFAULT_AUTO_FLUSH: usize = 32 * 1024;
 
@@ -166,9 +168,9 @@ impl<'a, S: Keyed> Session<'a, S> {
     fn flush_with(&mut self, barrier: bool) {
         let store = self.store;
         let core = store.core();
-        let runs = self.log.runs(|key_hash| core.shard_of_hash(key_hash));
-        for group in runs.chunk_by(|a, b| a.shard == b.shard) {
-            store.flush_runs(group[0].shard, group, barrier);
+        let runs = self.log.runs(core.shard_count());
+        for (si, group) in by_shard(&runs) {
+            store.flush_runs(si, group, barrier);
         }
         self.log.clear();
         if barrier {
@@ -184,8 +186,8 @@ struct Log<T> {
     records: Vec<Record<T>>,
     /// Key arena: every record's key, back to back.
     keys: String,
-    /// The records' hashes in sorted record order, filled by
-    /// [`Log::runs`] so that each run is one contiguous slice.
+    /// The records' hashes in run order, filled by [`Log::runs`] so
+    /// that each run is one contiguous slice.
     hashes: Vec<u64>,
 }
 
@@ -210,14 +212,16 @@ impl<T> Default for Log<T> {
     }
 }
 
-impl<T: Copy + Ord> Log<T> {
+impl<T: Copy + Eq> Log<T> {
     fn len(&self) -> usize {
         self.records.len()
     }
 
-    /// Whether `key` still fits the arena's 32-bit offsets.
+    /// Whether one more record for `key` still fits the arena's 32-bit
+    /// offsets and the grouper's 32-bit run table.
     fn fits(&self, key: &str) -> bool {
         self.keys.len() + key.len() <= u32::MAX as usize
+            && self.records.len() < u32::MAX as usize - 1
     }
 
     fn push(&mut self, key_hash: u64, key: &str, tag: T, hash: u64) {
@@ -232,38 +236,16 @@ impl<T: Copy + Ord> Log<T> {
         });
     }
 
-    fn key(&self, record: &Record<T>) -> &str {
-        &self.keys[record.key_start as usize..record.key_end as usize]
-    }
-
-    /// Sorts the records by `(shard, key_hash, tag)` and cuts them into
-    /// runs, ordered by shard. A run ends wherever the key hash, the tag
-    /// or the key bytes change, so distinct keys whose hashes collide
-    /// never share a run (they may split each other's runs, which is
-    /// harmless: merges commute).
-    fn runs(&mut self, shard_of: impl Fn(u64) -> usize) -> Vec<Run<'_, T>> {
-        self.records
-            .sort_unstable_by_key(|r| (shard_of(r.key_hash), r.key_hash, r.tag));
-        self.hashes.clear();
-        self.hashes.extend(self.records.iter().map(|r| r.hash));
-        let mut runs = Vec::new();
-        let mut start = 0;
-        for end in 1..=self.records.len() {
-            let first = &self.records[start];
-            let same = self.records.get(end).is_some_and(|r| {
-                r.key_hash == first.key_hash && r.tag == first.tag && self.key(r) == self.key(first)
-            });
-            if !same {
-                runs.push(Run {
-                    shard: shard_of(first.key_hash),
-                    key: self.key(first),
-                    tag: first.tag,
-                    hashes: &self.hashes[start..end],
-                });
-                start = end;
-            }
-        }
-        runs
+    /// Groups the records into one run per `(key, tag)`, ordered by
+    /// shard, through the stores' shared grouper ([`group_runs`]):
+    /// distinct keys whose hashes collide never share a run.
+    fn runs(&mut self, shards: usize) -> Vec<Run<'_, T>> {
+        let keys = &self.keys;
+        let records = self.records.iter().map(|r| {
+            let key = &keys[r.key_start as usize..r.key_end as usize];
+            (r.key_hash, r.tag, key, r.hash)
+        });
+        group_runs(shards, records, &mut self.hashes)
     }
 
     /// Empties the log, keeping every buffer's capacity.
@@ -431,7 +413,7 @@ mod tests {
     fn runs_split_colliding_keys_and_tags() {
         // Two distinct keys forced onto one key hash, three tags each,
         // interleaved: every `(key, tag)` receives exactly its own
-        // hashes, and no run mixes keys or tags.
+        // hashes, in buffer order, as one run.
         let mut log: Log<u64> = Log::default();
         let mut expected: HashMap<(String, u64), Vec<u64>> = HashMap::new();
         let mut rng = SplitMix64::new(16);
@@ -451,17 +433,12 @@ mod tests {
         expected.insert(("solo".to_owned(), 5), vec![998]);
         expected.insert(("elsewhere".to_owned(), 0), vec![1_000]);
         expected.insert(("neighbour".to_owned(), 0), vec![1_001]);
-        let runs = log.runs(|key_hash| (key_hash & 3) as usize);
+        let runs = log.runs(4);
         assert!(runs.windows(2).all(|w| w[0].shard <= w[1].shard));
         let mut got: HashMap<(String, u64), Vec<u64>> = HashMap::new();
         for run in &runs {
-            assert!(!run.hashes.is_empty());
-            got.entry((run.key.to_owned(), run.tag))
-                .or_default()
-                .extend_from_slice(run.hashes);
-        }
-        for hashes in got.values_mut() {
-            hashes.sort_unstable();
+            let previous = got.insert((run.key.to_owned(), run.tag), run.hashes.to_vec());
+            assert!(previous.is_none(), "{} split into two runs", run.key);
         }
         assert_eq!(got, expected);
     }

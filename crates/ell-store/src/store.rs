@@ -1,7 +1,7 @@
 //! The sharded keyed store proper: slot lifecycle, batched ingest,
 //! tiered residency, and per-key / merged estimation.
 
-use crate::core::{group_by_key, Keyed, KeyedCore};
+use crate::core::{by_shard, Keyed, KeyedCore, Run};
 use crate::sync::atomic::{AtomicU64, Ordering};
 use crate::tiers::{SpillStore, Tier, TierConfig, TierCounters, TierStats};
 use exaloglog::adaptive::AdaptiveExaLogLog;
@@ -342,45 +342,55 @@ impl EllStore {
     /// Inserts one `(key, element-hash)` observation (a direct
     /// single-shard path; use [`EllStore::ingest`] for batches).
     pub fn insert(&self, key: &str, hash: u64) {
-        self.ingest_shard(self.core.shard_of(key), &[(key, hash)]);
+        let shard = self.core.shard_of(key);
+        let run = Run {
+            shard,
+            key,
+            tag: (),
+            hashes: &[hash],
+        };
+        self.ingest_shard(shard, &[run]);
     }
 
-    /// Batched ingest: groups the batch by shard, drains inserts into
-    /// hot keys under one read lock per shard (one
-    /// [`AtomicExaLogLog::extend_hashes`] per key), then applies the rest
-    /// (new keys, sparse keys, demoted keys — which promote back first)
-    /// under the write lock, batching consecutive hashes per key through
-    /// the sketch's `insert_hashes` hot path.
+    /// Batched ingest: groups the batch into one run per key, ordered
+    /// by shard (one probe of a batch-local table per event), so each
+    /// key is looked up in its shard map once per batch. Per shard, the
+    /// hot keys' runs drain under the read lock (one
+    /// [`AtomicExaLogLog::extend_hashes`] per key), and the rest (new
+    /// keys, sparse keys, demoted keys — which promote back first) under
+    /// one write lock, each run through the sketch's batched
+    /// `insert_hashes`.
     ///
     /// Per-key insertion order follows batch order, and the final state
     /// for any key depends only on the *set* of hashes it received — so
     /// splitting a workload across threads in any way yields the same
     /// store state.
     pub fn ingest(&self, batch: &[(&str, u64)]) {
-        for (si, bucket) in self.core.route(batch) {
-            self.ingest_shard(si, &bucket);
+        let mut hashes = Vec::new();
+        let runs = self.core.group((), batch, &mut hashes);
+        for (si, group) in by_shard(&runs) {
+            self.ingest_shard(si, group);
         }
     }
 
-    fn ingest_shard(&self, si: usize, bucket: &[(&str, u64)]) {
+    /// Folds one shard's runs of a direct ingest, each run being all of
+    /// one key's hashes in the batch.
+    fn ingest_shard(&self, si: usize, runs: &[Run<'_, ()>]) {
         let now = self.clock();
-        let mut leftover: Vec<(&str, u64)> = Vec::new();
+        let mut rest = Vec::new();
         {
             let map = self.core.read(si);
-            let mut hot: Vec<(&Slot, &AtomicExaLogLog, u64)> = Vec::with_capacity(bucket.len());
-            for &(key, hash) in bucket {
-                match map.get(key).map(|slot| (slot, &slot.state)) {
-                    Some((slot, SlotState::Hot(a))) => hot.push((slot, a, hash)),
-                    _ => leftover.push((key, hash)),
-                }
-            }
-            // One `extend_hashes` per key: its coefficient terms reach the
-            // shared counters in one publish, not one per register change,
-            // so concurrent ingests of a hot key rarely contend on them.
-            hot.sort_by_key(|&(slot, ..)| std::ptr::from_ref(slot) as usize);
-            for run in hot.chunk_by(|x, y| std::ptr::eq(x.0, y.0)) {
-                let (slot, a, _) = run[0];
-                a.extend_hashes(run.iter().map(|&(.., hash)| hash));
+            for run in runs {
+                let Some((slot, SlotState::Hot(a))) =
+                    map.get(run.key).map(|slot| (slot, &slot.state))
+                else {
+                    rest.push(run);
+                    continue;
+                };
+                // One `extend_hashes` per key: its coefficient terms reach
+                // the shared counters in one publish, so concurrent
+                // ingests of a hot key rarely contend on them.
+                a.extend_hashes(run.hashes.iter().copied());
                 // ordering: Relaxed — idle-age stamp raced by other
                 // readers; `demote_idle` reads it under the shard write
                 // lock, whose acquire already orders it after every stamp
@@ -389,12 +399,12 @@ impl EllStore {
                 slot.touched.store(now, Ordering::Relaxed);
             }
         }
-        if leftover.is_empty() {
+        if rest.is_empty() {
             return;
         }
         let mut map = self.core.write(si);
-        for (key, hashes) in group_by_key(&leftover) {
-            match map.get_mut(key) {
+        for run in rest {
+            match map.get_mut(run.key) {
                 Some(slot) => {
                     // A direct ingest always promotes a demoted slot —
                     // only buffered session flushes park lazily.
@@ -402,10 +412,10 @@ impl EllStore {
                     // Another thread may have upgraded the slot between
                     // our read and write sections — the hot path also
                     // works under the write lock.
-                    slot.state.insert_resident(&hashes);
+                    slot.state.insert_resident(run.hashes);
                 }
                 None => {
-                    map.insert(key.to_string(), self.new_slot(&hashes, now));
+                    map.insert(run.key.to_owned(), self.new_slot(run.hashes, now));
                 }
             }
         }
@@ -419,7 +429,7 @@ impl EllStore {
     }
 
     /// Opens a buffered ingest session: inserts append to a session-local
-    /// log, and each flush sorts it once and folds every key's run of
+    /// log, and each flush groups it once and folds every key's run of
     /// hashes straight into its shard slot (see
     /// [`crate::IngestSession`]). One session per ingesting thread is
     /// the intended shape.
@@ -1061,6 +1071,88 @@ mod tests {
         fill_key(&twin, "k", 25_000, 8);
         assert_eq!(store.key_tier("k"), Some(Tier::Hot));
         assert_eq!(store.estimate("k").unwrap(), twin.estimate("k").unwrap());
+    }
+
+    #[test]
+    fn one_batch_across_every_tier_matches_single_inserts() {
+        // Hot, sparse, warm, cold and new keys over eight shards, fed
+        // one interleaved batch: the store ends bit-identical to a twin
+        // fed the same events one `insert` at a time.
+        let dir = std::env::temp_dir().join(format!("ell-mixed-batch-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let tiered = |sub: &str| {
+            let mut store = EllStore::new(8, cfg()).unwrap();
+            store.set_tier_config(
+                TierConfig::new()
+                    .warm_after(1)
+                    .cold_after(2)
+                    .spill_dir(dir.join(sub)),
+            );
+            store
+        };
+        let batched = tiered("batched");
+        let single = tiered("single");
+        let class = |name: &str| (0..6).map(|i| format!("{name}-{i}")).collect::<Vec<_>>();
+        let (cold, warm, hot, sparse, new) = (
+            class("cold"),
+            class("warm"),
+            class("hot"),
+            class("sparse"),
+            class("new"),
+        );
+        let fill = |keys: &[String], per_key: u64, seed: u64| {
+            for key in keys {
+                fill_key(&batched, key, per_key, seed);
+                fill_key(&single, key, per_key, seed);
+            }
+        };
+        let idle = || {
+            for store in [&batched, &single] {
+                store.tick();
+                store.demote_idle();
+            }
+        };
+        fill(&cold, 3_000, 1);
+        idle();
+        fill(&warm, 40, 2);
+        idle();
+        fill(&hot, 3_000, 3);
+        fill(&sparse, 20, 4);
+        for (keys, tier) in [
+            (&cold, Tier::Cold),
+            (&warm, Tier::Warm),
+            (&hot, Tier::Hot),
+            (&sparse, Tier::Sparse),
+        ] {
+            for key in keys {
+                assert_eq!(batched.key_tier(key), Some(tier), "{key}");
+            }
+        }
+        let all: Vec<&str> = [&cold, &warm, &hot, &sparse, &new]
+            .into_iter()
+            .flatten()
+            .map(String::as_str)
+            .collect();
+        let mut rng = SplitMix64::new(5);
+        let batch: Vec<(&str, u64)> = (0..20_000)
+            .map(|_| {
+                let key = all[(rng.next_u64() % all.len() as u64) as usize];
+                (key, mix64(rng.next_u64() % 50_000))
+            })
+            .collect();
+        batched.ingest(&batch);
+        for &(key, hash) in &batch {
+            single.insert(key, hash);
+        }
+        assert_eq!(batched.snapshot_bytes(), single.snapshot_bytes());
+        for key in all {
+            assert_eq!(
+                batched.estimate(key).map(f64::to_bits),
+                single.estimate(key).map(f64::to_bits),
+                "{key}"
+            );
+        }
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]

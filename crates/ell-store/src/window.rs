@@ -93,7 +93,7 @@
 //! assert!(stats.suffix_hits + stats.lazy_rebuilds > 0);
 //! ```
 
-use crate::core::{group_by_key, Keyed, KeyedCore};
+use crate::core::{by_shard, Keyed, KeyedCore};
 use crate::sync::atomic::{AtomicU64, Ordering};
 use crate::sync::{Mutex, RwLock};
 use crate::tiers::{TierCounters, TierStats};
@@ -630,6 +630,11 @@ impl WindowedStore {
     /// already left the window fold into the key's retired union (they
     /// still count in all-time totals, never in a trailing window).
     ///
+    /// The batch is grouped into one run per key, ordered by shard,
+    /// through the same grouper session flushes use, so each shard's
+    /// write lock is taken once and each key is looked up once per
+    /// batch.
+    ///
     /// Per-key state is monotone, so any partition of an epoch's events
     /// over any number of threads yields the same final state.
     pub fn ingest(&self, epoch: u64, batch: &[(&str, u64)]) {
@@ -653,16 +658,18 @@ impl WindowedStore {
     /// Ingest with the window pinned at `current` (the epoch read lock
     /// is held by the caller's stack frame logic: `epoch ≤ current`).
     fn ingest_at(&self, current: u64, epoch: u64, batch: &[(&str, u64)]) {
-        for (si, bucket) in self.core.route(batch) {
+        let mut hashes = Vec::new();
+        let runs = self.core.group(epoch, batch, &mut hashes);
+        for (si, group) in by_shard(&runs) {
             let mut map = self.core.write(si);
-            for (key, hashes) in group_by_key(&bucket) {
-                let entry = self.entry(&mut map, key, current);
+            for run in group {
+                let entry = self.entry(&mut map, run.key, current);
                 // A warm key promotes first; a *late* event re-demotes
                 // right after the merge without refreshing the idle
                 // stamp — catching up on history is not fresh traffic.
                 let was_warm = matches!(entry, WindowSlot::Warm(_));
                 let ring = self.live(entry, current);
-                ring.epoch_target(current, epoch).insert_hashes(&hashes);
+                ring.epoch_target(current, epoch).insert_hashes(run.hashes);
                 if ring.note_write(current, epoch) {
                     self.stats.invalidate();
                 }
@@ -678,7 +685,7 @@ impl WindowedStore {
     }
 
     /// Opens a buffered ingest session: inserts append to a session-local
-    /// log, and each flush sorts it once and folds every `(key, epoch)`
+    /// log, and each flush groups it once and folds every `(key, epoch)`
     /// run of hashes straight into its ring slot (see
     /// [`crate::WindowIngestSession`]). One session per ingesting
     /// thread is the intended shape.
