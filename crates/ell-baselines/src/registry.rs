@@ -18,14 +18,13 @@ use ell_core::{Sketch, SketchError};
 use exaloglog::atomic::AtomicExaLogLog;
 use exaloglog::{
     AdaptiveExaLogLog, EllConfig, EllT1D9, EllT2D16, EllT2D20, EllT2D24, ExaLogLog,
-    MartingaleExaLogLog, SparseExaLogLog,
+    MartingaleExaLogLog,
 };
 
 /// All algorithm names [`build_sketch`] resolves, in display order.
 pub const ALGORITHMS: &[&str] = &[
     "ell",
     "ell-martingale",
-    "ell-sparse",
     "adaptive",
     "ell-atomic",
     "ell-t2d20",
@@ -64,7 +63,6 @@ pub fn build_sketch(algo: &str, p: u8) -> Result<Box<dyn Sketch>, SketchError> {
     Ok(match algo {
         "ell" => Box::new(ExaLogLog::new(EllConfig::optimal(p)?)),
         "ell-martingale" => Box::new(MartingaleExaLogLog::new(EllConfig::martingale_optimal(p)?)),
-        "ell-sparse" => Box::new(SparseExaLogLog::new(EllConfig::optimal(p)?)?),
         "adaptive" => Box::new(AdaptiveExaLogLog::new(EllConfig::optimal(p)?)?),
         "ell-atomic" => Box::new(AtomicExaLogLog::new(EllConfig::aligned32(p)?)),
         "ell-t2d20" => Box::new(EllT2D20::new(p)?),

@@ -7,10 +7,10 @@
 //!
 //! * the break-even count n* where the token list outgrows the dense
 //!   register array, per precision p;
-//! * the memory trajectory of a [`SparseExaLogLog`] across the
+//! * the memory trajectory of an [`AdaptiveExaLogLog`] across the
 //!   transition (linear, then constant);
 //! * estimation-error continuity: the relative error immediately
-//!   before and after densification, showing the upgrade is lossless
+//!   before and after promotion, showing the upgrade is lossless
 //!   in practice (tokens hold strictly more information than the dense
 //!   registers they fold into).
 //!
@@ -21,7 +21,7 @@
 use ell_hash::{mix64, SplitMix64};
 use ell_repro::{fmt_f, RunParams, Table};
 use ell_sim::ErrorAccumulator;
-use exaloglog::{EllConfig, SparseExaLogLog};
+use exaloglog::{AdaptiveExaLogLog, EllConfig};
 
 fn main() {
     let params = RunParams::parse(200, 10_000);
@@ -68,7 +68,7 @@ fn main() {
     let mut sparse_runs_at = vec![0usize; checkpoints.len()];
     for run in 0..params.runs {
         let mut rng = SplitMix64::new(mix64(params.seed ^ mix64(run as u64)));
-        let mut sketch = SparseExaLogLog::new(cfg).expect("valid");
+        let mut sketch = AdaptiveExaLogLog::new(cfg).expect("valid");
         let mut n = 0u64;
         for (ci, &checkpoint) in checkpoints.iter().enumerate() {
             while n < checkpoint {

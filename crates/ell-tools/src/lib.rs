@@ -206,8 +206,9 @@ pub enum SketchFile {
     Dense(ExaLogLog),
     /// A sparse token collection (`ELLT` on disk).
     Tokens(TokenSet),
-    /// An adaptive sketch still in its sparse phase (`ELLS` on disk;
-    /// once promoted, adaptive sketches serialize as plain `ELL1`).
+    /// An adaptive sketch read from an `ELLS` file: in its token phase,
+    /// or promoted when the file is an older dense-phase `ELLS` (once
+    /// promoted, adaptive sketches serialize as plain `ELL1`).
     Adaptive(AdaptiveExaLogLog),
 }
 

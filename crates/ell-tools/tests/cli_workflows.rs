@@ -9,7 +9,7 @@ use ell_tools::{
     save_compressed, save_sketch, save_store, save_tokens, save_windowed, store_ingest,
     windowed_ingest, SketchFile, ToolError,
 };
-use exaloglog::EllConfig;
+use exaloglog::{EllConfig, SketchError};
 use std::io::Cursor;
 use std::io::Write;
 use std::path::PathBuf;
@@ -167,6 +167,17 @@ fn token_pipeline_roundtrip() {
         SketchFile::Adaptive(loaded) => assert_eq!(loaded, adaptive),
         other => panic!("ELLS file misdetected as {other:?}"),
     }
+    // So are the dense-phase ELLS files older versions wrote: magic,
+    // (t, d, p), v, phase tag 1, then the ELL1 payload.
+    let mut legacy = b"ELLS".to_vec();
+    legacy.extend_from_slice(&[2, 20, 8, 26, 1]);
+    legacy.extend_from_slice(&sketch.to_bytes());
+    let legacy_path = dir.path("legacy.ells");
+    std::fs::write(&legacy_path, legacy).unwrap();
+    match load_any(&legacy_path).unwrap() {
+        SketchFile::Adaptive(loaded) => assert_eq!(loaded.as_dense(), Some(&sketch)),
+        other => panic!("dense-phase ELLS file misdetected as {other:?}"),
+    }
 }
 
 #[test]
@@ -192,6 +203,16 @@ fn count_with_unknown_algorithm_is_an_error() {
             assert!(msg.contains("ull"), "should list known names: {msg}");
         }
         Err(other) => panic!("expected ToolError::Algo, got {other:?}"),
+        Ok(sketch) => panic!("unknown algorithm built {}", sketch.name()),
+    }
+    // "ell-sparse" named the sparse sketch that folded into "adaptive";
+    // it is unknown now like any other name.
+    match count_lines_with_algo(Cursor::new(lines(0..10)), "ell-sparse", 11) {
+        Err(ToolError::Algo(SketchError::UnknownAlgorithm { name, known })) => {
+            assert_eq!(name, "ell-sparse");
+            assert!(known.iter().any(|k| k == "adaptive"), "{known:?}");
+        }
+        Err(other) => panic!("expected UnknownAlgorithm, got {other:?}"),
         Ok(sketch) => panic!("unknown algorithm built {}", sketch.name()),
     }
 }
@@ -312,6 +333,18 @@ fn cli_binary_count_algo_workflows() {
     assert!(!ok, "unknown algorithm must fail");
     assert!(stderr.contains("nope"), "{stderr}");
     assert!(stderr.contains("ull"), "should list known names: {stderr}");
+    // The retired "ell-sparse" name fails the same clean way.
+    let (ok, _, stderr) = run_cli(&["count", "--algo", "ell-sparse"], "a\nb\n");
+    assert!(!ok, "retired algorithm name must fail");
+    assert!(
+        stderr.contains("unknown algorithm \"ell-sparse\""),
+        "{stderr}"
+    );
+    assert!(
+        stderr.contains("adaptive"),
+        "should list known names: {stderr}"
+    );
+    assert!(!stderr.contains("panicked"), "{stderr}");
     // --algo with --out is a usage error (sketch files are ExaLogLog).
     let (ok, _, stderr) = run_cli(&["count", "--algo", "ull", "--out", "/tmp/x.ell"], "a\n");
     assert!(!ok);

@@ -1,22 +1,26 @@
-//! Adaptive sparse→dense sketch lifecycle (paper §4.3).
+//! Adaptive sparse→dense sketch lifecycle (paper §4.3, last paragraph,
+//! and the Figure 10 discussion).
 //!
-//! [`AdaptiveExaLogLog`] is the representation the serving layer
-//! (`ell-store`) keys millions of counters on: it starts as a sparse
-//! token list whose memory grows linearly with the number of distinct
-//! elements, and **promotes itself** to the dense register array the
-//! moment the token storage would cost as many bits as the registers —
-//! the break-even rule of §4.3 that makes per-key sketches memory-viable
-//! at fleet scale. Unlike [`SparseExaLogLog`] (which keeps its wrapper
-//! struct forever), the adaptive sketch *unwraps* into a plain
-//! [`ExaLogLog`] at promotion, so a promoted counter carries zero
-//! residual sparse-mode state and serializes in the plain dense wire
-//! format.
+//! [`AdaptiveExaLogLog`] is the crate's sparse-capable sketch and the
+//! representation the serving layer (`ell-store`) keys millions of
+//! counters on. It starts as a sorted set of (v+6)-bit hash tokens
+//! whose memory grows linearly with the number of distinct elements,
+//! and **promotes itself** in place to the dense register array the
+//! moment the tight token encoding would cost as many bits as the
+//! registers — the break-even rule of §4.3 that makes per-key sketches
+//! memory-viable at fleet scale. A promoted sketch is a plain
+//! [`ExaLogLog`]: it carries no residual sparse-mode state and
+//! serializes in the plain dense wire format. Estimates are exact ML in
+//! both phases: token-set ML while sparse (Algorithm 7), register ML
+//! once dense.
 //!
-//! Wire formats: the sparse phase serializes as `ELLS` (the
-//! sparse-capable format wrapping the `ELLT` token payload); the
-//! promoted phase serializes as the dense `ELL1` register format —
-//! byte-identical to an [`ExaLogLog`] fed the same hashes.
-//! [`AdaptiveExaLogLog::from_bytes`] auto-detects either magic.
+//! Wire formats: the token phase serializes as `ELLS` — magic, the
+//! (t, d, p) triple, the token parameter v, phase tag 0, then the
+//! `ELLT` token payload; the promoted phase serializes as the dense
+//! `ELL1` register format, byte-identical to an [`ExaLogLog`] fed the
+//! same hashes. [`AdaptiveExaLogLog::from_bytes`] auto-detects either
+//! magic, and also reads `ELLS` with phase tag 1 and an `ELL1` payload,
+//! the form older versions wrote for a dense sketch.
 //!
 //! ```
 //! use exaloglog::{AdaptiveExaLogLog, EllConfig};
@@ -36,29 +40,57 @@
 use crate::atomic::AtomicExaLogLog;
 use crate::config::{EllConfig, EllError};
 use crate::sketch::ExaLogLog;
-use crate::sparse::SparseExaLogLog;
+use crate::token::TokenSet;
 use ell_hash::Hasher64;
 
-/// Serialization magic of the sparse-capable format (shared with
-/// [`SparseExaLogLog`]); the dense phase uses the plain `ELL1` format.
+/// Serialization magic of the token-phase format; the dense phase uses
+/// the plain `ELL1` format.
 const SPARSE_MAGIC: &[u8; 4] = b"ELLS";
+/// `ELLS` phase tag of a token payload.
+const TOKEN_PHASE: u8 = 0;
+/// `ELLS` phase tag of a dense `ELL1` payload (read, no longer written).
+const LEGACY_DENSE_PHASE: u8 = 1;
+
+/// The token count at which the tight (v+6)-bit token encoding costs
+/// as many bits as the dense register array: the §4.3 break-even.
+fn break_even_tokens(cfg: &EllConfig, v: u32) -> usize {
+    (cfg.register_array_bytes() * 8).div_ceil(v as usize + 6)
+}
+
+fn check_same_config(a: &EllConfig, b: &EllConfig) -> Result<(), EllError> {
+    if a == b {
+        Ok(())
+    } else {
+        Err(EllError::IncompatibleSketches {
+            reason: format!("{a} vs {b}"),
+        })
+    }
+}
 
 /// An ExaLogLog sketch that automatically promotes from the sparse token
 /// representation to dense registers at the §4.3 break-even point.
 ///
-/// The two variants are the two lifecycle phases. All methods keep the
-/// invariant that a sketch past break-even is in the [`Dense`] variant;
-/// if you construct the [`Sparse`] variant directly with an
-/// already-densified [`SparseExaLogLog`], the next mutating call
-/// normalizes it (serialization always emits the canonical form).
+/// The two variants are the two lifecycle phases. Every insert and
+/// merge promotes a token set that reached break-even, so a sketch past
+/// break-even is in the [`Dense`] variant. The one exception is a token
+/// set decoded at or past break-even: it stays sparse (and round-trips
+/// byte for byte) until its next insert or merge.
 ///
 /// [`Dense`]: AdaptiveExaLogLog::Dense
-/// [`Sparse`]: AdaptiveExaLogLog::Sparse
 #[derive(Debug, Clone, PartialEq)]
 pub enum AdaptiveExaLogLog {
     /// Token-collecting phase: memory grows linearly with the distinct
-    /// count, estimates are near-exact (token ML, Algorithm 7).
-    Sparse(SparseExaLogLog),
+    /// count, estimates are near-exact (token ML, Algorithm 7). The token
+    /// parameter is `tokens.v()`, with `p + t ≤ v` so that every token
+    /// reproduces its hash's register update; only this crate's
+    /// constructors build the variant, and they check that bound.
+    #[non_exhaustive]
+    Sparse {
+        /// The dense configuration the sketch promotes into.
+        cfg: EllConfig,
+        /// The distinct tokens collected so far.
+        tokens: TokenSet,
+    },
     /// Promoted phase: the plain dense register sketch, bit-for-bit the
     /// state direct dense recording of the same hashes would have
     /// produced (token losslessness for `p + t ≤ v`).
@@ -67,14 +99,16 @@ pub enum AdaptiveExaLogLog {
 
 impl AdaptiveExaLogLog {
     /// Creates an adaptive sketch in the sparse phase with the default
-    /// token parameter `v = max(p + t, 26)` (32-bit tokens whenever they
-    /// suffice).
+    /// token parameter `v = max(p + t, 26)`: the convenient 32-bit token
+    /// size whenever it suffices (the paper singles out v = 26 as
+    /// "particularly interesting").
     ///
     /// # Errors
     ///
     /// Propagates invalid-parameter errors from the token machinery.
     pub fn new(cfg: EllConfig) -> Result<Self, EllError> {
-        Ok(AdaptiveExaLogLog::Sparse(SparseExaLogLog::new(cfg)?))
+        let v = (u32::from(cfg.p()) + u32::from(cfg.t())).max(26);
+        Self::with_token_parameter(cfg, v)
     }
 
     /// Creates an adaptive sketch with an explicit token parameter
@@ -84,9 +118,16 @@ impl AdaptiveExaLogLog {
     ///
     /// Rejects `v` outside the valid range for the configuration.
     pub fn with_token_parameter(cfg: EllConfig, v: u32) -> Result<Self, EllError> {
-        Ok(AdaptiveExaLogLog::Sparse(
-            SparseExaLogLog::with_token_parameter(cfg, v)?,
-        ))
+        let min_v = u32::from(cfg.p()) + u32::from(cfg.t());
+        if v < min_v {
+            return Err(EllError::InvalidParameter {
+                reason: format!("token parameter v = {v} must be at least p + t = {min_v}"),
+            });
+        }
+        Ok(AdaptiveExaLogLog::Sparse {
+            cfg,
+            tokens: TokenSet::new(v)?,
+        })
     }
 
     /// Wraps an existing dense sketch (already past its sparse life).
@@ -99,7 +140,7 @@ impl AdaptiveExaLogLog {
     #[must_use]
     pub fn config(&self) -> &EllConfig {
         match self {
-            AdaptiveExaLogLog::Sparse(s) => s.config(),
+            AdaptiveExaLogLog::Sparse { cfg, .. } => cfg,
             AdaptiveExaLogLog::Dense(d) => d.config(),
         }
     }
@@ -107,10 +148,7 @@ impl AdaptiveExaLogLog {
     /// Whether the sketch is still in the sparse (token) phase.
     #[must_use]
     pub fn is_sparse(&self) -> bool {
-        match self {
-            AdaptiveExaLogLog::Sparse(s) => s.is_sparse(),
-            AdaptiveExaLogLog::Dense(_) => false,
-        }
+        matches!(self, AdaptiveExaLogLog::Sparse { .. })
     }
 
     /// The token parameter `v` while sparse; `None` once promoted (the
@@ -118,24 +156,8 @@ impl AdaptiveExaLogLog {
     #[must_use]
     pub fn token_parameter(&self) -> Option<u32> {
         match self {
-            AdaptiveExaLogLog::Sparse(s) if s.is_sparse() => Some(s.token_parameter()),
-            _ => None,
-        }
-    }
-
-    /// Re-establishes the phase invariant: a [`SparseExaLogLog`] that
-    /// densified internally is unwrapped into the [`Dense`] variant.
-    ///
-    /// [`Dense`]: AdaptiveExaLogLog::Dense
-    fn normalize(&mut self) {
-        if let AdaptiveExaLogLog::Sparse(s) = self {
-            if !s.is_sparse() {
-                let placeholder =
-                    SparseExaLogLog::with_token_parameter(*s.config(), s.token_parameter())
-                        .expect("parameters of an existing sketch are valid");
-                let dense = core::mem::replace(s, placeholder).into_dense();
-                *self = AdaptiveExaLogLog::Dense(dense);
-            }
+            AdaptiveExaLogLog::Sparse { tokens, .. } => Some(tokens.v()),
+            AdaptiveExaLogLog::Dense(_) => None,
         }
     }
 
@@ -143,20 +165,29 @@ impl AdaptiveExaLogLog {
     /// already promoted). The resulting state equals direct dense
     /// recording of the same hashes.
     pub fn promote(&mut self) {
-        if let AdaptiveExaLogLog::Sparse(s) = self {
-            s.densify();
+        if self.is_sparse() {
+            *self = AdaptiveExaLogLog::Dense(self.to_dense());
         }
-        self.normalize();
+    }
+
+    /// Promotes a token set that reached break-even: the one promotion
+    /// decision of the lifecycle, taken after every insert and merge.
+    fn promote_at_break_even(&mut self) {
+        if let AdaptiveExaLogLog::Sparse { cfg, tokens } = self {
+            if tokens.len() >= break_even_tokens(cfg, tokens.v()) {
+                self.promote();
+            }
+        }
     }
 
     /// Inserts an element by its 64-bit hash, promoting at the
     /// break-even point. Returns whether the state changed.
     pub fn insert_hash(&mut self, hash: u64) -> bool {
         let changed = match self {
-            AdaptiveExaLogLog::Sparse(s) => s.insert_hash(hash),
-            AdaptiveExaLogLog::Dense(d) => d.insert_hash(hash),
+            AdaptiveExaLogLog::Sparse { tokens, .. } => tokens.insert_hash(hash),
+            AdaptiveExaLogLog::Dense(d) => return d.insert_hash(hash),
         };
-        self.normalize();
+        self.promote_at_break_even();
         changed
     }
 
@@ -168,12 +199,35 @@ impl AdaptiveExaLogLog {
     /// Inserts a whole slice of pre-hashed elements, bit-for-bit
     /// equivalent to sequential [`AdaptiveExaLogLog::insert_hash`] calls
     /// in order (the batch may straddle the promotion point).
+    ///
+    /// While sparse, the slice goes into the token set in sorted batches
+    /// ([`TokenSet::insert_hashes`]), each no larger than the room left
+    /// below break-even, with one break-even check per batch; once dense,
+    /// the remainder takes the dense sketch's unrolled batch path. The
+    /// state is exactly the sequential one: the token count only grows,
+    /// so a batch crosses break-even iff some insert inside it would
+    /// have, and a token reproduces its hash's register update for every
+    /// `p + t ≤ v`, so promoting after the batch rather than in the
+    /// middle of it yields the same registers.
     pub fn insert_hashes(&mut self, hashes: &[u64]) {
-        match self {
-            AdaptiveExaLogLog::Sparse(s) => s.insert_hashes(hashes),
-            AdaptiveExaLogLog::Dense(d) => d.insert_hashes(hashes),
+        let mut rest = hashes;
+        while !rest.is_empty() {
+            match self {
+                AdaptiveExaLogLog::Dense(d) => return d.insert_hashes(rest),
+                AdaptiveExaLogLog::Sparse { cfg, tokens } => {
+                    // Sorting past break-even would be wasted on hashes
+                    // the dense registers absorb faster. A decoded set
+                    // may already sit at break-even: still take a step.
+                    let room = break_even_tokens(cfg, tokens.v())
+                        .saturating_sub(tokens.len())
+                        .max(1);
+                    let (batch, tail) = rest.split_at(room.min(rest.len()));
+                    tokens.insert_hashes(batch);
+                    rest = tail;
+                }
+            }
+            self.promote_at_break_even();
         }
-        self.normalize();
     }
 
     /// Whether the sketch has recorded no element at all (in either
@@ -181,7 +235,7 @@ impl AdaptiveExaLogLog {
     #[must_use]
     pub fn is_empty(&self) -> bool {
         match self {
-            AdaptiveExaLogLog::Sparse(s) => s.is_empty(),
+            AdaptiveExaLogLog::Sparse { tokens, .. } => tokens.is_empty(),
             AdaptiveExaLogLog::Dense(d) => d.is_empty(),
         }
     }
@@ -191,7 +245,7 @@ impl AdaptiveExaLogLog {
     #[must_use]
     pub fn estimate(&self) -> f64 {
         match self {
-            AdaptiveExaLogLog::Sparse(s) => s.estimate(),
+            AdaptiveExaLogLog::Sparse { tokens, .. } => tokens.estimate(),
             AdaptiveExaLogLog::Dense(d) => d.estimate(),
         }
     }
@@ -201,59 +255,66 @@ impl AdaptiveExaLogLog {
     pub fn as_dense(&self) -> Option<&ExaLogLog> {
         match self {
             AdaptiveExaLogLog::Dense(d) => Some(d),
-            AdaptiveExaLogLog::Sparse(_) => None,
+            AdaptiveExaLogLog::Sparse { .. } => None,
         }
     }
 
-    /// A dense copy of the current state (converting the token list if
-    /// still sparse), leaving `self` untouched.
+    /// A dense copy of the current state (replaying the tokens'
+    /// representative hashes through the batched insert path if still
+    /// sparse), leaving `self` untouched.
     #[must_use]
     pub fn to_dense(&self) -> ExaLogLog {
         match self {
-            AdaptiveExaLogLog::Sparse(s) => s.clone().into_dense(),
+            AdaptiveExaLogLog::Sparse { cfg, tokens } => {
+                let mut dense = ExaLogLog::new(*cfg);
+                dense.extend_hashes(tokens.hashes());
+                dense
+            }
             AdaptiveExaLogLog::Dense(d) => d.clone(),
         }
     }
 
-    /// Rebuilds the dense phase's cached ML coefficients with one
-    /// Algorithm 3 scan (see [`ExaLogLog::refresh_coefficients`]), making
-    /// repeated estimates O(populated β levels) on a freshly deserialized
-    /// sketch. No-op while sparse (token estimation has no register
-    /// cache).
-    pub fn refresh_coefficients(&mut self) {
-        if let AdaptiveExaLogLog::Dense(d) = self {
-            d.refresh_coefficients();
-        }
-    }
-
     /// Folds this sketch into a dense accumulator of the same
-    /// configuration without materializing a dense copy (see
-    /// [`SparseExaLogLog::merge_into_dense`]) — the allocation-free
-    /// aggregation path for union queries over many keyed sketches.
+    /// configuration without materializing a dense copy: a dense phase
+    /// merges register-wise (word-scan fast path), a sparse phase streams
+    /// its decoded token hashes through the accumulator's batched insert
+    /// path — the allocation-free aggregation path for union queries
+    /// over many keyed sketches.
     ///
     /// # Errors
     ///
     /// Fails when configurations differ.
     pub fn merge_into_dense(&self, acc: &mut ExaLogLog) -> Result<(), EllError> {
         match self {
-            AdaptiveExaLogLog::Sparse(s) => s.merge_into_dense(acc),
+            AdaptiveExaLogLog::Sparse { cfg, tokens } => {
+                check_same_config(cfg, acc.config())?;
+                acc.extend_hashes(tokens.hashes());
+                Ok(())
+            }
             AdaptiveExaLogLog::Dense(d) => acc.merge_from(d),
         }
     }
 
     /// Folds this sketch into a lock-free atomic accumulator of the same
-    /// configuration (see [`SparseExaLogLog::merge_into_atomic`]) — the
-    /// flush path for thread-local delta sketches draining into a shared
-    /// hot slot. Monotone register merge makes the result bit-identical
-    /// to inserting the buffered hashes directly, regardless of flush
-    /// timing or interleaving.
+    /// configuration: a dense phase merges register-wise (word-scan over
+    /// nonzero registers, CAS per hit), a sparse phase replays its decoded
+    /// token hashes through the atomic insert path
+    /// ([`AtomicExaLogLog::extend_hashes`], one coefficient publish per
+    /// call) — the flush path for thread-local delta sketches draining
+    /// into a shared hot slot. Monotone register merge makes the result
+    /// bit-identical to inserting the buffered hashes directly,
+    /// regardless of flush timing or interleaving.
     ///
     /// # Errors
     ///
     /// Fails when configurations differ.
     pub fn merge_into_atomic(&self, acc: &AtomicExaLogLog) -> Result<(), EllError> {
         match self {
-            AdaptiveExaLogLog::Sparse(s) => s.merge_into_atomic(acc),
+            AdaptiveExaLogLog::Sparse { cfg, tokens } => {
+                check_same_config(cfg, acc.config())?;
+                acc.extend_hashes(tokens.hashes());
+                Ok(())
+            }
             AdaptiveExaLogLog::Dense(d) => acc.merge_from(d),
         }
     }
@@ -269,74 +330,104 @@ impl AdaptiveExaLogLog {
     /// Fails when configurations differ, or when both sides are sparse
     /// with different token parameters.
     pub fn merge_from(&mut self, other: &AdaptiveExaLogLog) -> Result<(), EllError> {
-        if self.config() != other.config() {
-            return Err(EllError::IncompatibleSketches {
-                reason: format!("{} vs {}", self.config(), other.config()),
-            });
+        check_same_config(self.config(), other.config())?;
+        if let (
+            AdaptiveExaLogLog::Sparse { tokens: a, .. },
+            AdaptiveExaLogLog::Sparse { tokens: b, .. },
+        ) = (&mut *self, other)
+        {
+            a.merge_from(b)?;
+            self.promote_at_break_even();
+            return Ok(());
         }
-        self.normalize();
-        match (&mut *self, other) {
-            (AdaptiveExaLogLog::Sparse(a), AdaptiveExaLogLog::Sparse(b)) if b.is_sparse() => {
-                a.merge_from(b)?;
-            }
-            (AdaptiveExaLogLog::Dense(a), AdaptiveExaLogLog::Dense(b)) => {
-                a.merge_from(b)?;
-            }
-            (AdaptiveExaLogLog::Dense(a), AdaptiveExaLogLog::Sparse(b)) => {
-                a.merge_from(&b.clone().into_dense())?;
-            }
-            (AdaptiveExaLogLog::Sparse(_), _) => {
-                // Other side is dense (whichever variant holds it):
-                // promote, then register-wise merge.
-                self.promote();
-                let AdaptiveExaLogLog::Dense(a) = &mut *self else {
-                    unreachable!("promote always produces the dense variant")
-                };
-                a.merge_from(&other.to_dense())?;
-            }
-        }
-        self.normalize();
-        Ok(())
+        self.promote();
+        let AdaptiveExaLogLog::Dense(a) = self else {
+            unreachable!("promote always produces the dense variant")
+        };
+        other.merge_into_dense(a)
     }
 
-    /// Serializes the canonical state: the `ELLS` sparse format while in
+    /// Serializes the canonical state: the `ELLS` token format while in
     /// the token phase, the plain dense `ELL1` format once promoted
     /// (byte-identical to [`ExaLogLog::to_bytes`] of the same state).
     #[must_use]
     pub fn to_bytes(&self) -> Vec<u8> {
         match self {
-            AdaptiveExaLogLog::Sparse(s) if s.is_sparse() => s.to_bytes(),
-            AdaptiveExaLogLog::Sparse(s) => s.clone().into_dense().to_bytes(),
+            AdaptiveExaLogLog::Sparse { cfg, tokens } => {
+                let payload = tokens.to_bytes();
+                let mut out = Vec::with_capacity(SPARSE_MAGIC.len() + 5 + payload.len());
+                out.extend_from_slice(SPARSE_MAGIC);
+                // cast: v ≤ 58, checked by TokenSet::new
+                out.extend_from_slice(&[cfg.t(), cfg.d(), cfg.p(), tokens.v() as u8, TOKEN_PHASE]);
+                out.extend_from_slice(&payload);
+                out
+            }
             AdaptiveExaLogLog::Dense(d) => d.to_bytes(),
         }
     }
 
     /// Deserializes either wire format, auto-detected by magic: `ELLS`
-    /// restores the sparse phase, `ELL1` the promoted dense phase.
+    /// restores the token phase (or, with the legacy dense phase tag, the
+    /// promoted phase), `ELL1` the promoted dense phase. The header's
+    /// configuration and token parameter must match the payload's.
     ///
     /// # Errors
     ///
     /// Fails when the bytes describe neither format.
     pub fn from_bytes(bytes: &[u8]) -> Result<Self, EllError> {
-        if bytes.len() >= 4 && &bytes[..4] == SPARSE_MAGIC {
-            let mut sketch = AdaptiveExaLogLog::Sparse(SparseExaLogLog::from_bytes(bytes)?);
-            sketch.normalize();
-            Ok(sketch)
-        } else {
-            Ok(AdaptiveExaLogLog::Dense(ExaLogLog::from_bytes(bytes)?))
+        let Some(header) = bytes.strip_prefix(SPARSE_MAGIC) else {
+            return Ok(AdaptiveExaLogLog::Dense(ExaLogLog::from_bytes(bytes)?));
+        };
+        let corrupt = |reason: String| EllError::CorruptSerialization { reason };
+        let &[t, d, p, v, phase, ref payload @ ..] = header else {
+            return Err(corrupt(format!(
+                "{} bytes is shorter than the sparse header",
+                bytes.len()
+            )));
+        };
+        let cfg = EllConfig::new(t, d, p)?;
+        let v = u32::from(v);
+        // Validates v against the header's configuration.
+        Self::with_token_parameter(cfg, v)?;
+        match phase {
+            TOKEN_PHASE => {
+                let tokens = TokenSet::from_bytes(payload)?;
+                if tokens.v() != v {
+                    return Err(corrupt(format!(
+                        "token parameter mismatch: header v={v}, payload v={}",
+                        tokens.v()
+                    )));
+                }
+                Ok(AdaptiveExaLogLog::Sparse { cfg, tokens })
+            }
+            LEGACY_DENSE_PHASE => {
+                let dense = ExaLogLog::from_bytes(payload)?;
+                if dense.config() != &cfg {
+                    return Err(corrupt(format!(
+                        "configuration mismatch: header {cfg}, payload {}",
+                        dense.config()
+                    )));
+                }
+                Ok(AdaptiveExaLogLog::Dense(dense))
+            }
+            other => Err(corrupt(format!("unknown phase tag {other}"))),
         }
     }
 
-    /// Current memory footprint of the sketch *state* in bytes: linear
-    /// in the token count while sparse, the constant register array once
-    /// promoted. Like [`ExaLogLog::memory_bytes`], the dense phase's
+    /// Current memory footprint of the sketch *state* in bytes: the
+    /// inline size plus the token storage while sparse (linear in the
+    /// token count), the constant register array once promoted. This
+    /// produces the memory-vs-n curve of Figure 10 for sparse-capable
+    /// sketches. Like [`ExaLogLog::memory_bytes`], the dense phase's
     /// reconstructible ML coefficient cache is excluded (see there for
     /// the rationale).
     #[must_use]
     pub fn memory_bytes(&self) -> usize {
         core::mem::size_of::<Self>()
             + match self {
-                AdaptiveExaLogLog::Sparse(s) => s.memory_bytes(),
+                AdaptiveExaLogLog::Sparse { tokens, .. } => {
+                    tokens.len() * core::mem::size_of::<u64>()
+                }
                 AdaptiveExaLogLog::Dense(d) => d.register_bytes().len(),
             }
     }
@@ -371,6 +462,27 @@ mod tests {
     }
 
     #[test]
+    fn estimate_continuous_across_promotion() {
+        let mut s = AdaptiveExaLogLog::new(cfg()).unwrap();
+        let mut last_sparse = 0.0;
+        let mut n = 0;
+        for h in hashes(20_000, 13) {
+            s.insert_hash(h);
+            n += 1;
+            if !s.is_sparse() {
+                break;
+            }
+            last_sparse = s.estimate();
+        }
+        assert!(!s.is_sparse(), "the stream must cross break-even");
+        let first_dense = s.estimate();
+        assert!(
+            (first_dense - last_sparse).abs() < 0.1 * n as f64,
+            "estimate jumped across promotion: {last_sparse} → {first_dense}"
+        );
+    }
+
+    #[test]
     fn promoted_state_equals_direct_dense_recording() {
         let stream = hashes(20_000, 2);
         let mut adaptive = AdaptiveExaLogLog::new(cfg()).unwrap();
@@ -398,17 +510,81 @@ mod tests {
     }
 
     #[test]
-    fn un_normalized_sparse_variant_serializes_canonically() {
-        // Construct the Sparse variant around an internally-dense
-        // sketch: to_bytes must still emit the dense format.
-        let mut inner = SparseExaLogLog::new(cfg()).unwrap();
-        for h in hashes(20_000, 4) {
-            inner.insert_hash(h);
+    fn legacy_dense_phase_bytes_decode_to_the_promoted_sketch() {
+        // Older versions wrote a dense sketch as ELLS with phase tag 1:
+        // magic, (t, d, p), v, 1, then the ELL1 payload.
+        let c = cfg();
+        let mut direct = ExaLogLog::new(c);
+        direct.insert_hashes(&hashes(20_000, 4));
+        let legacy = |t: u8, d: u8, p: u8, v: u8, phase: u8| {
+            let mut bytes = b"ELLS".to_vec();
+            bytes.extend_from_slice(&[t, d, p, v, phase]);
+            bytes.extend_from_slice(&direct.to_bytes());
+            bytes
+        };
+        let bytes = legacy(c.t(), c.d(), c.p(), 26, 1);
+        let back = AdaptiveExaLogLog::from_bytes(&bytes).unwrap();
+        assert_eq!(back, AdaptiveExaLogLog::Dense(direct.clone()));
+        assert_eq!(back.to_bytes(), direct.to_bytes());
+        // Unknown phase tag, header/payload configuration mismatch, a
+        // token parameter invalid for the header, bad magic and
+        // truncated headers are all rejected.
+        assert!(AdaptiveExaLogLog::from_bytes(&legacy(c.t(), c.d(), c.p(), 26, 7)).is_err());
+        assert!(AdaptiveExaLogLog::from_bytes(&legacy(c.t(), c.d(), c.p() + 1, 26, 1)).is_err());
+        assert!(AdaptiveExaLogLog::from_bytes(&legacy(c.t(), c.d(), c.p(), 9, 1)).is_err());
+        let mut bad = bytes.clone();
+        bad[0] ^= 0xff;
+        assert!(AdaptiveExaLogLog::from_bytes(&bad).is_err());
+        for len in 4..10 {
+            assert!(
+                AdaptiveExaLogLog::from_bytes(&bytes[..len]).is_err(),
+                "{len}"
+            );
         }
-        assert!(!inner.is_sparse());
-        let odd = AdaptiveExaLogLog::Sparse(inner.clone());
-        assert_eq!(&odd.to_bytes()[..4], b"ELL1");
-        assert_eq!(odd.to_bytes(), inner.clone().into_dense().to_bytes());
+    }
+
+    #[test]
+    fn token_phase_header_must_match_its_payload() {
+        let mut s = AdaptiveExaLogLog::new(cfg()).unwrap();
+        s.insert_hashes(&hashes(40, 12));
+        let bytes = s.to_bytes();
+        let mut bad = bytes.clone();
+        bad[7] = 27; // header v differs from the token payload's v = 26
+        assert!(AdaptiveExaLogLog::from_bytes(&bad).is_err());
+        let mut bad = bytes.clone();
+        bad[8] = 7; // unknown phase tag
+        assert!(AdaptiveExaLogLog::from_bytes(&bad).is_err());
+        let mut bad = bytes;
+        bad[8] = 1; // a token payload under the dense phase tag
+        assert!(AdaptiveExaLogLog::from_bytes(&bad).is_err());
+    }
+
+    #[test]
+    fn batch_that_ends_exactly_at_break_even_promotes() {
+        // One batch of exactly the break-even token count must promote,
+        // one short of it must not — the same decisions as one-by-one.
+        let c = EllConfig::new(2, 16, 6).unwrap();
+        let break_even = break_even_tokens(&c, 26);
+        let mut rng = SplitMix64::new(11);
+        for n in [break_even - 1, break_even, break_even + 1] {
+            let hashes: Vec<u64> = (0..n).map(|_| rng.next_u64()).collect();
+            let mut seq = AdaptiveExaLogLog::new(c).unwrap();
+            for &h in &hashes {
+                seq.insert_hash(h);
+            }
+            let mut bat = AdaptiveExaLogLog::new(c).unwrap();
+            bat.insert_hashes(&hashes);
+            assert_eq!(bat.is_sparse(), n < break_even, "n = {n}");
+            assert_eq!(seq, bat, "n = {n}");
+        }
+    }
+
+    #[test]
+    fn token_parameter_validation() {
+        let c = EllConfig::new(2, 20, 8).unwrap();
+        assert!(AdaptiveExaLogLog::with_token_parameter(c, 9).is_err()); // < p+t
+        assert!(AdaptiveExaLogLog::with_token_parameter(c, 10).is_ok());
+        assert!(AdaptiveExaLogLog::with_token_parameter(c, 59).is_err());
     }
 
     #[test]
@@ -455,9 +631,14 @@ mod tests {
     fn memory_is_linear_then_constant() {
         let mut s = AdaptiveExaLogLog::new(cfg()).unwrap();
         let m0 = s.memory_bytes();
+        assert_eq!(
+            m0,
+            core::mem::size_of::<AdaptiveExaLogLog>(),
+            "inline size counted once"
+        );
         s.insert_hashes(&hashes(100, 7));
         let m1 = s.memory_bytes();
-        assert!(m1 > m0, "sparse memory must grow");
+        assert_eq!(m1, m0 + 100 * core::mem::size_of::<u64>(), "8 B per token");
         s.insert_hashes(&hashes(50_000, 8));
         let dense = s.memory_bytes();
         s.insert_hashes(&hashes(50_000, 9));

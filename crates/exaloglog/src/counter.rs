@@ -2,10 +2,10 @@
 //! crate, plugging the ExaLogLog family into the workspace-wide trait
 //! layer (`ell-core`).
 //!
-//! The generic [`ExaLogLog`], the martingale-tracked sketch, the sparse
-//! and specialized variants, and [`TokenSet`] route `insert_hashes` to
-//! their unrolled batch hot paths; the others inherit the trait's
-//! default loop. All implementations keep
+//! Every implementation — the generic [`ExaLogLog`], the
+//! martingale-tracked, adaptive sparse→dense, atomic and specialized
+//! sketches, and [`TokenSet`] — routes `insert_hashes` to its type's
+//! batch path. All implementations keep
 //! the batch-equivalence guarantee documented in `ell-core` — the
 //! cross-implementation property tests at the workspace root
 //! (`tests/trait_laws.rs`) compare serialized states to enforce it.
@@ -14,7 +14,6 @@ use crate::adaptive::AdaptiveExaLogLog;
 use crate::atomic::AtomicExaLogLog;
 use crate::martingale::{MartingaleEstimator, MartingaleExaLogLog};
 use crate::sketch::ExaLogLog;
-use crate::sparse::SparseExaLogLog;
 use crate::specialized::{EllT1D9, EllT2D16, EllT2D20, EllT2D24};
 use crate::token::TokenSet;
 use ell_core::{DistinctCounter, SketchError};
@@ -114,38 +113,6 @@ impl DistinctCounter for MartingaleExaLogLog {
     }
     fn constant_time_insert(&self) -> bool {
         true
-    }
-}
-
-impl DistinctCounter for SparseExaLogLog {
-    fn name(&self) -> String {
-        let c = self.config();
-        format!("ELL(t={},d={},p={},sparse)", c.t(), c.d(), c.p())
-    }
-    fn insert_hash(&mut self, h: u64) {
-        SparseExaLogLog::insert_hash(self, h);
-    }
-    fn insert_hashes(&mut self, hashes: &[u64]) {
-        SparseExaLogLog::insert_hashes(self, hashes);
-    }
-    fn estimate(&self) -> f64 {
-        SparseExaLogLog::estimate(self)
-    }
-    fn merge_from(&mut self, other: &Self) -> Result<(), SketchError> {
-        SparseExaLogLog::merge_from(self, other).map_err(Into::into)
-    }
-    fn to_bytes(&self) -> Vec<u8> {
-        SparseExaLogLog::to_bytes(self)
-    }
-    fn from_bytes(bytes: &[u8]) -> Result<Self, SketchError> {
-        SparseExaLogLog::from_bytes(bytes).map_err(Into::into)
-    }
-    fn memory_bits(&self) -> usize {
-        SparseExaLogLog::memory_bytes(self) * 8
-    }
-    fn constant_time_insert(&self) -> bool {
-        // The sparse phase pays O(log n) per token insert.
-        false
     }
 }
 
@@ -317,7 +284,6 @@ mod tests {
         vec![
             Box::new(ExaLogLog::new(cfg)),
             Box::new(MartingaleExaLogLog::new(cfg)),
-            Box::new(SparseExaLogLog::new(cfg).unwrap()),
             Box::new(AdaptiveExaLogLog::new(cfg).unwrap()),
             Box::new(AtomicExaLogLog::new(cfg)),
             Box::new(TokenSet::new(26).unwrap()),

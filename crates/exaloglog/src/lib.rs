@@ -36,8 +36,7 @@
 //! | [`ml`] | §3.2, App. A | ML coefficients (Alg. 3) and the Newton solver (Alg. 8) |
 //! | [`martingale`] | §3.3 | online HIP estimation (Alg. 4) |
 //! | [`token`] | §4.3 | hash tokens and direct token-set estimation (Alg. 7) |
-//! | [`sparse`] | §4.3 | sparse-to-dense auto-upgrading sketch |
-//! | [`adaptive`] | §4.3 | adaptive lifecycle enum that unwraps to dense at promotion |
+//! | [`adaptive`] | §4.3 | sparse token phase that promotes in place to dense registers at break-even |
 //! | [`theory`] | §2.1, §2.4 | MVP formulas (3)(5)(6)(7), bias correction (4) |
 //! | [`compress`] | §6 (future work) | entropy-coded serialization approaching the Figure 6 optimum |
 //! | [`atomic`] | §2.4 | lock-free concurrent sketch for ≤32-bit registers (CAS updates) |
@@ -66,7 +65,6 @@ pub mod ml;
 pub mod pmf;
 pub mod registers;
 pub mod sketch;
-pub mod sparse;
 pub mod specialized;
 #[doc(hidden)]
 pub mod sync;
@@ -79,7 +77,6 @@ pub use ell_bitpack::kernels;
 pub use ell_core::{DistinctCounter, Sketch, SketchError};
 pub use martingale::{MartingaleEstimator, MartingaleExaLogLog};
 pub use sketch::{ExaLogLog, RegisterChange};
-pub use sparse::SparseExaLogLog;
 pub use specialized::{EllT1D9, EllT2D16, EllT2D20, EllT2D24, SpecializedMartingale};
 pub use token::TokenSet;
 

@@ -5,7 +5,7 @@
 //! to a dense [`ExaLogLog`] fed the same hashes, and merges must give
 //! the same result whichever side happens to be sparse or dense.
 
-use exaloglog::{AdaptiveExaLogLog, EllConfig, ExaLogLog, SparseExaLogLog};
+use exaloglog::{AdaptiveExaLogLog, EllConfig, ExaLogLog};
 use proptest::prelude::*;
 
 fn hash_stream(seed: u64, n: usize) -> Vec<u64> {
@@ -144,13 +144,10 @@ proptest! {
             .map(|_| pool[(rng.next_u64() % pool.len() as u64) as usize])
             .collect();
         let mut one_adaptive = AdaptiveExaLogLog::new(cfg).unwrap();
-        let mut one_sparse = SparseExaLogLog::new(cfg).unwrap();
         for &h in &hashes {
             one_adaptive.insert_hash(h);
-            one_sparse.insert_hash(h);
         }
         let mut batched_adaptive = AdaptiveExaLogLog::new(cfg).unwrap();
-        let mut batched_sparse = SparseExaLogLog::new(cfg).unwrap();
         let mut rest = hashes.as_slice();
         for &len in splits.iter().cycle() {
             if rest.is_empty() {
@@ -158,12 +155,9 @@ proptest! {
             }
             let (batch, tail) = rest.split_at(len.min(rest.len()));
             batched_adaptive.insert_hashes(batch);
-            batched_sparse.insert_hashes(batch);
             rest = tail;
         }
         prop_assert_eq!(batched_adaptive.to_bytes(), one_adaptive.to_bytes());
         prop_assert_eq!(batched_adaptive.estimate().to_bits(), one_adaptive.estimate().to_bits());
-        prop_assert_eq!(batched_sparse.to_bytes(), one_sparse.to_bytes());
-        prop_assert_eq!(batched_sparse.estimate().to_bits(), one_sparse.estimate().to_bits());
     }
 }

@@ -12,7 +12,7 @@
 
 use ell_hash::{Hasher64, WyHash};
 use exaloglog::token::{decode_token, encode_token};
-use exaloglog::{EllConfig, SparseExaLogLog, TokenSet};
+use exaloglog::{AdaptiveExaLogLog, EllConfig, TokenSet};
 
 fn main() {
     let hasher = WyHash::new(0);
@@ -20,8 +20,8 @@ fn main() {
     let dense_bytes = config.register_array_bytes();
 
     // A long-tail workload: 1000 keys, most with a handful of elements.
-    let mut sketches: Vec<SparseExaLogLog> = (0..1000)
-        .map(|_| SparseExaLogLog::new(config).expect("valid"))
+    let mut sketches: Vec<AdaptiveExaLogLog> = (0..1000)
+        .map(|_| AdaptiveExaLogLog::new(config).expect("valid"))
         .collect();
     let mut total_elements = 0u64;
     for (key, sketch) in sketches.iter_mut().enumerate() {
@@ -32,7 +32,7 @@ fn main() {
         }
     }
     let sparse_count = sketches.iter().filter(|s| s.is_sparse()).count();
-    let used: usize = sketches.iter().map(SparseExaLogLog::memory_bytes).sum();
+    let used: usize = sketches.iter().map(AdaptiveExaLogLog::memory_bytes).sum();
     let dense_would_be = 1000 * dense_bytes;
     println!("{total_elements} elements over 1000 keys");
     println!("{sparse_count} of 1000 sketches still sparse");

@@ -5,7 +5,7 @@
 
 use ell_baselines::{HllEstimator, HyperLogLog};
 use ell_hash::{Hasher64, Murmur3_128, WyHash, Xxh64};
-use exaloglog::{EllConfig, ExaLogLog, SparseExaLogLog, TokenSet};
+use exaloglog::{AdaptiveExaLogLog, EllConfig, ExaLogLog, TokenSet};
 
 #[test]
 fn sharded_pipeline_end_to_end() {
@@ -13,8 +13,9 @@ fn sharded_pipeline_end_to_end() {
     let cfg = EllConfig::optimal(10).unwrap();
 
     // Four shards, each starting sparse; shard universes overlap.
-    let mut shards: Vec<SparseExaLogLog> =
-        (0..4).map(|_| SparseExaLogLog::new(cfg).unwrap()).collect();
+    let mut shards: Vec<AdaptiveExaLogLog> = (0..4)
+        .map(|_| AdaptiveExaLogLog::new(cfg).unwrap())
+        .collect();
     let per_shard = 30_000u64;
     let overlap = 10_000u64;
     for (i, shard) in shards.iter_mut().enumerate() {
@@ -30,7 +31,7 @@ fn sharded_pipeline_end_to_end() {
     for other in rest.iter() {
         first[0].merge_from(other).unwrap();
     }
-    let merged = first[0].clone().into_dense();
+    let merged = first[0].to_dense();
     let est = merged.estimate();
     assert!(
         (est / truth as f64 - 1.0).abs() < 0.1,

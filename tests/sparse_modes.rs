@@ -7,7 +7,7 @@
 
 use ell_baselines::{HllEstimator, SparseHyperLogLog};
 use ell_hash::SplitMix64;
-use exaloglog::{EllConfig, ExaLogLog, SparseExaLogLog, TokenSet};
+use exaloglog::{AdaptiveExaLogLog, EllConfig, ExaLogLog, TokenSet};
 
 fn hashes(n: usize, seed: u64) -> Vec<u64> {
     let mut rng = SplitMix64::new(seed);
@@ -17,7 +17,7 @@ fn hashes(n: usize, seed: u64) -> Vec<u64> {
 #[test]
 fn all_sparse_modes_are_near_exact_below_break_even() {
     let stream = hashes(500, 1);
-    let mut ell = SparseExaLogLog::new(EllConfig::optimal(12).unwrap()).unwrap();
+    let mut ell = AdaptiveExaLogLog::new(EllConfig::optimal(12).unwrap()).unwrap();
     let mut hll = SparseHyperLogLog::new(13, 6, HllEstimator::Improved);
     let mut tokens = TokenSet::new(26).unwrap();
     for &h in &stream {
@@ -44,12 +44,12 @@ fn error_is_continuous_across_densification() {
     // Record the estimate right before and right after forcing the
     // upgrade: the jump must be far below the dense-mode RMSE.
     let stream = hashes(2_000, 2);
-    let mut ell = SparseExaLogLog::new(EllConfig::optimal(10).unwrap()).unwrap();
+    let mut ell = AdaptiveExaLogLog::new(EllConfig::optimal(10).unwrap()).unwrap();
     for &h in &stream {
         ell.insert_hash(h);
     }
     let before = ell.estimate();
-    ell.densify();
+    ell.promote();
     let after = ell.estimate();
     assert!(
         (after / before - 1.0).abs() < 0.03,
@@ -76,12 +76,12 @@ fn sparse_ell_merges_across_modes_like_dense() {
     let cfg = EllConfig::optimal(8).unwrap();
     let big = hashes(20_000, 3);
     let small = hashes(100, 4);
-    let mut dense_side = SparseExaLogLog::new(cfg).unwrap();
+    let mut dense_side = AdaptiveExaLogLog::new(cfg).unwrap();
     for &h in &big {
         dense_side.insert_hash(h);
     }
     assert!(!dense_side.is_sparse());
-    let mut sparse_side = SparseExaLogLog::new(cfg).unwrap();
+    let mut sparse_side = AdaptiveExaLogLog::new(cfg).unwrap();
     for &h in &small {
         sparse_side.insert_hash(h);
     }
@@ -92,7 +92,7 @@ fn sparse_ell_merges_across_modes_like_dense() {
     for &h in big.iter().chain(small.iter()) {
         direct.insert_hash(h);
     }
-    assert_eq!(dense_side.into_dense(), direct);
+    assert_eq!(dense_side.to_dense(), direct);
 }
 
 #[test]
@@ -122,7 +122,7 @@ fn token_set_dominates_equivalent_dense_sketch() {
 #[test]
 fn memory_trajectories_are_monotone_until_capped() {
     let stream = hashes(50_000, 6);
-    let mut ell = SparseExaLogLog::new(EllConfig::optimal(10).unwrap()).unwrap();
+    let mut ell = AdaptiveExaLogLog::new(EllConfig::optimal(10).unwrap()).unwrap();
     let mut hll = SparseHyperLogLog::new(11, 6, HllEstimator::Improved);
     let mut prev_ell = 0usize;
     let mut prev_hll = 0usize;

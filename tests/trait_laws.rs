@@ -23,7 +23,7 @@ use ell::ell_hash::SplitMix64;
 use ell::exaloglog::atomic::AtomicExaLogLog;
 use ell::exaloglog::{
     AdaptiveExaLogLog, EllConfig, EllT1D9, EllT2D16, EllT2D20, EllT2D24, ExaLogLog,
-    MartingaleExaLogLog, SparseExaLogLog, TokenSet,
+    MartingaleExaLogLog, TokenSet,
 };
 use proptest::prelude::*;
 
@@ -87,7 +87,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
     /// Law 1 for every registered algorithm, through the object-safe
-    /// facade (one virtual boundary, all 19 types).
+    /// facade (one virtual boundary, all 18 types).
     #[test]
     fn registry_batch_equals_sequential(
         seed in any::<u64>(),
@@ -115,7 +115,7 @@ proptest! {
 
     /// Law 1 again for the sized types whose batch paths are handwritten
     /// (the unrolled hot paths), at the configurations the paper
-    /// highlights — plus the densification-straddling sparse sketch.
+    /// highlights — plus the promotion-straddling adaptive sketch.
     #[test]
     fn handwritten_batch_paths_are_equivalent(
         seed in any::<u64>(),
@@ -129,11 +129,6 @@ proptest! {
         batch_equivalence(|| EllT2D24::new(p).unwrap(), &hashes, chunk)?;
         batch_equivalence(|| EllT2D16::new(p).unwrap(), &hashes, chunk)?;
         batch_equivalence(|| EllT1D9::new(p).unwrap(), &hashes, chunk)?;
-        batch_equivalence(
-            || SparseExaLogLog::new(EllConfig::optimal(p).unwrap()).unwrap(),
-            &hashes,
-            chunk,
-        )?;
         batch_equivalence(
             || AdaptiveExaLogLog::new(EllConfig::optimal(p).unwrap()).unwrap(),
             &hashes,
@@ -153,11 +148,6 @@ proptest! {
         let hb = hash_stream(seed ^ 0x9E3779B97F4A7C15, nb);
         // ExaLogLog family.
         merge_laws(|| ExaLogLog::new(EllConfig::optimal(p).unwrap()), &ha, &hb)?;
-        merge_laws(
-            || SparseExaLogLog::new(EllConfig::optimal(p).unwrap()).unwrap(),
-            &ha,
-            &hb,
-        )?;
         merge_laws(
             || AdaptiveExaLogLog::new(EllConfig::optimal(p).unwrap()).unwrap(),
             &ha,
