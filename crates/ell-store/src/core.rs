@@ -2,8 +2,9 @@
 //!
 //! [`EllStore`](crate::EllStore) and [`WindowedStore`](crate::WindowedStore)
 //! agree on everything except what a key holds: a power-of-two table of
-//! `RwLock<HashMap<String, V>>` shards routed by a fixed-seed key hash,
-//! and one handoff queue per shard on which buffered
+//! `RwLock<Table<V>>` shards routed by a fixed-seed key hash — each a
+//! flat open-addressed [`Table`] probed by that same hash — and one
+//! handoff queue per shard on which buffered
 //! [`Session`](crate::Session)s park a flush's runs for that shard when
 //! it is contended. `V` is one sketch slot for the flat store and an
 //! epoch ring for the windowed one; the tag `T` is `()` and the epoch.
@@ -19,10 +20,9 @@
 //! handoff", modeled by `ell-verify::models::handoff`).
 
 use crate::sync::{Mutex, MutexGuard, RwLock, RwLockReadGuard, RwLockWriteGuard, TryLockError};
+use crate::table::Table;
 use ell_hash::{Hasher64, WyHash};
-use exaloglog::adaptive::AdaptiveExaLogLog;
 use exaloglog::EllError;
-use std::collections::HashMap;
 use std::ops::Range;
 
 /// Seed of the key-partitioning hash. Fixed so that shard assignment —
@@ -39,12 +39,13 @@ const HANDOFF_SOFT_CAPACITY: usize = 64;
 type Queue<T> = Vec<Parked<T>>;
 
 /// One key's share of an ingest batch or session flush: every hash
-/// observed for `key` under `tag`, bound for shard `shard`. One key may
-/// arrive as several runs (merges commute), but a run never mixes keys
-/// or tags.
-#[derive(Debug)]
+/// observed for `key` (whose key hash is `key_hash`) under `tag`, bound
+/// for shard `shard`. One key may arrive as several runs (merges
+/// commute), but a run never mixes keys or tags.
+#[derive(Debug, Clone, Copy)]
 pub(crate) struct Run<'l, T> {
     pub(crate) shard: usize,
+    pub(crate) key_hash: u64,
     pub(crate) key: &'l str,
     pub(crate) tag: T,
     pub(crate) hashes: &'l [u64],
@@ -57,8 +58,9 @@ pub(crate) struct Run<'l, T> {
 struct Parked<T> {
     keys: String,
     hashes: Vec<u64>,
-    /// Per run: its tag and where its key and its hashes lie.
-    runs: Vec<(T, Range<usize>, Range<usize>)>,
+    /// Per run: its tag, its key hash, and where its key and its
+    /// hashes lie.
+    runs: Vec<(T, u64, Range<usize>, Range<usize>)>,
 }
 
 impl<T: Copy> Parked<T> {
@@ -74,6 +76,7 @@ impl<T: Copy> Parked<T> {
             parked.hashes.extend_from_slice(run.hashes);
             parked.runs.push((
                 run.tag,
+                run.key_hash,
                 key_start..parked.keys.len(),
                 hashes_start..parked.hashes.len(),
             ));
@@ -81,11 +84,16 @@ impl<T: Copy> Parked<T> {
         parked
     }
 
-    /// The parked `(key, tag, hashes)` runs, in flush order.
-    fn runs(&self) -> impl Iterator<Item = (&str, T, &[u64])> {
-        self.runs
-            .iter()
-            .map(|(tag, key, hashes)| (&self.keys[key.clone()], *tag, &self.hashes[hashes.clone()]))
+    /// The parked runs, in flush order.
+    fn runs(&self, shard: usize) -> Vec<Run<'_, T>> {
+        let run = |(tag, key_hash, key, hashes): &(T, u64, Range<usize>, Range<usize>)| Run {
+            shard,
+            key_hash: *key_hash,
+            key: &self.keys[key.clone()],
+            tag: *tag,
+            hashes: &self.hashes[hashes.clone()],
+        };
+        self.runs.iter().map(run).collect()
     }
 }
 
@@ -93,7 +101,7 @@ impl<T> Parked<T> {
     fn heap_bytes(&self) -> usize {
         self.keys.capacity()
             + self.hashes.capacity() * core::mem::size_of::<u64>()
-            + self.runs.capacity() * core::mem::size_of::<(T, Range<usize>, Range<usize>)>()
+            + self.runs.capacity() * core::mem::size_of::<(T, u64, Range<usize>, Range<usize>)>()
     }
 }
 
@@ -105,15 +113,16 @@ fn shard_of_hash(key_hash: u64, shards: usize) -> usize {
 
 /// Groups a batch of `(key_hash, tag, key, hash)` records into runs,
 /// one per distinct `(key, tag)`, ordered by shard (the low bits of the
-/// key hash, `shards` a power of two) and, within a shard, by first
-/// appearance. Each run's hashes lie contiguously in `hashes`, in input
-/// order, so a key's slot sees exactly the sequence direct insertion
-/// would have fed it.
+/// key hash, `shards` a power of two) and, within a shard, by the top
+/// bits of the key hash — the order of the shard's [`Table`], so a fold
+/// walks it front to back. Each run's hashes lie contiguously in
+/// `hashes`, in input order, so a key's slot sees exactly the sequence
+/// direct insertion would have fed it.
 ///
 /// One pass assigns every record to its run through a flat
-/// open-addressed table probed with the key-hash bits above the shard
-/// bits; a hit also compares the tag and the key bytes, so keys whose
-/// hashes collide never share a run. One counting pass then orders the
+/// open-addressed table probed from the key hash's top bits; a hit also
+/// compares the tag and the key bytes, so keys whose hashes collide
+/// never share a run. One counting pass over that table then orders the
 /// runs by shard, and one gather lays out their hashes. No comparison
 /// sort: each record costs one probe and one store.
 pub(crate) fn group_runs<'l, T: Copy + Eq>(
@@ -137,14 +146,14 @@ pub(crate) fn group_runs<'l, T: Copy + Eq>(
         n < EMPTY as usize,
         "batch of {n} records overflows the run table"
     );
-    let shard_bits = shards.trailing_zeros();
     let shard_of = |key_hash| shard_of_hash(key_hash, shards);
     let mask = (2 * n).max(16).next_power_of_two() - 1;
+    let top = 64 - (mask + 1).trailing_zeros();
     let mut table = vec![EMPTY; mask + 1];
     let mut heads: Vec<Head<'l, T>> = Vec::new();
     let mut run_of: Vec<(u32, u64)> = Vec::with_capacity(n);
     for (key_hash, tag, key, hash) in records {
-        let mut at = (key_hash >> shard_bits) as usize & mask;
+        let mut at = (key_hash >> top) as usize;
         let run = loop {
             let r = table[at];
             if r == EMPTY {
@@ -167,8 +176,7 @@ pub(crate) fn group_runs<'l, T: Copy + Eq>(
         heads[run].len += 1;
         run_of.push((run as u32, hash));
     }
-    drop(table);
-    // Counting sort of the runs by shard, stable in first appearance.
+    // Counting sort of the runs by shard, stable in table order.
     let mut first = vec![0usize; shards + 1];
     for head in &heads {
         first[shard_of(head.key_hash) + 1] += 1;
@@ -177,11 +185,12 @@ pub(crate) fn group_runs<'l, T: Copy + Eq>(
         first[si + 1] += first[si];
     }
     let mut order = vec![0u32; heads.len()];
-    for (r, head) in heads.iter().enumerate() {
-        let slot = &mut first[shard_of(head.key_hash)];
-        order[*slot] = r as u32;
+    for &r in table.iter().filter(|&&r| r != EMPTY) {
+        let slot = &mut first[shard_of(heads[r as usize].key_hash)];
+        order[*slot] = r;
         *slot += 1;
     }
+    drop(table);
     let mut at = 0;
     for &r in &order {
         let head = &mut heads[r as usize];
@@ -203,6 +212,7 @@ pub(crate) fn group_runs<'l, T: Copy + Eq>(
             let head = &heads[r as usize];
             Run {
                 shard: shard_of(head.key_hash),
+                key_hash: head.key_hash,
                 key: head.key,
                 tag: head.tag,
                 hashes: &hashes[head.end - head.len..head.end],
@@ -225,7 +235,7 @@ pub(crate) fn by_shard<'r, 'l, T>(
 #[derive(Debug)]
 pub(crate) struct KeyedCore<V, T> {
     hasher: WyHash,
-    shards: Vec<RwLock<HashMap<String, V>>>,
+    shards: Vec<RwLock<Table<V>>>,
     queues: Vec<Mutex<Queue<T>>>,
 }
 
@@ -242,7 +252,7 @@ impl<V, T> KeyedCore<V, T> {
             });
         }
         let mut maps = Vec::with_capacity(shards);
-        maps.resize_with(shards, || RwLock::new(HashMap::new()));
+        maps.resize_with(shards, || RwLock::new(Table::default()));
         let mut queues = Vec::with_capacity(shards);
         queues.resize_with(shards, || Mutex::new(Vec::new()));
         Ok(KeyedCore {
@@ -261,20 +271,22 @@ impl<V, T> KeyedCore<V, T> {
         self.hasher.hash_bytes(key.as_bytes())
     }
 
-    pub(crate) fn shard_of(&self, key: &str) -> usize {
-        shard_of_hash(self.key_hash(key), self.shards.len())
+    /// `key`'s shard and key hash.
+    pub(crate) fn locate(&self, key: &str) -> (usize, u64) {
+        let key_hash = self.key_hash(key);
+        (shard_of_hash(key_hash, self.shards.len()), key_hash)
     }
 
-    pub(crate) fn read(&self, si: usize) -> RwLockReadGuard<'_, HashMap<String, V>> {
+    pub(crate) fn read(&self, si: usize) -> RwLockReadGuard<'_, Table<V>> {
         self.shards[si].read().expect("shard lock poisoned")
     }
 
-    pub(crate) fn write(&self, si: usize) -> RwLockWriteGuard<'_, HashMap<String, V>> {
+    pub(crate) fn write(&self, si: usize) -> RwLockWriteGuard<'_, Table<V>> {
         self.shards[si].write().expect("shard lock poisoned")
     }
 
     /// The shard write lock if it is free right now (`None` when taken).
-    fn try_write(&self, si: usize) -> Option<RwLockWriteGuard<'_, HashMap<String, V>>> {
+    fn try_write(&self, si: usize) -> Option<RwLockWriteGuard<'_, Table<V>>> {
         match self.shards[si].try_write() {
             Err(TryLockError::WouldBlock) => None,
             // Poison propagates like the blocking path's expect.
@@ -304,19 +316,22 @@ impl<V, T> KeyedCore<V, T> {
         group_runs(self.shards.len(), records, hashes)
     }
 
-    /// The read-locked shard holding `key`.
-    pub(crate) fn read_key(&self, key: &str) -> RwLockReadGuard<'_, HashMap<String, V>> {
-        self.read(self.shard_of(key))
+    /// `f` of `key`'s value under its shard's read lock (`None` when
+    /// the key is absent).
+    pub(crate) fn with<R>(&self, key: &str, f: impl FnOnce(&V) -> R) -> Option<R> {
+        let (si, key_hash) = self.locate(key);
+        self.read(si).get(key_hash, key).map(f)
     }
 
-    /// Places `value` under `key`, replacing any previous value; returns
-    /// whether the key was new.
-    pub(crate) fn insert(&self, key: String, value: V) -> bool {
-        self.write(self.shard_of(&key)).insert(key, value).is_none()
+    /// Places `value` under `key` unless the key is present; returns
+    /// whether it was absent.
+    pub(crate) fn insert(&self, key: &str, value: V) -> bool {
+        let (si, key_hash) = self.locate(key);
+        self.write(si).entry(key_hash, key, || value).1
     }
 
     /// Visits every entry, one shard read lock at a time.
-    pub(crate) fn for_each(&self, mut f: impl FnMut(&String, &V)) {
+    pub(crate) fn for_each(&self, mut f: impl FnMut(&str, &V)) {
         for si in 0..self.shards.len() {
             for (key, value) in self.read(si).iter() {
                 f(key, value);
@@ -335,7 +350,7 @@ impl<V, T> KeyedCore<V, T> {
     /// copy taken shard by shard under the read locks).
     pub(crate) fn sorted<R>(&self, mut f: impl FnMut(&V) -> R) -> Vec<(String, R)> {
         let mut out = Vec::new();
-        self.for_each(|key, value| out.push((key.clone(), f(value))));
+        self.for_each(|key, value| out.push((key.to_owned(), f(value))));
         out.sort_unstable_by(|a, b| a.0.cmp(&b.0));
         out
     }
@@ -349,18 +364,19 @@ impl<V, T> KeyedCore<V, T> {
     }
 
     /// Deep footprint of the table: the shard and queue vectors, each
-    /// map's bucket capacity (a hashbrown table pays one control byte
-    /// plus one `(key, value)` pair per bucket), key strings, parked
-    /// runs, and `heap_bytes` of every value.
+    /// shard table's slots (empty ones included, each holding a value
+    /// inline) and key arena, parked runs, and `heap_bytes` of every
+    /// value.
     pub(crate) fn memory_bytes(&self, heap_bytes: impl Fn(&V) -> usize) -> usize {
-        let mut total = self.shards.capacity() * core::mem::size_of::<RwLock<HashMap<String, V>>>()
+        let mut total = self.shards.capacity() * core::mem::size_of::<RwLock<Table<V>>>()
             + self.queues.capacity() * core::mem::size_of::<Mutex<Queue<T>>>();
         for si in 0..self.shards.len() {
-            let map = self.read(si);
-            total += map.capacity() * (core::mem::size_of::<(String, V)>() + 1);
-            for (key, value) in map.iter() {
-                total += key.len() + heap_bytes(value);
-            }
+            let table = self.read(si);
+            total += table.heap_bytes();
+            total += table
+                .iter()
+                .map(|(_, value)| heap_bytes(value))
+                .sum::<usize>();
             let queue = self.queue(si);
             total += queue.capacity() * core::mem::size_of::<Parked<T>>();
             total += queue.iter().map(Parked::heap_bytes).sum::<usize>();
@@ -374,7 +390,7 @@ impl<V, T> KeyedCore<V, T> {
 /// it. Only [`EllStore`](crate::EllStore) and
 /// [`WindowedStore`](crate::WindowedStore) implement it.
 pub(crate) trait Keyed {
-    /// What each key holds in the shard maps.
+    /// What each key holds in the shard tables.
     type Value;
     /// What a buffered observation is tagged with besides its key.
     type Tag: Copy + Eq + core::fmt::Debug;
@@ -383,25 +399,39 @@ pub(crate) trait Keyed {
 
     fn core(&self) -> &KeyedCore<Self::Value, Self::Tag>;
 
-    /// An empty sketch for a new key or a parked pending entry.
-    fn new_delta(&self) -> AdaptiveExaLogLog;
-
     /// Runs `f` with the store-wide state pinned. The windowed store
     /// holds its epoch read lock for the duration, so every run's
     /// live-or-retired decision agrees with rotation.
     fn pinned<R>(&self, f: impl FnOnce(Self::Pin) -> R) -> R;
 
-    /// Folds one run of `key`'s hashes under `tag` into its value
-    /// (creating the key if new) under the held shard write lock. The
-    /// only per-key merge of the handoff protocol.
+    /// The value of a key a run creates: empty.
+    fn new_value(&self, pin: Self::Pin) -> Self::Value;
+
+    /// Reads what [`Keyed::merge_run`] will read first of `value` (see
+    /// [`Table::fold`]); the result only keeps the reads alive.
+    fn touch(_: &Self::Value) -> u64 {
+        0
+    }
+
+    /// Folds one run into its key's value under the held shard write
+    /// lock: the only per-key merge of the handoff protocol.
+    fn merge_run(&self, value: &mut Self::Value, run: &Run<'_, Self::Tag>, pin: Self::Pin);
+
+    /// Folds one shard's runs into its write-locked `table`, creating
+    /// new keys, in chunks whose cache misses overlap ([`Table::fold`]).
     fn merge_hashes(
         &self,
-        map: &mut HashMap<String, Self::Value>,
-        key: &str,
-        tag: Self::Tag,
-        hashes: &[u64],
+        table: &mut Table<Self::Value>,
+        runs: &[Run<'_, Self::Tag>],
         pin: Self::Pin,
-    );
+    ) {
+        table.fold(
+            runs,
+            || self.new_value(pin),
+            Self::touch,
+            |v, run| self.merge_run(v, run, pin),
+        );
+    }
 
     /// Flushes one shard's runs of a session log: on an uncontended (or
     /// barrier) lock each run folds straight from the session's log into
@@ -418,13 +448,11 @@ pub(crate) trait Keyed {
                 core.try_write(si)
             };
             match guard {
-                Some(mut map) => {
+                Some(mut table) => {
                     // Drain the queue first so queued items never linger
                     // behind a direct merge.
-                    self.drain_queue_into(si, &mut map, pin);
-                    for run in runs {
-                        self.merge_hashes(&mut map, run.key, run.tag, run.hashes, pin);
-                    }
+                    self.drain_queue_into(si, &mut table, pin);
+                    self.merge_hashes(&mut table, runs, pin);
                     false
                 }
                 None => {
@@ -468,14 +496,14 @@ pub(crate) trait Keyed {
     /// drainer returns after observing an empty queue, every item
     /// enqueued before that observation has been merged under a write
     /// lock that happens-before the next acquisition.
-    fn drain_queue_into(&self, si: usize, map: &mut HashMap<String, Self::Value>, pin: Self::Pin) {
+    fn drain_queue_into(&self, si: usize, table: &mut Table<Self::Value>, pin: Self::Pin) {
         loop {
             let batch = std::mem::take(&mut *self.core().queue(si));
             if batch.is_empty() {
                 return;
             }
-            for (key, tag, hashes) in batch.iter().flat_map(Parked::runs) {
-                self.merge_hashes(map, key, tag, hashes, pin);
+            for parked in &batch {
+                self.merge_hashes(table, &parked.runs(si), pin);
             }
         }
     }
@@ -538,6 +566,7 @@ mod tests {
             .iter()
             .map(|key| Run {
                 shard: 0,
+                key_hash: store.core().key_hash(key),
                 key,
                 tag: (),
                 hashes: &hashes,

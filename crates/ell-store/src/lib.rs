@@ -7,7 +7,8 @@
 //!
 //! An [`EllStore`] maps string keys to [`AdaptiveExaLogLog`] sketches,
 //! hash-partitioned over N shards (N a power of two). Each shard is a
-//! `RwLock<HashMap<String, Slot>>`:
+//! `RwLock` over a flat open-addressed table probed by the same 64-bit
+//! key hash that picked the shard, 64 bytes per slot:
 //!
 //! * **Cold / sparse keys** live as [`AdaptiveExaLogLog`] values and are
 //!   mutated under the shard's *write* lock — cheap, because sparse
@@ -20,10 +21,10 @@
 //!   concurrently without serializing the shard.
 //!
 //! The batched [`EllStore::ingest`] entry point groups a `(key, hash)`
-//! batch into one run per key, ordered by shard, with one probe of a
-//! batch-local table per event; per shard it then drains the hot keys'
-//! runs under one read lock, and only then takes the write lock for the
-//! remainder, looking each key up in the shard map once per batch.
+//! batch into one run per key, ordered by shard and table position, with
+//! one probe of a batch-local table per event; per shard it then drains
+//! the hot keys' runs under one read lock, and only then takes the write
+//! lock for the remainder, looking each key up in the shard table once.
 //! [`WindowedStore`] shares this shard table, key hash, handoff queues
 //! and flush protocol; each store adds only its per-key value and merge.
 //!
@@ -96,6 +97,7 @@ mod core;
 mod session;
 mod store;
 mod sync;
+mod table;
 mod tiers;
 mod window;
 mod window_wire;

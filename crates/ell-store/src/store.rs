@@ -8,7 +8,6 @@ use exaloglog::adaptive::AdaptiveExaLogLog;
 use exaloglog::atomic::AtomicExaLogLog;
 use exaloglog::compress::{compress, decompress};
 use exaloglog::{EllConfig, EllError, ExaLogLog};
-use std::collections::HashMap;
 
 /// One keyed counter plus its access-clock stamp.
 ///
@@ -157,7 +156,7 @@ impl SlotState {
     }
 
     /// Heap bytes owned by this slot beyond its inline enum size (the
-    /// inline size is accounted through the shard map's capacity). A hot
+    /// inline size is accounted through the shard table's slots). A hot
     /// slot's heap holds its register words and coefficient counters.
     fn heap_bytes(&self) -> usize {
         let pending_bytes =
@@ -302,6 +301,12 @@ impl EllStore {
         self.clock.load(Ordering::Relaxed)
     }
 
+    /// An empty sketch for a new key or a parked pending entry.
+    fn new_delta(&self) -> AdaptiveExaLogLog {
+        AdaptiveExaLogLog::with_token_parameter(self.cfg, self.v)
+            .expect("parameters validated at store construction")
+    }
+
     /// Rebuilds the resident sketch for a demoted slot state: decode
     /// the payload (from memory or the spill segment), then fold in any
     /// parked session deltas. Monotone merge makes the result
@@ -342,9 +347,10 @@ impl EllStore {
     /// Inserts one `(key, element-hash)` observation (a direct
     /// single-shard path; use [`EllStore::ingest`] for batches).
     pub fn insert(&self, key: &str, hash: u64) {
-        let shard = self.core.shard_of(key);
+        let (shard, key_hash) = self.core.locate(key);
         let run = Run {
             shard,
+            key_hash,
             key,
             tag: (),
             hashes: &[hash],
@@ -354,7 +360,7 @@ impl EllStore {
 
     /// Batched ingest: groups the batch into one run per key, ordered
     /// by shard (one probe of a batch-local table per event), so each
-    /// key is looked up in its shard map once per batch. Per shard, the
+    /// key is looked up in its shard table once per batch. Per shard, the
     /// hot keys' runs drain under the read lock (one
     /// [`AtomicExaLogLog::extend_hashes`] per key), and the rest (new
     /// keys, sparse keys, demoted keys — which promote back first) under
@@ -379,12 +385,13 @@ impl EllStore {
         let now = self.clock();
         let mut rest = Vec::new();
         {
-            let map = self.core.read(si);
+            let table = self.core.read(si);
             for run in runs {
-                let Some((slot, SlotState::Hot(a))) =
-                    map.get(run.key).map(|slot| (slot, &slot.state))
+                let Some((slot, SlotState::Hot(a))) = table
+                    .get(run.key_hash, run.key)
+                    .map(|slot| (slot, &slot.state))
                 else {
-                    rest.push(run);
+                    rest.push(*run);
                     continue;
                 };
                 // One `extend_hashes` per key: its coefficient terms reach
@@ -402,30 +409,18 @@ impl EllStore {
         if rest.is_empty() {
             return;
         }
-        let mut map = self.core.write(si);
-        for run in rest {
-            match map.get_mut(run.key) {
-                Some(slot) => {
-                    // A direct ingest always promotes a demoted slot —
-                    // only buffered session flushes park lazily.
-                    self.access(slot, now);
-                    // Another thread may have upgraded the slot between
-                    // our read and write sections — the hot path also
-                    // works under the write lock.
-                    slot.state.insert_resident(run.hashes);
-                }
-                None => {
-                    map.insert(run.key.to_owned(), self.new_slot(run.hashes, now));
-                }
-            }
-        }
-    }
-
-    /// A new resident slot holding `hashes`, stamped `now`.
-    fn new_slot(&self, hashes: &[u64], now: u64) -> Slot {
-        let mut sketch = self.new_delta();
-        sketch.insert_hashes(hashes);
-        Slot::new(SlotState::resident(sketch), now)
+        let new = || self.new_value(());
+        self.core
+            .write(si)
+            .fold(&rest, new, Self::touch, |slot, run| {
+                // A direct ingest always promotes a demoted slot — only
+                // buffered session flushes park lazily.
+                self.access(slot, now);
+                // Another thread may have upgraded the slot between our
+                // read and write sections — the hot path also works
+                // under the write lock.
+                slot.state.insert_resident(run.hashes);
+            });
     }
 
     /// Opens a buffered ingest session: inserts append to a session-local
@@ -452,36 +447,40 @@ impl EllStore {
                 reason: format!("store {} vs sketch {}", self.cfg, sketch.config()),
             });
         }
-        let mut map = self.core.write(self.core.shard_of(key));
-        if let Some(slot) = map.get_mut(key) {
-            self.access(slot, self.clock());
-            return slot.state.merge_resident(sketch);
+        let (si, key_hash) = self.core.locate(key);
+        let now = self.clock();
+        let new = || Slot::new(SlotState::resident(sketch.clone()), now);
+        match self.core.write(si).entry(key_hash, key, new) {
+            (_, true) => Ok(()),
+            (slot, false) => {
+                self.access(slot, now);
+                slot.state.merge_resident(sketch)
+            }
         }
-        let state = SlotState::resident(sketch.clone());
-        map.insert(key.to_string(), Slot::new(state, self.clock()));
-        Ok(())
     }
 
-    /// Places a restored sketch under `key`, replacing any existing
-    /// slot. Used by snapshot restoration. A restored dense sketch goes
-    /// straight to the hot atomic path ([`SlotState::resident`]); the
-    /// coefficients its deserialization cached seed the hot slot's
-    /// coefficient counters, so its first estimate costs no register
-    /// scan. Sparse sketches stay on the locked adaptive path.
-    pub(crate) fn place(&self, key: String, sketch: AdaptiveExaLogLog) {
+    /// Places a restored sketch under `key` unless the key is present;
+    /// returns whether it was absent. Used by snapshot restoration. A
+    /// restored dense sketch goes straight to the hot atomic path
+    /// ([`SlotState::resident`]); the coefficients its deserialization
+    /// cached seed the hot slot's coefficient counters, so its first
+    /// estimate costs no register scan. Sparse sketches stay on the
+    /// locked adaptive path.
+    pub(crate) fn place(&self, key: &str, sketch: AdaptiveExaLogLog) -> bool {
         self.core
-            .insert(key, Slot::new(SlotState::resident(sketch), self.clock()));
+            .insert(key, Slot::new(SlotState::resident(sketch), self.clock()))
     }
 
-    /// Places restored compressed bytes under `key` as a warm slot —
-    /// snapshots of warm entries restore without a dense round trip, so
+    /// Places restored compressed bytes under `key` as a warm slot
+    /// unless the key is present; returns whether it was absent.
+    /// Snapshots of warm entries restore without a dense round trip, so
     /// re-snapshotting reuses the identical payload.
-    pub(crate) fn place_warm(&self, key: String, bytes: Vec<u8>) {
+    pub(crate) fn place_warm(&self, key: &str, bytes: Vec<u8>) -> bool {
         let state = SlotState::Warm(WarmEntry {
             bytes: bytes.into_boxed_slice(),
             pending: None,
         });
-        self.core.insert(key, Slot::new(state, self.clock()));
+        self.core.insert(key, Slot::new(state, self.clock()))
     }
 
     /// The distinct-count estimate for one key (`None` if the key has
@@ -490,10 +489,10 @@ impl EllStore {
     /// residency-preserving bulk reads).
     #[must_use]
     pub fn estimate(&self, key: &str) -> Option<f64> {
-        let si = self.core.shard_of(key);
+        let (si, key_hash) = self.core.locate(key);
         {
-            let map = self.core.read(si);
-            match map.get(key) {
+            let table = self.core.read(si);
+            match table.get(key_hash, key) {
                 None => return None,
                 Some(slot) if slot.state.is_resident() => {
                     // ordering: Relaxed — idle-age stamp written under
@@ -509,8 +508,8 @@ impl EllStore {
             }
         }
         // Demoted: promote under the write lock, then serve.
-        let mut map = self.core.write(si);
-        let slot = map.get_mut(key)?;
+        let mut table = self.core.write(si);
+        let slot = table.get_mut(key_hash, key)?;
         self.access(slot, self.clock());
         Some(slot.state.estimate_resident())
     }
@@ -526,21 +525,12 @@ impl EllStore {
     /// Does not count as an access.
     #[must_use]
     pub fn key_tier(&self, key: &str) -> Option<Tier> {
-        self.core
-            .read_key(key)
-            .get(key)
-            .map(|slot| match &slot.state {
-                SlotState::Adaptive(s) => {
-                    if s.is_sparse() {
-                        Tier::Sparse
-                    } else {
-                        Tier::Hot
-                    }
-                }
-                SlotState::Hot(_) => Tier::Hot,
-                SlotState::Warm(_) => Tier::Warm,
-                SlotState::Cold(_) => Tier::Cold,
-            })
+        self.core.with(key, |slot| match &slot.state {
+            SlotState::Adaptive(s) if s.is_sparse() => Tier::Sparse,
+            SlotState::Adaptive(_) | SlotState::Hot(_) => Tier::Hot,
+            SlotState::Warm(_) => Tier::Warm,
+            SlotState::Cold(_) => Tier::Cold,
+        })
     }
 
     /// Demotes every sufficiently idle key one tier down the residency
@@ -548,25 +538,34 @@ impl EllStore {
     /// cold once idle for `cold_after` more (requires a spill
     /// directory). A slot with parked session deltas is settled
     /// (revived and re-encoded) before demoting further, so payloads on
-    /// disk always contain every flushed observation. Returns
-    /// `(demoted_to_warm, demoted_to_cold)`.
+    /// disk always contain every flushed observation. Each shard's cold
+    /// payloads go to the segment file in one write; if it fails, they
+    /// all stay warm. Returns `(demoted_to_warm, demoted_to_cold)`.
     pub fn demote_idle(&self) -> (usize, usize) {
         if !self.tiers.is_enabled() {
             return (0, 0);
         }
         let now = self.clock();
-        let mut to_warm = 0usize;
-        let mut to_cold = 0usize;
-        self.core.for_each_mut(|slot| {
-            // ordering: Relaxed — idle-age read under the shard write
-            // lock, which orders it after every stamp written under the
-            // read lock (release of read → acquire of write). A stale
-            // stamp only delays demotion by one sweep. See
-            // CONCURRENCY.md § "Tier demote vs promote".
-            let idle = now.saturating_sub(slot.touched.load(Ordering::Relaxed));
-            match &mut slot.state {
-                SlotState::Adaptive(_) | SlotState::Hot(_) => {
-                    if self.tiers.warm_threshold().is_some_and(|w| idle >= w) {
+        let (mut to_warm, mut to_cold) = (0, 0);
+        let due = |threshold: Option<u64>, idle| threshold.is_some_and(|t| idle >= t);
+        let mut batch = Vec::new();
+        for si in 0..self.core.shard_count() {
+            let mut table = self.core.write(si);
+            // Warm slots bound for the segment file with their payload
+            // lengths; the payloads lie back to back in `batch`.
+            let mut to_spill = Vec::new();
+            batch.clear();
+            for slot in table.values_mut() {
+                // ordering: Relaxed — idle-age read under the shard write
+                // lock, which orders it after every stamp written under the
+                // read lock (release of read → acquire of write). A stale
+                // stamp only delays demotion by one sweep. See
+                // CONCURRENCY.md § "Tier demote vs promote".
+                let idle = now.saturating_sub(slot.touched.load(Ordering::Relaxed));
+                match &mut slot.state {
+                    SlotState::Adaptive(_) | SlotState::Hot(_)
+                        if due(self.tiers.warm_threshold(), idle) =>
+                    {
                         let bytes = slot.state.encode_resident().into_boxed_slice();
                         slot.state = SlotState::Warm(WarmEntry {
                             bytes,
@@ -575,44 +574,49 @@ impl EllStore {
                         to_warm += 1;
                         TierCounters::count(&self.counters.demotions_warm);
                     }
-                }
-                SlotState::Warm(w) => {
-                    let due = self.tiers.cold_threshold().is_some_and(|c| idle >= c);
-                    let Some(spill) = self.spill.as_ref().filter(|_| due) else {
-                        return;
-                    };
-                    // Settle parked deltas into the payload before it
-                    // leaves memory.
-                    if let Some(pending) = w.pending.take() {
-                        let mut sketch = decode_payload(&w.bytes);
-                        sketch
-                            .merge_from(&pending)
-                            .expect("parked deltas share the store configuration");
-                        w.bytes = SlotState::Adaptive(Box::new(sketch))
-                            .encode_resident()
-                            .into_boxed_slice();
-                    }
-                    match spill.append(&w.bytes) {
-                        Ok((segment, offset, len)) => {
-                            slot.state = SlotState::Cold(ColdEntry {
-                                segment,
-                                len,
-                                offset,
-                                pending: None,
-                            });
-                            to_cold += 1;
-                            TierCounters::count(&self.counters.demotions_cold);
+                    SlotState::Warm(w)
+                        if self.spill.is_some() && due(self.tiers.cold_threshold(), idle) =>
+                    {
+                        // Settle parked deltas into the payload before it
+                        // leaves memory.
+                        if let Some(pending) = w.pending.take() {
+                            let mut sketch = decode_payload(&w.bytes);
+                            sketch
+                                .merge_from(&pending)
+                                .expect("parked deltas share the store configuration");
+                            w.bytes = SlotState::Adaptive(Box::new(sketch))
+                                .encode_resident()
+                                .into_boxed_slice();
                         }
-                        Err(_) => {
-                            // Stay warm; the payload is still safe in
-                            // memory.
-                            TierCounters::count(&self.counters.spill_errors);
-                        }
+                        batch.extend_from_slice(&w.bytes);
+                        let len = u32::try_from(w.bytes.len()).expect("payloads stay below 4 GiB");
+                        to_spill.push((slot, len));
                     }
+                    _ => {}
                 }
-                SlotState::Cold(_) => {}
             }
-        });
+            let Some(spill) = self.spill.as_ref().filter(|_| !to_spill.is_empty()) else {
+                continue;
+            };
+            let mut appended = spill.append(&batch);
+            for (slot, len) in to_spill {
+                match &mut appended {
+                    Ok((segment, offset)) => {
+                        slot.state = SlotState::Cold(ColdEntry {
+                            segment: *segment,
+                            len,
+                            offset: *offset,
+                            pending: None,
+                        });
+                        *offset += u64::from(len);
+                        to_cold += 1;
+                        TierCounters::count(&self.counters.demotions_cold);
+                    }
+                    // Stay warm; the payload is still safe in memory.
+                    Err(_) => TierCounters::count(&self.counters.spill_errors),
+                }
+            }
+        }
         (to_warm, to_cold)
     }
 
@@ -689,12 +693,11 @@ impl EllStore {
     /// without promoting. `None` if the key is absent.
     #[must_use]
     pub fn state_entropy_bits(&self, key: &str) -> Option<f64> {
-        let map = self.core.read_key(key);
-        let dense = match &map.get(key)?.state {
+        let dense = self.core.with(key, |slot| match &slot.state {
             SlotState::Adaptive(s) => s.to_dense(),
             SlotState::Hot(a) => a.snapshot(),
             state => self.revive_state(state).to_dense(),
-        };
+        })?;
         Some(exaloglog::compress::state_entropy_bits(&dense))
     }
 
@@ -773,9 +776,9 @@ impl EllStore {
         self.merged().estimate()
     }
 
-    /// Deep in-memory footprint in bytes: store scaffolding, shard map
-    /// tables (bucket capacity, not just occupancy), key strings, slot
-    /// inline state, and every slot's heap (registers, token vectors,
+    /// Deep in-memory footprint in bytes: store scaffolding, shard
+    /// tables (every slot, not just occupied ones, with each slot's
+    /// inline state), key arenas, and every slot's heap (registers, token vectors,
     /// warm payloads, parked deltas). Cold payloads live on disk and are
     /// *not* counted — see [`TierStats::spilled_bytes`].
     #[must_use]
@@ -793,44 +796,47 @@ impl Keyed for EllStore {
         &self.core
     }
 
-    fn new_delta(&self) -> AdaptiveExaLogLog {
-        AdaptiveExaLogLog::with_token_parameter(self.cfg, self.v)
-            .expect("parameters validated at store construction")
-    }
-
     fn pinned<R>(&self, f: impl FnOnce(()) -> R) -> R {
         f(())
     }
 
-    /// Folds one run of session hashes into its slot (creating the slot
-    /// if the key is new): hot slots take the lock-free batch insert,
-    /// sparse slots the batched token insert. Demoted slots **park** the
-    /// hashes in their `pending` sketch instead of promoting — the
-    /// session flush path must never pay a decompress. The result is
-    /// bit-identical to inserting the hashes directly because register
-    /// updates are monotone and order-free.
-    fn merge_hashes(
-        &self,
-        map: &mut HashMap<String, Slot>,
-        key: &str,
-        (): (),
-        hashes: &[u64],
-        (): (),
-    ) {
-        match map.get_mut(key) {
-            Some(slot) => match &mut slot.state {
-                SlotState::Warm(WarmEntry { pending, .. })
-                | SlotState::Cold(ColdEntry { pending, .. }) => {
-                    pending
-                        .get_or_insert_with(|| Box::new(self.new_delta()))
-                        .insert_hashes(hashes);
-                    TierCounters::count(&self.counters.parked_deltas);
-                }
-                state => state.insert_resident(hashes),
-            },
-            None => {
-                map.insert(key.to_string(), self.new_slot(hashes, self.clock()));
+    /// A new key's slot: an empty resident sketch, stamped now.
+    fn new_value(&self, (): ()) -> Slot {
+        Slot::new(SlotState::resident(self.new_delta()), self.clock())
+    }
+
+    /// Reads the sketch a run into `slot` merges into first: the header
+    /// and first token of a sparse resident or parked sketch.
+    fn touch(slot: &Slot) -> u64 {
+        let sketch = match &slot.state {
+            SlotState::Adaptive(s) => Some(s),
+            SlotState::Warm(w) => w.pending.as_ref(),
+            SlotState::Cold(c) => c.pending.as_ref(),
+            SlotState::Hot(_) => None,
+        };
+        match sketch.map(|s| &**s) {
+            Some(AdaptiveExaLogLog::Sparse { tokens, .. }) => tokens.iter().next().unwrap_or(0),
+            _ => 0,
+        }
+    }
+
+    /// Folds one run of session hashes into its slot: hot slots take
+    /// the lock-free batch insert, sparse slots the batched token
+    /// insert. Demoted slots **park** the hashes in their `pending`
+    /// sketch instead of promoting — the session flush path must never
+    /// pay a decompress. The result is bit-identical to inserting the
+    /// hashes directly because register updates are monotone and
+    /// order-free.
+    fn merge_run(&self, slot: &mut Slot, run: &Run<'_, ()>, (): ()) {
+        match &mut slot.state {
+            SlotState::Warm(WarmEntry { pending, .. })
+            | SlotState::Cold(ColdEntry { pending, .. }) => {
+                pending
+                    .get_or_insert_with(|| Box::new(self.new_delta()))
+                    .insert_hashes(run.hashes);
+                TierCounters::count(&self.counters.parked_deltas);
             }
+            state => state.insert_resident(run.hashes),
         }
     }
 }
@@ -839,6 +845,7 @@ impl Keyed for EllStore {
 mod tests {
     use super::*;
     use ell_hash::{mix64, SplitMix64};
+    use std::collections::HashMap;
 
     fn cfg() -> EllConfig {
         // 24-bit registers: hot-path capable.
@@ -851,6 +858,9 @@ mod tests {
         // sketch keeps its coefficient counters behind one pointer so
         // they do not grow it.
         assert_eq!(core::mem::size_of::<SlotState>(), 40);
+        // With its key hash and key place, a shard-table entry takes a
+        // cache line's worth of bytes.
+        assert_eq!(crate::table::Table::<Slot>::SLOT_BYTES, 64);
     }
 
     #[test]
@@ -1007,7 +1017,7 @@ mod tests {
     #[test]
     fn warm_keys_shrink_resident_memory() {
         // A register-heavy configuration, so the per-key sketch heap —
-        // what the warm tier compresses — dominates the map overhead.
+        // what the warm tier compresses — dominates the table overhead.
         let mut store = EllStore::new(4, EllConfig::aligned32(11).unwrap()).unwrap();
         store.set_tier_config(TierConfig::new().warm_after(1));
         // Mid-cardinality keys: just past dense promotion but far from
@@ -1055,6 +1065,70 @@ mod tests {
         );
         assert_eq!(store.key_tier("glacier"), Some(Tier::Hot));
         std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn one_sweep_spills_a_shard_in_one_write_and_reads_each_key_back() {
+        // Twenty keys of one shard, sparse and dense, go cold in the same
+        // sweep, so their payloads share one write to the segment file.
+        let dir = std::env::temp_dir().join(format!("ell-batch-spill-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let mut store = EllStore::new(1, cfg()).unwrap();
+        store.set_tier_config(
+            TierConfig::new()
+                .warm_after(1)
+                .cold_after(2)
+                .spill_dir(&dir),
+        );
+        let twin = EllStore::new(1, cfg()).unwrap();
+        let keys: Vec<String> = (0..20).map(|i| format!("key-{i}")).collect();
+        for (i, key) in keys.iter().enumerate() {
+            fill_key(&store, key, 50 + 400 * i as u64, i as u64);
+            fill_key(&twin, key, 50 + 400 * i as u64, i as u64);
+        }
+        store.tick();
+        assert_eq!(store.demote_idle(), (20, 0));
+        store.tick();
+        assert_eq!(store.demote_idle(), (0, 20));
+        for key in &keys {
+            assert_eq!(store.key_tier(key), Some(Tier::Cold), "{key}");
+            assert_eq!(
+                store.estimate(key).map(f64::to_bits),
+                twin.estimate(key).map(f64::to_bits),
+                "{key}"
+            );
+        }
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn a_failed_spill_leaves_the_whole_batch_warm() {
+        // The spill directory cannot be created under a plain file, so
+        // the sweep's one write fails: every key of the batch stays
+        // warm, each counted as a spill error.
+        let blocker =
+            std::env::temp_dir().join(format!("ell-spill-blocker-{}", std::process::id()));
+        std::fs::write(&blocker, b"not a directory").unwrap();
+        let mut store = EllStore::new(1, cfg()).unwrap();
+        store.set_tier_config(
+            TierConfig::new()
+                .warm_after(1)
+                .cold_after(2)
+                .spill_dir(blocker.join("spill")),
+        );
+        for i in 0..5 {
+            fill_key(&store, &format!("key-{i}"), 100, i);
+        }
+        store.tick();
+        assert_eq!(store.demote_idle(), (5, 0));
+        store.tick();
+        assert_eq!(store.demote_idle(), (0, 0));
+        let stats = store.tier_stats();
+        assert_eq!(
+            (stats.warm_keys, stats.cold_keys, stats.spill_errors),
+            (5, 0, 5)
+        );
+        std::fs::remove_file(&blocker).unwrap();
     }
 
     #[test]
@@ -1153,6 +1227,47 @@ mod tests {
             );
         }
         std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn keys_sharing_a_hash_stay_apart_in_batches_and_flushes() {
+        // Two keys forced onto one 64-bit key hash in shard 0, fed
+        // through a direct batch and then a session flush: each ends
+        // with exactly its own hashes, like a twin store fed the same
+        // hashes under the real key hash.
+        const FORCED: u64 = 0xC011_1DE5 << 32;
+        let store = EllStore::new(2, cfg()).unwrap();
+        let twin = EllStore::new(2, cfg()).unwrap();
+        let mut rng = SplitMix64::new(17);
+        let mut draw = |n: usize| (0..n).map(|_| rng.next_u64()).collect::<Vec<u64>>();
+        let (left, right, more_left, more_right) = (draw(40), draw(3_000), draw(500), draw(20));
+        let runs = |left: &'static str, l, r| {
+            [("left", l), (left, r)].map(|(key, hashes)| Run {
+                shard: 0,
+                key_hash: FORCED,
+                key,
+                tag: (),
+                hashes,
+            })
+        };
+        store.ingest_shard(0, &runs("right", &left, &right));
+        store.flush_runs(0, &runs("right", &more_left, &more_right), true);
+        assert_eq!(store.key_count(), 2);
+        for (key, first, then) in [("left", &left, &more_left), ("right", &right, &more_right)] {
+            for &hash in first.iter().chain(then) {
+                twin.insert(key, hash);
+            }
+            let got = store
+                .core()
+                .read(0)
+                .get(FORCED, key)
+                .map(|slot| slot.state.estimate_resident());
+            assert_eq!(
+                got.map(f64::to_bits),
+                twin.estimate(key).map(f64::to_bits),
+                "{key}"
+            );
+        }
     }
 
     #[test]

@@ -210,7 +210,7 @@ const SEGMENT_FILE: &str = "ell-spill-000000.seg";
 ///
 /// The file is opened `O_APPEND`, so every write lands at the file's
 /// current end. Other stores or processes may share the spill directory
-/// and append to the same file, so a record's offset is read from the
+/// and append to the same file, so a batch's offset is read from the
 /// handle's position after the write, never predicted from a length
 /// this store tracks itself.
 #[derive(Debug)]
@@ -234,11 +234,12 @@ impl SpillStore {
         }
     }
 
-    /// Appends `bytes` to the segment file, returning the
-    /// `(segment, offset, length)` address to index it under. A failed
-    /// write truncates the file back to where it began, so no partial
-    /// record stays behind.
-    pub(crate) fn append(&self, bytes: &[u8]) -> std::io::Result<(u32, u64, u32)> {
+    /// Appends `batch` (one or more records back to back) to the
+    /// segment file in one write, returning the segment and the offset
+    /// the batch starts at; a record's address is that offset plus the
+    /// lengths of the records before it. A failed write truncates the
+    /// file back to where it began, so no partial batch stays behind.
+    pub(crate) fn append(&self, batch: &[u8]) -> std::io::Result<(u32, u64)> {
         let mut inner = self.inner.lock().expect("spill lock poisoned");
         if inner.file.is_none() {
             std::fs::create_dir_all(&self.dir)?;
@@ -251,15 +252,16 @@ impl SpillStore {
             inner.file = Some(file);
         }
         let file = inner.file.as_mut().expect("opened above");
+        // Only a failed write needs where the file ended before it.
         let start = file.seek(SeekFrom::End(0))?;
-        if let Err(err) = file.write_all(bytes) {
+        if let Err(err) = file.write_all(batch) {
             // Best effort: the write error is the one worth reporting.
             let _ = file.set_len(start);
             return Err(err);
         }
-        let offset = file.stream_position()? - bytes.len() as u64;
-        inner.appended += bytes.len() as u64;
-        Ok((0, offset, bytes.len() as u32))
+        let offset = file.stream_position()? - batch.len() as u64;
+        inner.appended += batch.len() as u64;
+        Ok((0, offset))
     }
 
     /// Reads the `len` bytes at `offset` back (the `segment` number is
@@ -306,12 +308,12 @@ mod tests {
         let dir = std::env::temp_dir().join(format!("ell-spill-test-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         let spill = SpillStore::new(dir.clone());
-        let (seg_a, off_a, len_a) = spill.append(b"alpha-payload").unwrap();
-        let (_, off_b, len_b) = spill.append(b"beta").unwrap();
-        assert_eq!((seg_a, off_a, len_a), (0, 0, 13));
-        assert_eq!((off_b, len_b), (13, 4));
-        assert_eq!(spill.read(0, off_a, len_a).unwrap(), b"alpha-payload");
-        assert_eq!(spill.read(0, off_b, len_b).unwrap(), b"beta");
+        let (seg_a, off_a) = spill.append(b"alpha-payload").unwrap();
+        let (_, off_b) = spill.append(b"beta").unwrap();
+        assert_eq!((seg_a, off_a), (0, 0));
+        assert_eq!(off_b, 13);
+        assert_eq!(spill.read(0, off_a, 13).unwrap(), b"alpha-payload");
+        assert_eq!(spill.read(0, off_b, 4).unwrap(), b"beta");
         assert_eq!(spill.spilled_bytes(), 17);
         std::fs::remove_dir_all(&dir).unwrap();
     }
@@ -325,14 +327,17 @@ mod tests {
         let first = a.append(b"first-from-a").unwrap();
         let second = b.append(b"second-from-b").unwrap();
         let third = a.append(b"third-from-a").unwrap();
-        assert_eq!(a.read(first.0, first.1, first.2).unwrap(), b"first-from-a");
-        assert_eq!(
-            b.read(second.0, second.1, second.2).unwrap(),
-            b"second-from-b"
-        );
-        assert_eq!(a.read(third.0, third.1, third.2).unwrap(), b"third-from-a");
-        assert_eq!(a.spilled_bytes(), 24);
-        assert_eq!(b.spilled_bytes(), 13);
+        // A batch of two records from `b`, addressed from where it began.
+        let batch = b.append(b"fourth-from-bfifth-from-b").unwrap();
+        let sixth = a.append(b"sixth-from-a").unwrap();
+        assert_eq!(a.read(first.0, first.1, 12).unwrap(), b"first-from-a");
+        assert_eq!(b.read(second.0, second.1, 13).unwrap(), b"second-from-b");
+        assert_eq!(a.read(third.0, third.1, 12).unwrap(), b"third-from-a");
+        assert_eq!(b.read(batch.0, batch.1, 13).unwrap(), b"fourth-from-b");
+        assert_eq!(b.read(batch.0, batch.1 + 13, 12).unwrap(), b"fifth-from-b");
+        assert_eq!(a.read(sixth.0, sixth.1, 12).unwrap(), b"sixth-from-a");
+        assert_eq!(a.spilled_bytes(), 36);
+        assert_eq!(b.spilled_bytes(), 38);
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

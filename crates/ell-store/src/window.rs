@@ -14,7 +14,8 @@
 //! epoch `e` for every epoch in the live window) plus one compacted
 //! *retired* union of every epoch that has fallen out of the window.
 //! Like [`EllStore`](crate::EllStore), keys are hash-partitioned over N
-//! power-of-two shards, each a `RwLock<HashMap<..>>`.
+//! power-of-two shards, each a `RwLock` over a flat open-addressed table
+//! probed by the same key hash that picked the shard.
 //!
 //! On top of the ring each key keeps a chain of **suffix unions**:
 //! `suffix[j]` is the union of the newest `j + 1` *sealed* epochs (every
@@ -93,14 +94,13 @@
 //! assert!(stats.suffix_hits + stats.lazy_rebuilds > 0);
 //! ```
 
-use crate::core::{by_shard, Keyed, KeyedCore};
+use crate::core::{by_shard, Keyed, KeyedCore, Run};
 use crate::sync::atomic::{AtomicU64, Ordering};
 use crate::sync::{Mutex, RwLock};
 use crate::tiers::{TierCounters, TierStats};
 use exaloglog::adaptive::AdaptiveExaLogLog;
 use exaloglog::compress::{compress, decompress};
 use exaloglog::{EllConfig, EllError, ExaLogLog};
-use std::collections::HashMap;
 
 /// One key's windowed state: live (a full epoch ring) or warm (the same
 /// state as compressed bytes — sealed ring slots and retired unions are
@@ -130,7 +130,7 @@ pub(crate) struct WarmRing {
 
 impl WarmRing {
     /// Heap footprint (the inline struct is counted by the store as
-    /// part of its map entry).
+    /// part of its table entry).
     fn memory_bytes(&self) -> usize {
         self.slots
             .iter()
@@ -151,15 +151,17 @@ impl WarmRing {
 pub(crate) struct WindowRing {
     /// Slot `e % E` holds epoch `e`'s sub-sketch for every live epoch
     /// `e` in `(current − E, current]`; slots for epochs the key never
-    /// saw stay empty (and cost one zero-word scan to merge).
-    ring: Vec<ExaLogLog>,
+    /// saw stay empty (and cost one zero-word scan to merge). Fixed
+    /// lengths, so boxed slices: the ring sits inline in its shard-table
+    /// entry, where a `Vec`'s capacity word would be paid per key.
+    ring: Box<[ExaLogLog]>,
     /// Union of every epoch of this key that has left the window.
     retired: ExaLogLog,
     /// Cumulative unions over the *sealed* (non-current) live slots:
     /// `suffix[j] = ⋃ slot(current − 1 − i) for i ≤ j` — the newest
     /// `j + 1` sealed epochs. Length `E − 1`; entries are rebuilt in
     /// place (`clone_from` + one merge each), never reallocated.
-    suffix: Vec<ExaLogLog>,
+    suffix: Box<[ExaLogLog]>,
     /// Number of leading suffix entries consistent with the store's
     /// current window position. Rotation resets it to 0 (the chain is
     /// re-derived lazily); a late event for sealed epoch `e` truncates
@@ -173,11 +175,11 @@ pub(crate) struct WindowRing {
 impl WindowRing {
     fn new(template: &ExaLogLog, epochs: usize, now: u64) -> Self {
         WindowRing {
-            ring: vec![template.clone(); epochs],
+            ring: vec![template.clone(); epochs].into(),
             retired: template.clone(),
             // A fresh ring's sealed slots are all empty, so its empty
             // suffix entries are already correct.
-            suffix: vec![template.clone(); epochs - 1],
+            suffix: vec![template.clone(); epochs - 1].into(),
             valid: epochs - 1,
             touched: AtomicU64::new(now),
         }
@@ -510,6 +512,11 @@ impl WindowedStore {
         promoted
     }
 
+    /// An empty sketch for a parked pending entry.
+    fn new_delta(&self) -> AdaptiveExaLogLog {
+        AdaptiveExaLogLog::new(self.cfg).expect("configuration validated at store construction")
+    }
+
     /// Replaces a live entry with its [`WarmRing`] under the pinned
     /// `current` (a no-op on warm entries). Callers hold the shard
     /// write lock.
@@ -600,21 +607,6 @@ impl WindowedStore {
         }
     }
 
-    /// `key`'s entry in the write-locked `map`, created as an empty live
-    /// ring under the pinned `current` when the key is new.
-    fn entry<'m>(
-        &self,
-        map: &'m mut HashMap<String, WindowSlot>,
-        key: &str,
-        current: u64,
-    ) -> &'m mut WindowSlot {
-        if !map.contains_key(key) {
-            let ring = WindowRing::new(&self.template, self.epochs, current);
-            map.insert(key.to_string(), WindowSlot::Live(ring));
-        }
-        map.get_mut(key).expect("present: just ensured")
-    }
-
     /// Inserts one `(key, element-hash)` observation for `epoch` (a
     /// direct single-shard path; use [`WindowedStore::ingest`] for
     /// batches).
@@ -661,26 +653,27 @@ impl WindowedStore {
         let mut hashes = Vec::new();
         let runs = self.core.group(epoch, batch, &mut hashes);
         for (si, group) in by_shard(&runs) {
-            let mut map = self.core.write(si);
-            for run in group {
-                let entry = self.entry(&mut map, run.key, current);
-                // A warm key promotes first; a *late* event re-demotes
-                // right after the merge without refreshing the idle
-                // stamp — catching up on history is not fresh traffic.
-                let was_warm = matches!(entry, WindowSlot::Warm(_));
-                let ring = self.live(entry, current);
-                ring.epoch_target(current, epoch).insert_hashes(run.hashes);
-                if ring.note_write(current, epoch) {
-                    self.stats.invalidate();
-                }
-                if was_warm && epoch < current {
-                    self.demote(entry, current);
-                } else {
-                    // ordering: Relaxed — idle-age stamp; read only by
-                    // the demotion sweeps under the shard write lock.
-                    ring.touched.store(current, Ordering::Relaxed);
-                }
-            }
+            let new = || self.new_value(current);
+            self.core
+                .write(si)
+                .fold(group, new, Self::touch, |entry, run| {
+                    // A warm key promotes first; a *late* event re-demotes
+                    // right after the merge without refreshing the idle
+                    // stamp — catching up on history is not fresh traffic.
+                    let was_warm = matches!(entry, WindowSlot::Warm(_));
+                    let ring = self.live(entry, current);
+                    ring.epoch_target(current, epoch).insert_hashes(run.hashes);
+                    if ring.note_write(current, epoch) {
+                        self.stats.invalidate();
+                    }
+                    if was_warm && epoch < current {
+                        self.demote(entry, current);
+                    } else {
+                        // ordering: Relaxed — idle-age stamp; read only by
+                        // the demotion sweeps under the shard write lock.
+                        ring.touched.store(current, Ordering::Relaxed);
+                    }
+                });
         }
     }
 
@@ -788,10 +781,10 @@ impl WindowedStore {
         finish: impl Fn(usize, &WindowRing, u64) -> f64,
     ) -> Option<f64> {
         let current = self.current.read().expect("epoch lock poisoned");
-        let si = self.core.shard_of(key);
+        let (si, key_hash) = self.core.locate(key);
         {
-            let map = self.core.read(si);
-            if let WindowSlot::Live(ring) = map.get(key)? {
+            let table = self.core.read(si);
+            if let WindowSlot::Live(ring) = table.get(key_hash, key)? {
                 if ring.valid >= needed {
                     self.stats.hit();
                     // ordering: Relaxed — idle-age stamp raced by other
@@ -808,8 +801,8 @@ impl WindowedStore {
         // or the key is warm: promote and/or rebuild the missing entries
         // under the shard write lock, then answer there. Another thread
         // may have raced us to it.
-        let mut map = self.core.write(si);
-        let ring = self.live(map.get_mut(key)?, *current);
+        let mut table = self.core.write(si);
+        let ring = self.live(table.get_mut(key_hash, key)?, *current);
         // ordering: Relaxed — idle-age stamp under the write lock.
         ring.touched.store(*current, Ordering::Relaxed);
         if ring.valid < needed {
@@ -886,13 +879,14 @@ impl WindowedStore {
             return None;
         }
         let slot = (epoch % self.epochs as u64) as usize;
-        match self.core.read_key(key).get(key)? {
-            WindowSlot::Live(ring) => Some(ring.ring[slot].clone()),
-            WindowSlot::Warm(warm) => {
-                let mut ring = self.materialize(warm, *current);
-                Some(ring.ring.swap_remove(slot))
-            }
-        }
+        self.core.with(key, |entry| match entry {
+            WindowSlot::Live(ring) => ring.ring[slot].clone(),
+            WindowSlot::Warm(warm) => self
+                .materialize(warm, *current)
+                .ring
+                .into_vec()
+                .swap_remove(slot),
+        })
     }
 
     /// A copy of the retired union for `key` (`None` if the key has
@@ -901,10 +895,10 @@ impl WindowedStore {
     #[must_use]
     pub fn retired_sketch(&self, key: &str) -> Option<ExaLogLog> {
         let current = self.current.read().expect("epoch lock poisoned");
-        match self.core.read_key(key).get(key)? {
-            WindowSlot::Live(ring) => Some(ring.retired.clone()),
-            WindowSlot::Warm(warm) => Some(self.materialize(warm, *current).retired),
-        }
+        self.core.with(key, |entry| match entry {
+            WindowSlot::Live(ring) => ring.retired.clone(),
+            WindowSlot::Warm(warm) => self.materialize(warm, *current).retired,
+        })
     }
 
     /// The number of distinct keys in the store.
@@ -1003,7 +997,7 @@ impl WindowedStore {
         self.core.sorted(|entry| match entry {
             WindowSlot::Live(ring) => WireRing::Live {
                 retired: ring.retired.clone(),
-                slots: ring.ring.clone(),
+                slots: ring.ring.to_vec(),
             },
             WindowSlot::Warm(warm) => WireRing::Warm {
                 retired: warm.retired.clone(),
@@ -1017,19 +1011,14 @@ impl WindowedStore {
     /// derived state and never travel in the snapshot; the restored
     /// chain starts empty and the first queries re-derive it from the
     /// slots, so a restored store reproduces every estimate bit-for-bit.
-    pub(crate) fn place_ring(
-        &self,
-        key: String,
-        retired: ExaLogLog,
-        slots: Vec<ExaLogLog>,
-    ) -> bool {
+    pub(crate) fn place_ring(&self, key: &str, retired: ExaLogLog, slots: Vec<ExaLogLog>) -> bool {
         debug_assert_eq!(slots.len(), self.epochs);
         self.core.insert(
             key,
             WindowSlot::Live(WindowRing {
-                ring: slots,
+                ring: slots.into(),
                 retired,
-                suffix: vec![self.template.clone(); self.epochs - 1],
+                suffix: vec![self.template.clone(); self.epochs - 1].into(),
                 valid: 0,
                 touched: AtomicU64::new(0),
             }),
@@ -1041,7 +1030,7 @@ impl WindowedStore {
     /// was new.
     pub(crate) fn place_warm_ring(
         &self,
-        key: String,
+        key: &str,
         retired: Option<Box<[u8]>>,
         slots: Vec<(u64, Box<[u8]>)>,
     ) -> bool {
@@ -1079,10 +1068,6 @@ impl Keyed for WindowedStore {
         &self.core
     }
 
-    fn new_delta(&self) -> AdaptiveExaLogLog {
-        AdaptiveExaLogLog::new(self.cfg).expect("configuration validated at store construction")
-    }
-
     /// Pins the window position: the epoch read lock is held for the
     /// whole merge or drain, so the live-or-retired decision for every
     /// run is consistent with rotation (which takes the write lock).
@@ -1091,24 +1076,23 @@ impl Keyed for WindowedStore {
         f(*current)
     }
 
-    /// Folds one run of session hashes for `(key, epoch)` into the shard
-    /// map under the pinned window position. Live rings take the hashes
+    /// A new key's entry: an empty live ring under the pinned `current`.
+    fn new_value(&self, current: u64) -> WindowSlot {
+        WindowSlot::Live(WindowRing::new(&self.template, self.epochs, current))
+    }
+
+    /// Folds one run of session hashes for `(key, epoch)` into its entry
+    /// under the pinned window position. Live rings take the hashes
     /// directly (runs for rotated-out epochs fold into the retired union
     /// — exactly the state rotation would have produced, so flush timing
     /// cannot change the final bytes); **warm keys park the hashes in
     /// the entry's pending sketch for that epoch** instead of promoting,
     /// and the next promotion folds them in — the flush path never
     /// decompresses anything.
-    fn merge_hashes(
-        &self,
-        map: &mut HashMap<String, WindowSlot>,
-        key: &str,
-        epoch: u64,
-        hashes: &[u64],
-        current: u64,
-    ) {
+    fn merge_run(&self, entry: &mut WindowSlot, run: &Run<'_, u64>, current: u64) {
+        let (epoch, hashes) = (run.tag, run.hashes);
         debug_assert!(epoch <= current, "sessions advance the window on buffer");
-        match self.entry(map, key, current) {
+        match entry {
             WindowSlot::Live(ring) => {
                 ring.epoch_target(current, epoch).insert_hashes(hashes);
                 // A session run for a sealed epoch is a late write:

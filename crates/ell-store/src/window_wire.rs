@@ -198,7 +198,7 @@ impl WindowedStore {
                         let at = || format!("{} slot {slot}", what());
                         slots.push(read_sketch(&mut r, &cfg, at)?);
                     }
-                    store.place_ring(key.clone(), retired, slots)
+                    store.place_ring(key, retired, slots)
                 }
                 TIER_WARM => {
                     let at = || format!("{} warm retired union", what());
@@ -226,7 +226,7 @@ impl WindowedStore {
                             .ok_or_else(|| corrupt_at(at, "empty payload"))?;
                         slots.push((epoch, payload));
                     }
-                    store.place_warm_ring(key.clone(), retired, slots)
+                    store.place_warm_ring(key, retired, slots)
                 }
                 other => {
                     return Err(corrupt_at(what, format!("unknown tier byte {other}")));

@@ -162,10 +162,9 @@ impl<'a> Reader<'a> {
     }
 
     /// A length-prefixed UTF-8 key.
-    pub(crate) fn key(&mut self, entry: u64) -> Result<String, EllError> {
+    pub(crate) fn key(&mut self, entry: u64) -> Result<&'a str, EllError> {
         let raw = self.prefixed()?;
         core::str::from_utf8(raw)
-            .map(str::to_string)
             .map_err(|e| corrupt(format!("entry {entry}: key is not UTF-8: {e}")))
     }
 
@@ -223,22 +222,22 @@ impl EllStore {
         for i in 0..entry_count {
             let key = r.key(i)?;
             let payload = r.prefixed()?;
-            if store.key_tier(&key).is_some() {
-                return Err(corrupt(format!("duplicate key {key:?}")));
-            }
             let what = || format!("entry {i} ({key:?})");
-            if payload.len() >= 4 && &payload[..4] == b"ELLZ" {
+            let placed = if payload.len() >= 4 && &payload[..4] == b"ELLZ" {
                 // A warm entry: validate it decompresses to the header
                 // configuration, then keep the compressed payload as a
                 // warm slot — a re-snapshot reuses it verbatim.
                 let dense = decompress(payload).map_err(|e| corrupt_at(what, e))?;
                 check_config(dense.config(), &cfg, what)?;
-                store.place_warm(key, payload.to_vec());
+                store.place_warm(key, payload.to_vec())
             } else {
                 let sketch =
                     AdaptiveExaLogLog::from_bytes(payload).map_err(|e| corrupt_at(what, e))?;
                 check_config(sketch.config(), &cfg, what)?;
-                store.place(key, sketch);
+                store.place(key, sketch)
+            };
+            if !placed {
+                return Err(corrupt(format!("duplicate key {key:?}")));
             }
         }
         r.finish()?;
@@ -321,6 +320,20 @@ mod tests {
         assert!(restored.is_empty());
         assert_eq!(restored.config(), store.config());
         assert_eq!(restored.shard_count(), 16);
+    }
+
+    #[test]
+    fn a_repeated_key_is_rejected() {
+        let store = EllStore::new(4, EllConfig::new(2, 16, 6).unwrap()).unwrap();
+        store.insert("twice", 1);
+        let bytes = store.snapshot_bytes();
+        assert!(EllStore::from_snapshot_bytes(&bytes).is_ok());
+        // The one entry written twice, and counted twice.
+        let mut bad = bytes.clone();
+        bad.extend_from_slice(&bytes[HEADER_LEN..]);
+        bad[HEADER_LEN - 8..HEADER_LEN].copy_from_slice(&2u64.to_le_bytes());
+        let err = EllStore::from_snapshot_bytes(&bad).unwrap_err();
+        assert!(err.to_string().contains("duplicate key"), "{err}");
     }
 
     #[test]

@@ -44,10 +44,12 @@ fn error_is_continuous_across_densification() {
     // Record the estimate right before and right after forcing the
     // upgrade: the jump must be far below the dense-mode RMSE.
     let stream = hashes(2_000, 2);
+    // p = 10 breaks even at 896 tokens, so 800 inserts stay sparse.
     let mut ell = AdaptiveExaLogLog::new(EllConfig::optimal(10).unwrap()).unwrap();
-    for &h in &stream {
+    for &h in &stream[..800] {
         ell.insert_hash(h);
     }
+    assert!(ell.is_sparse());
     let before = ell.estimate();
     ell.promote();
     let after = ell.estimate();
