@@ -19,9 +19,9 @@
 //!   fold, disjoint dense, self-merge).
 //! * **estimate** — repeated single-insert-then-estimate through the
 //!   incrementally cached ML coefficients versus re-running the
-//!   Algorithm 3 register scan per estimate; and the same loop on an
-//!   `AtomicExaLogLog`, estimating from its coefficient counters versus
-//!   from a column scan of its atomic words.
+//!   Algorithm 3 register scan per estimate. An `AtomicExaLogLog` fed
+//!   the same stream must hold the same registers and estimate to the
+//!   same bit.
 //! * **kernels** — the steady-state word-run merge scan under the SWAR
 //!   kernel versus the scalar reference kernel, timed interleaved, on
 //!   the scan-dominated shapes (sparse incoming, mostly-overlapping
@@ -155,12 +155,6 @@ fn estimate_from(cfg: &EllConfig, coeffs: &MlCoefficients) -> f64 {
 /// The scan-based reference estimate (the pre-cache behavior): one full
 /// Algorithm 3 register scan plus the Newton solve and bias correction.
 fn estimate_by_scan(s: &ExaLogLog) -> f64 {
-    estimate_from(s.config(), &s.coefficients_scan())
-}
-
-/// The hot-sketch estimate before coefficient counters: one column scan
-/// of the atomic words per estimate.
-fn atomic_estimate_by_scan(s: &AtomicExaLogLog) -> f64 {
     estimate_from(s.config(), &s.coefficients_scan())
 }
 
@@ -532,38 +526,15 @@ fn main() {
             "    estimate             cached {cached_ns:9.1} ns/op   scan {scan_ns:9.1} ns/op   speedup {est_speedup:5.2}x"
         );
         let hot = AtomicExaLogLog::from_sketch(&dense);
-        let counters_ns = median_secs(args.reps, || {
-            let mut acc = 0.0;
-            for &h in &est_stream {
-                hot.insert_hash(h);
-                acc += hot.estimate();
-            }
-            std::hint::black_box(acc);
-        }) * per_est;
-        let hot_scan = AtomicExaLogLog::from_sketch(&dense);
-        let atomic_scan_ns = median_secs(args.reps, || {
-            let mut acc = 0.0;
-            for &h in &est_stream {
-                hot_scan.insert_hash(h);
-                acc += atomic_estimate_by_scan(&hot_scan);
-            }
-            std::hint::black_box(acc);
-        }) * per_est;
-        println!(
-            "    estimate (atomic)  counters {counters_ns:9.1} ns/op   scan {atomic_scan_ns:9.1} ns/op   speedup {:5.2}x",
-            atomic_scan_ns / counters_ns
-        );
+        hot.extend_hashes(est_stream.iter().copied());
         {
-            // All four sketches consumed identical streams; cached, scan
-            // and counter estimates must agree to the bit, and the hot
-            // sketch's counters must equal its scan.
+            // All three sketches consumed identical streams; the cached,
+            // scan and atomic estimates must agree to the bit.
             let want = warm.estimate().to_bits();
             if warm.to_bytes() != warm_scan.to_bytes()
                 || want != estimate_by_scan(&warm).to_bits()
                 || hot.snapshot() != warm
-                || hot.coefficients() != Some(hot.coefficients_scan())
                 || hot.estimate().to_bits() != want
-                || atomic_estimate_by_scan(&hot_scan).to_bits() != want
             {
                 eprintln!("bench_registers: estimate equivalence MISMATCH for {name}");
                 ok = false;
@@ -577,8 +548,7 @@ fn main() {
              \"merge\": {{\n{}\n      }},\n      \
              \"kernels\": {{\n{}\n      }},\n      \
              \"estimate\": {{\"cached_ns_per_op\": {cached_ns:.1}, \"scan_ns_per_op\": {scan_ns:.1}, \
-             \"speedup\": {est_speedup:.3}, \"atomic_counters_ns_per_op\": {counters_ns:.1}, \
-             \"atomic_scan_ns_per_op\": {atomic_scan_ns:.1}}}\n    }}",
+             \"speedup\": {est_speedup:.3}}}\n    }}",
             cfg.register_width(),
             merge_rows.join(",\n"),
             kernel_rows.join(",\n")

@@ -8,23 +8,16 @@
 //! An [`EllStore`] maps string keys to [`AdaptiveExaLogLog`] sketches,
 //! hash-partitioned over N shards (N a power of two). Each shard is a
 //! `RwLock` over a flat open-addressed table probed by the same 64-bit
-//! key hash that picked the shard, 64 bytes per slot:
-//!
-//! * **Cold / sparse keys** live as [`AdaptiveExaLogLog`] values and are
-//!   mutated under the shard's *write* lock — cheap, because sparse
-//!   sketches are tiny and write sections are short.
-//! * **Hot dense keys** are transparently upgraded to
-//!   [`AtomicExaLogLog`] — every register width qualifies, since the
-//!   atomic sketch packs registers into `AtomicU64` words: inserts
-//!   then need only the shard's *read* lock plus a lock-free CAS, so any
-//!   number of ingest threads can hammer the same popular key
-//!   concurrently without serializing the shard.
+//! key hash that picked the shard. A resident key's sketch, sparse
+//! tokens or dense registers alike, is mutated under the shard's
+//! *write* lock and read under its *read* lock; the sketch promotes
+//! from sparse to dense on its own at break-even.
 //!
 //! The batched [`EllStore::ingest`] entry point groups a `(key, hash)`
 //! batch into one run per key, ordered by shard and table position, with
-//! one probe of a batch-local table per event; per shard it then drains
-//! the hot keys' runs under one read lock, and only then takes the write
-//! lock for the remainder, looking each key up in the shard table once.
+//! one probe of a batch-local table per event; per shard it then takes
+//! the write lock once and folds every run, looking each key up in the
+//! shard table once.
 //! [`WindowedStore`] shares this shard table, key hash, handoff queues
 //! and flush protocol; each store adds only its per-key value and merge.
 //!
@@ -57,13 +50,14 @@
 //! # Tiered residency
 //!
 //! With a [`TierConfig`] installed, idle keys step down a residency
-//! ladder — hot (atomic/sparse, as above) → **warm** (range-coder
+//! ladder — resident (sparse or dense, as above) → **warm** (range-coder
 //! compressed in RAM) → **cold** (spilled to an on-disk segment file
 //! behind an in-memory index) — one rung per [`EllStore::demote_idle`]
 //! sweep, where "idle" is measured against a caller-advanced clock
 //! ([`EllStore::tick`]). Any ingest or per-key [`EllStore::estimate`]
-//! promotes the key back to hot. Tiering is a pure space optimization:
-//! estimates and snapshots are bit-identical to a never-tiered store.
+//! promotes the key back to residency. Tiering is a pure space
+//! optimization: estimates and snapshots are bit-identical to a
+//! never-tiered store.
 //! [`TierStats`] and [`EllStore::memory_bytes`] expose the per-tier
 //! breakdown and deep resident-byte accounting.
 //!
@@ -109,5 +103,4 @@ pub use tiers::{Tier, TierConfig, TierStats};
 pub use window::{WindowStats, WindowedStore};
 
 pub use exaloglog::adaptive::AdaptiveExaLogLog;
-pub use exaloglog::atomic::AtomicExaLogLog;
 pub use exaloglog::{EllConfig, EllError};

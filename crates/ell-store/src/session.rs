@@ -15,7 +15,7 @@
 //! batches go through, with no comparison sort — takes each shard's lock
 //! once, and folds every key's run of hashes straight into its slot
 //! through the one handoff protocol both stores share. A sparse slot takes a run as one
-//! sorted token batch, a hot slot as one batched atomic insert.
+//! sorted token batch, a dense slot as one batched register insert.
 //!
 //! # Buffer reuse
 //!
@@ -115,7 +115,7 @@ pub struct Session<'a, S: Keyed> {
     auto_flush: usize,
     /// Newest tag this session has advanced the store to: the epoch for
     /// the windowed store, gating its (write-locking) `advance` so the
-    /// hot path takes no lock.
+    /// buffering loop takes no lock.
     advanced_to: S::Tag,
 }
 

@@ -5,20 +5,18 @@ use crate::core::{by_shard, Keyed, KeyedCore, Run};
 use crate::sync::atomic::{AtomicU64, Ordering};
 use crate::tiers::{SpillStore, Tier, TierConfig, TierCounters, TierStats};
 use exaloglog::adaptive::AdaptiveExaLogLog;
-use exaloglog::atomic::AtomicExaLogLog;
 use exaloglog::compress::{compress, decompress};
 use exaloglog::{EllConfig, EllError, ExaLogLog};
 
 /// One keyed counter plus its access-clock stamp.
 ///
-/// The residency ladder: sparse keys mutate under the shard write lock
-/// ([`SlotState::Adaptive`]); dense keys upgrade to the lock-free CAS
-/// path ([`SlotState::Hot`]); idle keys demote to compressed in-memory
-/// bytes ([`SlotState::Warm`]) and then to the on-disk segment file
-/// ([`SlotState::Cold`]), where only the `(segment, offset, len)` index
-/// entry stays resident. Any ingest or per-key query promotes a
-/// warm/cold slot back to a resident sketch; register merge is monotone,
-/// so the round trip is bit-lossless.
+/// The residency ladder: a resident key, sparse or dense, mutates under
+/// the shard write lock ([`SlotState::Resident`]); idle keys demote to
+/// compressed in-memory bytes ([`SlotState::Warm`]) and then to the
+/// on-disk segment file ([`SlotState::Cold`]), where only the
+/// `(segment, offset, len)` index entry stays resident. Any ingest or
+/// per-key query promotes a warm/cold slot back to a resident sketch;
+/// register merge is monotone, so the round trip is bit-lossless.
 #[derive(Debug)]
 pub(crate) struct Slot {
     state: SlotState,
@@ -35,17 +33,19 @@ impl Slot {
             touched: AtomicU64::new(now),
         }
     }
+
+    /// A resident slot holding `sketch`.
+    fn holding(sketch: AdaptiveExaLogLog, now: u64) -> Self {
+        Slot::new(SlotState::Resident(Box::new(sketch)), now)
+    }
 }
 
 #[derive(Debug)]
 enum SlotState {
-    /// Sparse-phase (or not-yet-upgraded dense) counter, mutated under
-    /// the shard write lock. Boxed so the enum's inline size — paid by
-    /// *every* slot, including cold ones — stays small.
-    Adaptive(Box<AdaptiveExaLogLog>),
-    /// Dense registers on the lock-free atomic path (shard read lock
-    /// plus CAS).
-    Hot(AtomicExaLogLog),
+    /// The in-memory sketch, sparse tokens or dense registers, mutated
+    /// under the shard write lock. Boxed so the enum's inline size —
+    /// paid by *every* slot, including cold ones — stays small.
+    Resident(Box<AdaptiveExaLogLog>),
     /// Compressed bytes in memory.
     Warm(WarmEntry),
     /// Bytes spilled to the segment file; only the index stays here.
@@ -73,102 +73,37 @@ struct ColdEntry {
 }
 
 impl SlotState {
-    /// The resident state for `sketch`: the locked adaptive path while
-    /// sparse, the atomic hot path once dense.
-    fn resident(sketch: AdaptiveExaLogLog) -> Self {
-        let mut state = SlotState::Adaptive(Box::new(sketch));
-        state.upgrade();
-        state
-    }
-
-    /// Upgrades a promoted slot to the atomic hot path. Called after
-    /// every write-path mutation so the upgrade decision depends only on
-    /// the slot state — never on thread interleaving. Every register
-    /// width is hot-capable (the atomic sketch packs registers into u64
-    /// words), so the only condition is dense promotion. The dense
-    /// sketch's cached coefficients seed the hot coefficient counters.
-    fn upgrade(&mut self) {
-        if let SlotState::Adaptive(s) = self {
-            if let Some(dense) = s.as_dense() {
-                *self = SlotState::Hot(AtomicExaLogLog::from_sketch(dense));
-            }
-        }
-    }
-
-    /// Inserts `hashes` into a resident slot, upgrading it once dense.
-    fn insert_resident(&mut self, hashes: &[u64]) {
-        match self {
-            SlotState::Hot(a) => a.extend_hashes(hashes.iter().copied()),
-            SlotState::Adaptive(s) => {
-                s.insert_hashes(hashes);
-                self.upgrade();
-            }
-            _ => unreachable!("insert_resident on a demoted slot"),
-        }
-    }
-
-    /// Merges `sketch` into a resident slot, upgrading it once dense.
-    fn merge_resident(&mut self, sketch: &AdaptiveExaLogLog) -> Result<(), EllError> {
-        match self {
-            SlotState::Hot(a) => sketch.merge_into_atomic(a),
-            SlotState::Adaptive(s) => {
-                s.merge_from(sketch)?;
-                self.upgrade();
-                Ok(())
-            }
-            _ => unreachable!("merge_resident on a demoted slot"),
-        }
-    }
-
     fn is_resident(&self) -> bool {
-        matches!(self, SlotState::Adaptive(_) | SlotState::Hot(_))
+        matches!(self, SlotState::Resident(_))
     }
 
     fn has_pending(&self) -> bool {
         match self {
             SlotState::Warm(w) => w.pending.is_some(),
             SlotState::Cold(c) => c.pending.is_some(),
-            _ => false,
-        }
-    }
-
-    /// Estimate for a resident slot (callers promote warm/cold first).
-    fn estimate_resident(&self) -> f64 {
-        match self {
-            SlotState::Adaptive(s) => s.estimate(),
-            SlotState::Hot(a) => a.estimate(),
-            _ => unreachable!("estimate_resident on a demoted slot"),
-        }
-    }
-
-    /// Serializes a resident slot into its warm payload: range-coded
-    /// `ELLZ` once dense, canonical `ELLS` while sparse (both
-    /// self-describing by magic).
-    fn encode_resident(&self) -> Vec<u8> {
-        match self {
-            SlotState::Adaptive(s) => match s.as_dense() {
-                Some(dense) => compress(dense),
-                None => s.to_bytes(),
-            },
-            SlotState::Hot(a) => compress(&a.snapshot()),
-            _ => unreachable!("encode_resident on a demoted slot"),
+            SlotState::Resident(_) => false,
         }
     }
 
     /// Heap bytes owned by this slot beyond its inline enum size (the
-    /// inline size is accounted through the shard table's slots). A hot
-    /// slot's heap holds its register words and coefficient counters.
+    /// inline size is accounted through the shard table's slots).
     fn heap_bytes(&self) -> usize {
         let pending_bytes =
             |p: &Option<Box<AdaptiveExaLogLog>>| p.as_ref().map_or(0, |s| s.memory_bytes());
         match self {
-            SlotState::Adaptive(s) => s.memory_bytes(),
-            SlotState::Hot(a) => a
-                .memory_bytes()
-                .saturating_sub(core::mem::size_of::<AtomicExaLogLog>()),
+            SlotState::Resident(s) => s.memory_bytes(),
             SlotState::Warm(w) => w.bytes.len() + pending_bytes(&w.pending),
             SlotState::Cold(c) => pending_bytes(&c.pending),
         }
+    }
+}
+
+/// Serializes a sketch into its warm payload: range-coded `ELLZ` once
+/// dense, canonical `ELLS` while sparse (both self-describing by magic).
+fn encode_payload(sketch: &AdaptiveExaLogLog) -> Vec<u8> {
+    match sketch.as_dense() {
+        Some(dense) => compress(dense),
+        None => sketch.to_bytes(),
     }
 }
 
@@ -328,13 +263,14 @@ impl EllStore {
     /// Replaces a warm/cold slot with its revived resident sketch.
     fn promote_slot(&self, slot: &mut Slot) {
         debug_assert!(!slot.state.is_resident());
-        slot.state = SlotState::resident(self.revive_state(&slot.state));
+        slot.state = SlotState::Resident(Box::new(self.revive_state(&slot.state)));
         TierCounters::count(&self.counters.promotions);
     }
 
     /// Records an access to `slot` under the shard write lock: promotes
-    /// a warm/cold slot back to residency and stamps the access clock.
-    fn access(&self, slot: &mut Slot, now: u64) {
+    /// a warm/cold slot back to residency, stamps the access clock, and
+    /// returns the resident sketch.
+    fn access<'s>(&self, slot: &'s mut Slot, now: u64) -> &'s mut AdaptiveExaLogLog {
         if !slot.state.is_resident() {
             self.promote_slot(slot);
         }
@@ -342,6 +278,10 @@ impl EllStore {
         // under the same shard write lock, which is the happens-before
         // edge. See CONCURRENCY.md § "Tier demote vs promote".
         slot.touched.store(now, Ordering::Relaxed);
+        match &mut slot.state {
+            SlotState::Resident(s) => s,
+            _ => unreachable!("promote_slot leaves the slot resident"),
+        }
     }
 
     /// Inserts one `(key, element-hash)` observation (a direct
@@ -360,12 +300,9 @@ impl EllStore {
 
     /// Batched ingest: groups the batch into one run per key, ordered
     /// by shard (one probe of a batch-local table per event), so each
-    /// key is looked up in its shard table once per batch. Per shard, the
-    /// hot keys' runs drain under the read lock (one
-    /// [`AtomicExaLogLog::extend_hashes`] per key), and the rest (new
-    /// keys, sparse keys, demoted keys — which promote back first) under
-    /// one write lock, each run through the sketch's batched
-    /// `insert_hashes`.
+    /// key is looked up in its shard table once per batch. Per shard,
+    /// every run folds under one write lock through the sketch's batched
+    /// `insert_hashes`; a demoted key promotes back first.
     ///
     /// Per-key insertion order follows batch order, and the final state
     /// for any key depends only on the *set* of hashes it received — so
@@ -383,43 +320,13 @@ impl EllStore {
     /// one key's hashes in the batch.
     fn ingest_shard(&self, si: usize, runs: &[Run<'_, ()>]) {
         let now = self.clock();
-        let mut rest = Vec::new();
-        {
-            let table = self.core.read(si);
-            for run in runs {
-                let Some((slot, SlotState::Hot(a))) = table
-                    .get(run.key_hash, run.key)
-                    .map(|slot| (slot, &slot.state))
-                else {
-                    rest.push(*run);
-                    continue;
-                };
-                // One `extend_hashes` per key: its coefficient terms reach
-                // the shared counters in one publish, so concurrent
-                // ingests of a hot key rarely contend on them.
-                a.extend_hashes(run.hashes.iter().copied());
-                // ordering: Relaxed — idle-age stamp raced by other
-                // readers; `demote_idle` reads it under the shard write
-                // lock, whose acquire already orders it after every stamp
-                // made under a read lock. Worst case a lost race delays a
-                // demotion by one sweep.
-                slot.touched.store(now, Ordering::Relaxed);
-            }
-        }
-        if rest.is_empty() {
-            return;
-        }
         let new = || self.new_value(());
         self.core
             .write(si)
-            .fold(&rest, new, Self::touch, |slot, run| {
+            .fold(runs, new, Self::touch, |slot, run| {
                 // A direct ingest always promotes a demoted slot — only
                 // buffered session flushes park lazily.
-                self.access(slot, now);
-                // Another thread may have upgraded the slot between our
-                // read and write sections — the hot path also works
-                // under the write lock.
-                slot.state.insert_resident(run.hashes);
+                self.access(slot, now).insert_hashes(run.hashes);
             });
     }
 
@@ -449,26 +356,20 @@ impl EllStore {
         }
         let (si, key_hash) = self.core.locate(key);
         let now = self.clock();
-        let new = || Slot::new(SlotState::resident(sketch.clone()), now);
+        let new = || Slot::holding(sketch.clone(), now);
         match self.core.write(si).entry(key_hash, key, new) {
             (_, true) => Ok(()),
-            (slot, false) => {
-                self.access(slot, now);
-                slot.state.merge_resident(sketch)
-            }
+            (slot, false) => self.access(slot, now).merge_from(sketch),
         }
     }
 
-    /// Places a restored sketch under `key` unless the key is present;
-    /// returns whether it was absent. Used by snapshot restoration. A
-    /// restored dense sketch goes straight to the hot atomic path
-    /// ([`SlotState::resident`]); the coefficients its deserialization
-    /// cached seed the hot slot's coefficient counters, so its first
-    /// estimate costs no register scan. Sparse sketches stay on the
-    /// locked adaptive path.
+    /// Places a restored sketch under `key` as a resident slot unless
+    /// the key is present; returns whether it was absent. Used by
+    /// snapshot restoration. A restored dense sketch keeps the
+    /// coefficients its deserialization cached, so its first estimate
+    /// costs no register scan.
     pub(crate) fn place(&self, key: &str, sketch: AdaptiveExaLogLog) -> bool {
-        self.core
-            .insert(key, Slot::new(SlotState::resident(sketch), self.clock()))
+        self.core.insert(key, Slot::holding(sketch, self.clock()))
     }
 
     /// Places restored compressed bytes under `key` as a warm slot
@@ -494,15 +395,18 @@ impl EllStore {
             let table = self.core.read(si);
             match table.get(key_hash, key) {
                 None => return None,
-                Some(slot) if slot.state.is_resident() => {
+                Some(Slot {
+                    state: SlotState::Resident(s),
+                    touched,
+                }) => {
                     // ordering: Relaxed — idle-age stamp written under
                     // the read lock; a stamp racing the demote sweep
                     // only shifts which sweep tick sees the access, it
                     // never corrupts state (the sweep re-checks
                     // residency under the write lock). See
                     // CONCURRENCY.md § "Tier demote vs promote".
-                    slot.touched.store(self.clock(), Ordering::Relaxed);
-                    return Some(slot.state.estimate_resident());
+                    touched.store(self.clock(), Ordering::Relaxed);
+                    return Some(s.estimate());
                 }
                 Some(_) => {}
             }
@@ -510,12 +414,11 @@ impl EllStore {
         // Demoted: promote under the write lock, then serve.
         let mut table = self.core.write(si);
         let slot = table.get_mut(key_hash, key)?;
-        self.access(slot, self.clock());
-        Some(slot.state.estimate_resident())
+        Some(self.access(slot, self.clock()).estimate())
     }
 
-    /// Whether `key` currently sits on the atomic hot path (`None` if
-    /// the key is absent).
+    /// Whether `key` is currently dense and resident, i.e. in
+    /// [`Tier::Hot`] (`None` if the key is absent).
     #[must_use]
     pub fn is_hot(&self, key: &str) -> Option<bool> {
         self.key_tier(key).map(|t| t == Tier::Hot)
@@ -526,8 +429,8 @@ impl EllStore {
     #[must_use]
     pub fn key_tier(&self, key: &str) -> Option<Tier> {
         self.core.with(key, |slot| match &slot.state {
-            SlotState::Adaptive(s) if s.is_sparse() => Tier::Sparse,
-            SlotState::Adaptive(_) | SlotState::Hot(_) => Tier::Hot,
+            SlotState::Resident(s) if s.is_sparse() => Tier::Sparse,
+            SlotState::Resident(_) => Tier::Hot,
             SlotState::Warm(_) => Tier::Warm,
             SlotState::Cold(_) => Tier::Cold,
         })
@@ -563,10 +466,8 @@ impl EllStore {
                 // CONCURRENCY.md § "Tier demote vs promote".
                 let idle = now.saturating_sub(slot.touched.load(Ordering::Relaxed));
                 match &mut slot.state {
-                    SlotState::Adaptive(_) | SlotState::Hot(_)
-                        if due(self.tiers.warm_threshold(), idle) =>
-                    {
-                        let bytes = slot.state.encode_resident().into_boxed_slice();
+                    SlotState::Resident(s) if due(self.tiers.warm_threshold(), idle) => {
+                        let bytes = encode_payload(s).into_boxed_slice();
                         slot.state = SlotState::Warm(WarmEntry {
                             bytes,
                             pending: None,
@@ -584,9 +485,7 @@ impl EllStore {
                             sketch
                                 .merge_from(&pending)
                                 .expect("parked deltas share the store configuration");
-                            w.bytes = SlotState::Adaptive(Box::new(sketch))
-                                .encode_resident()
-                                .into_boxed_slice();
+                            w.bytes = encode_payload(&sketch).into_boxed_slice();
                         }
                         batch.extend_from_slice(&w.bytes);
                         let len = u32::try_from(w.bytes.len()).expect("payloads stay below 4 GiB");
@@ -648,8 +547,7 @@ impl EllStore {
             }
         });
         self.core.sorted(|slot| match &slot.state {
-            SlotState::Adaptive(s) => s.to_bytes(),
-            SlotState::Hot(a) => AdaptiveExaLogLog::from_dense(a.snapshot()).to_bytes(),
+            SlotState::Resident(s) => s.to_bytes(),
             SlotState::Warm(w) => w.bytes.to_vec(),
             SlotState::Cold(c) => self.read_spill(c),
         })
@@ -678,8 +576,8 @@ impl EllStore {
             ..TierStats::default()
         };
         self.core.for_each(|_, slot| match &slot.state {
-            SlotState::Adaptive(s) if s.is_sparse() => stats.sparse_keys += 1,
-            SlotState::Adaptive(_) | SlotState::Hot(_) => stats.hot_keys += 1,
+            SlotState::Resident(s) if s.is_sparse() => stats.sparse_keys += 1,
+            SlotState::Resident(_) => stats.hot_keys += 1,
             SlotState::Warm(_) => stats.warm_keys += 1,
             SlotState::Cold(_) => stats.cold_keys += 1,
         });
@@ -694,8 +592,7 @@ impl EllStore {
     #[must_use]
     pub fn state_entropy_bits(&self, key: &str) -> Option<f64> {
         let dense = self.core.with(key, |slot| match &slot.state {
-            SlotState::Adaptive(s) => s.to_dense(),
-            SlotState::Hot(a) => a.snapshot(),
+            SlotState::Resident(s) => s.to_dense(),
             state => self.revive_state(state).to_dense(),
         })?;
         Some(exaloglog::compress::state_entropy_bits(&dense))
@@ -723,23 +620,18 @@ impl EllStore {
     /// warm/cold payloads without changing their residency.
     #[must_use]
     pub fn estimates(&self) -> Vec<(String, f64)> {
-        self.core.sorted(|slot| {
-            if slot.state.is_resident() {
-                slot.state.estimate_resident()
-            } else {
-                self.revive_state(&slot.state).estimate()
-            }
+        self.core.sorted(|slot| match &slot.state {
+            SlotState::Resident(s) => s.estimate(),
+            state => self.revive_state(state).estimate(),
         })
     }
 
     /// A point-in-time copy of every entry as `(key, sketch)`, sorted by
-    /// key (hot slots snapshot into the dense phase; warm/cold slots
-    /// decode without changing residency).
+    /// key (warm/cold slots decode without changing residency).
     #[must_use]
     pub fn entries(&self) -> Vec<(String, AdaptiveExaLogLog)> {
         self.core.sorted(|slot| match &slot.state {
-            SlotState::Adaptive(sk) => (**sk).clone(),
-            SlotState::Hot(a) => AdaptiveExaLogLog::from_dense(a.snapshot()),
+            SlotState::Resident(sk) => (**sk).clone(),
             state => self.revive_state(state),
         })
     }
@@ -749,10 +641,9 @@ impl EllStore {
     /// shard under the read lock without copying keys and folds every
     /// slot straight into one accumulator: dense slots merge with the
     /// word-level scan that skips empty or identical register runs
-    /// wholesale, sparse slots stream their token hashes through the
-    /// batched insert path, and hot slots merge their atomic registers
-    /// directly. Warm/cold slots decode into a scratch sketch without
-    /// changing residency.
+    /// wholesale, and sparse slots stream their token hashes through the
+    /// batched insert path. Warm/cold slots decode into a scratch sketch
+    /// without changing residency.
     #[must_use]
     pub fn merged(&self) -> ExaLogLog {
         let mut acc = ExaLogLog::new(self.cfg);
@@ -761,8 +652,7 @@ impl EllStore {
                 // Empty or near-empty dense slots cost one word-level
                 // zero scan inside merge_from — their all-zero runs are
                 // classified as skippable wholesale.
-                SlotState::Adaptive(s) => s.merge_into_dense(&mut acc),
-                SlotState::Hot(a) => a.merge_into_dense(&mut acc),
+                SlotState::Resident(s) => s.merge_into_dense(&mut acc),
                 state => self.revive_state(state).merge_into_dense(&mut acc),
             }
             .expect("per-key sketches share the store configuration");
@@ -802,17 +692,16 @@ impl Keyed for EllStore {
 
     /// A new key's slot: an empty resident sketch, stamped now.
     fn new_value(&self, (): ()) -> Slot {
-        Slot::new(SlotState::resident(self.new_delta()), self.clock())
+        Slot::holding(self.new_delta(), self.clock())
     }
 
     /// Reads the sketch a run into `slot` merges into first: the header
     /// and first token of a sparse resident or parked sketch.
     fn touch(slot: &Slot) -> u64 {
         let sketch = match &slot.state {
-            SlotState::Adaptive(s) => Some(s),
+            SlotState::Resident(s) => Some(s),
             SlotState::Warm(w) => w.pending.as_ref(),
             SlotState::Cold(c) => c.pending.as_ref(),
-            SlotState::Hot(_) => None,
         };
         match sketch.map(|s| &**s) {
             Some(AdaptiveExaLogLog::Sparse { tokens, .. }) => tokens.iter().next().unwrap_or(0),
@@ -820,9 +709,8 @@ impl Keyed for EllStore {
         }
     }
 
-    /// Folds one run of session hashes into its slot: hot slots take
-    /// the lock-free batch insert, sparse slots the batched token
-    /// insert. Demoted slots **park** the hashes in their `pending`
+    /// Folds one run of session hashes into its slot through the
+    /// resident sketch's batched insert. Demoted slots **park** the hashes in their `pending`
     /// sketch instead of promoting — the session flush path must never
     /// pay a decompress. The result is bit-identical to inserting the
     /// hashes directly because register updates are monotone and
@@ -836,7 +724,7 @@ impl Keyed for EllStore {
                     .insert_hashes(run.hashes);
                 TierCounters::count(&self.counters.parked_deltas);
             }
-            state => state.insert_resident(run.hashes),
+            SlotState::Resident(s) => s.insert_hashes(run.hashes),
         }
     }
 }
@@ -848,19 +736,16 @@ mod tests {
     use std::collections::HashMap;
 
     fn cfg() -> EllConfig {
-        // 24-bit registers: hot-path capable.
         EllConfig::new(2, 16, 6).unwrap()
     }
 
     #[test]
     fn slot_state_stays_small() {
-        // Every slot pays this inline size, cold ones included; the hot
-        // sketch keeps its coefficient counters behind one pointer so
-        // they do not grow it.
-        assert_eq!(core::mem::size_of::<SlotState>(), 40);
-        // With its key hash and key place, a shard-table entry takes a
-        // cache line's worth of bytes.
-        assert_eq!(crate::table::Table::<Slot>::SLOT_BYTES, 64);
+        // Every slot pays this inline size, cold ones included.
+        assert_eq!(core::mem::size_of::<SlotState>(), 32);
+        // With its key hash and key place, a shard-table entry stays
+        // under a cache line's worth of bytes.
+        assert_eq!(crate::table::Table::<Slot>::SLOT_BYTES, 56);
     }
 
     #[test]
@@ -904,7 +789,7 @@ mod tests {
     }
 
     #[test]
-    fn hot_keys_take_the_atomic_path() {
+    fn dense_keys_read_as_hot() {
         let store = EllStore::new(2, cfg()).unwrap();
         let mut rng = SplitMix64::new(2);
         store.insert("cold", rng.next_u64());
@@ -914,7 +799,7 @@ mod tests {
         assert_eq!(store.is_hot("hot"), Some(true));
         assert_eq!(store.is_hot("cold"), Some(false));
         assert_eq!(store.is_hot("missing"), None);
-        // Hot keys keep counting correctly through the read-lock path.
+        // Hot keys keep counting correctly.
         let before = store.estimate("hot").unwrap();
         let more: Vec<(&str, u64)> = (0..50_000).map(|_| ("hot", rng.next_u64())).collect();
         store.ingest(&more);
@@ -923,9 +808,8 @@ mod tests {
 
     #[test]
     fn wide_register_configs_reach_the_hot_path_too() {
-        // ELL(2,28) needs 36-bit registers; the word-packed atomic
-        // sketch handles those (one register per u64 word), so heavy
-        // keys upgrade exactly like 32-bit-aligned configurations.
+        // ELL(2,28) needs 36-bit registers; heavy keys promote to dense
+        // exactly like 32-bit-aligned configurations.
         let store = EllStore::new(2, EllConfig::new(2, 28, 6).unwrap()).unwrap();
         let mut rng = SplitMix64::new(3);
         let batch: Vec<(&str, u64)> = (0..60_000).map(|_| ("big", rng.next_u64())).collect();
@@ -1261,7 +1145,10 @@ mod tests {
                 .core()
                 .read(0)
                 .get(FORCED, key)
-                .map(|slot| slot.state.estimate_resident());
+                .map(|slot| match &slot.state {
+                    SlotState::Resident(s) => s.estimate(),
+                    _ => unreachable!("a flushed key stays resident"),
+                });
             assert_eq!(
                 got.map(f64::to_bits),
                 twin.estimate(key).map(f64::to_bits),

@@ -2,7 +2,7 @@
 //! values, probed by the fixed-seed key hash the caller already routed
 //! the key's shard by, so the table never hashes a key. An entry holds
 //! that hash, the key's place in the table's key arena, and the value
-//! inline: 64 bytes, a cache line's worth, for the flat store's slot. A
+//! inline: 56 bytes, under a cache line, for the flat store's slot. A
 //! probe starts at the top bits of the hash (the shard took the low
 //! ones) and walks linearly, so keys visited in ascending hash order
 //! walk the table front to back. Keys are never removed.

@@ -33,7 +33,8 @@ use std::path::{Path, PathBuf};
 /// Residency tier of one key (see [`crate::EllStore::key_tier`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Tier {
-    /// Dense registers on the lock-free atomic insert path.
+    /// Dense registers, resident and mutated under the shard write
+    /// lock.
     Hot,
     /// Sparse token phase, mutated under the shard write lock.
     Sparse,
@@ -148,8 +149,7 @@ impl TierConfig {
 /// fields).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct TierStats {
-    /// Keys on the lock-free dense path (live rings, for the windowed
-    /// store).
+    /// Dense resident keys (live rings, for the windowed store).
     pub hot_keys: usize,
     /// Keys still in the sparse token phase.
     pub sparse_keys: usize,

@@ -38,7 +38,9 @@
 //! a restore → re-snapshot cycle reproduces the identical bytes.
 
 use crate::window::{WindowedStore, WireRing};
-use crate::wire::{check_config, corrupt, corrupt_at, open, put_header, put_prefixed, Reader};
+use crate::wire::{
+    check_payload_config, corrupt, corrupt_at, open, put_header, put_prefixed, Reader,
+};
 use exaloglog::compress::decompress;
 use exaloglog::{EllConfig, EllError, ExaLogLog};
 
@@ -76,14 +78,13 @@ fn read_sketch(
     if payload.is_empty() {
         return Ok(ExaLogLog::new(*cfg));
     }
-    let sketch = ExaLogLog::from_bytes(payload).map_err(|e| corrupt_at(&what, e))?;
-    check_config(sketch.config(), cfg, what)?;
-    Ok(sketch)
+    check_payload_config(payload, cfg, &what)?;
+    ExaLogLog::from_bytes(payload).map_err(|e| corrupt_at(what, e))
 }
 
 /// Reads a warm `ELLZ` payload (`None` for a zero length). Warm
-/// payloads are kept verbatim, but still validated: they must
-/// decompress to the header configuration.
+/// payloads are kept verbatim, but still validated: they must carry the
+/// header configuration and decompress.
 fn read_warm(
     r: &mut Reader<'_>,
     cfg: &EllConfig,
@@ -93,8 +94,8 @@ fn read_warm(
     if payload.is_empty() {
         return Ok(None);
     }
-    let sketch = decompress(payload).map_err(|e| corrupt_at(&what, e))?;
-    check_config(sketch.config(), cfg, what)?;
+    check_payload_config(payload, cfg, &what)?;
+    decompress(payload).map_err(|e| corrupt_at(what, e))?;
     Ok(Some(payload.into()))
 }
 

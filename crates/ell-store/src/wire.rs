@@ -48,16 +48,24 @@ pub(crate) fn corrupt_at(what: impl FnOnce() -> String, err: impl core::fmt::Dis
     corrupt(format!("{}: {err}", what()))
 }
 
-/// Rejects a payload whose configuration differs from the header's.
-pub(crate) fn check_config(
-    found: &EllConfig,
+/// Rejects a sketch payload whose configuration differs from the
+/// header's *before* it is decoded. Every per-sketch format (`ELL1`,
+/// `ELLS`, `ELLZ`) carries `(t, d, p)` at bytes 4..7, and its decoder
+/// sizes the sketch from them, so a corrupted payload cannot make the
+/// decoder allocate for a larger configuration. A payload that passes
+/// decodes to the header configuration.
+pub(crate) fn check_payload_config(
+    payload: &[u8],
     header: &EllConfig,
     what: impl FnOnce() -> String,
 ) -> Result<(), EllError> {
-    if found == header {
+    let Some(&[t, d, p]) = payload.get(4..7) else {
+        return Err(corrupt_at(what, "payload shorter than its header"));
+    };
+    if [t, d, p] == [header.t(), header.d(), header.p()] {
         Ok(())
     } else {
-        let err = format!("configuration {found} does not match header {header}");
+        let err = format!("configuration ({t}, {d}, {p}) does not match header {header}");
         Err(corrupt_at(what, err))
     }
 }
@@ -202,12 +210,9 @@ impl EllStore {
     }
 
     /// Restores a store from [`EllStore::snapshot_bytes`] output,
-    /// validating the header, every entry payload, and the consistency
-    /// of each sketch's configuration with the header.
-    ///
-    /// Hot-path eligibility is re-derived from the restored states, so a
-    /// restored store serves (and re-snapshots) exactly like the
-    /// original.
+    /// validating the header, each entry's configuration against the
+    /// header before decoding it, and every entry payload. A restored
+    /// store serves (and re-snapshots) exactly like the original.
     ///
     /// # Errors
     ///
@@ -223,17 +228,16 @@ impl EllStore {
             let key = r.key(i)?;
             let payload = r.prefixed()?;
             let what = || format!("entry {i} ({key:?})");
-            let placed = if payload.len() >= 4 && &payload[..4] == b"ELLZ" {
-                // A warm entry: validate it decompresses to the header
-                // configuration, then keep the compressed payload as a
-                // warm slot — a re-snapshot reuses it verbatim.
-                let dense = decompress(payload).map_err(|e| corrupt_at(what, e))?;
-                check_config(dense.config(), &cfg, what)?;
+            check_payload_config(payload, &cfg, what)?;
+            let placed = if payload.starts_with(b"ELLZ") {
+                // A warm entry: validate that it decompresses, then keep
+                // the compressed payload as a warm slot — a re-snapshot
+                // reuses it verbatim.
+                decompress(payload).map_err(|e| corrupt_at(what, e))?;
                 store.place_warm(key, payload.to_vec())
             } else {
                 let sketch =
                     AdaptiveExaLogLog::from_bytes(payload).map_err(|e| corrupt_at(what, e))?;
-                check_config(sketch.config(), &cfg, what)?;
                 store.place(key, sketch)
             };
             if !placed {

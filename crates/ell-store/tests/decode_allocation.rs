@@ -1,0 +1,154 @@
+//! A snapshot decoder must check each sketch payload's configuration
+//! against the snapshot header *before* decoding the payload. A payload
+//! whose `p` byte is flipped from 6 to 24 would otherwise make the
+//! decoder allocate a 2^24-register sketch (48 MiB) out of a snapshot of
+//! a few kilobytes before rejecting it. Here the flipped payload must be
+//! rejected while the decode's largest single allocation stays within
+//! [`MAX_ALLOCATION_PER_INPUT_BYTE`] times the snapshot's length.
+
+// The counting global allocator needs `unsafe`: `GlobalAlloc` is an
+// unsafe contract. It delegates straight to `System` and only records
+// the size of each request.
+#![allow(unsafe_code)]
+
+use ell_hash::SplitMix64;
+use ell_store::{EllStore, TierConfig, WindowedStore};
+use exaloglog::EllConfig;
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
+
+/// The bound c: a rejected decode may allocate at most c bytes per
+/// input byte in any single allocation.
+const MAX_ALLOCATION_PER_INPUT_BYTE: usize = 4;
+
+thread_local! {
+    /// The largest allocation this thread requested while tracking;
+    /// `None` while not tracking. Const-initialized and without a
+    /// destructor, so touching it never allocates.
+    static LARGEST: Cell<Option<usize>> = const { Cell::new(None) };
+}
+
+fn record(size: usize) {
+    // `try_with`: the slot is unavailable while the thread tears down.
+    let _ = LARGEST.try_with(|largest| {
+        if let Some(max) = largest.get() {
+            largest.set(Some(max.max(size)));
+        }
+    });
+}
+
+/// `System`, recording the largest request of a tracking thread.
+struct LargestAllocation;
+
+// SAFETY: `GlobalAlloc` is an unsafe trait; this impl upholds its
+// contract by delegating every operation to `System` unchanged. The
+// recording neither allocates nor touches the returned memory.
+unsafe impl GlobalAlloc for LargestAllocation {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        record(layout.size());
+        // SAFETY: `layout` is forwarded unmodified from our caller, who
+        // guarantees it per the GlobalAlloc contract.
+        unsafe { System.alloc(layout) }
+    }
+
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        record(layout.size());
+        // SAFETY: as for `alloc`.
+        unsafe { System.alloc_zeroed(layout) }
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        // SAFETY: `ptr`/`layout` come from a prior `alloc`/`realloc` of
+        // this allocator, which always returned `System` memory.
+        unsafe { System.dealloc(ptr, layout) }
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        record(new_size);
+        // SAFETY: `ptr` is a live `System` allocation of `layout` per the
+        // caller's GlobalAlloc obligations; arguments forwarded unmodified.
+        unsafe { System.realloc(ptr, layout, new_size) }
+    }
+}
+
+#[global_allocator]
+static ALLOCATOR: LargestAllocation = LargestAllocation;
+
+/// Runs `f` and returns its result with the largest single allocation
+/// it made on this thread.
+fn largest_allocation<R>(f: impl FnOnce() -> R) -> (R, usize) {
+    LARGEST.with(|largest| largest.set(Some(0)));
+    let out = f();
+    let largest = LARGEST.with(|largest| largest.replace(None));
+    (out, largest.expect("tracking was on"))
+}
+
+fn cfg() -> EllConfig {
+    EllConfig::new(2, 16, 6).unwrap()
+}
+
+/// A copy of `snapshot` with the `p` byte of its first `ELLZ` payload
+/// raised from 6 to 24.
+fn flip_first_compressed_p(snapshot: &[u8]) -> Vec<u8> {
+    let at = snapshot
+        .windows(4)
+        .position(|w| w == b"ELLZ")
+        .expect("the snapshot holds a compressed payload");
+    let mut bad = snapshot.to_vec();
+    assert_eq!(&bad[at + 4..at + 7], &[2, 16, 6], "the payload's (t, d, p)");
+    bad[at + 6] = 24;
+    bad
+}
+
+/// Decodes `bad` under the allocation tracker: it must fail, and no
+/// single allocation may exceed c times its length.
+fn assert_rejected_within_bound<T>(bad: &[u8], decode: impl FnOnce(&[u8]) -> Result<T, String>) {
+    let (result, largest) = largest_allocation(|| decode(bad));
+    assert!(result.is_err(), "a payload with p = 24 was accepted");
+    let bound = MAX_ALLOCATION_PER_INPUT_BYTE * bad.len();
+    assert!(
+        largest <= bound,
+        "rejecting a {}-byte snapshot allocated {largest} bytes at once (bound {bound})",
+        bad.len()
+    );
+}
+
+#[test]
+fn flipped_p_in_a_warm_store_entry_is_rejected_before_allocating() {
+    let mut store = EllStore::new(4, cfg()).unwrap();
+    store.set_tier_config(TierConfig::new().warm_after(1));
+    let mut rng = SplitMix64::new(41);
+    for (key, n) in [("dense", 3_000), ("sparse", 5)] {
+        let batch: Vec<(&str, u64)> = (0..n).map(|_| (key, rng.next_u64())).collect();
+        store.ingest(&batch);
+    }
+    store.tick();
+    assert_eq!(store.demote_idle(), (2, 0));
+    let snapshot = store.snapshot_bytes();
+    assert!(EllStore::from_snapshot_bytes(&snapshot).is_ok());
+    assert_rejected_within_bound(&flip_first_compressed_p(&snapshot), |b| {
+        EllStore::from_snapshot_bytes(b).map_err(|e| e.to_string())
+    });
+}
+
+#[test]
+fn flipped_p_in_a_warm_window_entry_is_rejected_before_allocating() {
+    let mut store = WindowedStore::new(4, cfg(), 3).unwrap();
+    store.set_warm_after(Some(1));
+    let mut rng = SplitMix64::new(43);
+    for epoch in 0..3u64 {
+        let batch: Vec<(String, u64)> = (0..900)
+            .map(|i| (format!("key-{}", i % 3), rng.next_u64()))
+            .collect();
+        let refs: Vec<(&str, u64)> = batch.iter().map(|(k, h)| (k.as_str(), *h)).collect();
+        store.ingest(epoch, &refs);
+    }
+    store.ingest(5, &[("fresh", 1)]);
+    store.demote_idle();
+    assert!(store.tier_stats().warm_keys >= 1);
+    let snapshot = store.snapshot_bytes();
+    assert!(WindowedStore::from_snapshot_bytes(&snapshot).is_ok());
+    assert_rejected_within_bound(&flip_first_compressed_p(&snapshot), |b| {
+        WindowedStore::from_snapshot_bytes(b).map_err(|e| e.to_string())
+    });
+}

@@ -3,15 +3,15 @@
 //! The store stack's concurrency story rests on a handful of subtle
 //! protocols: the CAS word-packed atomic sketch, the per-shard handoff
 //! queues with `try_write` opportunism, the double-checked suffix-chain
-//! rebuild, snapshot-during-ingest, the tier promote/demote ladder, and
-//! the atomic ML coefficient counters of hot sketches. Stress tests sample a few interleavings
-//! of each per run; this crate instead ports each protocol to a
-//! **small-scale model** over the vendored [`shuttle`] deterministic
-//! scheduler and *enumerates* interleavings — exhaustive DFS with
+//! rebuild, snapshot-during-ingest, and the tier promote/demote ladder.
+//! Stress tests sample a few interleavings of each per run; this crate
+//! instead ports each protocol to a **small-scale model** over the
+//! vendored [`shuttle`] deterministic scheduler and *enumerates*
+//! interleavings — exhaustive DFS with
 //! bounded preemption, topped up with seeded-random schedules to at
 //! least 10 000 per protocol (the repo's acceptance gate).
 //!
-//! ## The six protocols
+//! ## The five protocols
 //!
 //! | model | real code | invariant checked |
 //! |---|---|---|
@@ -20,8 +20,7 @@
 //! | [`models::suffix_chain`] | `ell-store::window::with_suffixes` | every chain-served answer equals recomputation from the slots |
 //! | [`models::snapshot`] | `exaloglog::atomic::snapshot` | snapshots are monotone, untorn, and legal sub-states |
 //! | [`models::tiers`] | `ell-store::store::demote_idle` / promote-on-access | demote/promote/flush races conserve every contribution |
-//! | [`models::coefficients`] | `exaloglog::atomic` coefficient counters (`insert_hash` publish, `estimate` read) | racing reads are finite or fall back to the scan; quiesced counters equal the sequential fold |
-//!
+//! //!
 //! Models use the shuttle shims directly, so they are deterministic
 //! under a plain `cargo test`. The crates under test additionally route
 //! their own `std::sync` use through `sync` facade modules; building

@@ -1,4 +1,4 @@
-//! Protocol 4: snapshot during hot ingest.
+//! Protocol 4: snapshot during atomic-sketch ingest.
 //!
 //! The real code: `AtomicExaLogLog::snapshot` (and `for_each_nonzero`)
 //! walks the word array with plain loads while inserters keep CAS-ing
@@ -6,8 +6,9 @@
 //! time cut, and the estimator contract only needs each register to be
 //! (a) untorn, (b) some value the register actually held, and (c) at
 //! least as large as any state the snapshotter already observed — the
-//! monotone sub-state argument in CONCURRENCY.md § "Snapshot during hot
-//! ingest" (which is why the production load is Relaxed, not Acquire).
+//! monotone sub-state argument in CONCURRENCY.md § "Snapshot during
+//! atomic-sketch ingest" (which is why the production load is Relaxed,
+//! not Acquire).
 //!
 //! The model packs two 16-bit lanes into one word. An ingest thread
 //! performs three register updates; a snapshot thread takes two

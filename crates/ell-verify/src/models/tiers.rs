@@ -1,40 +1,40 @@
 //! Protocol 5: tier demote vs promote-on-access vs concurrent flush.
 //!
 //! The real code: `EllStore::demote_idle` sweeps shard entries under
-//! the write lock, compressing idle hot sketches into warm byte blobs;
-//! reads promote a warm entry back to hot on access; flushes that land
-//! on a warm entry buffer their delta as *pending* rather than paying a
-//! decompress-merge-recompress round trip. All three transitions run
+//! the write lock, compressing idle resident sketches into warm byte
+//! blobs; reads promote a warm entry back to residency on access;
+//! flushes that land on a warm entry buffer their delta as *pending*
+//! rather than paying a decompress-merge-recompress round trip. All three transitions run
 //! under the same shard write lock, so the race surface is transition
 //! *ordering*, not torn state: a demote sliding in between a flush's
 //! tier check and its merge, a promote racing a demote, pending deltas
 //! surviving promote.
 //!
 //! The model is one entry with the union-of-bits sketch stand-in:
-//! `Hot(u64)` vs `Warm { blob, pending }` where `blob` is the
+//! `Resident(u64)` vs `Warm { blob, pending }` where `blob` is the
 //! "compressed" image and `pending` buffers flush deltas. Threads:
 //! a demoter, a promote-on-access reader, and a flusher pushing two
 //! deltas.
 //!
 //! Invariant: **conservation** — whatever order the transitions fire
 //! in, a final forced promote observes the union of the initial state
-//! and every flushed delta; no delta is dropped on the hot→warm edge or
-//! stranded in `pending` across the warm→hot edge
+//! and every flushed delta; no delta is dropped on the resident→warm
+//! edge or stranded in `pending` across the warm→resident edge
 //! (CONCURRENCY.md § "Tier demote vs promote").
 
 use shuttle::sync::RwLock;
 use std::sync::Arc;
 
 enum Entry {
-    Hot(u64),
+    Resident(u64),
     Warm { blob: u64, pending: u64 },
 }
 
 impl Entry {
-    /// Port of the demote sweep body: compress a hot sketch. Idempotent
+    /// Port of the demote sweep body: compress a resident sketch. Idempotent
     /// no-op on an already-warm entry (the sweep re-checks under lock).
     fn demote(&mut self) {
-        if let Entry::Hot(v) = *self {
+        if let Entry::Resident(v) = *self {
             *self = Entry::Warm {
                 blob: v,
                 pending: 0,
@@ -43,23 +43,23 @@ impl Entry {
     }
 
     /// Port of promote-on-access: decompress and merge the pending
-    /// buffer back in. Returns the now-hot value.
+    /// buffer back in. Returns the now-resident value.
     fn promote(&mut self) -> u64 {
         match *self {
-            Entry::Hot(v) => v,
+            Entry::Resident(v) => v,
             Entry::Warm { blob, pending } => {
                 let v = blob | pending;
-                *self = Entry::Hot(v);
+                *self = Entry::Resident(v);
                 v
             }
         }
     }
 
-    /// Port of the flush merge: hot entries merge in place, warm
+    /// Port of the flush merge: resident entries merge in place, warm
     /// entries buffer the delta as pending.
     fn flush(&mut self, delta: u64) {
         match self {
-            Entry::Hot(v) => *v |= delta,
+            Entry::Resident(v) => *v |= delta,
             Entry::Warm { pending, .. } => *pending |= delta,
         }
     }
@@ -68,7 +68,7 @@ impl Entry {
 /// One run of the model; explore with [`shuttle::explore`].
 pub fn model() {
     const INITIAL: u64 = 0b0001;
-    let entry = Arc::new(RwLock::new(Entry::Hot(INITIAL)));
+    let entry = Arc::new(RwLock::new(Entry::Resident(INITIAL)));
 
     // Demoter: the idle sweep fires twice (an entry promoted by a read
     // can go idle and be demoted again).

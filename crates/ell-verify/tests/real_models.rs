@@ -88,51 +88,6 @@ fn real_atomic_sketch_concurrent_merge_converges() {
 }
 
 #[test]
-fn real_atomic_estimate_races_inserts() {
-    // The production coefficient counters: two threads insert and merge
-    // while a third estimates. A racing estimate must be finite (the
-    // counters, or the scan fallback); at rest the counters equal the
-    // scan and the estimate equals the snapshot's to the bit.
-    let report = ell_verify::explore(&Config::default().random_only(150).seed(16), || {
-        let sketch = Arc::new(AtomicExaLogLog::new(small_cfg()));
-        let mut delta = exaloglog::ExaLogLog::new(small_cfg());
-        delta.insert_hash(0x0123_4567_89AB_CDEF);
-        delta.insert_hash(0x0000_0000_0000_0003);
-
-        let s = Arc::clone(&sketch);
-        let inserter = shuttle::thread::spawn(move || {
-            s.insert_hash(0x9E37_79B9_7F4A_7C15);
-            s.insert_hash(0x0000_0000_0000_0007);
-        });
-        let s = Arc::clone(&sketch);
-        let merger = shuttle::thread::spawn(move || {
-            s.merge_from(&delta).expect("compatible configs");
-        });
-        let s = Arc::clone(&sketch);
-        let reader = shuttle::thread::spawn(move || s.estimate());
-        inserter.join().expect("inserter");
-        merger.join().expect("merger");
-        let racing = reader.join().expect("reader");
-        assert!(
-            racing.is_finite() && racing >= 0.0,
-            "racing estimate {racing}"
-        );
-
-        assert_eq!(
-            sketch.coefficients(),
-            Some(sketch.coefficients_scan()),
-            "quiesced counters diverged from the scan"
-        );
-        assert_eq!(
-            sketch.estimate().to_bits(),
-            sketch.snapshot().estimate().to_bits(),
-            "quiesced counter estimate differs from the snapshot estimate"
-        );
-    });
-    report.assert_clean(150);
-}
-
-#[test]
 fn real_store_sessions_race_barrier_flush() {
     let report = ell_verify::explore(&Config::default().random_only(100).seed(13), || {
         let store = Arc::new(EllStore::new(1, small_cfg()).expect("store"));

@@ -37,7 +37,6 @@
 //! assert!((sketch.estimate() / 20_001.0 - 1.0).abs() < 0.1);
 //! ```
 
-use crate::atomic::AtomicExaLogLog;
 use crate::config::{EllConfig, EllError};
 use crate::sketch::ExaLogLog;
 use crate::token::TokenSet;
@@ -285,30 +284,6 @@ impl AdaptiveExaLogLog {
     ///
     /// Fails when configurations differ.
     pub fn merge_into_dense(&self, acc: &mut ExaLogLog) -> Result<(), EllError> {
-        match self {
-            AdaptiveExaLogLog::Sparse { cfg, tokens } => {
-                check_same_config(cfg, acc.config())?;
-                acc.extend_hashes(tokens.hashes());
-                Ok(())
-            }
-            AdaptiveExaLogLog::Dense(d) => acc.merge_from(d),
-        }
-    }
-
-    /// Folds this sketch into a lock-free atomic accumulator of the same
-    /// configuration: a dense phase merges register-wise (word-scan over
-    /// nonzero registers, CAS per hit), a sparse phase replays its decoded
-    /// token hashes through the atomic insert path
-    /// ([`AtomicExaLogLog::extend_hashes`], one coefficient publish per
-    /// call) — the flush path for thread-local delta sketches draining
-    /// into a shared hot slot. Monotone register merge makes the result
-    /// bit-identical to inserting the buffered hashes directly,
-    /// regardless of flush timing or interleaving.
-    ///
-    /// # Errors
-    ///
-    /// Fails when configurations differ.
-    pub fn merge_into_atomic(&self, acc: &AtomicExaLogLog) -> Result<(), EllError> {
         match self {
             AdaptiveExaLogLog::Sparse { cfg, tokens } => {
                 check_same_config(cfg, acc.config())?;

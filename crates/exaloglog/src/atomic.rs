@@ -38,195 +38,16 @@
 //! assert!((estimate / 100_000.0 - 1.0).abs() < 0.1);
 //! ```
 //!
-//! [`AtomicExaLogLog::estimate`] does not scan the registers. The thread
-//! whose CAS changes a register also publishes that change's Algorithm 3
-//! terms ([`crate::ml::register_transition`]) to atomic coefficient
-//! counters, so an estimate loads 66 counters and solves the ML equation.
-//! The column-count scan of the atomic words
-//! ([`AtomicExaLogLog::coefficients_scan`]) stays as the fallback for a
-//! read that caught the counters mid-update, and as the oracle.
+//! [`AtomicExaLogLog::estimate`] reads the atomic words straight into the
+//! column-count Algorithm 3 scan ([`AtomicExaLogLog::coefficients_scan`]);
+//! it never builds a [`AtomicExaLogLog::snapshot`].
 
 use crate::config::{EllConfig, EllError};
-use crate::ml::{self, CoefficientSink, ColumnScan, MlCoefficients, MAX_EXPONENT};
+use crate::ml::{ColumnScan, MlCoefficients};
 use crate::registers;
 use crate::sketch::{self, ExaLogLog};
 use crate::sync::atomic::{AtomicU64, Ordering};
 use ell_hash::Hasher64;
-
-/// Algorithm 3's coefficients (α, β) of the registers as lock-free
-/// counters. Each register change adds its terms; integer deltas
-/// commute, so once the sketch is quiet the counters equal a fresh scan
-/// exactly. See CONCURRENCY.md § "Coefficient counters on hot slots".
-#[derive(Debug)]
-struct Counters {
-    /// m − α in units of 2^(p−64). Every α term is a multiple of that
-    /// unit, so the count is exact, and it never decreases: a register
-    /// join never un-sees a value. It wraps to 0 exactly when α = 0, a
-    /// fully saturated sketch.
-    deficit: AtomicU64,
-    /// β\[u\], one counter per level.
-    beta: [AtomicU64; MAX_EXPONENT + 1],
-}
-
-impl Counters {
-    /// Counters holding `coeffs`, the coefficients of a `cfg` sketch.
-    fn seeded(cfg: &EllConfig, coeffs: &MlCoefficients) -> Box<Self> {
-        let full = (cfg.m() as u128) << 64;
-        // Truncation wraps the deficit of a saturated sketch (2^64) to 0,
-        // exactly like the running counter.
-        let deficit = ((full - coeffs.alpha_times_2_64) >> cfg.p()) as u64;
-        Box::new(Counters {
-            deficit: AtomicU64::new(deficit),
-            beta: core::array::from_fn(|j| AtomicU64::new(coeffs.beta[j])),
-        })
-    }
-
-    /// The coefficients the counters describe, or `None` when the read is
-    /// inconsistent: a β level above m·(d + 1) (a transient negative from
-    /// a decrement that overtook its increment) or a wrapped deficit with
-    /// nonzero β (a saturated sketch).
-    fn load(&self, cfg: &EllConfig) -> Option<MlCoefficients> {
-        let m = cfg.m() as u64;
-        let limit = m * (u64::from(cfg.d()) + 1);
-        let mut beta = [0u64; MAX_EXPONENT + 1];
-        for (b, counter) in beta.iter_mut().zip(&self.beta) {
-            // ordering: Relaxed — the counters carry no other memory, and
-            // a read that mixes transitions is either a legal estimate
-            // input or caught by the range checks here (CONCURRENCY.md §
-            // "Coefficient counters on hot slots").
-            *b = counter.load(Ordering::Relaxed);
-            if *b > limit {
-                return None;
-            }
-        }
-        // ordering: Relaxed — as for the β loads above.
-        let deficit = self.deficit.load(Ordering::Relaxed);
-        if deficit == 0 && beta.iter().any(|&b| b != 0) {
-            return None;
-        }
-        Some(MlCoefficients {
-            alpha_times_2_64: (u128::from(m) << 64) - (u128::from(deficit) << cfg.p()),
-            beta,
-        })
-    }
-}
-
-/// Converts an α decrease (in units of 2^−64) into deficit units of
-/// 2^(p−64).
-#[inline]
-fn deficit_units(amount: u128, p: u8) -> u64 {
-    debug_assert_eq!(
-        amount & ((1u128 << p) - 1),
-        0,
-        "α term not a multiple of 2^p"
-    );
-    (amount >> p) as u64
-}
-
-/// Publishes one register transition's terms straight to the counters,
-/// in the order [`ml::register_transition`] emits them: increments
-/// first, then decrements.
-struct Publish<'a> {
-    counters: &'a Counters,
-    p: u8,
-}
-
-impl CoefficientSink for Publish<'_> {
-    #[inline]
-    fn add_beta(&mut self, level: usize) {
-        // ordering: Relaxed — counter increment; see `Counters::load`.
-        self.counters.beta[level].fetch_add(1, Ordering::Relaxed);
-    }
-
-    #[inline]
-    fn sub_alpha(&mut self, amount: u128) {
-        let units = deficit_units(amount, self.p);
-        if units != 0 {
-            // ordering: Relaxed — counter increment; see `Counters::load`.
-            self.counters.deficit.fetch_add(units, Ordering::Relaxed);
-        }
-    }
-
-    #[inline]
-    fn sub_beta(&mut self, level: usize) {
-        // ordering: Relaxed — counter decrement, issued after this
-        // transition's increments; see `Counters::load`.
-        self.counters.beta[level].fetch_sub(1, Ordering::Relaxed);
-    }
-}
-
-/// The summed terms of many register transitions, published to the
-/// counters once (merges and batched inserts).
-struct Delta {
-    p: u8,
-    deficit: u64,
-    beta: [i64; MAX_EXPONENT + 1],
-    /// Bit j set: `beta[j]` was touched. A publish visits only these.
-    levels: u128,
-}
-
-impl Delta {
-    fn new(cfg: &EllConfig) -> Self {
-        Delta {
-            p: cfg.p(),
-            deficit: 0,
-            beta: [0; MAX_EXPONENT + 1],
-            levels: 0,
-        }
-    }
-
-    /// The touched levels, ascending.
-    fn touched(&self) -> impl Iterator<Item = usize> {
-        let mut rest = self.levels;
-        core::iter::from_fn(move || {
-            if rest == 0 {
-                return None;
-            }
-            let j = rest.trailing_zeros() as usize;
-            rest &= rest - 1;
-            Some(j)
-        })
-    }
-
-    /// Publishes the sum: every increment, then every decrement.
-    fn publish(&self, counters: &Counters) {
-        for j in self.touched() {
-            if self.beta[j] > 0 {
-                // ordering: Relaxed — counter increment; see `Counters::load`.
-                counters.beta[j].fetch_add(self.beta[j].unsigned_abs(), Ordering::Relaxed);
-            }
-        }
-        if self.deficit != 0 {
-            // ordering: Relaxed — counter increment; see `Counters::load`.
-            counters.deficit.fetch_add(self.deficit, Ordering::Relaxed);
-        }
-        for j in self.touched() {
-            if self.beta[j] < 0 {
-                // ordering: Relaxed — counter decrement after all
-                // increments; see `Counters::load`.
-                counters.beta[j].fetch_sub(self.beta[j].unsigned_abs(), Ordering::Relaxed);
-            }
-        }
-    }
-}
-
-impl CoefficientSink for Delta {
-    fn add_beta(&mut self, level: usize) {
-        self.beta[level] += 1;
-        self.levels |= 1 << level;
-    }
-
-    fn sub_alpha(&mut self, amount: u128) {
-        // The deficit of a sketch that saturates inside one batch wraps,
-        // exactly like the shared counter.
-        self.deficit = self.deficit.wrapping_add(deficit_units(amount, self.p));
-    }
-
-    fn sub_beta(&mut self, level: usize) {
-        self.beta[level] -= 1;
-        self.levels |= 1 << level;
-    }
-}
 
 /// A thread-safe ExaLogLog with lock-free inserts, supporting every
 /// valid register width (6..=64 bits).
@@ -236,11 +57,8 @@ pub struct AtomicExaLogLog {
     /// Packed register words: `regs_per_word` registers of
     /// `register_width` bits each, starting at bit 0; upper bits unused.
     words: Box<[AtomicU64]>,
-    /// The ML coefficients of `words`, behind a pointer: every keyed-store
-    /// slot, cold ones included, pays this struct's size inline.
-    counters: Box<Counters>,
     /// Registers per word (at most 10) and the register width (at most
-    /// 64), as bytes for the same reason.
+    /// 64).
     regs_per_word: u8,
     width: u8,
 }
@@ -250,8 +68,7 @@ impl AtomicExaLogLog {
     /// accepted; wider-than-32-bit registers simply pack one per word.
     #[must_use]
     pub fn new(cfg: EllConfig) -> Self {
-        let words = vec![0; Self::word_count(&cfg)];
-        Self::from_parts(cfg, words, &ml::empty_coefficients(cfg.m()))
+        Self::from_words(cfg, vec![0; Self::word_count(&cfg)])
     }
 
     /// Registers per word for `cfg`'s register width.
@@ -263,12 +80,11 @@ impl AtomicExaLogLog {
         cfg.m().div_ceil(Self::regs_per_word(cfg))
     }
 
-    /// Wraps packed register words and their coefficients.
-    fn from_parts(cfg: EllConfig, words: Vec<u64>, coeffs: &MlCoefficients) -> Self {
+    /// Wraps packed register words.
+    fn from_words(cfg: EllConfig, words: Vec<u64>) -> Self {
         AtomicExaLogLog {
             cfg,
             words: words.into_iter().map(AtomicU64::new).collect(),
-            counters: Counters::seeded(&cfg, coeffs),
             regs_per_word: Self::regs_per_word(&cfg) as u8,
             width: cfg.register_width() as u8,
         }
@@ -287,12 +103,12 @@ impl AtomicExaLogLog {
         (i / per_word, (i % per_word) as u32 * u32::from(self.width))
     }
 
-    /// CAS-applies `f` to register `i` until it sticks; returns the
-    /// `(old, new)` transition when this call changed the register. `f`
-    /// must be monotone (idempotent once the target value is reached) for
-    /// the loop to terminate under contention.
+    /// CAS-applies `f` to register `i` until it sticks; returns whether
+    /// this call changed the register. `f` must be monotone (idempotent
+    /// once the target value is reached) for the loop to terminate under
+    /// contention.
     #[inline]
-    fn rmw_register<F: Fn(u64) -> u64>(&self, i: usize, f: F) -> Option<(u64, u64)> {
+    fn rmw_register<F: Fn(u64) -> u64>(&self, i: usize, f: F) -> bool {
         let (w, shift) = self.locate(i);
         let field = ell_bitpack::mask(u32::from(self.width));
         let word = &self.words[w];
@@ -303,7 +119,7 @@ impl AtomicExaLogLog {
             let old = (current >> shift) & field;
             let new = f(old);
             if new == old {
-                return None;
+                return false;
             }
             let updated = (current & !(field << shift)) | (new << shift);
             // ordering: Relaxed/Relaxed — the register word is the entire
@@ -311,26 +127,14 @@ impl AtomicExaLogLog {
             // update is a monotone join, so every interleaving of Relaxed
             // CASes yields the same final word. Cross-thread visibility of
             // the finished sketch is established by whoever joins the
-            // ingest threads or takes the store's shard lock, not here.
+            // ingest threads, not here.
             // See CONCURRENCY.md § "CAS register merge".
             match word.compare_exchange_weak(current, updated, Ordering::Relaxed, Ordering::Relaxed)
             {
-                Ok(_) => return Some((old, new)),
+                Ok(_) => return true,
                 Err(actual) => current = actual,
             }
         }
-    }
-
-    /// Register index and update value of hash `h` (Algorithm 2, the
-    /// same decomposition as the sequential sketch).
-    #[inline]
-    fn decompose(&self, h: u64) -> (usize, u64) {
-        let t = u32::from(self.cfg.t());
-        let p = u32::from(self.cfg.p());
-        let i = ((h >> t) as usize) & (self.cfg.m() - 1);
-        let a = h | ell_bitpack::mask(p + t);
-        let k = (u64::from(a.leading_zeros()) << t) + (h & ell_bitpack::mask(t)) + 1;
-        (i, k)
     }
 
     /// Inserts an element by its 64-bit hash; safe to call from any number
@@ -340,38 +144,24 @@ impl AtomicExaLogLog {
     /// Lock-free: a compare-exchange loop on the containing 64-bit word
     /// that retries only when another thread raced on the same word;
     /// monotonicity guarantees convergence in at most a handful of
-    /// iterations. A call that changes a register then publishes the
-    /// change's coefficient terms (typically two relaxed `fetch_add`s).
+    /// iterations.
     pub fn insert_hash(&self, h: u64) -> bool {
-        let (i, k) = self.decompose(h);
+        // Same decomposition as the sequential sketch (Algorithm 2).
+        let t = u32::from(self.cfg.t());
+        let p = u32::from(self.cfg.p());
+        let i = ((h >> t) as usize) & (self.cfg.m() - 1);
+        let a = h | ell_bitpack::mask(p + t);
+        let k = (u64::from(a.leading_zeros()) << t) + (h & ell_bitpack::mask(t)) + 1;
         let d = self.cfg.d();
-        match self.rmw_register(i, |old| registers::update(old, k, d)) {
-            Some((old, new)) => {
-                let mut sink = Publish {
-                    counters: &self.counters,
-                    p: self.cfg.p(),
-                };
-                ml::register_transition(&mut sink, &self.cfg, old, new);
-                true
-            }
-            None => false,
-        }
+        self.rmw_register(i, |old| registers::update(old, k, d))
     }
 
-    /// Inserts a stream of hashes, summing the coefficient terms of every
-    /// register change locally and publishing them once at the end. The
-    /// final state equals inserting each hash with
-    /// [`AtomicExaLogLog::insert_hash`].
+    /// Inserts a stream of hashes; the final state equals inserting each
+    /// hash with [`AtomicExaLogLog::insert_hash`].
     pub fn extend_hashes(&self, hashes: impl IntoIterator<Item = u64>) {
-        let d = self.cfg.d();
-        let mut delta = Delta::new(&self.cfg);
         for h in hashes {
-            let (i, k) = self.decompose(h);
-            if let Some((old, new)) = self.rmw_register(i, |old| registers::update(old, k, d)) {
-                ml::register_transition(&mut delta, &self.cfg, old, new);
-            }
+            self.insert_hash(h);
         }
-        delta.publish(&self.counters);
     }
 
     /// Hashes `element` with `hasher` and inserts it.
@@ -396,30 +186,12 @@ impl AtomicExaLogLog {
     }
 
     /// The bias-corrected ML estimate of the current state, bit-identical
-    /// to `self.snapshot().estimate()` for a quiescent sketch.
-    ///
-    /// Solves the ML equation from the coefficient counters: 66 loads and
-    /// no register scan. A read that finds the counters inconsistent (see
-    /// [`AtomicExaLogLog::coefficients`]) falls back to the column-count
-    /// scan of the words. Under concurrent inserts the estimate reflects
-    /// every completed register change plus a prefix of the terms of
-    /// changes still being published.
+    /// to `self.snapshot().estimate()` (one column-count scan of the
+    /// words, with the consistency of [`AtomicExaLogLog::snapshot`] under
+    /// concurrent inserts).
     #[must_use]
     pub fn estimate(&self) -> f64 {
-        let coeffs = self
-            .coefficients()
-            .unwrap_or_else(|| self.coefficients_scan());
-        sketch::estimate_from_coefficients(&self.cfg, &coeffs)
-    }
-
-    /// The log-likelihood coefficients (α, β) from the atomic counters,
-    /// or `None` when the read is inconsistent: a counter read mid-update
-    /// by racing inserts, or a fully saturated sketch (α = 0 wraps the
-    /// counter). Equal to [`AtomicExaLogLog::coefficients_scan`] whenever
-    /// no register change is in flight.
-    #[must_use]
-    pub fn coefficients(&self) -> Option<MlCoefficients> {
-        self.counters.load(&self.cfg)
+        sketch::estimate_from_coefficients(&self.cfg, &self.coefficients_scan())
     }
 
     /// The log-likelihood coefficients from one column-count scan of the
@@ -450,10 +222,10 @@ impl AtomicExaLogLog {
             // (no torn registers) and registers are monotone, so any
             // combination of per-word values the scan observes equals the
             // state of some legal prefix of the insert stream; there is no
-            // dependent non-atomic data for an Acquire to order. This was
-            // Acquire before the PR-10 audit; with Relaxed CAS writers it
-            // paired with nothing and bought nothing (see CONCURRENCY.md
-            // § "Snapshot during hot ingest").
+            // dependent non-atomic data for an Acquire to order. An
+            // Acquire here would pair with nothing, since the CAS writers
+            // are Relaxed (see CONCURRENCY.md § "Snapshot during
+            // atomic-sketch ingest").
             let bits = word.load(Ordering::Relaxed);
             if bits == 0 {
                 continue;
@@ -468,13 +240,11 @@ impl AtomicExaLogLog {
         }
     }
 
-    /// Total in-memory footprint in bytes: the struct, the packed atomic
-    /// word array and the coefficient counters.
+    /// Total in-memory footprint in bytes: the struct plus the packed
+    /// atomic word array.
     #[must_use]
     pub fn memory_bytes(&self) -> usize {
-        core::mem::size_of::<Self>()
-            + self.words.len() * core::mem::size_of::<AtomicU64>()
-            + core::mem::size_of::<Counters>()
+        core::mem::size_of::<Self>() + self.words.len() * core::mem::size_of::<AtomicU64>()
     }
 
     /// Folds this sketch's current registers into a sequential
@@ -500,9 +270,8 @@ impl AtomicExaLogLog {
     }
 
     /// Builds a concurrent sketch holding the same state as a sequential
-    /// one (e.g. to resume shared ingestion from a checkpoint). The words
-    /// are packed directly and the counters are seeded from `other`'s
-    /// coefficients, which its incremental cache usually already holds.
+    /// one (e.g. to resume shared ingestion from a checkpoint), packing
+    /// the words directly.
     #[must_use]
     pub fn from_sketch(other: &ExaLogLog) -> Self {
         let cfg = *other.config();
@@ -511,7 +280,7 @@ impl AtomicExaLogLog {
         other.for_each_nonzero_register(|i, v| {
             words[i / per_word] |= v << ((i % per_word) as u32 * width);
         });
-        Self::from_parts(cfg, words, &other.coefficients())
+        Self::from_words(cfg, words)
     }
 
     /// Merges a sequential sketch into this one (register-wise CAS max),
@@ -522,8 +291,7 @@ impl AtomicExaLogLog {
     /// ([`ExaLogLog::for_each_nonzero_register`]), so runs of empty
     /// registers — the common case when folding a lightly filled delta —
     /// cost one comparison per 64 bits instead of one packed read and CAS
-    /// loop per register. The coefficient terms of all changed registers
-    /// are summed locally and published once.
+    /// loop per register.
     ///
     /// # Errors
     ///
@@ -535,14 +303,9 @@ impl AtomicExaLogLog {
             });
         }
         let d = self.cfg.d();
-        let mut delta = Delta::new(&self.cfg);
         other.for_each_nonzero_register(|i, incoming| {
-            if let Some((old, new)) = self.rmw_register(i, |old| registers::merge(old, incoming, d))
-            {
-                ml::register_transition(&mut delta, &self.cfg, old, new);
-            }
+            self.rmw_register(i, |old| registers::merge(old, incoming, d));
         });
-        delta.publish(&self.counters);
         Ok(())
     }
 }
@@ -619,14 +382,13 @@ mod tests {
         );
     }
 
-    /// The counter estimate must equal the estimate of a snapshot to the
-    /// bit, and the counters must equal the column scan.
-    fn assert_counters_exact(atomic: &AtomicExaLogLog, what: &str) {
-        let counters = atomic.coefficients();
+    /// The scan of the atomic words must equal the snapshot's scan, and
+    /// the estimate the snapshot's estimate to the bit.
+    fn assert_scan_exact(atomic: &AtomicExaLogLog, what: &str) {
         assert_eq!(
-            counters.as_ref(),
-            Some(&atomic.coefficients_scan()),
-            "{what}: counters diverged from the scan"
+            atomic.coefficients_scan(),
+            atomic.snapshot().coefficients_scan(),
+            "{what}: scan diverged from the snapshot's"
         );
         assert_eq!(
             atomic.estimate().to_bits(),
@@ -670,15 +432,13 @@ mod tests {
                 atomic.insert_hash(h);
                 delta.insert_hash(h);
                 merged.merge_from(&delta).unwrap();
-                assert_counters_exact(&atomic, &format!("cfg {cfg}, {n} more inserts"));
-                assert_counters_exact(&merged, &format!("cfg {cfg}, merged {n} more"));
+                assert_scan_exact(&atomic, &format!("cfg {cfg}, {n} more inserts"));
+                assert_scan_exact(&merged, &format!("cfg {cfg}, merged {n} more"));
                 let copy = AtomicExaLogLog::from_sketch(&atomic.snapshot());
-                assert_counters_exact(&copy, &format!("cfg {cfg}, from_sketch after {n}"));
+                assert_scan_exact(&copy, &format!("cfg {cfg}, from_sketch after {n}"));
             }
             // Every register at the maximum update value with all
-            // indicator bits set: α = 0, so the deficit counter wraps to 0,
-            // the counter read is rejected and the estimate comes from the
-            // scan.
+            // indicator bits set: α = 0.
             let (d, max) = (u64::from(cfg.d()), cfg.max_update_value());
             let mut full = ExaLogLog::new(cfg);
             for i in 0..cfg.m() {
@@ -692,11 +452,6 @@ mod tests {
                 (&merged, "merge_from"),
                 (&AtomicExaLogLog::from_sketch(&full), "from_sketch"),
             ] {
-                assert_eq!(
-                    saturated.coefficients(),
-                    None,
-                    "cfg {cfg}, saturated by {how}"
-                );
                 assert_eq!(saturated.coefficients_scan(), full.coefficients_scan());
                 assert_eq!(
                     saturated.estimate().to_bits(),
@@ -717,9 +472,7 @@ mod tests {
         let aligned = AtomicExaLogLog::new(EllConfig::aligned32(8).unwrap());
         assert_eq!(aligned.regs_per_word, 2);
         assert_eq!(
-            aligned.memory_bytes()
-                - core::mem::size_of::<AtomicExaLogLog>()
-                - core::mem::size_of::<Counters>(),
+            aligned.memory_bytes() - core::mem::size_of::<AtomicExaLogLog>(),
             aligned.cfg.m() * 4
         );
         // Optimal(8) uses 28-bit registers: still two per word.

@@ -33,14 +33,12 @@
 //! Because each register's contribution to (α, β) is independent of every
 //! other register and all arithmetic is exact (α is tracked as the integer
 //! α·2^64, β as counts), the coefficients can also be maintained
-//! *incrementally*. [`register_transition`] is the one place that knows
-//! how a register change moves probability mass: it emits the change's
-//! terms to a [`CoefficientSink`]. [`apply_register_change`] updates a
-//! `u128` coefficient set through it; the lock-free
-//! [`crate::atomic::AtomicExaLogLog`] applies the same terms to atomic
-//! counters. The incremental path is bit-identical to a fresh
-//! [`compute_coefficients`] scan — `ExaLogLog` keeps a cached coefficient
-//! set up to date through it and asserts the equivalence in debug builds.
+//! *incrementally*. [`apply_register_change`] is the one place that knows
+//! how a register change moves probability mass: it applies the change's
+//! terms to a `u128` coefficient set. The incremental path is
+//! bit-identical to a fresh [`compute_coefficients`] scan — `ExaLogLog`
+//! keeps a cached coefficient set up to date through it and asserts the
+//! equivalence in debug builds.
 //!
 //! The same machinery estimates from *hash-token* sets (Algorithm 7 uses
 //! m = 1) and from PCSA states, since those likelihoods share shape (15).
@@ -264,50 +262,16 @@ impl<'a> ColumnScan<'a> {
     }
 }
 
-/// Receives the coefficient changes of one register transition from
-/// [`register_transition`], in this order: every β increment, then one
-/// α decrease, then every β decrement.
-///
-/// This is how Algorithm 3's per-register logic serves two consumers:
-/// the sequential `u128` cache ([`MlCoefficients`]) and the lock-free
-/// counters of [`crate::atomic::AtomicExaLogLog`]. Emitting increments
-/// before decrements lets the atomic consumer publish them in that order
-/// without buffering (see CONCURRENCY.md § "Coefficient counters on hot
-/// slots").
-pub trait CoefficientSink {
-    /// β\[`level`\] grows by one: a value at that level was seen.
-    fn add_beta(&mut self, level: usize);
-    /// α·2^64 falls by `amount`, a multiple of 2^p (every α term is).
-    fn sub_alpha(&mut self, amount: u128);
-    /// β\[`level`\] shrinks by one: a seen value left the indicator
-    /// window.
-    fn sub_beta(&mut self, level: usize);
-}
-
-impl CoefficientSink for MlCoefficients {
-    fn add_beta(&mut self, level: usize) {
-        self.beta[level] += 1;
-    }
-
-    fn sub_alpha(&mut self, amount: u128) {
-        self.alpha_times_2_64 -= amount;
-    }
-
-    fn sub_beta(&mut self, level: usize) {
-        debug_assert!(self.beta[level] > 0, "β[{level}] underflow");
-        self.beta[level] -= 1;
-    }
-}
-
 /// 2^64·ω(u): the α share of the values above a register maximum u.
 fn omega_times_2_64(cfg: &EllConfig, u: u64) -> u128 {
     let (num, e) = omega_exact(cfg, u);
     u128::from(num) << (64 - e)
 }
 
-/// Emits the Algorithm 3 terms that turn the coefficients of register
-/// value `old` into those of `new`, where `new` is `old` joined with
-/// further updates (an insert or a register merge).
+/// Replaces one register's contribution: applies the Algorithm 3 terms
+/// that turn the coefficients of register value `old` into those of
+/// `new`, where `new` is `old` joined with further updates (an insert or
+/// a register merge).
 ///
 /// Algorithm 3 gives every update value k one of three roles in a
 /// register with maximum u: unseen (k > u, or an unset indicator bit),
@@ -315,16 +279,11 @@ fn omega_times_2_64(cfg: &EllConfig, u: u64) -> u128 {
 /// one to β\[φ(k)\]; or below the indicator window, adding nothing. A
 /// transition only moves values from unseen to seen, and from either
 /// role to below the window, so α never increases. The terms are
-/// emitted value by value, except for the unseen values that drop
+/// applied value by value, except for the unseen values that drop
 /// straight below the new window, which leave α as one difference of
 /// tail probabilities ω. The cost is O(values that change role), not
 /// O(d).
-pub fn register_transition<S: CoefficientSink + ?Sized>(
-    sink: &mut S,
-    cfg: &EllConfig,
-    old: u64,
-    new: u64,
-) {
+pub fn apply_register_change(coeffs: &mut MlCoefficients, cfg: &EllConfig, old: u64, new: u64) {
     let d = cfg.d();
     let d64 = u64::from(d);
     let indicators = ell_bitpack::mask(u32::from(d));
@@ -346,14 +305,14 @@ pub fn register_transition<S: CoefficientSink + ?Sized>(
     debug_assert_eq!(shifted & valid & !new, 0, "register bits may only be added");
 
     let mut alpha_drop = 0i128;
-    let mut seen = |sink: &mut S, k: u64| {
+    let mut seen = |coeffs: &mut MlCoefficients, k: u64| {
         let j = phi(cfg, k);
         alpha_drop += 1i128 << (64 - j);
-        sink.add_beta(j as usize);
+        coeffs.beta[j as usize] += 1;
     };
     let mut added = new & valid & !shifted;
     while added != 0 {
-        seen(sink, v + u64::from(added.trailing_zeros()) - d64);
+        seen(coeffs, v + u64::from(added.trailing_zeros()) - d64);
         added &= added - 1;
     }
     // Bits of the old field (value u − d + b) that fall below the new
@@ -361,7 +320,7 @@ pub fn register_transition<S: CoefficientSink + ?Sized>(
     let mut dropped = 0u64;
     let mut old_field = 0u64;
     if up > 0 {
-        seen(sink, v);
+        seen(coeffs, v);
         if u > 0 {
             old_field = (1u64 << d) | (old & indicators);
             let below_one = ell_bitpack::mask((d64 + 1).saturating_sub(u) as u32);
@@ -381,11 +340,13 @@ pub fn register_transition<S: CoefficientSink + ?Sized>(
         }
     }
     debug_assert!(alpha_drop >= 0, "a register transition never raises α");
-    sink.sub_alpha(alpha_drop as u128);
+    coeffs.alpha_times_2_64 -= alpha_drop as u128;
     let mut gone = dropped & old_field;
     while gone != 0 {
         let k = u + u64::from(gone.trailing_zeros()) - d64;
-        sink.sub_beta(phi(cfg, k) as usize);
+        let j = phi(cfg, k) as usize;
+        debug_assert!(coeffs.beta[j] > 0, "β[{j}] underflow");
+        coeffs.beta[j] -= 1;
         gone &= gone - 1;
     }
 }
@@ -395,7 +356,7 @@ pub fn register_transition<S: CoefficientSink + ?Sized>(
 /// maximum to β, then one step per indicator bit). Exact integer
 /// arithmetic: folding the same registers in any order yields
 /// bit-identical coefficients. No estimator uses this loop; it is the
-/// independent reference that the tests check [`register_transition`]
+/// independent reference that the tests check [`apply_register_change`]
 /// and the column-count scan against, and the baseline
 /// `bench_registers` times the scan against.
 pub fn add_register(coeffs: &mut MlCoefficients, cfg: &EllConfig, r: u64) {
@@ -423,13 +384,6 @@ pub fn add_register(coeffs: &mut MlCoefficients, cfg: &EllConfig, r: u64) {
             }
         }
     }
-}
-
-/// Replaces one register's contribution: the coefficients transition from
-/// describing a state with register value `old` to one with value `new`
-/// ([`register_transition`] applied to the `u128` cache).
-pub fn apply_register_change(coeffs: &mut MlCoefficients, cfg: &EllConfig, old: u64, new: u64) {
-    register_transition(coeffs, cfg, old, new);
 }
 
 /// Solves the ML equation f(x) = α·2^(u_max)·x − φ(x) = 0 and returns the

@@ -70,8 +70,8 @@ proptest! {
     /// bit-identical to the scan-based one, and the serialized state
     /// equals a reference sketch driven through the sequential insert /
     /// per-register merge paths. An `AtomicExaLogLog` twin driven through
-    /// the same operations keeps coefficient counters equal to its scan
-    /// and estimates bit-identically to the sequential sketch.
+    /// the same operations estimates bit-identically to the sequential
+    /// sketch.
     #[test]
     fn incremental_coefficients_match_scan(
         cfg_idx in 0usize..10,
@@ -122,7 +122,6 @@ proptest! {
             prop_assert_eq!(fast.estimate_ml_raw().to_bits(), scan_estimate.to_bits());
             prop_assert_eq!(fast.to_bytes(), reference.to_bytes());
             prop_assert_eq!(fast.estimate().to_bits(), reference.estimate().to_bits());
-            prop_assert_eq!(atomic.coefficients(), Some(atomic.coefficients_scan()));
             prop_assert_eq!(atomic.estimate().to_bits(), fast.estimate().to_bits());
         }
     }
@@ -276,11 +275,10 @@ proptest! {
         prop_assert_eq!(ml::compute_coefficients(&cfg, regs.into_iter()), oracle);
     }
 
-    /// The incremental transition behind `apply_register_change` (and the
-    /// atomic counters) equals the per-bit oracle: turning register `r`'s
-    /// contribution into that of `r` joined with an insert or a register
-    /// merge gives exactly `add_register` of the result, for every t, d
-    /// and p.
+    /// The incremental transition `apply_register_change` equals the
+    /// per-bit oracle: turning register `r`'s contribution into that of
+    /// `r` joined with an insert or a register merge gives exactly
+    /// `add_register` of the result, for every t, d and p.
     #[test]
     fn register_transition_equals_per_bit_oracle(
         t in 0u8..=6,
