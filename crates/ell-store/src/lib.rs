@@ -59,7 +59,10 @@
 //! optimization: estimates and snapshots are bit-identical to a
 //! never-tiered store.
 //! [`TierStats`] and [`EllStore::memory_bytes`] expose the per-tier
-//! breakdown and deep resident-byte accounting.
+//! breakdown and deep resident-byte accounting. One ladder
+//! implementation runs under both stores: [`WindowedStore`] demotes idle
+//! epoch rings to warm bytes on it, with rotation as its sweep and no
+//! cold rung.
 //!
 //! # Windowed counting
 //!

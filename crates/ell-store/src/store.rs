@@ -1,121 +1,69 @@
-//! The sharded keyed store proper: slot lifecycle, batched ingest,
-//! tiered residency, and per-key / merged estimation.
+//! The sharded keyed store proper: batched ingest, tiered residency on
+//! the shared residency ladder (`tiers.rs`), and per-key / merged
+//! estimation.
 
 use crate::core::{by_shard, Keyed, KeyedCore, Run};
 use crate::sync::atomic::{AtomicU64, Ordering};
-use crate::tiers::{SpillStore, Tier, TierConfig, TierCounters, TierStats};
+use crate::tiers::{Entry, Ladder, Rung, View};
+use crate::tiers::{Tier, TierConfig, TierStats};
 use exaloglog::adaptive::AdaptiveExaLogLog;
 use exaloglog::compress::{compress, decompress};
 use exaloglog::{EllConfig, EllError, ExaLogLog};
 
-/// One keyed counter plus its access-clock stamp.
-///
-/// The residency ladder: a resident key, sparse or dense, mutates under
-/// the shard write lock ([`SlotState::Resident`]); idle keys demote to
-/// compressed in-memory bytes ([`SlotState::Warm`]) and then to the
-/// on-disk segment file ([`SlotState::Cold`]), where only the
-/// `(segment, offset, len)` index entry stays resident. Any ingest or
-/// per-key query promotes a warm/cold slot back to a resident sketch;
-/// register merge is monotone, so the round trip is bit-lossless.
-#[derive(Debug)]
-pub(crate) struct Slot {
-    state: SlotState,
-    /// Access-clock value at the last ingest/query touch. Relaxed: the
-    /// demotion sweep tolerates racy staleness (a stale stamp only
-    /// delays or hastens demotion by one sweep, never loses data).
-    touched: AtomicU64,
-}
+/// One keyed counter on the residency ladder: a resident sketch, sparse
+/// or dense, boxed so the entry's inline size — paid by *every* slot,
+/// cold ones included — stays small.
+pub(crate) type Slot = Entry<Box<AdaptiveExaLogLog>>;
 
-impl Slot {
-    fn new(state: SlotState, now: u64) -> Self {
-        Slot {
-            state,
-            touched: AtomicU64::new(now),
+/// The flat store's per-key work on the ladder. Sessions park runs on a
+/// demoted slot in one pending sketch.
+impl Rung for Box<AdaptiveExaLogLog> {
+    type Parked = Box<AdaptiveExaLogLog>;
+    type Ctx = ();
+
+    /// Range-coded `ELLZ` once dense, canonical `ELLS` while sparse
+    /// (both self-describing by magic).
+    fn encode(&self, (): ()) -> Box<[u8]> {
+        match self.as_dense() {
+            Some(dense) => compress(dense),
+            None => self.to_bytes(),
         }
+        .into_boxed_slice()
     }
 
-    /// A resident slot holding `sketch`.
-    fn holding(sketch: AdaptiveExaLogLog, now: u64) -> Self {
-        Slot::new(SlotState::Resident(Box::new(sketch)), now)
-    }
-}
-
-#[derive(Debug)]
-enum SlotState {
-    /// The in-memory sketch, sparse tokens or dense registers, mutated
-    /// under the shard write lock. Boxed so the enum's inline size —
-    /// paid by *every* slot, including cold ones — stays small.
-    Resident(Box<AdaptiveExaLogLog>),
-    /// Compressed bytes in memory.
-    Warm(WarmEntry),
-    /// Bytes spilled to the segment file; only the index stays here.
-    Cold(ColdEntry),
-}
-
-/// A warm slot: the serialized counter plus any session deltas parked
-/// on it by lazy flushes (merged at promotion).
-#[derive(Debug)]
-struct WarmEntry {
-    /// Self-describing payload: `ELLZ` (range-coded dense registers) or
-    /// `ELLS` (canonical sparse serialization).
-    bytes: Box<[u8]>,
-    pending: Option<Box<AdaptiveExaLogLog>>,
-}
-
-/// A cold slot: the `(segment, offset, len)` address of the payload in
-/// the spill segment file, plus parked session deltas.
-#[derive(Debug)]
-struct ColdEntry {
-    segment: u32,
-    len: u32,
-    offset: u64,
-    pending: Option<Box<AdaptiveExaLogLog>>,
-}
-
-impl SlotState {
-    fn is_resident(&self) -> bool {
-        matches!(self, SlotState::Resident(_))
-    }
-
-    fn has_pending(&self) -> bool {
-        match self {
-            SlotState::Warm(w) => w.pending.is_some(),
-            SlotState::Cold(c) => c.pending.is_some(),
-            SlotState::Resident(_) => false,
+    /// Dispatches on the payload magic, then folds in the pending
+    /// sketch. Monotone merge makes the result bit-identical to a slot
+    /// that was never demoted.
+    fn decode(bytes: &[u8], parked: Option<&Self::Parked>, (): ()) -> Self {
+        let mut sketch = if bytes.starts_with(b"ELLZ") {
+            AdaptiveExaLogLog::from_dense(
+                decompress(bytes).expect("warm payloads are produced by this store"),
+            )
+        } else {
+            AdaptiveExaLogLog::from_bytes(bytes).expect("warm payloads are produced by this store")
+        };
+        if let Some(delta) = parked {
+            sketch
+                .merge_from(delta)
+                .expect("parked deltas share the store configuration");
         }
+        Box::new(sketch)
     }
 
-    /// Heap bytes owned by this slot beyond its inline enum size (the
-    /// inline size is accounted through the shard table's slots).
     fn heap_bytes(&self) -> usize {
-        let pending_bytes =
-            |p: &Option<Box<AdaptiveExaLogLog>>| p.as_ref().map_or(0, |s| s.memory_bytes());
-        match self {
-            SlotState::Resident(s) => s.memory_bytes(),
-            SlotState::Warm(w) => w.bytes.len() + pending_bytes(&w.pending),
-            SlotState::Cold(c) => pending_bytes(&c.pending),
+        self.memory_bytes()
+    }
+
+    fn parked_bytes(parked: &Self::Parked) -> usize {
+        parked.memory_bytes()
+    }
+
+    fn tier(&self) -> Tier {
+        if self.is_sparse() {
+            Tier::Sparse
+        } else {
+            Tier::Hot
         }
-    }
-}
-
-/// Serializes a sketch into its warm payload: range-coded `ELLZ` once
-/// dense, canonical `ELLS` while sparse (both self-describing by magic).
-fn encode_payload(sketch: &AdaptiveExaLogLog) -> Vec<u8> {
-    match sketch.as_dense() {
-        Some(dense) => compress(dense),
-        None => sketch.to_bytes(),
-    }
-}
-
-/// Decodes a warm/cold payload back into an adaptive sketch,
-/// dispatching on the payload magic.
-fn decode_payload(bytes: &[u8]) -> AdaptiveExaLogLog {
-    if bytes.len() >= 4 && &bytes[..4] == b"ELLZ" {
-        AdaptiveExaLogLog::from_dense(
-            decompress(bytes).expect("warm payloads are produced by this store"),
-        )
-    } else {
-        AdaptiveExaLogLog::from_bytes(bytes).expect("warm payloads are produced by this store")
     }
 }
 
@@ -134,12 +82,10 @@ pub struct EllStore {
     /// Shard maps of slots plus the handoff queues buffered sessions
     /// (see [`crate::IngestSession`]) park untagged runs of hashes on.
     core: KeyedCore<Slot, ()>,
-    tiers: TierConfig,
     /// The access clock driving demotion decisions; advanced by
-    /// [`EllStore::tick`], stamped into `Slot::touched` on access.
+    /// [`EllStore::tick`], stamped into each slot on access.
     clock: AtomicU64,
-    spill: Option<SpillStore>,
-    counters: TierCounters,
+    ladder: Ladder,
 }
 
 impl EllStore {
@@ -169,10 +115,8 @@ impl EllStore {
             cfg,
             v,
             core,
-            tiers: TierConfig::new(),
             clock: AtomicU64::new(0),
-            spill: None,
-            counters: TierCounters::default(),
+            ladder: Ladder::default(),
         })
     }
 
@@ -200,16 +144,13 @@ impl EllStore {
     /// demoted cold (changing the spill directory does not move
     /// already-spilled payloads).
     pub fn set_tier_config(&mut self, tiers: TierConfig) {
-        self.spill = tiers
-            .spill_directory()
-            .map(|dir| SpillStore::new(dir.to_path_buf()));
-        self.tiers = tiers;
+        self.ladder.configure(tiers);
     }
 
     /// The active tiered-residency configuration.
     #[must_use]
     pub fn tier_config(&self) -> &TierConfig {
-        &self.tiers
+        self.ladder.tiers()
     }
 
     /// Advances the access clock by one tick and returns the new value.
@@ -240,48 +181,6 @@ impl EllStore {
     fn new_delta(&self) -> AdaptiveExaLogLog {
         AdaptiveExaLogLog::with_token_parameter(self.cfg, self.v)
             .expect("parameters validated at store construction")
-    }
-
-    /// Rebuilds the resident sketch for a demoted slot state: decode
-    /// the payload (from memory or the spill segment), then fold in any
-    /// parked session deltas. Monotone merge makes the result
-    /// bit-identical to a slot that was never demoted.
-    fn revive_state(&self, state: &SlotState) -> AdaptiveExaLogLog {
-        let (mut sketch, pending) = match state {
-            SlotState::Warm(w) => (decode_payload(&w.bytes), w.pending.as_deref()),
-            SlotState::Cold(c) => (decode_payload(&self.read_spill(c)), c.pending.as_deref()),
-            _ => unreachable!("revive_state on a resident slot"),
-        };
-        if let Some(delta) = pending {
-            sketch
-                .merge_from(delta)
-                .expect("parked deltas share the store configuration");
-        }
-        sketch
-    }
-
-    /// Replaces a warm/cold slot with its revived resident sketch.
-    fn promote_slot(&self, slot: &mut Slot) {
-        debug_assert!(!slot.state.is_resident());
-        slot.state = SlotState::Resident(Box::new(self.revive_state(&slot.state)));
-        TierCounters::count(&self.counters.promotions);
-    }
-
-    /// Records an access to `slot` under the shard write lock: promotes
-    /// a warm/cold slot back to residency, stamps the access clock, and
-    /// returns the resident sketch.
-    fn access<'s>(&self, slot: &'s mut Slot, now: u64) -> &'s mut AdaptiveExaLogLog {
-        if !slot.state.is_resident() {
-            self.promote_slot(slot);
-        }
-        // ordering: Relaxed — idle-age stamp; the demote sweep reads it
-        // under the same shard write lock, which is the happens-before
-        // edge. See CONCURRENCY.md § "Tier demote vs promote".
-        slot.touched.store(now, Ordering::Relaxed);
-        match &mut slot.state {
-            SlotState::Resident(s) => s,
-            _ => unreachable!("promote_slot leaves the slot resident"),
-        }
     }
 
     /// Inserts one `(key, element-hash)` observation (a direct
@@ -326,7 +225,7 @@ impl EllStore {
             .fold(runs, new, Self::touch, |slot, run| {
                 // A direct ingest always promotes a demoted slot — only
                 // buffered session flushes park lazily.
-                self.access(slot, now).insert_hashes(run.hashes);
+                self.ladder.access(slot, now, ()).insert_hashes(run.hashes);
             });
     }
 
@@ -356,32 +255,20 @@ impl EllStore {
         }
         let (si, key_hash) = self.core.locate(key);
         let now = self.clock();
-        let new = || Slot::holding(sketch.clone(), now);
+        let new = || Entry::new(Box::new(sketch.clone()), now);
         match self.core.write(si).entry(key_hash, key, new) {
             (_, true) => Ok(()),
-            (slot, false) => self.access(slot, now).merge_from(sketch),
+            (slot, false) => self.ladder.access(slot, now, ()).merge_from(sketch),
         }
     }
 
-    /// Places a restored sketch under `key` as a resident slot unless
-    /// the key is present; returns whether it was absent. Used by
-    /// snapshot restoration. A restored dense sketch keeps the
+    /// Places a restored slot under `key` unless the key is present;
+    /// returns whether it was absent. A restored dense sketch keeps the
     /// coefficients its deserialization cached, so its first estimate
-    /// costs no register scan.
-    pub(crate) fn place(&self, key: &str, sketch: AdaptiveExaLogLog) -> bool {
-        self.core.insert(key, Slot::holding(sketch, self.clock()))
-    }
-
-    /// Places restored compressed bytes under `key` as a warm slot
-    /// unless the key is present; returns whether it was absent.
-    /// Snapshots of warm entries restore without a dense round trip, so
-    /// re-snapshotting reuses the identical payload.
-    pub(crate) fn place_warm(&self, key: &str, bytes: Vec<u8>) -> bool {
-        let state = SlotState::Warm(WarmEntry {
-            bytes: bytes.into_boxed_slice(),
-            pending: None,
-        });
-        self.core.insert(key, Slot::new(state, self.clock()))
+    /// costs no register scan, and a restored warm slot keeps its bytes,
+    /// so re-snapshotting reuses the identical payload.
+    pub(crate) fn place(&self, key: &str, slot: Slot) -> bool {
+        self.core.insert(key, slot)
     }
 
     /// The distinct-count estimate for one key (`None` if the key has
@@ -393,28 +280,19 @@ impl EllStore {
         let (si, key_hash) = self.core.locate(key);
         {
             let table = self.core.read(si);
-            match table.get(key_hash, key) {
-                None => return None,
-                Some(Slot {
-                    state: SlotState::Resident(s),
-                    touched,
-                }) => {
-                    // ordering: Relaxed — idle-age stamp written under
-                    // the read lock; a stamp racing the demote sweep
-                    // only shifts which sweep tick sees the access, it
-                    // never corrupts state (the sweep re-checks
-                    // residency under the write lock). See
-                    // CONCURRENCY.md § "Tier demote vs promote".
-                    touched.store(self.clock(), Ordering::Relaxed);
-                    return Some(s.estimate());
-                }
-                Some(_) => {}
+            let slot = table.get(key_hash, key)?;
+            if let Some(sketch) = slot.value() {
+                // A stamp under the read lock racing the demote sweep
+                // only shifts which sweep tick sees the access; the sweep
+                // re-checks residency under the write lock.
+                slot.stamp(self.clock());
+                return Some(sketch.estimate());
             }
         }
         // Demoted: promote under the write lock, then serve.
         let mut table = self.core.write(si);
         let slot = table.get_mut(key_hash, key)?;
-        Some(self.access(slot, self.clock()).estimate())
+        Some(self.ladder.access(slot, self.clock(), ()).estimate())
     }
 
     /// Whether `key` is currently dense and resident, i.e. in
@@ -428,12 +306,7 @@ impl EllStore {
     /// Does not count as an access.
     #[must_use]
     pub fn key_tier(&self, key: &str) -> Option<Tier> {
-        self.core.with(key, |slot| match &slot.state {
-            SlotState::Resident(s) if s.is_sparse() => Tier::Sparse,
-            SlotState::Resident(_) => Tier::Hot,
-            SlotState::Warm(_) => Tier::Warm,
-            SlotState::Cold(_) => Tier::Cold,
-        })
+        self.core.with(key, Slot::tier)
     }
 
     /// Demotes every sufficiently idle key one tier down the residency
@@ -445,78 +318,7 @@ impl EllStore {
     /// payloads go to the segment file in one write; if it fails, they
     /// all stay warm. Returns `(demoted_to_warm, demoted_to_cold)`.
     pub fn demote_idle(&self) -> (usize, usize) {
-        if !self.tiers.is_enabled() {
-            return (0, 0);
-        }
-        let now = self.clock();
-        let (mut to_warm, mut to_cold) = (0, 0);
-        let due = |threshold: Option<u64>, idle| threshold.is_some_and(|t| idle >= t);
-        let mut batch = Vec::new();
-        for si in 0..self.core.shard_count() {
-            let mut table = self.core.write(si);
-            // Warm slots bound for the segment file with their payload
-            // lengths; the payloads lie back to back in `batch`.
-            let mut to_spill = Vec::new();
-            batch.clear();
-            for slot in table.values_mut() {
-                // ordering: Relaxed — idle-age read under the shard write
-                // lock, which orders it after every stamp written under the
-                // read lock (release of read → acquire of write). A stale
-                // stamp only delays demotion by one sweep. See
-                // CONCURRENCY.md § "Tier demote vs promote".
-                let idle = now.saturating_sub(slot.touched.load(Ordering::Relaxed));
-                match &mut slot.state {
-                    SlotState::Resident(s) if due(self.tiers.warm_threshold(), idle) => {
-                        let bytes = encode_payload(s).into_boxed_slice();
-                        slot.state = SlotState::Warm(WarmEntry {
-                            bytes,
-                            pending: None,
-                        });
-                        to_warm += 1;
-                        TierCounters::count(&self.counters.demotions_warm);
-                    }
-                    SlotState::Warm(w)
-                        if self.spill.is_some() && due(self.tiers.cold_threshold(), idle) =>
-                    {
-                        // Settle parked deltas into the payload before it
-                        // leaves memory.
-                        if let Some(pending) = w.pending.take() {
-                            let mut sketch = decode_payload(&w.bytes);
-                            sketch
-                                .merge_from(&pending)
-                                .expect("parked deltas share the store configuration");
-                            w.bytes = encode_payload(&sketch).into_boxed_slice();
-                        }
-                        batch.extend_from_slice(&w.bytes);
-                        let len = u32::try_from(w.bytes.len()).expect("payloads stay below 4 GiB");
-                        to_spill.push((slot, len));
-                    }
-                    _ => {}
-                }
-            }
-            let Some(spill) = self.spill.as_ref().filter(|_| !to_spill.is_empty()) else {
-                continue;
-            };
-            let mut appended = spill.append(&batch);
-            for (slot, len) in to_spill {
-                match &mut appended {
-                    Ok((segment, offset)) => {
-                        slot.state = SlotState::Cold(ColdEntry {
-                            segment: *segment,
-                            len,
-                            offset: *offset,
-                            pending: None,
-                        });
-                        *offset += u64::from(len);
-                        to_cold += 1;
-                        TierCounters::count(&self.counters.demotions_cold);
-                    }
-                    // Stay warm; the payload is still safe in memory.
-                    Err(_) => TierCounters::count(&self.counters.spill_errors),
-                }
-            }
-        }
-        (to_warm, to_cold)
+        self.ladder.demote_idle(&self.core, self.clock(), ())
     }
 
     /// Promotes every demoted key back to a resident sketch. Returns
@@ -524,14 +326,7 @@ impl EllStore {
     /// indistinguishable from one that never tiered (bit-identical
     /// slots and snapshots).
     pub fn promote_all(&self) -> usize {
-        let mut n = 0usize;
-        self.core.for_each_mut(|slot| {
-            if !slot.state.is_resident() {
-                self.promote_slot(slot);
-                n += 1;
-            }
-        });
-        n
+        self.ladder.promote_all(&self.core, (), |_| true)
     }
 
     /// Key-sorted `(key, payload)` pairs for snapshotting: resident
@@ -541,48 +336,19 @@ impl EllStore {
     /// deltas are settled first (by promoting every slot that holds
     /// some), so serialized payloads include every flushed observation.
     pub(crate) fn snapshot_payloads(&self) -> Vec<(String, Vec<u8>)> {
-        self.core.for_each_mut(|slot| {
-            if slot.state.has_pending() {
-                self.promote_slot(slot);
-            }
-        });
-        self.core.sorted(|slot| match &slot.state {
-            SlotState::Resident(s) => s.to_bytes(),
-            SlotState::Warm(w) => w.bytes.to_vec(),
-            SlotState::Cold(c) => self.read_spill(c),
+        self.ladder
+            .promote_all(&self.core, (), |slot| slot.parked().is_some());
+        self.core.sorted(|slot| match self.ladder.view(slot) {
+            View::Live(sketch) => sketch.to_bytes(),
+            View::Demoted(bytes, _) => bytes.into_owned(),
         })
-    }
-
-    /// Reads a cold slot's payload back from the spill segment.
-    fn read_spill(&self, c: &ColdEntry) -> Vec<u8> {
-        self.spill
-            .as_ref()
-            .expect("cold entries exist only with a spill store")
-            .read(c.segment, c.offset, c.len)
-            .expect("cold payload unreadable — spill segment missing or truncated")
     }
 
     /// Tier occupancy, transition counters, and footprint — the
     /// observability face of the residency layer.
     #[must_use]
     pub fn tier_stats(&self) -> TierStats {
-        let mut stats = TierStats {
-            demotions_warm: TierCounters::get(&self.counters.demotions_warm),
-            demotions_cold: TierCounters::get(&self.counters.demotions_cold),
-            promotions: TierCounters::get(&self.counters.promotions),
-            parked_deltas: TierCounters::get(&self.counters.parked_deltas),
-            spill_errors: TierCounters::get(&self.counters.spill_errors),
-            spilled_bytes: self.spill.as_ref().map_or(0, SpillStore::spilled_bytes),
-            ..TierStats::default()
-        };
-        self.core.for_each(|_, slot| match &slot.state {
-            SlotState::Resident(s) if s.is_sparse() => stats.sparse_keys += 1,
-            SlotState::Resident(_) => stats.hot_keys += 1,
-            SlotState::Warm(_) => stats.warm_keys += 1,
-            SlotState::Cold(_) => stats.cold_keys += 1,
-        });
-        stats.resident_bytes = self.memory_bytes();
-        stats
+        self.ladder.tier_stats(&self.core, self.memory_bytes())
     }
 
     /// The `state_entropy_bits` of one key's current state — the
@@ -591,10 +357,9 @@ impl EllStore {
     /// without promoting. `None` if the key is absent.
     #[must_use]
     pub fn state_entropy_bits(&self, key: &str) -> Option<f64> {
-        let dense = self.core.with(key, |slot| match &slot.state {
-            SlotState::Resident(s) => s.to_dense(),
-            state => self.revive_state(state).to_dense(),
-        })?;
+        let dense = self
+            .core
+            .with(key, |slot| self.ladder.read(slot, (), |s| s.to_dense()))?;
         Some(exaloglog::compress::state_entropy_bits(&dense))
     }
 
@@ -620,20 +385,16 @@ impl EllStore {
     /// warm/cold payloads without changing their residency.
     #[must_use]
     pub fn estimates(&self) -> Vec<(String, f64)> {
-        self.core.sorted(|slot| match &slot.state {
-            SlotState::Resident(s) => s.estimate(),
-            state => self.revive_state(state).estimate(),
-        })
+        self.core
+            .sorted(|slot| self.ladder.read(slot, (), |s| s.estimate()))
     }
 
     /// A point-in-time copy of every entry as `(key, sketch)`, sorted by
     /// key (warm/cold slots decode without changing residency).
     #[must_use]
     pub fn entries(&self) -> Vec<(String, AdaptiveExaLogLog)> {
-        self.core.sorted(|slot| match &slot.state {
-            SlotState::Resident(sk) => (**sk).clone(),
-            state => self.revive_state(state),
-        })
+        self.core
+            .sorted(|slot| self.ladder.read(slot, (), |s| (**s).clone()))
     }
 
     /// The union of all per-key sketches as one dense sketch — the
@@ -648,14 +409,12 @@ impl EllStore {
     pub fn merged(&self) -> ExaLogLog {
         let mut acc = ExaLogLog::new(self.cfg);
         self.core.for_each(|_, slot| {
-            match &slot.state {
-                // Empty or near-empty dense slots cost one word-level
-                // zero scan inside merge_from — their all-zero runs are
-                // classified as skippable wholesale.
-                SlotState::Resident(s) => s.merge_into_dense(&mut acc),
-                state => self.revive_state(state).merge_into_dense(&mut acc),
-            }
-            .expect("per-key sketches share the store configuration");
+            // Empty or near-empty dense slots cost one word-level zero
+            // scan inside merge_from — their all-zero runs are
+            // classified as skippable wholesale.
+            self.ladder
+                .read(slot, (), |s| s.merge_into_dense(&mut acc))
+                .expect("per-key sketches share the store configuration");
         });
         acc
     }
@@ -673,7 +432,7 @@ impl EllStore {
     /// *not* counted — see [`TierStats::spilled_bytes`].
     #[must_use]
     pub fn memory_bytes(&self) -> usize {
-        core::mem::size_of::<Self>() + self.core.memory_bytes(|slot| slot.state.heap_bytes())
+        core::mem::size_of::<Self>() + self.core.memory_bytes(Slot::heap_bytes)
     }
 }
 
@@ -692,18 +451,13 @@ impl Keyed for EllStore {
 
     /// A new key's slot: an empty resident sketch, stamped now.
     fn new_value(&self, (): ()) -> Slot {
-        Slot::holding(self.new_delta(), self.clock())
+        Entry::new(Box::new(self.new_delta()), self.clock())
     }
 
     /// Reads the sketch a run into `slot` merges into first: the header
     /// and first token of a sparse resident or parked sketch.
     fn touch(slot: &Slot) -> u64 {
-        let sketch = match &slot.state {
-            SlotState::Resident(s) => Some(s),
-            SlotState::Warm(w) => w.pending.as_ref(),
-            SlotState::Cold(c) => c.pending.as_ref(),
-        };
-        match sketch.map(|s| &**s) {
+        match slot.value().or(slot.parked()).map(|s| &**s) {
             Some(AdaptiveExaLogLog::Sparse { tokens, .. }) => tokens.iter().next().unwrap_or(0),
             _ => 0,
         }
@@ -716,15 +470,11 @@ impl Keyed for EllStore {
     /// hashes directly because register updates are monotone and
     /// order-free.
     fn merge_run(&self, slot: &mut Slot, run: &Run<'_, ()>, (): ()) {
-        match &mut slot.state {
-            SlotState::Warm(WarmEntry { pending, .. })
-            | SlotState::Cold(ColdEntry { pending, .. }) => {
-                pending
-                    .get_or_insert_with(|| Box::new(self.new_delta()))
-                    .insert_hashes(run.hashes);
-                TierCounters::count(&self.counters.parked_deltas);
-            }
-            SlotState::Resident(s) => s.insert_hashes(run.hashes),
+        match self.ladder.target(slot) {
+            Ok(sketch) => sketch.insert_hashes(run.hashes),
+            Err(parked) => parked
+                .get_or_insert_with(|| Box::new(self.new_delta()))
+                .insert_hashes(run.hashes),
         }
     }
 }
@@ -742,7 +492,7 @@ mod tests {
     #[test]
     fn slot_state_stays_small() {
         // Every slot pays this inline size, cold ones included.
-        assert_eq!(core::mem::size_of::<SlotState>(), 32);
+        assert_eq!(Slot::STATE_BYTES, 32);
         // With its key hash and key place, a shard-table entry stays
         // under a cache line's worth of bytes.
         assert_eq!(crate::table::Table::<Slot>::SLOT_BYTES, 56);
@@ -1141,14 +891,10 @@ mod tests {
             for &hash in first.iter().chain(then) {
                 twin.insert(key, hash);
             }
-            let got = store
-                .core()
-                .read(0)
-                .get(FORCED, key)
-                .map(|slot| match &slot.state {
-                    SlotState::Resident(s) => s.estimate(),
-                    _ => unreachable!("a flushed key stays resident"),
-                });
+            let got = store.core().read(0).get(FORCED, key).map(|slot| {
+                let sketch = slot.value().expect("a flushed key stays resident");
+                sketch.estimate()
+            });
             assert_eq!(
                 got.map(f64::to_bits),
                 twin.estimate(key).map(f64::to_bits),

@@ -1,7 +1,11 @@
 //! Tiered key residency: configuration, statistics, and the cold-spill
 //! segment store.
 //!
-//! The keyed store keeps every counter in one of four residency tiers:
+//! Both stores keep every key on one residency ladder, implemented once
+//! here ([`Ladder`], over [`Entry`]s) and run over an adaptive sketch
+//! per key by [`EllStore`](crate::EllStore) and over an epoch ring per
+//! key by [`WindowedStore`](crate::WindowedStore), each supplying only
+//! its per-value work through [`Rung`]:
 //!
 //! ```text
 //!            ingest/query (promote)                ingest/query (promote)
@@ -9,23 +13,32 @@
 //!          ▼                       │             ▼                      │
 //!  Sparse/Hot ──(idle ≥ warm_after)──▶ Warm ──(idle ≥ cold_after)──▶ Cold
 //!  in-memory sketch                 compressed bytes             on-disk segment
-//!  (tokens / registers)             (ELLZ / ELLS)                + in-memory index
+//!  (tokens / registers / ring)      (ELLZ / ELLS / ring blob)    + in-memory index
 //! ```
 //!
-//! Demotion is driven by a store-level **access clock**: every
-//! ingest or per-key query stamps the slot with the current clock value,
-//! [`EllStore::tick`](crate::EllStore::tick) advances the clock, and
-//! [`EllStore::demote_idle`](crate::EllStore::demote_idle) sweeps slots
-//! whose idle age (`clock − stamp`) crosses the configured thresholds.
+//! Demotion is driven by a store-level clock: every ingest or per-key
+//! query stamps the entry with the current clock value, and a sweep
+//! demotes entries whose idle age (`clock − stamp`) crosses the
+//! configured thresholds, one rung per sweep. The flat store's clock is
+//! its access clock ([`EllStore::tick`](crate::EllStore::tick)), swept
+//! by [`EllStore::demote_idle`](crate::EllStore::demote_idle); a
+//! window's clock is its current epoch, and rotation
+//! ([`WindowedStore::advance`](crate::WindowedStore::advance)) is its
+//! sweep. Only [`TierConfig::spill_dir`], installed through
+//! [`EllStore::set_tier_config`](crate::EllStore::set_tier_config),
+//! opens the cold rung: windows stop at warm.
+//!
 //! Promotion is transparent: any direct ingest or per-key estimate on a
-//! warm/cold key rebuilds the in-memory sketch (merging any session
+//! warm/cold key rebuilds the in-memory value (merging any session
 //! deltas parked on it) before proceeding. Because register merge is
 //! monotone, commutative and idempotent, a store that demoted and
 //! promoted keys in any order holds *bit-identical* per-key states to a
 //! store that never tiered at all.
 
+use crate::core::KeyedCore;
 use crate::sync::atomic::{AtomicU64, Ordering};
 use crate::sync::Mutex;
+use std::borrow::Cow;
 use std::fs::{File, OpenOptions};
 use std::io::{Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
@@ -176,24 +189,413 @@ pub struct TierStats {
     pub spilled_bytes: u64,
 }
 
-/// Relaxed transition counters shared by the flat and windowed stores.
+/// The per-value work of the [`Ladder`].
+pub(crate) trait Rung: Sized {
+    /// Session runs parked on a demoted entry until it revives.
+    type Parked: core::fmt::Debug;
+    /// What encoding and decoding need of the store: nothing for a
+    /// sketch, the window position for a ring.
+    type Ctx: Copy;
+    /// The warm bytes of a live value.
+    fn encode(&self, ctx: Self::Ctx) -> Box<[u8]>;
+    /// The live value in `bytes` — written by [`Rung::encode`], or
+    /// accepted by a restore that validates them with the same parser —
+    /// with `parked` folded in.
+    fn decode(bytes: &[u8], parked: Option<&Self::Parked>, ctx: Self::Ctx) -> Self;
+    /// Heap bytes of a live value (its inline size is the table's).
+    fn heap_bytes(&self) -> usize;
+    fn parked_bytes(parked: &Self::Parked) -> usize;
+    /// The tier a live value occupies: sparse or hot.
+    fn tier(&self) -> Tier;
+}
+
+/// Where a cold entry's bytes lie in the spill segment file.
+#[derive(Debug)]
+struct Spilled {
+    segment: u32,
+    len: u32,
+    offset: u64,
+}
+
+/// One key's value on its rung of the [`Ladder`], plus its clock stamp.
+#[derive(Debug)]
+pub(crate) struct Entry<V: Rung> {
+    state: State<V>,
+    /// Clock value at the last touch (see [`Entry::stamp`]).
+    touched: AtomicU64,
+}
+
+#[derive(Debug)]
+enum State<V: Rung> {
+    /// Mutated in place under the shard write lock.
+    Live(V),
+    /// Compressed bytes in memory, plus the runs parked since.
+    Warm(Box<[u8]>, Option<V::Parked>),
+    /// The bytes' place in the spill segment — all that stays
+    /// resident — plus the runs parked since.
+    Cold(Spilled, Option<V::Parked>),
+}
+
+/// An entry as reads and snapshots see it: the live value, or a demoted
+/// entry's bytes (read back from the spill segment when cold) and parked
+/// runs.
+pub(crate) enum View<'e, V: Rung> {
+    Live(&'e V),
+    Demoted(Cow<'e, [u8]>, Option<&'e V::Parked>),
+}
+
+impl<V: Rung> Entry<V> {
+    /// Inline bytes of the state every entry pays, cold ones included.
+    #[cfg(test)]
+    pub(crate) const STATE_BYTES: usize = core::mem::size_of::<State<V>>();
+
+    pub(crate) fn new(value: V, now: u64) -> Self {
+        Self::with(State::Live(value), now)
+    }
+
+    /// A warm entry holding restored `bytes` verbatim, so a re-snapshot
+    /// reuses them.
+    pub(crate) fn warm(bytes: Box<[u8]>, now: u64) -> Self {
+        Self::with(State::Warm(bytes, None), now)
+    }
+
+    fn with(state: State<V>, now: u64) -> Self {
+        let touched = AtomicU64::new(now);
+        Entry { state, touched }
+    }
+
+    pub(crate) fn value(&self) -> Option<&V> {
+        match &self.state {
+            State::Live(value) => Some(value),
+            _ => None,
+        }
+    }
+
+    pub(crate) fn parked(&self) -> Option<&V::Parked> {
+        match &self.state {
+            State::Live(_) => None,
+            State::Warm(_, parked) | State::Cold(_, parked) => parked.as_ref(),
+        }
+    }
+
+    pub(crate) fn tier(&self) -> Tier {
+        match &self.state {
+            State::Live(value) => value.tier(),
+            State::Warm(..) => Tier::Warm,
+            State::Cold(..) => Tier::Cold,
+        }
+    }
+
+    pub(crate) fn stamp(&self, now: u64) {
+        // ordering: Relaxed — idle-age stamp, possibly written under the
+        // shard read lock; the sweep reads it under the write lock, which
+        // orders it after every stamp made under a read lock. A racing or
+        // stale stamp only shifts which sweep demotes the entry, never
+        // loses data. See CONCURRENCY.md § "Tier demote vs promote".
+        self.touched.store(now, Ordering::Relaxed);
+    }
+
+    /// Heap bytes owned beyond the inline entry.
+    pub(crate) fn heap_bytes(&self) -> usize {
+        let parked = |runs: &Option<V::Parked>| runs.as_ref().map_or(0, V::parked_bytes);
+        match &self.state {
+            State::Live(value) => value.heap_bytes(),
+            State::Warm(bytes, runs) => bytes.len() + parked(runs),
+            State::Cold(_, runs) => parked(runs),
+        }
+    }
+}
+
+/// Folds a warm entry's parked runs into its bytes; it stays warm.
+fn settle<V: Rung>(bytes: &mut Box<[u8]>, parked: &mut Option<V::Parked>, ctx: V::Ctx) {
+    if let Some(runs) = parked.take() {
+        *bytes = V::decode(bytes, Some(&runs), ctx).encode(ctx);
+    }
+}
+
+/// One store's residency ladder (see the module docs): its thresholds,
+/// its spill store, and the relaxed counters behind [`TierStats`] and
+/// [`WindowStats`](crate::WindowStats).
 #[derive(Debug, Default)]
-pub(crate) struct TierCounters {
+pub(crate) struct Ladder {
+    tiers: TierConfig,
+    /// Present only with a configured spill directory: the one way to
+    /// the cold rung.
+    spill: Option<SpillStore>,
+    pub(crate) counters: Counters,
+}
+
+impl Ladder {
+    /// Installs `tiers`, with a spill store when it names a directory.
+    pub(crate) fn configure(&mut self, tiers: TierConfig) {
+        self.spill = tiers
+            .spill_directory()
+            .map(|dir| SpillStore::new(dir.to_path_buf()));
+        self.tiers = tiers;
+    }
+
+    pub(crate) fn tiers(&self) -> &TierConfig {
+        &self.tiers
+    }
+
+    pub(crate) fn view<'e, V: Rung>(&self, entry: &'e Entry<V>) -> View<'e, V> {
+        match &entry.state {
+            State::Live(value) => View::Live(value),
+            State::Warm(bytes, parked) => View::Demoted(Cow::Borrowed(bytes), parked.as_ref()),
+            State::Cold(at, parked) => {
+                let bytes = self
+                    .spill
+                    .as_ref()
+                    .expect("cold entries exist only with a spill store")
+                    .read(at.segment, at.offset, at.len)
+                    .expect("cold payload unreadable — spill segment missing or truncated");
+                View::Demoted(Cow::Owned(bytes), parked.as_ref())
+            }
+        }
+    }
+
+    /// `f` of the entry's live value, or of the value a demoted entry
+    /// revives to, without changing its rung.
+    pub(crate) fn read<V: Rung, R>(
+        &self,
+        entry: &Entry<V>,
+        ctx: V::Ctx,
+        f: impl FnOnce(&V) -> R,
+    ) -> R {
+        match self.view(entry) {
+            View::Live(value) => f(value),
+            View::Demoted(bytes, parked) => f(&V::decode(&bytes, parked, ctx)),
+        }
+    }
+
+    /// The entry's live value, reviving a demoted entry first (counted
+    /// as a promotion).
+    pub(crate) fn live<'e, V: Rung>(&self, entry: &'e mut Entry<V>, ctx: V::Ctx) -> &'e mut V {
+        if let View::Demoted(bytes, parked) = self.view(entry) {
+            let value = V::decode(&bytes, parked, ctx);
+            entry.state = State::Live(value);
+            Counters::add(&self.counters.promotions, 1);
+        }
+        match &mut entry.state {
+            State::Live(value) => value,
+            _ => unreachable!("revived above"),
+        }
+    }
+
+    /// [`Ladder::live`] for a touch at `now`: a direct ingest or a
+    /// per-key query.
+    pub(crate) fn access<'e, V: Rung>(
+        &self,
+        entry: &'e mut Entry<V>,
+        now: u64,
+        ctx: V::Ctx,
+    ) -> &'e mut V {
+        entry.stamp(now);
+        self.live(entry, ctx)
+    }
+
+    /// Demotes a live entry to warm bytes (counted); a no-op otherwise.
+    pub(crate) fn demote<V: Rung>(&self, entry: &mut Entry<V>, ctx: V::Ctx) {
+        if let State::Live(value) = &entry.state {
+            entry.state = State::Warm(value.encode(ctx), None);
+            Counters::add(&self.counters.demotions_warm, 1);
+        }
+    }
+
+    /// Where a session run into `entry` folds: its live value, or, on a
+    /// demoted entry, its parked runs (counted), so a flush never pays a
+    /// decode.
+    pub(crate) fn target<'e, V: Rung>(
+        &self,
+        entry: &'e mut Entry<V>,
+    ) -> Result<&'e mut V, &'e mut Option<V::Parked>> {
+        match &mut entry.state {
+            State::Live(value) => Ok(value),
+            State::Warm(_, parked) | State::Cold(_, parked) => {
+                Counters::add(&self.counters.parked_deltas, 1);
+                Err(parked)
+            }
+        }
+    }
+
+    /// One walk over every entry of `core`, one shard write lock at a
+    /// time. `visit` sees each live value first (a window's rotation);
+    /// then an entry idle at clock value `now` past a threshold steps
+    /// one rung down: live → warm after `warm_after` ticks, warm → cold
+    /// after `cold_after` with a spill store. A warm entry's parked runs
+    /// settle into its bytes before they leave memory, so the bytes on
+    /// disk hold every flushed run. Each shard's cold bytes go to the
+    /// segment file in one write; if it fails, they all stay warm.
+    /// Returns `(to_warm, to_cold)`.
+    pub(crate) fn sweep<V: Rung, T>(
+        &self,
+        core: &KeyedCore<Entry<V>, T>,
+        now: u64,
+        ctx: V::Ctx,
+        mut visit: impl FnMut(&mut V),
+    ) -> (usize, usize) {
+        let due = |threshold: Option<u64>, idle| threshold.is_some_and(|t| idle >= t);
+        let (mut to_warm, mut to_cold) = (0, 0);
+        let mut batch = Vec::new();
+        for si in 0..core.shard_count() {
+            let mut table = core.write(si);
+            // Warm entries bound for the segment file with their byte
+            // lengths; the bytes lie back to back in `batch`.
+            let mut to_spill = Vec::new();
+            batch.clear();
+            for entry in table.values_mut() {
+                // ordering: Relaxed — idle-age read under the shard write
+                // lock, which orders it after every stamp written under the
+                // read lock (release of read → acquire of write). A stale
+                // stamp only delays demotion by one sweep. See
+                // CONCURRENCY.md § "Tier demote vs promote".
+                let idle = now.saturating_sub(entry.touched.load(Ordering::Relaxed));
+                match &mut entry.state {
+                    State::Live(value) => {
+                        visit(value);
+                        if due(self.tiers.warm_threshold(), idle) {
+                            self.demote(entry, ctx);
+                            to_warm += 1;
+                        }
+                    }
+                    State::Warm(bytes, parked)
+                        if self.spill.is_some() && due(self.tiers.cold_threshold(), idle) =>
+                    {
+                        settle::<V>(bytes, parked, ctx);
+                        batch.extend_from_slice(bytes);
+                        let len = u32::try_from(bytes.len()).expect("payloads stay below 4 GiB");
+                        to_spill.push((entry, len));
+                    }
+                    _ => {}
+                }
+            }
+            let Some(spill) = self.spill.as_ref().filter(|_| !to_spill.is_empty()) else {
+                continue;
+            };
+            let mut appended = spill.append(&batch);
+            for (entry, len) in to_spill {
+                match &mut appended {
+                    Ok((segment, offset)) => {
+                        let (segment, offset) = (
+                            *segment,
+                            std::mem::replace(offset, *offset + u64::from(len)),
+                        );
+                        entry.state = State::Cold(
+                            Spilled {
+                                segment,
+                                len,
+                                offset,
+                            },
+                            None,
+                        );
+                        to_cold += 1;
+                        Counters::add(&self.counters.demotions_cold, 1);
+                    }
+                    // Stay warm; the bytes are still safe in memory.
+                    Err(_) => Counters::add(&self.counters.spill_errors, 1),
+                }
+            }
+        }
+        (to_warm, to_cold)
+    }
+
+    /// [`Ladder::sweep`] with nothing to visit; free without thresholds.
+    pub(crate) fn demote_idle<V: Rung, T>(
+        &self,
+        core: &KeyedCore<Entry<V>, T>,
+        now: u64,
+        ctx: V::Ctx,
+    ) -> (usize, usize) {
+        if !self.tiers.is_enabled() {
+            return (0, 0);
+        }
+        self.sweep(core, now, ctx, |_| {})
+    }
+
+    /// Revives every entry `which` picks; returns how many. With every
+    /// demoted entry, this is `promote_all`; with every entry holding
+    /// parked runs, the flat store's snapshot settle, so its payloads
+    /// hold every flushed run.
+    pub(crate) fn promote_all<V: Rung, T>(
+        &self,
+        core: &KeyedCore<Entry<V>, T>,
+        ctx: V::Ctx,
+        which: impl Fn(&Entry<V>) -> bool,
+    ) -> usize {
+        let mut n = 0;
+        core.for_each_mut(|entry| {
+            if entry.value().is_none() && which(entry) {
+                self.live(entry, ctx);
+                n += 1;
+            }
+        });
+        n
+    }
+
+    /// Folds every warm entry's parked runs into its bytes, leaving it
+    /// warm: the window snapshot's settle, so warm bytes travel
+    /// verbatim.
+    pub(crate) fn settle_parked<V: Rung, T>(&self, core: &KeyedCore<Entry<V>, T>, ctx: V::Ctx) {
+        core.for_each_mut(|entry| {
+            if let State::Warm(bytes, parked) = &mut entry.state {
+                settle::<V>(bytes, parked, ctx);
+            }
+        });
+    }
+
+    /// Tier occupancy and transition counters, with `resident_bytes` as
+    /// the store measured it.
+    pub(crate) fn tier_stats<V: Rung, T>(
+        &self,
+        core: &KeyedCore<Entry<V>, T>,
+        resident_bytes: usize,
+    ) -> TierStats {
+        let c = &self.counters;
+        let mut stats = TierStats {
+            demotions_warm: Counters::get(&c.demotions_warm),
+            demotions_cold: Counters::get(&c.demotions_cold),
+            promotions: Counters::get(&c.promotions),
+            parked_deltas: Counters::get(&c.parked_deltas),
+            spill_errors: Counters::get(&c.spill_errors),
+            spilled_bytes: self.spill.as_ref().map_or(0, SpillStore::spilled_bytes),
+            resident_bytes,
+            ..TierStats::default()
+        };
+        core.for_each(|_, entry| match entry.tier() {
+            Tier::Hot => stats.hot_keys += 1,
+            Tier::Sparse => stats.sparse_keys += 1,
+            Tier::Warm => stats.warm_keys += 1,
+            Tier::Cold => stats.cold_keys += 1,
+        });
+        stats
+    }
+}
+
+/// The relaxed counters of both stores: tier transitions, and the
+/// window's suffix-cache effectiveness.
+#[derive(Debug, Default)]
+pub(crate) struct Counters {
     pub(crate) demotions_warm: AtomicU64,
     pub(crate) demotions_cold: AtomicU64,
     pub(crate) promotions: AtomicU64,
     pub(crate) parked_deltas: AtomicU64,
     pub(crate) spill_errors: AtomicU64,
+    pub(crate) suffix_hits: AtomicU64,
+    pub(crate) lazy_rebuilds: AtomicU64,
+    pub(crate) suffix_entries_built: AtomicU64,
+    pub(crate) dirty_invalidations: AtomicU64,
 }
 
-impl TierCounters {
-    pub(crate) fn count(cell: &AtomicU64) {
+impl Counters {
+    pub(crate) fn add(cell: &AtomicU64, n: u64) {
         // ordering: Relaxed — monitoring counter, no data published.
-        cell.fetch_add(1, Ordering::Relaxed);
+        cell.fetch_add(n, Ordering::Relaxed);
     }
 
     pub(crate) fn get(cell: &AtomicU64) -> u64 {
-        // ordering: Relaxed — monitoring read; approximate by design.
+        // ordering: Relaxed — monitoring read; each counter is
+        // independently approximate, a snapshot need not be a
+        // consistent cut.
         cell.load(Ordering::Relaxed)
     }
 }

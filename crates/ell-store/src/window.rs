@@ -25,19 +25,19 @@
 //!
 //! * [`WindowedStore::estimate_window`]`(key, k)` clones `suffix[k − 2]`
 //!   into a reusable scratch sketch and merges the live current-epoch
-//!   slot on top (`k = 1` clones the empty template instead — the same
-//!   code path, so latency is flat in k). No per-query heap allocation
+//!   slot on top (`k = 1` clears the scratch instead — the same code
+//!   path, so latency is flat in k). No per-query heap allocation
 //!   happens; the `bench_window` binary counts allocations to prove it,
 //!   and emits a `query_flat_vs_k` verdict that CI gates.
 //! * [`WindowedStore::advance`] rotates the window forward: each epoch
 //!   leaving the window folds into the retired union through the
-//!   word-level merge scan, and its slot is recycled with `clone_from`
-//!   against an empty template — rotation is allocation-free. Rotation
-//!   re-seals the previous current epoch, so it resets each key's suffix
-//!   validity; the chain is rebuilt **lazily and incrementally** by the
-//!   next queries (each suffix entry is built at most once per rotation,
-//!   so the rebuild cost is amortized over the rotation interval and the
-//!   steady-state query path stays O(1) merges).
+//!   word-level merge scan, and its slot is cleared in place — rotation
+//!   is allocation-free. Rotation re-seals the previous current epoch,
+//!   so it resets each key's suffix validity; the chain is rebuilt
+//!   **lazily and incrementally** by the next queries (each suffix entry
+//!   is built at most once per rotation, so the rebuild cost is
+//!   amortized over the rotation interval and the steady-state query
+//!   path stays O(1) merges).
 //! * Late events for a *sealed* epoch still inside the window land in
 //!   that epoch's slot and truncate the key's suffix validity to the
 //!   entries that exclude it (a **dirty invalidation**); the next query
@@ -95,55 +95,17 @@
 //! ```
 
 use crate::core::{by_shard, Keyed, KeyedCore, Run};
-use crate::sync::atomic::{AtomicU64, Ordering};
 use crate::sync::{Mutex, RwLock};
-use crate::tiers::{TierCounters, TierStats};
+use crate::tiers::{Counters, Entry, Ladder, Rung, View};
+use crate::tiers::{Tier, TierConfig, TierStats};
+use crate::window_wire::{encode_warm, live_entry, read_warm_body, warm_entry};
 use exaloglog::adaptive::AdaptiveExaLogLog;
-use exaloglog::compress::{compress, decompress};
 use exaloglog::{EllConfig, EllError, ExaLogLog};
 
-/// One key's windowed state: live (a full epoch ring) or warm (the same
-/// state as compressed bytes — sealed ring slots and retired unions are
-/// immutable except for late events, which makes them the prime
-/// demotion targets).
-#[derive(Debug)]
-pub(crate) enum WindowSlot {
-    Live(WindowRing),
-    Warm(WarmRing),
-}
-
-/// A demoted key's windowed state: one `ELLZ` payload per nonempty
-/// epoch slot (tagged with its *absolute* epoch, so rotation can skip
-/// warm keys entirely and the catch-up happens at promotion), one for
-/// the retired union, and any session deltas parked by lazy flushes.
-#[derive(Debug)]
-pub(crate) struct WarmRing {
-    /// `(epoch, ELLZ payload)` per nonempty slot at demotion time,
-    /// sorted by epoch (canonical for snapshots).
-    slots: Vec<(u64, Box<[u8]>)>,
-    /// Compressed retired union; `None` when it was empty.
-    retired: Option<Box<[u8]>>,
-    /// `(epoch, delta)` pairs parked by session flushes; folded in at
-    /// promotion (or into the payloads at snapshot settle).
-    pending: Vec<(u64, AdaptiveExaLogLog)>,
-}
-
-impl WarmRing {
-    /// Heap footprint (the inline struct is counted by the store as
-    /// part of its table entry).
-    fn memory_bytes(&self) -> usize {
-        self.slots
-            .iter()
-            .map(|(_, bytes)| bytes.len() + core::mem::size_of::<(u64, Box<[u8]>)>())
-            .sum::<usize>()
-            + self.retired.as_ref().map_or(0, |bytes| bytes.len())
-            + self
-                .pending
-                .iter()
-                .map(|(_, delta)| delta.memory_bytes() + core::mem::size_of::<u64>())
-                .sum::<usize>()
-    }
-}
+/// One key's windowed state on the residency ladder. Sealed ring slots
+/// and retired unions are immutable except for late events, which makes
+/// idle rings the prime demotion targets.
+pub(crate) type WindowEntry = Entry<WindowRing>;
 
 /// One key's live windowed state: the epoch ring, the retired union, and
 /// the rotation-amortized suffix-union chain over the sealed slots.
@@ -167,40 +129,39 @@ pub(crate) struct WindowRing {
     /// re-derived lazily); a late event for sealed epoch `e` truncates
     /// it to `current − 1 − e`, the entries that exclude `e`.
     valid: usize,
-    /// Epoch of the last ingest or query touch (relaxed; the demotion
-    /// decision tolerates racy staleness).
-    touched: AtomicU64,
+}
+
+/// What a ring's warm bytes are encoded and decoded under: the store's
+/// configuration, ring size and window position.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Position {
+    cfg: EllConfig,
+    epochs: usize,
+    current: u64,
 }
 
 impl WindowRing {
-    fn new(template: &ExaLogLog, epochs: usize, now: u64) -> Self {
+    /// A ring of `slots` (the retired union and E epoch slots) with an
+    /// empty, invalid suffix chain for queries to re-derive.
+    pub(crate) fn restored(retired: ExaLogLog, slots: Vec<ExaLogLog>) -> Self {
+        let cfg = *retired.config();
+        let suffix = (1..slots.len()).map(|_| ExaLogLog::new(cfg)).collect();
         WindowRing {
-            ring: vec![template.clone(); epochs].into(),
-            retired: template.clone(),
-            // A fresh ring's sealed slots are all empty, so its empty
-            // suffix entries are already correct.
-            suffix: vec![template.clone(); epochs - 1].into(),
-            valid: epochs - 1,
-            touched: AtomicU64::new(now),
+            ring: slots.into(),
+            retired,
+            suffix,
+            valid: 0,
         }
     }
 
-    fn memory_bytes(&self) -> usize {
-        self.retired.memory_bytes()
-            + self.ring.iter().map(ExaLogLog::memory_bytes).sum::<usize>()
-            + self
-                .suffix
-                .iter()
-                .map(ExaLogLog::memory_bytes)
-                .sum::<usize>()
-    }
-
-    /// Epochs since the last ingest or query touch, as of `current`.
-    fn idle(&self, current: u64) -> u64 {
-        // ordering: Relaxed — idle-age read under the shard write lock,
-        // which already orders it after every stamp made under a read
-        // lock; staleness only shifts a demotion by one sweep.
-        current.saturating_sub(self.touched.load(Ordering::Relaxed))
+    fn new(cfg: EllConfig, epochs: usize) -> Self {
+        let slots = (0..epochs).map(|_| ExaLogLog::new(cfg)).collect();
+        WindowRing {
+            // A fresh ring's sealed slots are all empty, so its empty
+            // suffix entries are already correct.
+            valid: epochs - 1,
+            ..WindowRing::restored(ExaLogLog::new(cfg), slots)
+        }
     }
 
     /// The sketch holding `epoch` under the pinned `current`: its ring
@@ -234,6 +195,81 @@ impl WindowRing {
     }
 }
 
+/// The window's per-key work on the ladder. Sessions park `(epoch,
+/// delta)` pairs on a warm ring.
+impl Rung for WindowRing {
+    type Parked = Vec<(u64, AdaptiveExaLogLog)>;
+    type Ctx = Position;
+
+    /// The `ELLW` warm-entry body: one `ELLZ` payload per nonempty slot,
+    /// tagged with its *absolute* epoch (so rotation can skip warm rings
+    /// entirely and the catch-up happens at revival), plus the retired
+    /// union. Suffix unions are derived state and are dropped.
+    fn encode(&self, at: Position) -> Box<[u8]> {
+        let e = self.ring.len() as u64;
+        // The live epochs (current − E, current], oldest first, each in
+        // slot `epoch % E`; slots of epochs before the store's first are
+        // empty.
+        let live = (at.current + 1).saturating_sub(e)..=at.current;
+        let slots: Vec<(u64, &ExaLogLog)> = live
+            .map(|epoch| (epoch, &self.ring[(epoch % e) as usize]))
+            .filter(|(_, sketch)| !sketch.is_empty())
+            .collect();
+        encode_warm(&self.retired, &slots).into_boxed_slice()
+    }
+
+    /// Rebuilds the live ring under the pinned window position: payloads
+    /// whose epoch is still in the window decompress straight into their
+    /// slot, rotated-out epochs fold into the retired union (exactly the
+    /// merges rotation would have performed), and parked runs route the
+    /// same way. Register merge is monotone, commutative and idempotent,
+    /// so the result is bit-identical to a ring that was never demoted.
+    fn decode(bytes: &[u8], parked: Option<&Self::Parked>, at: Position) -> Self {
+        let e = at.epochs as u64;
+        let mut ring = WindowRing::new(at.cfg, at.epochs);
+        let each = |epoch: Option<u64>, sketch: ExaLogLog| match epoch {
+            Some(epoch) if at.current - epoch < e => ring.ring[(epoch % e) as usize] = sketch,
+            // The retired union comes first, into the fresh ring.
+            None => ring.retired = sketch,
+            Some(_) => ring
+                .retired
+                .merge_from(&sketch)
+                .expect("warm payloads share the store configuration"),
+        };
+        read_warm_body(bytes, &at.cfg, at.epochs, at.current, &String::new, each)
+            .expect("warm bytes are written by this store or validated on restore");
+        for (epoch, delta) in parked.into_iter().flatten() {
+            delta
+                .merge_into_dense(ring.epoch_target(at.current, *epoch))
+                .expect("deltas share the store configuration");
+        }
+        // The suffix chain starts invalid; queries re-derive it lazily.
+        ring.valid = 0;
+        ring
+    }
+
+    fn heap_bytes(&self) -> usize {
+        self.retired.memory_bytes()
+            + self.ring.iter().map(ExaLogLog::memory_bytes).sum::<usize>()
+            + self
+                .suffix
+                .iter()
+                .map(ExaLogLog::memory_bytes)
+                .sum::<usize>()
+    }
+
+    fn parked_bytes(parked: &Self::Parked) -> usize {
+        parked
+            .iter()
+            .map(|(_, delta)| delta.memory_bytes() + core::mem::size_of::<u64>())
+            .sum()
+    }
+
+    fn tier(&self) -> Tier {
+        Tier::Hot
+    }
+}
+
 /// A point-in-time copy of the suffix-cache counters of a
 /// [`WindowedStore`] (see [`WindowedStore::window_stats`]).
 ///
@@ -258,47 +294,6 @@ pub struct WindowStats {
     pub dirty_invalidations: u64,
 }
 
-/// Internal atomic cells behind [`WindowStats`]; relaxed ordering — the
-/// counters are monitoring data, not synchronization.
-#[derive(Debug, Default)]
-struct WindowStatCells {
-    suffix_hits: AtomicU64,
-    lazy_rebuilds: AtomicU64,
-    suffix_entries_built: AtomicU64,
-    dirty_invalidations: AtomicU64,
-}
-
-impl WindowStatCells {
-    fn hit(&self) {
-        // ordering: Relaxed — monitoring counter, no data published.
-        self.suffix_hits.fetch_add(1, Ordering::Relaxed);
-    }
-
-    fn rebuild(&self, entries_built: usize) {
-        // ordering: Relaxed — monitoring counters, no data published.
-        self.lazy_rebuilds.fetch_add(1, Ordering::Relaxed);
-        self.suffix_entries_built
-            .fetch_add(entries_built as u64, Ordering::Relaxed);
-    }
-
-    fn invalidate(&self) {
-        // ordering: Relaxed — monitoring counter, no data published.
-        self.dirty_invalidations.fetch_add(1, Ordering::Relaxed);
-    }
-
-    fn snapshot(&self) -> WindowStats {
-        WindowStats {
-            // ordering: Relaxed (×4) — monitoring reads; each counter is
-            // independently approximate, the snapshot need not be a
-            // consistent cut.
-            suffix_hits: self.suffix_hits.load(Ordering::Relaxed),
-            lazy_rebuilds: self.lazy_rebuilds.load(Ordering::Relaxed),
-            suffix_entries_built: self.suffix_entries_built.load(Ordering::Relaxed),
-            dirty_invalidations: self.dirty_invalidations.load(Ordering::Relaxed),
-        }
-    }
-}
-
 /// A sharded, thread-safe map from string keys to epoch rings of
 /// sub-sketches, answering arbitrary trailing-window distinct-count
 /// queries. See the module docs for the architecture and a lifecycle
@@ -317,27 +312,18 @@ pub struct WindowedStore {
     /// epoch-tagged runs of hashes on; queued runs drain into ring slots (or
     /// retired unions, for rotated-out epochs) under the shard write
     /// lock with the window position pinned.
-    core: KeyedCore<WindowSlot, u64>,
-    /// Epochs of inactivity after which a key's ring demotes to the
-    /// compressed warm tier (`None` disables tiering — the default).
-    /// The demotion clock *is* the epoch counter: rotation and
-    /// [`WindowedStore::demote_idle`] sweep keys whose last touch is at
-    /// least this many epochs behind the current one.
-    warm_after: Option<u64>,
-    /// Warm-tier transition counters (shared shape with the flat store).
-    counters: TierCounters,
-    /// Empty sketch used to recycle rotated slots (`clone_from` keeps
-    /// the slot's allocation) and to reset the query scratch.
-    template: ExaLogLog,
+    core: KeyedCore<WindowEntry, u64>,
+    /// The residency ladder, measuring idle age in epochs: rotation and
+    /// [`WindowedStore::demote_idle`] sweep rings whose last touch is at
+    /// least `warm_after` epochs behind the current one. It also holds
+    /// the suffix-cache counters (see [`WindowedStore::window_stats`]).
+    ladder: Ladder,
     /// Reusable per-shard accumulators for window queries: allocated
     /// by a shard's first query, then merged into through the
     /// word-level fast path and never reallocated. One per shard so
     /// queries for keys on different shards never contend (mirroring
     /// the sharded read concurrency of the maps themselves).
     scratches: Vec<Mutex<Option<ExaLogLog>>>,
-    /// Suffix-cache effectiveness counters (see
-    /// [`WindowedStore::window_stats`]).
-    stats: WindowStatCells,
 }
 
 impl WindowedStore {
@@ -373,11 +359,8 @@ impl WindowedStore {
             epochs,
             current: RwLock::new(0),
             core,
-            warm_after: None,
-            counters: TierCounters::default(),
+            ladder: Ladder::default(),
             scratches,
-            template: ExaLogLog::new(cfg),
-            stats: WindowStatCells::default(),
         })
     }
 
@@ -392,13 +375,14 @@ impl WindowedStore {
     /// promoting. The windowed store has no cold/spill tier; only the
     /// flat [`crate::EllStore`] spills to disk.
     pub fn set_warm_after(&mut self, epochs_idle: Option<u64>) {
-        self.warm_after = epochs_idle;
+        let tiers = epochs_idle.map_or_else(TierConfig::new, |n| TierConfig::new().warm_after(n));
+        self.ladder.configure(tiers);
     }
 
     /// The warm demotion threshold in epochs, if tiering is enabled.
     #[must_use]
     pub fn warm_after(&self) -> Option<u64> {
-        self.warm_after
+        self.ladder.tiers().warm_threshold()
     }
 
     /// The per-epoch sketch configuration.
@@ -426,11 +410,20 @@ impl WindowedStore {
         *self.current.read().expect("epoch lock poisoned")
     }
 
+    /// What the ladder encodes and decodes rings under at `current`.
+    fn at(&self, current: u64) -> Position {
+        Position {
+            cfg: self.cfg,
+            epochs: self.epochs,
+            current,
+        }
+    }
+
     /// Advances the window to `epoch` (a no-op when the window is
     /// already there or past it). Every epoch that falls out of the
     /// trailing window folds into its key's retired union through the
-    /// word-level merge scan, and the vacated ring slot is recycled in
-    /// place with `clone_from` — rotation allocates nothing.
+    /// word-level merge scan, and the vacated ring slot is cleared in
+    /// place — rotation allocates nothing.
     ///
     /// Rotation re-seals the previous current epoch, so every key's
     /// suffix chain is reset; the next queries rebuild it incrementally
@@ -440,8 +433,8 @@ impl WindowedStore {
     /// absolute epochs, so the rotation catch-up (folding rotated-out
     /// epochs into the retired union) happens once at promotion instead
     /// of on every advance — rotation cost scales with the *live* key
-    /// count, not the total. When a warm threshold is set, rotation
-    /// doubles as the demotion sweep for rings idle past it.
+    /// count, not the total. Rotation is the ladder's sweep: in the same
+    /// walk, rings idle past a warm threshold demote.
     pub fn advance(&self, epoch: u64) {
         let mut current = self.current.write().expect("epoch lock poisoned");
         if epoch <= *current {
@@ -452,27 +445,19 @@ impl WindowedStore {
         // ones whose previous occupants leave the window; with a jump of
         // ≥ E epochs that is every slot, each folding exactly once.
         let first = (*current + 1).max(epoch.saturating_sub(e - 1));
-        self.core.for_each_mut(|entry| {
-            let WindowSlot::Live(ring) = entry else {
-                return;
-            };
+        let rotate = |ring: &mut WindowRing| {
             for rotated in first..=epoch {
                 let slot = (rotated % e) as usize;
                 ring.retired
                     .merge_from(&ring.ring[slot])
                     .expect("ring slots share the store configuration");
-                ring.ring[slot].clone_from(&self.template);
+                ring.ring[slot].clear();
             }
             // The sealed set shifted under the chain; re-derive it
             // lazily rather than paying E merges per key up front.
             ring.valid = 0;
-            if self
-                .warm_after
-                .is_some_and(|after| ring.idle(epoch) >= after)
-            {
-                self.demote(entry, epoch);
-            }
-        });
+        };
+        self.ladder.sweep(&self.core, epoch, self.at(epoch), rotate);
         *current = epoch;
     }
 
@@ -483,18 +468,10 @@ impl WindowedStore {
     /// sweep implicitly; this entry point exists for stores that query
     /// far more often than they advance.
     pub fn demote_idle(&self) -> usize {
-        let Some(after) = self.warm_after else {
-            return 0;
-        };
         let current = self.current.read().expect("epoch lock poisoned");
-        let mut demoted = 0;
-        self.core.for_each_mut(|entry| {
-            if matches!(entry, WindowSlot::Live(ring) if ring.idle(*current) >= after) {
-                self.demote(entry, *current);
-                demoted += 1;
-            }
-        });
-        demoted
+        self.ladder
+            .demote_idle(&self.core, *current, self.at(*current))
+            .0
     }
 
     /// Promotes every warm key back to a live ring (folding parked
@@ -502,109 +479,8 @@ impl WindowedStore {
     /// latency-critical query phase.
     pub fn promote_all(&self) -> usize {
         let current = self.current.read().expect("epoch lock poisoned");
-        let mut promoted = 0;
-        self.core.for_each_mut(|entry| {
-            if matches!(entry, WindowSlot::Warm(_)) {
-                self.live(entry, *current);
-                promoted += 1;
-            }
-        });
-        promoted
-    }
-
-    /// An empty sketch for a parked pending entry.
-    fn new_delta(&self) -> AdaptiveExaLogLog {
-        AdaptiveExaLogLog::new(self.cfg).expect("configuration validated at store construction")
-    }
-
-    /// Replaces a live entry with its [`WarmRing`] under the pinned
-    /// `current` (a no-op on warm entries). Callers hold the shard
-    /// write lock.
-    fn demote(&self, entry: &mut WindowSlot, current: u64) {
-        if let WindowSlot::Live(ring) = entry {
-            *entry = WindowSlot::Warm(self.demote_ring(current, ring));
-            TierCounters::count(&self.counters.demotions_warm);
-        }
-    }
-
-    /// Compresses a live ring down to a [`WarmRing`]: one `ELLZ` payload
-    /// per nonempty slot (tagged with the slot's absolute epoch under
-    /// the pinned `current`), plus one for the retired union when it is
-    /// nonempty. Suffix unions are derived state and are dropped.
-    fn demote_ring(&self, current: u64, ring: &WindowRing) -> WarmRing {
-        let e = self.epochs as u64;
-        let mut slots: Vec<(u64, Box<[u8]>)> = Vec::new();
-        for (i, sketch) in ring.ring.iter().enumerate() {
-            if sketch.is_empty() {
-                continue;
-            }
-            // Invert `slot = epoch % E` under `current − epoch < E`:
-            // the live epoch occupying slot i trails current by offset.
-            let offset = ((current % e) + e - i as u64) % e;
-            if offset > current {
-                // The slot's epoch would predate epoch 0 — it cannot
-                // hold live data (and nonempty is impossible here).
-                continue;
-            }
-            slots.push((current - offset, compress(sketch).into_boxed_slice()));
-        }
-        slots.sort_unstable_by_key(|(epoch, _)| *epoch);
-        let retired =
-            (!ring.retired.is_empty()).then(|| compress(&ring.retired).into_boxed_slice());
-        WarmRing {
-            slots,
-            retired,
-            pending: Vec::new(),
-        }
-    }
-
-    /// Rebuilds a live ring from a warm entry under the pinned
-    /// `current`: payloads whose epoch is still in the window decompress
-    /// straight into their slot, rotated-out epochs fold into the
-    /// retired union (exactly the merges rotation would have performed),
-    /// and parked session deltas route the same way. Register merge is
-    /// monotone, commutative and idempotent, so the result is
-    /// bit-identical to a ring that was never demoted.
-    fn materialize(&self, warm: &WarmRing, current: u64) -> WindowRing {
-        let e = self.epochs as u64;
-        let mut ring = WindowRing::new(&self.template, self.epochs, current);
-        for (epoch, payload) in &warm.slots {
-            let sketch = decompress(payload).expect("warm payloads are produced by this store");
-            if current - *epoch < e {
-                ring.ring[(*epoch % e) as usize] = sketch;
-            } else {
-                ring.retired
-                    .merge_from(&sketch)
-                    .expect("warm payloads share the store configuration");
-            }
-        }
-        if let Some(payload) = &warm.retired {
-            let sketch = decompress(payload).expect("warm payloads are produced by this store");
-            ring.retired
-                .merge_from(&sketch)
-                .expect("warm payloads share the store configuration");
-        }
-        for (epoch, delta) in &warm.pending {
-            delta
-                .merge_into_dense(ring.epoch_target(current, *epoch))
-                .expect("deltas share the store configuration");
-        }
-        // The suffix chain starts invalid; queries re-derive it lazily.
-        ring.valid = 0;
-        ring
-    }
-
-    /// `entry`'s live ring, replacing a warm entry with its
-    /// materialized ring first. Callers hold the shard write lock.
-    fn live<'e>(&self, entry: &'e mut WindowSlot, current: u64) -> &'e mut WindowRing {
-        if let WindowSlot::Warm(warm) = &*entry {
-            *entry = WindowSlot::Live(self.materialize(warm, current));
-            TierCounters::count(&self.counters.promotions);
-        }
-        match entry {
-            WindowSlot::Live(ring) => ring,
-            WindowSlot::Warm(_) => unreachable!("promoted above"),
-        }
+        self.ladder
+            .promote_all(&self.core, self.at(*current), |_| true)
     }
 
     /// Inserts one `(key, element-hash)` observation for `epoch` (a
@@ -652,6 +528,7 @@ impl WindowedStore {
     fn ingest_at(&self, current: u64, epoch: u64, batch: &[(&str, u64)]) {
         let mut hashes = Vec::new();
         let runs = self.core.group(epoch, batch, &mut hashes);
+        let at = self.at(current);
         for (si, group) in by_shard(&runs) {
             let new = || self.new_value(current);
             self.core
@@ -660,18 +537,16 @@ impl WindowedStore {
                     // A warm key promotes first; a *late* event re-demotes
                     // right after the merge without refreshing the idle
                     // stamp — catching up on history is not fresh traffic.
-                    let was_warm = matches!(entry, WindowSlot::Warm(_));
-                    let ring = self.live(entry, current);
+                    let was_warm = entry.value().is_none();
+                    let ring = self.ladder.live(entry, at);
                     ring.epoch_target(current, epoch).insert_hashes(run.hashes);
                     if ring.note_write(current, epoch) {
-                        self.stats.invalidate();
+                        Counters::add(&self.ladder.counters.dirty_invalidations, 1);
                     }
                     if was_warm && epoch < current {
-                        self.demote(entry, current);
+                        self.ladder.demote(entry, at);
                     } else {
-                        // ordering: Relaxed — idle-age stamp; read only by
-                        // the demotion sweeps under the shard write lock.
-                        ring.touched.store(current, Ordering::Relaxed);
+                        entry.stamp(current);
                     }
                 });
         }
@@ -709,7 +584,7 @@ impl WindowedStore {
             let sealed = (current > j as u64).then(|| current - 1 - j as u64);
             match (j, sealed) {
                 (0, Some(epoch)) => entry.clone_from(&slots[(epoch % e) as usize]),
-                (0, None) => entry.clone_from(&self.template),
+                (0, None) => entry.clear(),
                 (_, Some(epoch)) => {
                     entry.clone_from(&prev[j - 1]);
                     entry
@@ -730,7 +605,7 @@ impl WindowedStore {
         let cur_slot = &ring.ring[(current % self.epochs as u64) as usize];
         self.scratch_estimate(si, |scratch| {
             if last_k == 1 {
-                scratch.clone_from(&self.template);
+                scratch.clear();
             } else {
                 scratch.clone_from(&ring.suffix[last_k - 2]);
             }
@@ -764,7 +639,7 @@ impl WindowedStore {
     /// allocates nothing.
     fn scratch_estimate(&self, si: usize, fill: impl FnOnce(&mut ExaLogLog)) -> f64 {
         let mut slot = self.scratches[si].lock().expect("scratch lock poisoned");
-        let scratch = slot.get_or_insert_with(|| self.template.clone());
+        let scratch = slot.get_or_insert_with(|| ExaLogLog::new(self.cfg));
         fill(scratch);
         scratch.estimate()
     }
@@ -781,20 +656,17 @@ impl WindowedStore {
         finish: impl Fn(usize, &WindowRing, u64) -> f64,
     ) -> Option<f64> {
         let current = self.current.read().expect("epoch lock poisoned");
+        let counters = &self.ladder.counters;
         let (si, key_hash) = self.core.locate(key);
         {
             let table = self.core.read(si);
-            if let WindowSlot::Live(ring) = table.get(key_hash, key)? {
-                if ring.valid >= needed {
-                    self.stats.hit();
-                    // ordering: Relaxed — idle-age stamp raced by other
-                    // query threads under the read lock; the demotion
-                    // sweeps read it under the write lock, whose acquire
-                    // orders it after every read-lock stamp. A lost race
-                    // at worst delays one demotion.
-                    ring.touched.store(*current, Ordering::Relaxed);
-                    return Some(finish(si, ring, *current));
-                }
+            let entry = table.get(key_hash, key)?;
+            if let Some(ring) = entry.value().filter(|ring| ring.valid >= needed) {
+                Counters::add(&counters.suffix_hits, 1);
+                // A stamp raced by other query threads under the read
+                // lock at worst delays one demotion.
+                entry.stamp(*current);
+                return Some(finish(si, ring, *current));
             }
         }
         // The chain is short (rotation reset or a late-event truncation)
@@ -802,14 +674,14 @@ impl WindowedStore {
         // under the shard write lock, then answer there. Another thread
         // may have raced us to it.
         let mut table = self.core.write(si);
-        let ring = self.live(table.get_mut(key_hash, key)?, *current);
-        // ordering: Relaxed — idle-age stamp under the write lock.
-        ring.touched.store(*current, Ordering::Relaxed);
+        let entry = table.get_mut(key_hash, key)?;
+        let ring = self.ladder.access(entry, *current, self.at(*current));
         if ring.valid < needed {
             let built = self.extend_suffixes(ring, *current, needed);
-            self.stats.rebuild(built);
+            Counters::add(&counters.lazy_rebuilds, 1);
+            Counters::add(&counters.suffix_entries_built, built as u64);
         } else {
-            self.stats.hit();
+            Counters::add(&counters.suffix_hits, 1);
         }
         Some(finish(si, ring, *current))
     }
@@ -821,12 +693,12 @@ impl WindowedStore {
     /// **O(1) in the window length:** the scratch sketch is
     /// `clone_from(suffix[k − 2])` plus one word-level
     /// [`ExaLogLog::merge_from`] of the live current-epoch slot — one
-    /// clone and one merge regardless of k (k = 1 clones the empty
-    /// template through the same path, so latency is flat in k). No
-    /// per-query heap allocation happens, including lazy suffix
-    /// rebuilds after rotation or late events (entries are rebuilt in
-    /// place). Every answer stays bit-identical to the offline
-    /// per-register merge of the same k epochs.
+    /// clone and one merge regardless of k (k = 1 clears the scratch
+    /// through the same path, so latency is flat in k). No per-query
+    /// heap allocation happens, including lazy suffix rebuilds after
+    /// rotation or late events (entries are rebuilt in place). Every
+    /// answer stays bit-identical to the offline per-register merge of
+    /// the same k epochs.
     ///
     /// # Panics
     ///
@@ -864,7 +736,13 @@ impl WindowedStore {
     /// `ell store window query --stats`.
     #[must_use]
     pub fn window_stats(&self) -> WindowStats {
-        self.stats.snapshot()
+        let c = &self.ladder.counters;
+        WindowStats {
+            suffix_hits: Counters::get(&c.suffix_hits),
+            lazy_rebuilds: Counters::get(&c.lazy_rebuilds),
+            suffix_entries_built: Counters::get(&c.suffix_entries_built),
+            dirty_invalidations: Counters::get(&c.dirty_invalidations),
+        }
     }
 
     /// A copy of the live sub-sketch of `epoch` for `key`: `None` when
@@ -879,13 +757,9 @@ impl WindowedStore {
             return None;
         }
         let slot = (epoch % self.epochs as u64) as usize;
-        self.core.with(key, |entry| match entry {
-            WindowSlot::Live(ring) => ring.ring[slot].clone(),
-            WindowSlot::Warm(warm) => self
-                .materialize(warm, *current)
-                .ring
-                .into_vec()
-                .swap_remove(slot),
+        self.core.with(key, |entry| {
+            let at = self.at(*current);
+            self.ladder.read(entry, at, |ring| ring.ring[slot].clone())
         })
     }
 
@@ -895,9 +769,9 @@ impl WindowedStore {
     #[must_use]
     pub fn retired_sketch(&self, key: &str) -> Option<ExaLogLog> {
         let current = self.current.read().expect("epoch lock poisoned");
-        self.core.with(key, |entry| match entry {
-            WindowSlot::Live(ring) => ring.retired.clone(),
-            WindowSlot::Warm(warm) => self.materialize(warm, *current).retired,
+        self.core.with(key, |entry| {
+            let at = self.at(*current);
+            self.ladder.read(entry, at, |ring| ring.retired.clone())
         })
     }
 
@@ -942,19 +816,16 @@ impl WindowedStore {
     /// parked deltas, which is what the tiering trade is about.
     #[must_use]
     pub fn memory_bytes(&self) -> usize {
-        // Scaffolding: the template plus the query scratches allocated
-        // so far.
-        let scratches = self
+        // Scaffolding: the query scratches allocated so far.
+        let scratches: usize = self
             .scratches
             .iter()
-            .filter(|s| s.lock().expect("scratch lock poisoned").is_some())
-            .count();
-        core::mem::size_of::<Self>()
-            + (1 + scratches) * self.template.memory_bytes()
-            + self.core.memory_bytes(|entry| match entry {
-                WindowSlot::Live(ring) => ring.memory_bytes(),
-                WindowSlot::Warm(warm) => warm.memory_bytes(),
+            .filter_map(|s| {
+                let scratch = s.lock().expect("scratch lock poisoned");
+                scratch.as_ref().map(ExaLogLog::memory_bytes)
             })
+            .sum();
+        core::mem::size_of::<Self>() + scratches + self.core.memory_bytes(WindowEntry::heap_bytes)
     }
 
     /// Tier occupancy and transition counters. The windowed store only
@@ -962,109 +833,40 @@ impl WindowedStore {
     /// zero, and `resident_bytes` is [`WindowedStore::memory_bytes`].
     #[must_use]
     pub fn tier_stats(&self) -> TierStats {
-        let mut stats = TierStats {
-            demotions_warm: TierCounters::get(&self.counters.demotions_warm),
-            promotions: TierCounters::get(&self.counters.promotions),
-            parked_deltas: TierCounters::get(&self.counters.parked_deltas),
-            resident_bytes: self.memory_bytes(),
-            ..TierStats::default()
-        };
-        self.core.for_each(|_, entry| match entry {
-            WindowSlot::Live(_) => stats.hot_keys += 1,
-            WindowSlot::Warm(_) => stats.warm_keys += 1,
-        });
-        stats
+        self.ladder.tier_stats(&self.core, self.memory_bytes())
     }
 
-    /// Internal iteration for the wire format: every `(key, state)`
-    /// pair, sorted by key. Parked deltas are first folded into their
-    /// warm entry's payloads (materialize, merge, re-demote — the entry
-    /// stays warm), so warm payloads travel verbatim in canonical form
-    /// (no dense round trip) and restore → re-snapshot is
-    /// byte-identical.
-    pub(crate) fn wire_entries(&self) -> Vec<(String, WireRing)> {
+    /// Every key's `ELLW` entry body, sorted by key. Parked runs settle
+    /// into their warm entry's bytes first (the entry stays warm), so
+    /// warm bytes travel verbatim in canonical form (no dense round
+    /// trip) and restore → re-snapshot is byte-identical.
+    pub(crate) fn wire_entries(&self) -> Vec<(String, Vec<u8>)> {
         {
             let current = self.current.read().expect("epoch lock poisoned");
-            self.core.for_each_mut(|entry| {
-                if let WindowSlot::Warm(warm) = &*entry {
-                    if !warm.pending.is_empty() {
-                        let ring = self.materialize(warm, *current);
-                        *entry = WindowSlot::Warm(self.demote_ring(*current, &ring));
-                    }
-                }
-            });
+            self.ladder.settle_parked(&self.core, self.at(*current));
         }
-        self.core.sorted(|entry| match entry {
-            WindowSlot::Live(ring) => WireRing::Live {
-                retired: ring.retired.clone(),
-                slots: ring.ring.to_vec(),
-            },
-            WindowSlot::Warm(warm) => WireRing::Warm {
-                retired: warm.retired.clone(),
-                slots: warm.slots.clone(),
-            },
+        self.core.sorted(|entry| match self.ladder.view(entry) {
+            View::Live(ring) => live_entry(&ring.retired, &ring.ring),
+            View::Demoted(bytes, _) => warm_entry(&bytes),
         })
     }
 
-    /// Wire-format restore seam: places a fully-formed live ring under
-    /// `key`, returning whether the key was new. Suffix unions are
-    /// derived state and never travel in the snapshot; the restored
-    /// chain starts empty and the first queries re-derive it from the
-    /// slots, so a restored store reproduces every estimate bit-for-bit.
-    pub(crate) fn place_ring(&self, key: &str, retired: ExaLogLog, slots: Vec<ExaLogLog>) -> bool {
-        debug_assert_eq!(slots.len(), self.epochs);
-        self.core.insert(
-            key,
-            WindowSlot::Live(WindowRing {
-                ring: slots.into(),
-                retired,
-                suffix: vec![self.template.clone(); self.epochs - 1].into(),
-                valid: 0,
-                touched: AtomicU64::new(0),
-            }),
-        )
-    }
-
-    /// Wire-format restore seam: places a warm entry under `key` with
-    /// its compressed payloads kept verbatim, returning whether the key
-    /// was new.
-    pub(crate) fn place_warm_ring(
-        &self,
-        key: &str,
-        retired: Option<Box<[u8]>>,
-        slots: Vec<(u64, Box<[u8]>)>,
-    ) -> bool {
-        self.core.insert(
-            key,
-            WindowSlot::Warm(WarmRing {
-                slots,
-                retired,
-                pending: Vec::new(),
-            }),
-        )
-    }
-
-    /// Wire-format restore seam: pins the current epoch without
-    /// rotating (the snapshot's rings are already rotated), and stamps
-    /// every live ring as freshly touched so a restored store does not
-    /// demote everything on its first advance.
-    pub(crate) fn set_current_epoch(&self, epoch: u64) {
-        *self.current.write().expect("epoch lock poisoned") = epoch;
-        self.core.for_each(|_, entry| {
-            if let WindowSlot::Live(ring) = entry {
-                // ordering: Relaxed — idle-age stamp on restore.
-                ring.touched.store(epoch, Ordering::Relaxed);
-            }
-        });
+    /// Wire-format restore seam: places a restored entry under `key`,
+    /// returning whether the key was new. Suffix unions are derived
+    /// state and never travel in the snapshot; a restored chain starts
+    /// empty and the first queries re-derive it from the slots, so a
+    /// restored store reproduces every estimate bit-for-bit.
+    pub(crate) fn place(&self, key: &str, entry: WindowEntry) -> bool {
+        self.core.insert(key, entry)
     }
 }
 
 impl Keyed for WindowedStore {
-    type Value = WindowSlot;
+    type Value = WindowEntry;
     type Tag = u64;
     type Pin = u64;
 
-    fn core(&self) -> &KeyedCore<WindowSlot, u64> {
+    fn core(&self) -> &KeyedCore<WindowEntry, u64> {
         &self.core
     }
 
@@ -1076,9 +878,10 @@ impl Keyed for WindowedStore {
         f(*current)
     }
 
-    /// A new key's entry: an empty live ring under the pinned `current`.
-    fn new_value(&self, current: u64) -> WindowSlot {
-        WindowSlot::Live(WindowRing::new(&self.template, self.epochs, current))
+    /// A new key's entry: an empty live ring, stamped at the pinned
+    /// `current`.
+    fn new_value(&self, current: u64) -> WindowEntry {
+        Entry::new(WindowRing::new(self.cfg, self.epochs), current)
     }
 
     /// Folds one run of session hashes for `(key, epoch)` into its entry
@@ -1089,55 +892,39 @@ impl Keyed for WindowedStore {
     /// the entry's pending sketch for that epoch** instead of promoting,
     /// and the next promotion folds them in — the flush path never
     /// decompresses anything.
-    fn merge_run(&self, entry: &mut WindowSlot, run: &Run<'_, u64>, current: u64) {
+    fn merge_run(&self, entry: &mut WindowEntry, run: &Run<'_, u64>, current: u64) {
         let (epoch, hashes) = (run.tag, run.hashes);
         debug_assert!(epoch <= current, "sessions advance the window on buffer");
-        match entry {
-            WindowSlot::Live(ring) => {
+        let fresh = match self.ladder.target(entry) {
+            Ok(ring) => {
                 ring.epoch_target(current, epoch).insert_hashes(hashes);
                 // A session run for a sealed epoch is a late write:
                 // truncate the suffix chain exactly like direct ingest.
                 if ring.note_write(current, epoch) {
-                    self.stats.invalidate();
+                    Counters::add(&self.ladder.counters.dirty_invalidations, 1);
                 }
-                if epoch == current {
-                    // ordering: Relaxed — idle-age stamp; read only by
-                    // the demotion sweeps under the shard write lock.
-                    ring.touched.store(current, Ordering::Relaxed);
-                }
+                epoch == current
             }
-            WindowSlot::Warm(warm) => {
-                let i = match warm.pending.iter().position(|(parked, _)| *parked == epoch) {
+            Err(parked) => {
+                let parked = parked.get_or_insert_with(Vec::new);
+                let i = match parked.iter().position(|(at, _)| *at == epoch) {
                     Some(i) => i,
                     None => {
-                        warm.pending.push((epoch, self.new_delta()));
-                        warm.pending.len() - 1
+                        let delta = AdaptiveExaLogLog::new(self.cfg)
+                            .expect("configuration validated at store construction");
+                        parked.push((epoch, delta));
+                        parked.len() - 1
                     }
                 };
-                warm.pending[i].1.insert_hashes(hashes);
-                TierCounters::count(&self.counters.parked_deltas);
+                parked[i].1.insert_hashes(hashes);
+                false
             }
+        };
+        // Only current-epoch traffic refreshes the idle stamp.
+        if fresh {
+            entry.stamp(current);
         }
     }
-}
-
-/// One key's serialized windowed state (see
-/// [`WindowedStore::wire_entries`]): live rings travel as dense
-/// sketches in slot order, warm entries as their compressed payloads
-/// verbatim.
-#[derive(Debug)]
-pub(crate) enum WireRing {
-    /// A live ring: the retired union plus all E slots in slot order.
-    Live {
-        retired: ExaLogLog,
-        slots: Vec<ExaLogLog>,
-    },
-    /// A warm entry: compressed retired union (if nonempty) plus
-    /// `(epoch, payload)` pairs sorted by epoch.
-    Warm {
-        retired: Option<Box<[u8]>>,
-        slots: Vec<(u64, Box<[u8]>)>,
-    },
 }
 
 #[cfg(test)]

@@ -31,17 +31,21 @@
 //! so equal windowed states produce equal snapshot bytes regardless of
 //! ingest threading — and every payload deserializes with a live ML
 //! coefficient cache, so a restored store reproduces every windowed
-//! estimate bit-for-bit at cached speed. Warm entries embed their
-//! range-coded `ELLZ` payloads **verbatim** (parked session deltas are
-//! settled into them first): snapshotting never pays a dense round
-//! trip for demoted keys, restore places them back as warm entries, and
-//! a restore → re-snapshot cycle reproduces the identical bytes.
+//! estimate bit-for-bit at cached speed. A warm ring's in-memory bytes
+//! *are* a warm entry's body: a snapshot writes them **verbatim**
+//! (parked session deltas are settled into them first), so snapshotting
+//! never pays a dense round trip for demoted keys, restore places them
+//! back as warm entries, and a restore → re-snapshot cycle reproduces
+//! the identical bytes. Restore and revival read warm bodies with one
+//! parser, [`read_warm_body`], so revival decodes nothing restore did
+//! not accept.
 
-use crate::window::{WindowedStore, WireRing};
+use crate::tiers::Entry;
+use crate::window::{WindowRing, WindowedStore};
 use crate::wire::{
     check_payload_config, corrupt, corrupt_at, open, put_header, put_prefixed, Reader,
 };
-use exaloglog::compress::decompress;
+use exaloglog::compress::{compress, decompress};
 use exaloglog::{EllConfig, EllError, ExaLogLog};
 
 const MAGIC: &[u8; 4] = b"ELLW";
@@ -52,8 +56,8 @@ const HEADER_LEN: usize = 4 + 1 + 3 + 4 + 4 + 8 + 8;
 /// count shares the `ELLK` bound). It only rejects absurd headers: a
 /// live entry still materializes E dense slots out of as few as 4·E
 /// bytes, an amplification this bound does not remove. Query scratches
-/// are allocated per shard on first use, so an empty store costs one
-/// template sketch however many shards its header declares.
+/// are allocated per shard on first use, so an empty store allocates
+/// no sketch however many shards its header declares.
 const MAX_WIRE_EPOCHS: usize = 1 << 16;
 
 const TIER_LIVE: u8 = 0;
@@ -68,35 +72,95 @@ fn push_sketch(out: &mut Vec<u8>, sketch: &ExaLogLog) {
     }
 }
 
-/// Reads a live sketch written by [`push_sketch`].
-fn read_sketch(
-    r: &mut Reader<'_>,
-    cfg: &EllConfig,
-    what: impl Fn() -> String,
-) -> Result<ExaLogLog, EllError> {
-    let payload = r.prefixed()?;
-    if payload.is_empty() {
-        return Ok(ExaLogLog::new(*cfg));
+/// A live entry's body: the tier byte, the retired union, then every
+/// ring slot in slot order.
+pub(crate) fn live_entry(retired: &ExaLogLog, slots: &[ExaLogLog]) -> Vec<u8> {
+    let mut out = vec![TIER_LIVE];
+    push_sketch(&mut out, retired);
+    for slot in slots {
+        push_sketch(&mut out, slot);
     }
-    check_payload_config(payload, cfg, &what)?;
-    ExaLogLog::from_bytes(payload).map_err(|e| corrupt_at(what, e))
+    out
 }
 
-/// Reads a warm `ELLZ` payload (`None` for a zero length). Warm
-/// payloads are kept verbatim, but still validated: they must carry the
-/// header configuration and decompress.
-fn read_warm(
-    r: &mut Reader<'_>,
-    cfg: &EllConfig,
-    what: impl Fn() -> String,
-) -> Result<Option<Box<[u8]>>, EllError> {
-    let payload = r.prefixed()?;
-    if payload.is_empty() {
-        return Ok(None);
+/// A warm entry's body: the tier byte, then the warm bytes verbatim.
+pub(crate) fn warm_entry(bytes: &[u8]) -> Vec<u8> {
+    let mut out = Vec::with_capacity(1 + bytes.len());
+    out.push(TIER_WARM);
+    out.extend_from_slice(bytes);
+    out
+}
+
+/// A warm ring's bytes, laid out as a warm entry's body: the retired
+/// union as `ELLZ` (length 0 when empty), then `(epoch, ELLZ)` per
+/// nonempty slot, in epoch order.
+pub(crate) fn encode_warm(retired: &ExaLogLog, slots: &[(u64, &ExaLogLog)]) -> Vec<u8> {
+    let mut out = Vec::new();
+    if retired.is_empty() {
+        put_prefixed(&mut out, &[]);
+    } else {
+        put_prefixed(&mut out, &compress(retired));
     }
-    check_payload_config(payload, cfg, &what)?;
-    decompress(payload).map_err(|e| corrupt_at(what, e))?;
-    Ok(Some(payload.into()))
+    let slot_count = u32::try_from(slots.len()).expect("slot count exceeds u32 wire field");
+    out.extend_from_slice(&slot_count.to_le_bytes());
+    for (epoch, sketch) in slots {
+        out.extend_from_slice(&epoch.to_le_bytes());
+        put_prefixed(&mut out, &compress(sketch));
+    }
+    out
+}
+
+/// Parses the warm entry body at the front of `bytes` for a ring of
+/// `epochs` slots at window position `current`, handing each
+/// decompressed sketch to `each`: the retired union first (epoch
+/// `None`), then the slots in epoch order. Every payload must carry
+/// `cfg` (checked before it is decoded) and decompress, and the slot
+/// epochs must rise and not pass `current`. Returns the body's length.
+pub(crate) fn read_warm_body(
+    bytes: &[u8],
+    cfg: &EllConfig,
+    epochs: usize,
+    current: u64,
+    what: &dyn Fn() -> String,
+    mut each: impl FnMut(Option<u64>, ExaLogLog),
+) -> Result<usize, EllError> {
+    let sketch = |payload: &[u8], at: &dyn Fn() -> String| {
+        check_payload_config(payload, cfg, at)?;
+        decompress(payload).map_err(|e| corrupt_at(at, e))
+    };
+    let mut r = Reader::at(bytes, 0);
+    let retired = r.prefixed()?;
+    if !retired.is_empty() {
+        each(
+            None,
+            sketch(retired, &|| format!("{} warm retired union", what()))?,
+        );
+    }
+    let slot_count = r.u32()?;
+    if slot_count > epochs {
+        return Err(corrupt(format!(
+            "{}: {slot_count} warm slots exceed the ring size {epochs}",
+            what()
+        )));
+    }
+    let mut last_epoch = None;
+    for s in 0..slot_count {
+        let epoch = r.u64()?;
+        if epoch > current || last_epoch.is_some_and(|prev| epoch <= prev) {
+            return Err(corrupt(format!(
+                "{}: warm slot {s} epoch {epoch} out of order or beyond current {current}",
+                what()
+            )));
+        }
+        last_epoch = Some(epoch);
+        let at = || format!("{} warm slot {s}", what());
+        let payload = r.prefixed()?;
+        if payload.is_empty() {
+            return Err(corrupt_at(at, "empty payload"));
+        }
+        each(Some(epoch), sketch(payload, &at)?);
+    }
+    Ok(bytes.len() - r.rest().len())
 }
 
 impl WindowedStore {
@@ -119,28 +183,9 @@ impl WindowedStore {
         out.extend_from_slice(&shards.to_le_bytes());
         out.extend_from_slice(&self.current_epoch().to_le_bytes());
         out.extend_from_slice(&(entries.len() as u64).to_le_bytes());
-        for (key, entry) in &entries {
+        for (key, body) in &entries {
             put_prefixed(&mut out, key.as_bytes());
-            match entry {
-                WireRing::Live { retired, slots } => {
-                    out.push(TIER_LIVE);
-                    push_sketch(&mut out, retired);
-                    for slot in slots {
-                        push_sketch(&mut out, slot);
-                    }
-                }
-                WireRing::Warm { retired, slots } => {
-                    out.push(TIER_WARM);
-                    put_prefixed(&mut out, retired.as_deref().unwrap_or_default());
-                    let slot_count =
-                        u32::try_from(slots.len()).expect("slot count exceeds u32 wire field");
-                    out.extend_from_slice(&slot_count.to_le_bytes());
-                    for (epoch, payload) in slots {
-                        out.extend_from_slice(&epoch.to_le_bytes());
-                        put_prefixed(&mut out, payload);
-                    }
-                }
-            }
+            out.extend_from_slice(body);
         }
         out
     }
@@ -182,6 +227,9 @@ impl WindowedStore {
             )));
         }
         let store = WindowedStore::new(shards, cfg, epochs)?;
+        // Pins the window position while the store is empty: rotation has
+        // nothing to fold, and the snapshot's rings are already rotated.
+        store.advance(current);
 
         for i in 0..entry_count {
             let key = r.key(i)?;
@@ -191,55 +239,45 @@ impl WindowedStore {
             } else {
                 r.take(1)?[0]
             };
-            let placed = match tier {
+            let entry = match tier {
                 TIER_LIVE => {
-                    let retired = read_sketch(&mut r, &cfg, || "retired union".into())?;
-                    let mut slots = Vec::with_capacity(epochs);
-                    for slot in 0..epochs {
-                        let at = || format!("{} slot {slot}", what());
-                        slots.push(read_sketch(&mut r, &cfg, at)?);
+                    // The retired union, then the E slots. Every payload's
+                    // configuration is checked before any sketch is
+                    // built, so a corrupted header cannot make an empty
+                    // payload allocate a sketch of its configuration.
+                    let payloads = (0..=epochs)
+                        .map(|_| r.prefixed())
+                        .collect::<Result<Vec<_>, _>>()?;
+                    let at = |slot: usize| move || format!("{} payload {slot}", what());
+                    for (slot, payload) in payloads.iter().enumerate() {
+                        if !payload.is_empty() {
+                            check_payload_config(payload, &cfg, at(slot))?;
+                        }
                     }
-                    store.place_ring(key, retired, slots)
+                    let sketch = |(slot, payload): (usize, &&[u8])| match payload {
+                        [] => Ok(ExaLogLog::new(cfg)),
+                        _ => ExaLogLog::from_bytes(payload).map_err(|e| corrupt_at(at(slot), e)),
+                    };
+                    let mut sketches = payloads.iter().enumerate().map(sketch);
+                    let retired = sketches.next().expect("E + 1 payloads")?;
+                    let slots = sketches.collect::<Result<Vec<_>, _>>()?;
+                    Entry::new(WindowRing::restored(retired, slots), current)
                 }
                 TIER_WARM => {
-                    let at = || format!("{} warm retired union", what());
-                    let retired = read_warm(&mut r, &cfg, at)?;
-                    let slot_count = r.u32()?;
-                    if slot_count > epochs {
-                        return Err(corrupt(format!(
-                            "{}: {slot_count} warm slots exceed the ring size {epochs}",
-                            what()
-                        )));
-                    }
-                    let mut slots = Vec::with_capacity(slot_count);
-                    let mut last_epoch = None;
-                    for s in 0..slot_count {
-                        let epoch = r.u64()?;
-                        if epoch > current || last_epoch.is_some_and(|prev| epoch <= prev) {
-                            return Err(corrupt(format!(
-                                "{}: warm slot {s} epoch {epoch} out of order or beyond current {current}",
-                                what()
-                            )));
-                        }
-                        last_epoch = Some(epoch);
-                        let at = || format!("{} warm slot {s}", what());
-                        let payload = read_warm(&mut r, &cfg, at)?
-                            .ok_or_else(|| corrupt_at(at, "empty payload"))?;
-                        slots.push((epoch, payload));
-                    }
-                    store.place_warm_ring(key, retired, slots)
+                    let body = r.rest();
+                    let len = read_warm_body(body, &cfg, epochs, current, &what, |_, _| {})?;
+                    r.take(len)?;
+                    Entry::warm(body[..len].into(), current)
                 }
                 other => {
                     return Err(corrupt_at(what, format!("unknown tier byte {other}")));
                 }
             };
-            if !placed {
+            if !store.place(key, entry) {
                 return Err(corrupt(format!("duplicate key {key:?}")));
             }
         }
         r.finish()?;
-        // Set last: also stamps restored live rings as freshly touched.
-        store.set_current_epoch(current);
         Ok(store)
     }
 }
@@ -347,16 +385,12 @@ mod tests {
         v1.extend_from_slice(&(store.shard_count() as u32).to_le_bytes());
         v1.extend_from_slice(&store.current_epoch().to_le_bytes());
         v1.extend_from_slice(&(entries.len() as u64).to_le_bytes());
-        for (key, entry) in &entries {
-            let WireRing::Live { retired, slots } = entry else {
-                panic!("promoted store has only live entries");
-            };
+        for (key, body) in &entries {
+            assert_eq!(body[0], TIER_LIVE, "promoted store has only live entries");
             v1.extend_from_slice(&(key.len() as u32).to_le_bytes());
             v1.extend_from_slice(key.as_bytes());
-            push_sketch(&mut v1, retired);
-            for slot in slots {
-                push_sketch(&mut v1, slot);
-            }
+            // A v1 entry is a v2 live body without its tier byte.
+            v1.extend_from_slice(&body[1..]);
         }
         let restored = WindowedStore::from_snapshot_bytes(&v1).unwrap();
         assert_eq!(restored.key_count(), store.key_count());

@@ -25,6 +25,7 @@
 //! so no version bump is needed for the compressed form.
 
 use crate::store::EllStore;
+use crate::tiers::Entry;
 use exaloglog::adaptive::AdaptiveExaLogLog;
 use exaloglog::compress::decompress;
 use exaloglog::{EllConfig, EllError};
@@ -176,6 +177,11 @@ impl<'a> Reader<'a> {
             .map_err(|e| corrupt(format!("entry {entry}: key is not UTF-8: {e}")))
     }
 
+    /// The bytes not read yet.
+    pub(crate) fn rest(&self) -> &'a [u8] {
+        &self.bytes[self.pos..]
+    }
+
     /// Succeeds only when every byte has been consumed.
     pub(crate) fn finish(&self) -> Result<(), EllError> {
         match self.bytes.len() - self.pos {
@@ -229,17 +235,19 @@ impl EllStore {
             let payload = r.prefixed()?;
             let what = || format!("entry {i} ({key:?})");
             check_payload_config(payload, &cfg, what)?;
-            let placed = if payload.starts_with(b"ELLZ") {
+            // A restored store's access clock starts at 0.
+            let slot = if payload.starts_with(b"ELLZ") {
                 // A warm entry: validate that it decompresses, then keep
                 // the compressed payload as a warm slot — a re-snapshot
                 // reuses it verbatim.
                 decompress(payload).map_err(|e| corrupt_at(what, e))?;
-                store.place_warm(key, payload.to_vec())
+                Entry::warm(payload.into(), 0)
             } else {
                 let sketch =
                     AdaptiveExaLogLog::from_bytes(payload).map_err(|e| corrupt_at(what, e))?;
-                store.place(key, sketch)
+                Entry::new(Box::new(sketch), 0)
             };
+            let placed = store.place(key, slot);
             if !placed {
                 return Err(corrupt(format!("duplicate key {key:?}")));
             }

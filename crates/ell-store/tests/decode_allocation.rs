@@ -2,7 +2,10 @@
 //! against the snapshot header *before* decoding the payload. A payload
 //! whose `p` byte is flipped from 6 to 24 would otherwise make the
 //! decoder allocate a 2^24-register sketch (48 MiB) out of a snapshot of
-//! a few kilobytes before rejecting it. Here the flipped payload must be
+//! a few kilobytes before rejecting it. Likewise an `ELLW` header whose
+//! `p` is flipped must not make the decoder build a sketch of that
+//! precision, for the store or for an entry's empty payloads, before the
+//! first payload's check fails. Here the flipped snapshot must be
 //! rejected while the decode's largest single allocation stays within
 //! [`MAX_ALLOCATION_PER_INPUT_BYTE`] times the snapshot's length.
 
@@ -104,7 +107,7 @@ fn flip_first_compressed_p(snapshot: &[u8]) -> Vec<u8> {
 /// single allocation may exceed c times its length.
 fn assert_rejected_within_bound<T>(bad: &[u8], decode: impl FnOnce(&[u8]) -> Result<T, String>) {
     let (result, largest) = largest_allocation(|| decode(bad));
-    assert!(result.is_err(), "a payload with p = 24 was accepted");
+    assert!(result.is_err(), "a snapshot with a flipped p was accepted");
     let bound = MAX_ALLOCATION_PER_INPUT_BYTE * bad.len();
     assert!(
         largest <= bound,
@@ -131,24 +134,63 @@ fn flipped_p_in_a_warm_store_entry_is_rejected_before_allocating() {
     });
 }
 
-#[test]
-fn flipped_p_in_a_warm_window_entry_is_rejected_before_allocating() {
+/// A windowed store whose keys `{idle}-0..3` went warm while `fresh`
+/// stayed live, and its snapshot (entries sorted by key).
+fn window_snapshot(idle: &str) -> Vec<u8> {
     let mut store = WindowedStore::new(4, cfg(), 3).unwrap();
     store.set_warm_after(Some(1));
     let mut rng = SplitMix64::new(43);
     for epoch in 0..3u64 {
         let batch: Vec<(String, u64)> = (0..900)
-            .map(|i| (format!("key-{}", i % 3), rng.next_u64()))
+            .map(|i| (format!("{idle}-{}", i % 3), rng.next_u64()))
             .collect();
         let refs: Vec<(&str, u64)> = batch.iter().map(|(k, h)| (k.as_str(), *h)).collect();
         store.ingest(epoch, &refs);
     }
     store.ingest(5, &[("fresh", 1)]);
     store.demote_idle();
-    assert!(store.tier_stats().warm_keys >= 1);
+    assert_eq!(store.tier_stats().warm_keys, 3);
     let snapshot = store.snapshot_bytes();
     assert!(WindowedStore::from_snapshot_bytes(&snapshot).is_ok());
+    snapshot
+}
+
+/// A copy of an `ELLW` snapshot with its header's `p` (byte 7) raised
+/// from 6 to 22: a 2^22-register sketch is 12 MiB.
+fn flip_header_p(snapshot: &[u8]) -> Vec<u8> {
+    let mut bad = snapshot.to_vec();
+    assert_eq!(
+        &bad[..8],
+        b"ELLW\x02\x02\x10\x06",
+        "magic, version, (t, d, p)"
+    );
+    bad[7] = 22;
+    bad
+}
+
+#[test]
+fn flipped_p_in_a_warm_window_entry_is_rejected_before_allocating() {
+    let snapshot = window_snapshot("key");
     assert_rejected_within_bound(&flip_first_compressed_p(&snapshot), |b| {
+        WindowedStore::from_snapshot_bytes(b).map_err(|e| e.to_string())
+    });
+}
+
+#[test]
+fn flipped_header_p_before_a_live_window_entry_is_rejected_before_allocating() {
+    // "fresh" sorts first: a live entry whose retired union and first
+    // two slots are empty, so only its third slot carries a config.
+    let snapshot = window_snapshot("key");
+    assert_rejected_within_bound(&flip_header_p(&snapshot), |b| {
+        WindowedStore::from_snapshot_bytes(b).map_err(|e| e.to_string())
+    });
+}
+
+#[test]
+fn flipped_header_p_before_a_warm_window_entry_is_rejected_before_allocating() {
+    // "a-0" sorts before "fresh": the first entry is warm.
+    let snapshot = window_snapshot("a");
+    assert_rejected_within_bound(&flip_header_p(&snapshot), |b| {
         WindowedStore::from_snapshot_bytes(b).map_err(|e| e.to_string())
     });
 }

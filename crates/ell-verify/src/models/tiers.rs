@@ -1,10 +1,13 @@
 //! Protocol 5: tier demote vs promote-on-access vs concurrent flush.
 //!
-//! The real code: `EllStore::demote_idle` sweeps shard entries under
-//! the write lock, compressing idle resident sketches into warm byte
-//! blobs; reads promote a warm entry back to residency on access;
-//! flushes that land on a warm entry buffer their delta as *pending*
-//! rather than paying a decompress-merge-recompress round trip. All three transitions run
+//! The real code: one residency ladder (`ell-store`'s
+//! `tiers::Ladder`) runs under both stores. Its sweep — called by
+//! `EllStore::demote_idle`, and by `WindowedStore::advance` as part of
+//! rotation — visits shard entries under the write lock, compressing
+//! idle resident values (sketches or epoch rings) into warm byte blobs;
+//! reads promote a warm entry back to residency on access; flushes that
+//! land on a warm entry park their run as *pending* rather than paying
+//! a decompress-merge-recompress round trip. All three transitions run
 //! under the same shard write lock, so the race surface is transition
 //! *ordering*, not torn state: a demote sliding in between a flush's
 //! tier check and its merge, a promote racing a demote, pending deltas

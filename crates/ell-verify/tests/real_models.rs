@@ -200,3 +200,52 @@ fn real_store_demote_races_ingest_and_estimate() {
     });
     report.assert_clean(100);
 }
+
+#[test]
+fn real_window_demote_races_flush_and_query() {
+    // The window instance of the residency ladder, where rotation is the
+    // sweep: with a one-epoch warm threshold, `advance` demotes the idle
+    // ring while a session flush parks on it (or lands live) and a
+    // window query revives it.
+    let report = ell_verify::explore(&Config::default().random_only(100).seed(16), || {
+        let mut store = WindowedStore::new(1, small_cfg(), 2).expect("store");
+        store.set_warm_after(Some(1));
+        store.insert("k", 0, 0x1111_2222_3333_4444);
+        let store = Arc::new(store);
+
+        let s = Arc::clone(&store);
+        let rotator = shuttle::thread::spawn(move || s.advance(1));
+        let s = Arc::clone(&store);
+        let flusher = shuttle::thread::spawn(move || {
+            let mut sess = s.session();
+            sess.insert("k", 0, 0x9999_AAAA_BBBB_CCCC);
+            sess.flush();
+        });
+        let s = Arc::clone(&store);
+        let reader = shuttle::thread::spawn(move || s.estimate_window("k", 2));
+
+        rotator.join().expect("rotator");
+        flusher.join().expect("flusher");
+        let seen = reader.join().expect("reader");
+        assert!(seen.is_some(), "racing query lost the key entirely");
+
+        // Sequential twin: the same events, then the same rotation.
+        let seq = WindowedStore::new(1, small_cfg(), 2).expect("store");
+        seq.insert("k", 0, 0x1111_2222_3333_4444);
+        seq.insert("k", 0, 0x9999_AAAA_BBBB_CCCC);
+        seq.advance(1);
+        for k in 1..=2 {
+            assert_eq!(
+                store.estimate_window("k", k),
+                seq.estimate_window("k", k),
+                "demote/flush race changed window k={k}"
+            );
+        }
+        assert_eq!(
+            store.estimate_all_time("k"),
+            seq.estimate_all_time("k"),
+            "demote/flush race dropped a contribution"
+        );
+    });
+    report.assert_clean(100);
+}

@@ -294,10 +294,17 @@ impl ExaLogLog {
         self.regs.is_all_zero()
     }
 
-    /// Resets the sketch to its empty state without reallocating.
+    /// Resets the sketch to its empty state without reallocating: the
+    /// registers are zeroed and an existing coefficient cache is reset
+    /// in place, so a scratch or recycled ring slot can be cleared on a
+    /// hot path.
     pub fn clear(&mut self) {
         self.regs.clear();
-        self.coeffs = Some(Box::new(ml::empty_coefficients(self.cfg.m())));
+        let empty = ml::empty_coefficients(self.cfg.m());
+        match &mut self.coeffs {
+            Some(coeffs) => **coeffs = empty,
+            None => self.coeffs = Some(Box::new(empty)),
+        }
     }
 
     /// Merges register `i` of `other` into register `i` of `self`,
