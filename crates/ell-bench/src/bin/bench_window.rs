@@ -4,6 +4,16 @@
 //! as `BENCH_window.json` so the repository accumulates a trajectory
 //! across commits.
 //!
+//! Ring slots are sparse token sets until the §4.3 break-even and
+//! register arrays after it, so at p = 12 most slots of this workload's
+//! tail keys stay sparse and its head keys' slots go dense: queries fold
+//! both kinds into a dense scratch, and rotation merges both.
+//! `rotation_ns_per_key_epoch` is the median over [`ROTATION_TRIALS`]
+//! fresh restores of the final snapshot, each advanced one epoch at a
+//! time through E epochs; `rotation_ns_per_key_epoch_min` and `_max`
+//! record the spread, so a rotation regression shows in `--quick` runs
+//! too.
+//!
 //! ```text
 //! bench_window [--quick] [--out FILE] [--rounds N] [--epochs E]
 //!              [--keys N] [--events N] [--zipf S] [--drift D]
@@ -306,6 +316,9 @@ fn run_once(per_epoch: &[Vec<(String, u64)>], args: &Args, threads: usize) -> (f
     (t0.elapsed().as_secs_f64(), store)
 }
 
+/// Fresh restores the rotation timing takes its median over.
+const ROTATION_TRIALS: usize = 7;
+
 fn main() {
     let args = parse_args();
     if !args.shards.is_power_of_two() || args.shards == 0 {
@@ -555,19 +568,30 @@ fn main() {
     }
 
     // ---- rotation cost ----------------------------------------------
-    // Advance the restored copy through E further epochs: every step
-    // folds a populated slot per key into its retired union and recycles
-    // the slot in place.
+    // Restore the snapshot afresh ROTATION_TRIALS times and advance each
+    // copy one epoch at a time through E further epochs: every step
+    // folds a populated slot per key into its retired union and resets
+    // the slot. One advance per process is too noisy to show a
+    // regression, so the median (with min and max) is recorded.
     let rotation_steps = args.epochs as u64;
-    let t0 = Instant::now();
-    restored.advance(current + rotation_steps);
-    let rotation_secs = t0.elapsed().as_secs_f64();
-    let rotation_ns_per_key_epoch =
-        rotation_secs * 1e9 / (rotation_steps as f64 * restored.key_count() as f64);
+    let mut rotation_ns: Vec<f64> = (0..ROTATION_TRIALS)
+        .map(|_| {
+            let fresh = WindowedStore::from_snapshot_bytes(&snapshot).expect("restored above");
+            let t0 = Instant::now();
+            for step in 1..=rotation_steps {
+                fresh.advance(current + step);
+            }
+            let secs = t0.elapsed().as_secs_f64();
+            secs * 1e9 / (rotation_steps as f64 * fresh.key_count().max(1) as f64)
+        })
+        .collect();
+    rotation_ns.sort_by(f64::total_cmp);
+    let rotation_ns_per_key_epoch = rotation_ns[ROTATION_TRIALS / 2];
+    let (rotation_min, rotation_max) = (rotation_ns[0], rotation_ns[ROTATION_TRIALS - 1]);
     println!(
-        "rotation: {rotation_steps} epochs × {} keys in {:.3} ms ({rotation_ns_per_key_epoch:.0} ns/key/epoch)",
-        restored.key_count(),
-        rotation_secs * 1e3
+        "rotation: {rotation_steps} epochs × {} keys, {ROTATION_TRIALS} restores: \
+         median {rotation_ns_per_key_epoch:.0} ns/key/epoch (min {rotation_min:.0}, max {rotation_max:.0})",
+        restored.key_count()
     );
 
     if !deterministic || !equivalent || !roundtrip_ok || !allocation_free || !late_equivalent {
@@ -595,6 +619,9 @@ fn main() {
          \"memory_bytes\": {memory_bytes},\n  \
          \"bytes_per_key\": {bytes_per_key:.1},\n  \
          \"rotation_ns_per_key_epoch\": {rotation_ns_per_key_epoch:.1},\n  \
+         \"rotation_ns_per_key_epoch_min\": {rotation_min:.1},\n  \
+         \"rotation_ns_per_key_epoch_max\": {rotation_max:.1},\n  \
+         \"rotation_trials\": {ROTATION_TRIALS},\n  \
          \"deterministic_across_threads\": {deterministic},\n  \
          \"equivalence\": \"{}\",\n  \"roundtrip_ok\": {roundtrip_ok},\n  \
          \"queries_allocation_free\": {allocation_free},\n  \

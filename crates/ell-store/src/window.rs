@@ -10,34 +10,44 @@
 //! # Architecture
 //!
 //! A [`WindowedStore`] maps string keys to **epoch rings**: a ring of
-//! `E` dense [`ExaLogLog`] sub-sketches (slot `e % E` holds the data of
-//! epoch `e` for every epoch in the live window) plus one compacted
+//! `E` [`AdaptiveExaLogLog`] sub-sketches (slot `e % E` holds the data
+//! of epoch `e` for every epoch in the live window) plus one compacted
 //! *retired* union of every epoch that has fallen out of the window.
-//! Like [`EllStore`](crate::EllStore), keys are hash-partitioned over N
-//! power-of-two shards, each a `RwLock` over a flat open-addressed table
-//! probed by the same key hash that picked the shard.
+//! Like a flat key, each slot and the retired union hold hash tokens
+//! until the §4.3 break-even and a dense register array after it, so a
+//! key that sees a few elements per epoch costs a few tokens per slot,
+//! not E + 1 register arrays. Like [`EllStore`](crate::EllStore), keys
+//! are hash-partitioned over N power-of-two shards, each a `RwLock` over
+//! a flat open-addressed table probed by the same key hash that picked
+//! the shard.
 //!
-//! On top of the ring each key keeps a chain of **suffix unions**:
+//! On top of the ring each key keeps a chain of dense **suffix unions**:
 //! `suffix[j]` is the union of the newest `j + 1` *sealed* epochs (every
 //! live epoch except the mutable current one), so `suffix[j] =
-//! suffix[j-1] ∪ slot(current − 1 − j)`. Any trailing window is then two
-//! word-level merges instead of k:
+//! suffix[j-1] ∪ slot(current − 1 − j)`. The chain is derived state: it
+//! is allocated only when a query first needs it, grows to the longest
+//! window a query has asked for, and is never demoted or serialized. Any
+//! trailing window is then two folds instead of k:
 //!
 //! * [`WindowedStore::estimate_window`]`(key, k)` clones `suffix[k − 2]`
-//!   into a reusable scratch sketch and merges the live current-epoch
-//!   slot on top (`k = 1` clears the scratch instead — the same code
-//!   path, so latency is flat in k). No per-query heap allocation
-//!   happens; the `bench_window` binary counts allocations to prove it,
+//!   into a reusable dense scratch sketch and folds the live
+//!   current-epoch slot on top — a word-level merge once the slot is
+//!   dense, its tokens streamed in while sparse (`k = 1` loads the slot
+//!   alone — the same code path, so latency is flat in k). Every
+//!   estimate is the dense ML estimate of the merged registers,
+//!   bit-identical to the offline dense merge of the same epochs. No
+//!   per-query heap allocation happens once a key's chain is long
+//!   enough; the `bench_window` binary counts allocations to prove it,
 //!   and emits a `query_flat_vs_k` verdict that CI gates.
 //! * [`WindowedStore::advance`] rotates the window forward: each epoch
-//!   leaving the window folds into the retired union through the
-//!   word-level merge scan, and its slot is cleared in place — rotation
-//!   is allocation-free. Rotation re-seals the previous current epoch,
-//!   so it resets each key's suffix validity; the chain is rebuilt
-//!   **lazily and incrementally** by the next queries (each suffix entry
-//!   is built at most once per rotation, so the rebuild cost is
-//!   amortized over the rotation interval and the steady-state query
-//!   path stays O(1) merges).
+//!   leaving the window folds into the retired union — a token merge
+//!   while both are sparse — and its slot becomes an empty token set.
+//!   Rotation re-seals the previous current epoch, so it resets each
+//!   key's suffix validity; the chain is rebuilt **lazily and
+//!   incrementally** by the next queries (each suffix entry is built at
+//!   most once per rotation, so the rebuild cost is amortized over the
+//!   rotation interval and the steady-state query path stays O(1)
+//!   folds).
 //! * Late events for a *sealed* epoch still inside the window land in
 //!   that epoch's slot and truncate the key's suffix validity to the
 //!   entries that exclude it (a **dirty invalidation**); the next query
@@ -112,22 +122,26 @@ pub(crate) type WindowEntry = Entry<WindowRing>;
 #[derive(Debug)]
 pub(crate) struct WindowRing {
     /// Slot `e % E` holds epoch `e`'s sub-sketch for every live epoch
-    /// `e` in `(current − E, current]`; slots for epochs the key never
-    /// saw stay empty (and cost one zero-word scan to merge). Fixed
-    /// lengths, so boxed slices: the ring sits inline in its shard-table
-    /// entry, where a `Vec`'s capacity word would be paid per key.
-    ring: Box<[ExaLogLog]>,
+    /// `e` in `(current − E, current]`: a token set until the §4.3
+    /// break-even, registers after it, like a flat key. Slots for epochs
+    /// the key never saw are empty token sets. Fixed length, so a boxed
+    /// slice: the ring sits inline in its shard-table entry, where a
+    /// `Vec`'s capacity word would be paid per key.
+    ring: Box<[AdaptiveExaLogLog]>,
     /// Union of every epoch of this key that has left the window.
-    retired: ExaLogLog,
-    /// Cumulative unions over the *sealed* (non-current) live slots:
-    /// `suffix[j] = ⋃ slot(current − 1 − i) for i ≤ j` — the newest
-    /// `j + 1` sealed epochs. Length `E − 1`; entries are rebuilt in
-    /// place (`clone_from` + one merge each), never reallocated.
+    retired: AdaptiveExaLogLog,
+    /// Dense cumulative unions over the *sealed* (non-current) live
+    /// slots: `suffix[j] = ⋃ slot(current − 1 − i) for i ≤ j` — the
+    /// newest `j + 1` sealed epochs. Empty until a query first needs an
+    /// entry, then grown to the longest chain a query has needed (at most
+    /// `E − 1`); entries are rebuilt in place (a dense copy plus one
+    /// fold each), never shrunk. Derived state: never encoded.
     suffix: Box<[ExaLogLog]>,
     /// Number of leading suffix entries consistent with the store's
-    /// current window position. Rotation resets it to 0 (the chain is
-    /// re-derived lazily); a late event for sealed epoch `e` truncates
-    /// it to `current − 1 − e`, the entries that exclude `e`.
+    /// current window position (never more than `suffix.len()`).
+    /// Rotation resets it to 0 (the chain is re-derived lazily); a late
+    /// event for sealed epoch `e` truncates it to `current − 1 − e`, the
+    /// entries that exclude `e`.
     valid: usize,
 }
 
@@ -140,34 +154,52 @@ pub(crate) struct Position {
     current: u64,
 }
 
+/// An empty token set of the store's configuration and default token
+/// parameter: the state of a slot no event has reached.
+fn empty(cfg: EllConfig) -> AdaptiveExaLogLog {
+    AdaptiveExaLogLog::new(cfg).expect("token parameter validated at store construction")
+}
+
+/// Folds `sketch` into the dense accumulator `acc`: a word-level merge
+/// of a dense sketch, the tokens of a sparse one streamed in.
+fn fold(acc: &mut ExaLogLog, sketch: &AdaptiveExaLogLog) {
+    sketch
+        .merge_into_dense(acc)
+        .expect("ring sketches share the store configuration");
+}
+
+/// Makes the dense `acc` equal to `sketch`: a clone of a dense sketch,
+/// or a clear and a [`fold`] of a sparse one.
+fn load(acc: &mut ExaLogLog, sketch: &AdaptiveExaLogLog) {
+    match sketch.as_dense() {
+        Some(dense) => acc.clone_from(dense),
+        None => {
+            acc.clear();
+            fold(acc, sketch);
+        }
+    }
+}
+
 impl WindowRing {
     /// A ring of `slots` (the retired union and E epoch slots) with an
-    /// empty, invalid suffix chain for queries to re-derive.
-    pub(crate) fn restored(retired: ExaLogLog, slots: Vec<ExaLogLog>) -> Self {
-        let cfg = *retired.config();
-        let suffix = (1..slots.len()).map(|_| ExaLogLog::new(cfg)).collect();
+    /// empty suffix chain for queries to derive.
+    pub(crate) fn restored(retired: AdaptiveExaLogLog, slots: Vec<AdaptiveExaLogLog>) -> Self {
         WindowRing {
             ring: slots.into(),
             retired,
-            suffix,
+            suffix: Box::default(),
             valid: 0,
         }
     }
 
     fn new(cfg: EllConfig, epochs: usize) -> Self {
-        let slots = (0..epochs).map(|_| ExaLogLog::new(cfg)).collect();
-        WindowRing {
-            // A fresh ring's sealed slots are all empty, so its empty
-            // suffix entries are already correct.
-            valid: epochs - 1,
-            ..WindowRing::restored(ExaLogLog::new(cfg), slots)
-        }
+        WindowRing::restored(empty(cfg), vec![empty(cfg); epochs])
     }
 
     /// The sketch holding `epoch` under the pinned `current`: its ring
     /// slot while the epoch is live, the retired union once it has left
     /// the window.
-    fn epoch_target(&mut self, current: u64, epoch: u64) -> &mut ExaLogLog {
+    fn epoch_target(&mut self, current: u64, epoch: u64) -> &mut AdaptiveExaLogLog {
         let e = self.ring.len() as u64;
         if current - epoch < e {
             &mut self.ring[(epoch % e) as usize]
@@ -201,17 +233,18 @@ impl Rung for WindowRing {
     type Parked = Vec<(u64, AdaptiveExaLogLog)>;
     type Ctx = Position;
 
-    /// The `ELLW` warm-entry body: one `ELLZ` payload per nonempty slot,
-    /// tagged with its *absolute* epoch (so rotation can skip warm rings
-    /// entirely and the catch-up happens at revival), plus the retired
-    /// union. Suffix unions are derived state and are dropped.
+    /// The `ELLW` warm-entry body: one payload per nonempty slot —
+    /// `ELLS` while sparse, `ELLZ` once dense — tagged with its
+    /// *absolute* epoch (so rotation can skip warm rings entirely and
+    /// the catch-up happens at revival), plus the retired union. Suffix
+    /// unions are derived state and are dropped.
     fn encode(&self, at: Position) -> Box<[u8]> {
         let e = self.ring.len() as u64;
         // The live epochs (current − E, current], oldest first, each in
         // slot `epoch % E`; slots of epochs before the store's first are
         // empty.
         let live = (at.current + 1).saturating_sub(e)..=at.current;
-        let slots: Vec<(u64, &ExaLogLog)> = live
+        let slots: Vec<(u64, &AdaptiveExaLogLog)> = live
             .map(|epoch| (epoch, &self.ring[(epoch % e) as usize]))
             .filter(|(_, sketch)| !sketch.is_empty())
             .collect();
@@ -219,15 +252,17 @@ impl Rung for WindowRing {
     }
 
     /// Rebuilds the live ring under the pinned window position: payloads
-    /// whose epoch is still in the window decompress straight into their
-    /// slot, rotated-out epochs fold into the retired union (exactly the
-    /// merges rotation would have performed), and parked runs route the
-    /// same way. Register merge is monotone, commutative and idempotent,
-    /// so the result is bit-identical to a ring that was never demoted.
+    /// whose epoch is still in the window become their slot (a sparse
+    /// one exactly as sparse as it was demoted), rotated-out epochs fold
+    /// into the retired union (exactly the merges rotation would have
+    /// performed), and parked deltas merge into the sketch they land in.
+    /// Merge is monotone, commutative and idempotent, and a token set
+    /// promotes only at break-even, so the result is bit-identical to a
+    /// ring that was never demoted.
     fn decode(bytes: &[u8], parked: Option<&Self::Parked>, at: Position) -> Self {
         let e = at.epochs as u64;
         let mut ring = WindowRing::new(at.cfg, at.epochs);
-        let each = |epoch: Option<u64>, sketch: ExaLogLog| match epoch {
+        let mut each = |epoch: Option<u64>, sketch: AdaptiveExaLogLog| match epoch {
             Some(epoch) if at.current - epoch < e => ring.ring[(epoch % e) as usize] = sketch,
             // The retired union comes first, into the fresh ring.
             None => ring.retired = sketch,
@@ -236,21 +271,30 @@ impl Rung for WindowRing {
                 .merge_from(&sketch)
                 .expect("warm payloads share the store configuration"),
         };
-        read_warm_body(bytes, &at.cfg, at.epochs, at.current, &String::new, each)
-            .expect("warm bytes are written by this store or validated on restore");
+        read_warm_body(
+            bytes,
+            &at.cfg,
+            at.epochs,
+            at.current,
+            &String::new,
+            Some(&mut each),
+        )
+        .expect("warm bytes are written by this store or validated on restore");
         for (epoch, delta) in parked.into_iter().flatten() {
-            delta
-                .merge_into_dense(ring.epoch_target(at.current, *epoch))
+            ring.epoch_target(at.current, *epoch)
+                .merge_from(delta)
                 .expect("deltas share the store configuration");
         }
-        // The suffix chain starts invalid; queries re-derive it lazily.
-        ring.valid = 0;
         ring
     }
 
     fn heap_bytes(&self) -> usize {
         self.retired.memory_bytes()
-            + self.ring.iter().map(ExaLogLog::memory_bytes).sum::<usize>()
+            + self
+                .ring
+                .iter()
+                .map(AdaptiveExaLogLog::memory_bytes)
+                .sum::<usize>()
             + self
                 .suffix
                 .iter()
@@ -286,8 +330,8 @@ pub struct WindowStats {
     pub suffix_hits: u64,
     /// Queries that had to extend a key's suffix chain first.
     pub lazy_rebuilds: u64,
-    /// Total suffix entries built by those rebuilds (one `clone_from`
-    /// plus one word-level merge each).
+    /// Total suffix entries built by those rebuilds (one dense copy plus
+    /// one fold of a slot each).
     pub suffix_entries_built: u64,
     /// Times a late event for a sealed epoch truncated a key's valid
     /// suffix prefix.
@@ -331,12 +375,13 @@ impl WindowedStore {
     /// two), the given per-epoch sketch configuration, and a ring of
     /// `epochs` sub-sketches per key (the largest answerable window).
     ///
-    /// Each key costs `2 × epochs` dense register arrays — `epochs`
-    /// ring slots, `epochs − 1` suffix unions, and the retired union —
-    /// so pick the precision accordingly (p=12 at ELL(2,20) is ~14 KiB
-    /// per array). The suffix chain is the space half of the space-time
-    /// trade: it makes every trailing-window query one or two merges
-    /// instead of k.
+    /// Each key costs `epochs + 1` sketches — `epochs` ring slots and
+    /// the retired union — that hold hash tokens until the §4.3
+    /// break-even, like a flat key, and a register array each after it
+    /// (p=12 at ELL(2,20) is ~14 KiB per array). A key a query has
+    /// reached also holds up to `epochs − 1` dense suffix unions: the
+    /// space half of the space-time trade that makes every
+    /// trailing-window query one or two merges instead of k.
     ///
     /// # Errors
     ///
@@ -366,9 +411,10 @@ impl WindowedStore {
 
     /// Enables (or disables, with `None`) warm-tier demotion: a key
     /// whose ring has not been ingested into or queried for at least
-    /// `epochs_idle` epochs compresses down to `ELLZ` payloads — one per
-    /// nonempty slot, tagged with its absolute epoch, plus one for the
-    /// retired union — at the next rotation or
+    /// `epochs_idle` epochs is encoded to one payload per nonempty slot,
+    /// tagged with its absolute epoch, plus one for the retired union —
+    /// a sparse sketch's `ELLS` token set verbatim, a dense one's `ELLZ`
+    /// range coding — at the next rotation or
     /// [`WindowedStore::demote_idle`] sweep. Any later ingest or query
     /// promotes the ring back (late events re-demote immediately), and
     /// session flushes park their deltas on the warm entry instead of
@@ -421,9 +467,9 @@ impl WindowedStore {
 
     /// Advances the window to `epoch` (a no-op when the window is
     /// already there or past it). Every epoch that falls out of the
-    /// trailing window folds into its key's retired union through the
-    /// word-level merge scan, and the vacated ring slot is cleared in
-    /// place — rotation allocates nothing.
+    /// trailing window folds into its key's retired union — a token
+    /// merge while both are sparse, the word-level merge scan once both
+    /// are dense — and the vacated ring slot becomes an empty token set.
     ///
     /// Rotation re-seals the previous current epoch, so every key's
     /// suffix chain is reset; the next queries rebuild it incrementally
@@ -447,11 +493,13 @@ impl WindowedStore {
         let first = (*current + 1).max(epoch.saturating_sub(e - 1));
         let rotate = |ring: &mut WindowRing| {
             for rotated in first..=epoch {
-                let slot = (rotated % e) as usize;
-                ring.retired
-                    .merge_from(&ring.ring[slot])
-                    .expect("ring slots share the store configuration");
-                ring.ring[slot].clear();
+                let slot = &mut ring.ring[(rotated % e) as usize];
+                if !slot.is_empty() {
+                    ring.retired
+                        .merge_from(slot)
+                        .expect("ring slots share the store configuration");
+                    slot.clear();
+                }
             }
             // The sealed set shifted under the chain; re-derive it
             // lazily rather than paying E merges per key up front.
@@ -563,10 +611,10 @@ impl WindowedStore {
     }
 
     /// Extends `ring`'s suffix chain so the first `needed` entries are
-    /// valid: each new entry is one `clone_from` of its predecessor plus
-    /// one word-level merge of the next-older sealed slot. Returns the
-    /// number of entries built. Allocation-free: the entries were sized
-    /// at ring construction and are rebuilt in place.
+    /// valid: each new entry is a dense copy of its predecessor with the
+    /// next-older sealed slot folded in. Returns the number of entries
+    /// built. Allocates only when the chain grows longer than any query
+    /// has needed before; otherwise entries are rebuilt in place.
     fn extend_suffixes(&self, ring: &mut WindowRing, current: u64, needed: usize) -> usize {
         let built = needed - ring.valid;
         let e = self.epochs as u64;
@@ -576,22 +624,28 @@ impl WindowedStore {
             valid,
             ..
         } = ring;
+        if suffix.len() < needed {
+            let mut grown = std::mem::take(suffix).into_vec();
+            grown.reserve_exact(needed - grown.len());
+            grown.resize_with(needed, || ExaLogLog::new(self.cfg));
+            *suffix = grown.into_boxed_slice();
+        }
         for j in *valid..needed {
             let (prev, rest) = suffix.split_at_mut(j);
             let entry = &mut rest[0];
             // Sealed epoch `current − 1 − j` — nonexistent before the
             // store's first epoch, in which case it contributes nothing.
-            let sealed = (current > j as u64).then(|| current - 1 - j as u64);
-            match (j, sealed) {
-                (0, Some(epoch)) => entry.clone_from(&slots[(epoch % e) as usize]),
-                (0, None) => entry.clear(),
-                (_, Some(epoch)) => {
-                    entry.clone_from(&prev[j - 1]);
-                    entry
-                        .merge_from(&slots[(epoch % e) as usize])
-                        .expect("ring slots share the store configuration");
+            let sealed =
+                (current > j as u64).then(|| &slots[((current - 1 - j as u64) % e) as usize]);
+            match (prev.last(), sealed) {
+                (None, Some(slot)) => load(entry, slot),
+                (None, None) => entry.clear(),
+                (Some(prev), sealed) => {
+                    entry.clone_from(prev);
+                    if let Some(slot) = sealed {
+                        fold(entry, slot);
+                    }
                 }
-                (_, None) => entry.clone_from(&prev[j - 1]),
             }
         }
         *valid = needed;
@@ -600,36 +654,32 @@ impl WindowedStore {
 
     /// Finishes a window query from a valid suffix chain: the scratch
     /// becomes `suffix[k − 2] ∪ current slot` (for `k = 1`, just the
-    /// current slot) — one clone plus one merge regardless of k.
+    /// current slot) — one clone plus one fold regardless of k.
     fn finish_window(&self, si: usize, ring: &WindowRing, current: u64, last_k: usize) -> f64 {
         let cur_slot = &ring.ring[(current % self.epochs as u64) as usize];
         self.scratch_estimate(si, |scratch| {
             if last_k == 1 {
-                scratch.clear();
+                load(scratch, cur_slot);
             } else {
                 scratch.clone_from(&ring.suffix[last_k - 2]);
+                fold(scratch, cur_slot);
             }
-            scratch
-                .merge_from(cur_slot)
-                .expect("ring slots share the store configuration");
         })
     }
 
     /// Finishes an all-time query from a valid suffix chain: the scratch
     /// becomes `retired ∪ suffix[E − 2] ∪ current slot` — at most two
-    /// merges instead of folding all E slots.
+    /// folds instead of folding all E slots.
     fn finish_all_time(&self, si: usize, ring: &WindowRing, current: u64) -> f64 {
         let cur_slot = &ring.ring[(current % self.epochs as u64) as usize];
         self.scratch_estimate(si, |scratch| {
-            scratch.clone_from(&ring.retired);
+            load(scratch, &ring.retired);
             if self.epochs >= 2 {
                 scratch
                     .merge_from(&ring.suffix[self.epochs - 2])
                     .expect("ring slots share the store configuration");
             }
-            scratch
-                .merge_from(cur_slot)
-                .expect("ring slots share the store configuration");
+            fold(scratch, cur_slot);
         })
     }
 
@@ -690,15 +740,15 @@ impl WindowedStore {
     /// the last `last_k` epochs — `(current − last_k, current]` — or
     /// `None` if the key has never been observed.
     ///
-    /// **O(1) in the window length:** the scratch sketch is
-    /// `clone_from(suffix[k − 2])` plus one word-level
-    /// [`ExaLogLog::merge_from`] of the live current-epoch slot — one
-    /// clone and one merge regardless of k (k = 1 clears the scratch
-    /// through the same path, so latency is flat in k). No per-query
-    /// heap allocation happens, including lazy suffix rebuilds after
-    /// rotation or late events (entries are rebuilt in place). Every
-    /// answer stays bit-identical to the offline per-register merge of
-    /// the same k epochs.
+    /// **O(1) in the window length:** the dense scratch sketch is
+    /// `clone_from(suffix[k − 2])` plus the live current-epoch slot —
+    /// merged word by word once dense, its tokens streamed in while
+    /// sparse — one clone and one fold regardless of k (k = 1 loads the
+    /// current slot alone, so latency is flat in k). No per-query heap
+    /// allocation happens once a key's chain has reached length k − 1,
+    /// including lazy suffix rebuilds after rotation or late events
+    /// (entries are rebuilt in place). Every answer stays bit-identical
+    /// to the offline per-register merge of the same k epochs.
     ///
     /// # Panics
     ///
@@ -759,7 +809,8 @@ impl WindowedStore {
         let slot = (epoch % self.epochs as u64) as usize;
         self.core.with(key, |entry| {
             let at = self.at(*current);
-            self.ladder.read(entry, at, |ring| ring.ring[slot].clone())
+            self.ladder
+                .read(entry, at, |ring| ring.ring[slot].to_dense())
         })
     }
 
@@ -771,7 +822,7 @@ impl WindowedStore {
         let current = self.current.read().expect("epoch lock poisoned");
         self.core.with(key, |entry| {
             let at = self.at(*current);
-            self.ladder.read(entry, at, |ring| ring.retired.clone())
+            self.ladder.read(entry, at, |ring| ring.retired.to_dense())
         })
     }
 
@@ -811,8 +862,9 @@ impl WindowedStore {
     }
 
     /// Approximate total in-memory footprint in bytes (keys + rings or
-    /// warm payloads + the store scaffolding). A deep account: warm
-    /// entries contribute their compressed payload lengths plus any
+    /// warm payloads + the store scaffolding). A deep account: live rings
+    /// contribute their tokens, register arrays and built suffix unions,
+    /// warm entries their encoded payload lengths plus any
     /// parked deltas, which is what the tiering trade is about.
     #[must_use]
     pub fn memory_bytes(&self) -> usize {
@@ -910,9 +962,7 @@ impl Keyed for WindowedStore {
                 let i = match parked.iter().position(|(at, _)| *at == epoch) {
                     Some(i) => i,
                     None => {
-                        let delta = AdaptiveExaLogLog::new(self.cfg)
-                            .expect("configuration validated at store construction");
-                        parked.push((epoch, delta));
+                        parked.push((epoch, empty(self.cfg)));
                         parked.len() - 1
                     }
                 };
@@ -1054,11 +1104,54 @@ mod tests {
 
     #[test]
     fn memory_accounts_for_rings() {
-        let store = WindowedStore::new(2, cfg(), 3).unwrap();
+        // p = 10: a register array is 3.5 KiB.
+        let cfg = EllConfig::optimal(10).unwrap();
+        let array = cfg.register_array_bytes();
+        let store = WindowedStore::new(2, cfg, 8).unwrap();
         let empty = store.memory_bytes();
         store.insert("some-key", 0, 7);
-        // One key costs E+1 register arrays.
-        assert!(store.memory_bytes() > empty + 3 * cfg().register_array_bytes());
+        // A one-element key holds one token, not a register array…
+        let one = store.memory_bytes();
+        assert!(one > empty && one < empty + array, "{one} vs {empty}");
+        // …and a slot past break-even holds one.
+        let batch: Vec<(&str, u64)> = (0..5000).map(|i| ("some-key", mix64(i))).collect();
+        store.ingest(0, &batch);
+        assert!(store.memory_bytes() >= empty + array);
+    }
+
+    #[test]
+    fn sparse_rings_hold_only_the_suffix_arrays_queries_built() {
+        let cfg = EllConfig::optimal(10).unwrap();
+        let store = WindowedStore::new(1, cfg, 4).unwrap();
+        for epoch in 0..6u64 {
+            store.ingest(epoch, &[("k", mix64(epoch)), ("k", mix64(100 + epoch))]);
+        }
+        // (dense ring sketches, suffix entries, heap bytes) of "k".
+        let census = |store: &WindowedStore| {
+            store
+                .core
+                .with("k", |entry| {
+                    let ring = entry.value().expect("live");
+                    let sketches = ring.ring.iter().chain([&ring.retired]);
+                    let dense = sketches.filter(|s| !s.is_sparse()).count();
+                    (dense, ring.suffix.len(), ring.heap_bytes())
+                })
+                .unwrap()
+        };
+        let (dense, suffixes, sparse_bytes) = census(&store);
+        assert_eq!((dense, suffixes), (0, 0));
+        assert!(sparse_bytes < cfg.register_array_bytes());
+        // k = 1 needs no suffix entry; k = 3 builds two, and they stay
+        // for narrower windows and across rotation.
+        store.estimate_window("k", 1).unwrap();
+        assert_eq!(census(&store).1, 0);
+        store.estimate_window("k", 3).unwrap();
+        store.estimate_window("k", 2).unwrap();
+        let (dense, suffixes, bytes) = census(&store);
+        assert_eq!((dense, suffixes), (0, 2));
+        assert_eq!(bytes, sparse_bytes + 2 * ExaLogLog::new(cfg).memory_bytes());
+        store.advance(7);
+        assert_eq!(census(&store).1, 2);
     }
 
     #[test]

@@ -4,7 +4,7 @@
 //!
 //! ```text
 //! "ELLW"            magic (4 bytes)
-//! version           u8, currently 2 (version 1 is still read)
+//! version           u8, currently 3 (versions 1 and 2 are still read)
 //! t, d, p           u8 × 3 — the per-epoch sketch configuration
 //! epochs            u32 — ring capacity E
 //! shards            u32 — shard count (power of two)
@@ -15,70 +15,96 @@
 //!   tier            u8 — 0 = live, 1 = warm (absent in version 1:
 //!                   every v1 entry is live)
 //!   live entries:
-//!     retired length  u32, then the retired union as `ELL1` (length 0
+//!     retired length  u32, then the retired union's payload (length 0
 //!                     encodes an empty sketch without a payload)
 //!     E ring slots, in slot-index order, each:
-//!       slot length   u32, then the slot as `ELL1` (0 = empty)
+//!       slot length   u32, then the slot's payload (0 = empty)
 //!   warm entries:
-//!     retired length  u32, then the retired union as `ELLZ` (0 = empty)
+//!     retired length  u32, then the retired union's payload (0 = empty)
 //!     slot count      u32, then per nonempty slot, in epoch order:
 //!       epoch         u64
-//!       slot length   u32, then the slot as `ELLZ`
+//!       slot length   u32, then the slot's payload
 //! ```
 //!
+//! A payload is identified by its magic, as
+//! [`AdaptiveExaLogLog::from_bytes`] does:
+//!
+//! * `ELLS` — a slot still below the §4.3 break-even, as its token set,
+//!   in live and warm entries alike. Its token parameter must be the
+//!   store's default `v = max(p + t, 26)`.
+//! * `ELL1` — a dense slot in a live entry.
+//! * `ELLZ` — a dense slot in a warm entry, range-coded.
+//!
+//! Any other payload — `ELLZ` in a live entry, `ELL1` in a warm one, an
+//! `ELLS` payload holding registers — is rejected.
+//!
+//! Versions 1 and 2 predate sparse slots: their live payloads are all
+//! `ELL1` and their warm ones all `ELLZ`, and a slot decoded from them
+//! stays dense. Every payload's `(t, d, p)` must be the header's,
+//! checked before it is decoded, and a ring must hold at least one
+//! nonempty payload, as every key the store creates does.
+//!
 //! Entries are written in key order, empty sketches compress to a zero
-//! length, and every live payload is the canonical `ELL1` serialization,
-//! so equal windowed states produce equal snapshot bytes regardless of
-//! ingest threading — and every payload deserializes with a live ML
-//! coefficient cache, so a restored store reproduces every windowed
-//! estimate bit-for-bit at cached speed. A warm ring's in-memory bytes
-//! *are* a warm entry's body: a snapshot writes them **verbatim**
-//! (parked session deltas are settled into them first), so snapshotting
-//! never pays a dense round trip for demoted keys, restore places them
-//! back as warm entries, and a restore → re-snapshot cycle reproduces
-//! the identical bytes. Restore and revival read warm bodies with one
-//! parser, [`read_warm_body`], so revival decodes nothing restore did
-//! not accept.
+//! length, and every live payload is the canonical serialization of its
+//! slot, so equal windowed states produce equal snapshot bytes
+//! regardless of ingest threading or of when slots were demoted and
+//! revived. A warm ring's in-memory bytes *are* a warm entry's body: a
+//! snapshot writes them **verbatim** (parked session deltas are settled
+//! into them first), restore places them back as warm entries, and a
+//! restore → re-snapshot cycle reproduces the identical bytes. Sparse
+//! slots never touch the range coder on the way: demotion, settling,
+//! restore and revival of a token set are token copies. Restore and
+//! revival read warm bodies with one parser, [`read_warm_body`], which
+//! at restore reads only the header of an `ELLZ` payload (its
+//! range-coded body always decodes), so revival decodes nothing restore
+//! did not accept.
 
 use crate::tiers::Entry;
 use crate::window::{WindowRing, WindowedStore};
 use crate::wire::{
     check_payload_config, corrupt, corrupt_at, open, put_header, put_prefixed, Reader,
 };
-use exaloglog::compress::{compress, decompress};
+use exaloglog::adaptive::AdaptiveExaLogLog;
+use exaloglog::compress::{check_header, compress, decompress};
 use exaloglog::{EllConfig, EllError, ExaLogLog};
 
 const MAGIC: &[u8; 4] = b"ELLW";
-const VERSION: u8 = 2;
+const VERSION: u8 = 3;
 /// magic + version + (t, d, p) + epochs + shards + current + entry count.
 const HEADER_LEN: usize = 4 + 1 + 3 + 4 + 4 + 8 + 8;
 /// Plausibility bound on the header-declared ring size (the shard
 /// count shares the `ELLK` bound). It only rejects absurd headers: a
-/// live entry still materializes E dense slots out of as few as 4·E
-/// bytes, an amplification this bound does not remove. Query scratches
-/// are allocated per shard on first use, so an empty store allocates
-/// no sketch however many shards its header declares.
+/// live entry still builds E empty token sets of 56 bytes each out of
+/// 4·E bytes of slot lengths. Query scratches are allocated per shard
+/// on first use, so an empty store allocates no sketch however many
+/// shards its header declares.
 const MAX_WIRE_EPOCHS: usize = 1 << 16;
 
 const TIER_LIVE: u8 = 0;
 const TIER_WARM: u8 = 1;
+/// The magic of a dense payload in a live entry and in a warm one.
+const LIVE_DENSE: &[u8; 4] = b"ELL1";
+const WARM_DENSE: &[u8; 4] = b"ELLZ";
 
-/// Appends a live sketch as `ELL1` behind its length (0 = empty).
-fn push_sketch(out: &mut Vec<u8>, sketch: &ExaLogLog) {
-    if sketch.is_empty() {
-        out.extend_from_slice(&0u32.to_le_bytes());
-    } else {
-        put_prefixed(out, &sketch.to_bytes());
-    }
+/// Appends `sketch` behind its length: nothing when it is empty, its
+/// `ELLS` token set while sparse, `dense` of its registers once
+/// promoted.
+fn push_sketch(out: &mut Vec<u8>, sketch: &AdaptiveExaLogLog, dense: fn(&ExaLogLog) -> Vec<u8>) {
+    let payload = match sketch.as_dense() {
+        _ if sketch.is_empty() => Vec::new(),
+        Some(registers) => dense(registers),
+        None => sketch.to_bytes(),
+    };
+    put_prefixed(out, &payload);
 }
 
 /// A live entry's body: the tier byte, the retired union, then every
-/// ring slot in slot order.
-pub(crate) fn live_entry(retired: &ExaLogLog, slots: &[ExaLogLog]) -> Vec<u8> {
+/// ring slot in slot order; dense sketches as `ELL1`.
+pub(crate) fn live_entry(retired: &AdaptiveExaLogLog, slots: &[AdaptiveExaLogLog]) -> Vec<u8> {
     let mut out = vec![TIER_LIVE];
-    push_sketch(&mut out, retired);
+    push_sketch(&mut out, retired, ExaLogLog::to_bytes);
     for slot in slots {
-        push_sketch(&mut out, slot);
+        push_sketch(&mut out, slot, ExaLogLog::to_bytes);
     }
     out
 }
@@ -92,49 +118,95 @@ pub(crate) fn warm_entry(bytes: &[u8]) -> Vec<u8> {
 }
 
 /// A warm ring's bytes, laid out as a warm entry's body: the retired
-/// union as `ELLZ` (length 0 when empty), then `(epoch, ELLZ)` per
-/// nonempty slot, in epoch order.
-pub(crate) fn encode_warm(retired: &ExaLogLog, slots: &[(u64, &ExaLogLog)]) -> Vec<u8> {
+/// union (length 0 when empty), then `(epoch, payload)` per nonempty
+/// slot, in epoch order; dense sketches as `ELLZ`.
+pub(crate) fn encode_warm(
+    retired: &AdaptiveExaLogLog,
+    slots: &[(u64, &AdaptiveExaLogLog)],
+) -> Vec<u8> {
     let mut out = Vec::new();
-    if retired.is_empty() {
-        put_prefixed(&mut out, &[]);
-    } else {
-        put_prefixed(&mut out, &compress(retired));
-    }
+    push_sketch(&mut out, retired, compress);
     let slot_count = u32::try_from(slots.len()).expect("slot count exceeds u32 wire field");
     out.extend_from_slice(&slot_count.to_le_bytes());
     for (epoch, sketch) in slots {
         out.extend_from_slice(&epoch.to_le_bytes());
-        put_prefixed(&mut out, &compress(sketch));
+        push_sketch(&mut out, sketch, compress);
     }
     out
 }
 
+/// Decodes one nonempty payload of a store with configuration `cfg` by
+/// its magic: `ELLS` to a token set, which must carry the store's token
+/// parameter, and the entry's dense magic — `ELL1` in a live entry,
+/// `ELLZ` in a warm one — to registers. Any other payload is rejected,
+/// so every accepted payload is the one the writer would produce. The
+/// configuration is checked before anything is decoded.
+fn read_sketch(
+    payload: &[u8],
+    cfg: &EllConfig,
+    dense: &[u8; 4],
+    what: &dyn Fn() -> String,
+) -> Result<AdaptiveExaLogLog, EllError> {
+    check_payload_config(payload, cfg, what)?;
+    let magic = &payload[..4];
+    if magic != b"ELLS" {
+        let registers = match magic {
+            _ if magic != dense => Err(format!(
+                "payload magic {:?} in an entry of {:?} and ELLS payloads",
+                String::from_utf8_lossy(magic),
+                String::from_utf8_lossy(dense)
+            )),
+            b"ELLZ" => decompress(payload).map_err(|e| e.to_string()),
+            _ => ExaLogLog::from_bytes(payload).map_err(|e| e.to_string()),
+        };
+        return registers
+            .map(AdaptiveExaLogLog::from_dense)
+            .map_err(|e| corrupt_at(what, e));
+    }
+    let sketch = AdaptiveExaLogLog::from_bytes(payload).map_err(|e| corrupt_at(what, e))?;
+    let v = AdaptiveExaLogLog::default_token_parameter(cfg);
+    match sketch.token_parameter() {
+        Some(found) if found == v => Ok(sketch),
+        Some(found) => Err(corrupt_at(
+            what,
+            format!("token parameter {found} is not the store's {v}"),
+        )),
+        None => Err(corrupt_at(what, "an ELLS payload holds registers")),
+    }
+}
+
 /// Parses the warm entry body at the front of `bytes` for a ring of
-/// `epochs` slots at window position `current`, handing each
-/// decompressed sketch to `each`: the retired union first (epoch
-/// `None`), then the slots in epoch order. Every payload must carry
-/// `cfg` (checked before it is decoded) and decompress, and the slot
-/// epochs must rise and not pass `current`. Returns the body's length.
+/// `epochs` slots at window position `current`: the retired union, then
+/// the slots in epoch order. The body must hold at least one payload,
+/// each must pass [`read_sketch`], and the slot epochs must rise and not
+/// pass `current`. Returns the body's length.
+///
+/// With `each`, every decoded sketch is handed to it, the retired union
+/// with epoch `None`. Without, the body is only checked, and an `ELLZ`
+/// payload only by its header: its range-coded body always decodes
+/// ([`check_header`]), so the same bodies are accepted either way.
 pub(crate) fn read_warm_body(
     bytes: &[u8],
     cfg: &EllConfig,
     epochs: usize,
     current: u64,
     what: &dyn Fn() -> String,
-    mut each: impl FnMut(Option<u64>, ExaLogLog),
+    mut each: Option<&mut dyn FnMut(Option<u64>, AdaptiveExaLogLog)>,
 ) -> Result<usize, EllError> {
-    let sketch = |payload: &[u8], at: &dyn Fn() -> String| {
-        check_payload_config(payload, cfg, at)?;
-        decompress(payload).map_err(|e| corrupt_at(at, e))
+    let mut take = |epoch, payload: &[u8], at: &dyn Fn() -> String| match each.as_mut() {
+        Some(each) => read_sketch(payload, cfg, WARM_DENSE, at).map(|sketch| each(epoch, sketch)),
+        None if payload.starts_with(WARM_DENSE) => {
+            check_payload_config(payload, cfg, at)?;
+            check_header(payload)
+                .map_err(|e| corrupt_at(at, e))
+                .map(drop)
+        }
+        None => read_sketch(payload, cfg, WARM_DENSE, at).map(drop),
     };
     let mut r = Reader::at(bytes, 0);
     let retired = r.prefixed()?;
     if !retired.is_empty() {
-        each(
-            None,
-            sketch(retired, &|| format!("{} warm retired union", what()))?,
-        );
+        take(None, retired, &|| format!("{} warm retired union", what()))?;
     }
     let slot_count = r.u32()?;
     if slot_count > epochs {
@@ -142,6 +214,9 @@ pub(crate) fn read_warm_body(
             "{}: {slot_count} warm slots exceed the ring size {epochs}",
             what()
         )));
+    }
+    if slot_count == 0 && retired.is_empty() {
+        return Err(corrupt_at(what, "a warm entry holds no element"));
     }
     let mut last_epoch = None;
     for s in 0..slot_count {
@@ -158,7 +233,7 @@ pub(crate) fn read_warm_body(
         if payload.is_empty() {
             return Err(corrupt_at(at, "empty payload"));
         }
-        each(Some(epoch), sketch(payload, &at)?);
+        take(Some(epoch), payload, &at)?;
     }
     Ok(bytes.len() - r.rest().len())
 }
@@ -194,8 +269,10 @@ impl WindowedStore {
     /// output, validating the header and every sketch payload. The
     /// restored store answers every windowed query bit-for-bit like the
     /// original and re-snapshots to identical bytes; warm entries come
-    /// back warm, with their compressed payloads kept verbatim. Version
-    /// 1 snapshots (written before the warm tier existed) restore too.
+    /// back warm, with their payloads kept verbatim, and sparse slots
+    /// come back sparse. Version 1 snapshots (written before the warm
+    /// tier existed) and version 2 ones (before sparse slots) restore
+    /// too.
     ///
     /// # Errors
     ///
@@ -241,22 +318,22 @@ impl WindowedStore {
             };
             let entry = match tier {
                 TIER_LIVE => {
-                    // The retired union, then the E slots. Every payload's
-                    // configuration is checked before any sketch is
-                    // built, so a corrupted header cannot make an empty
-                    // payload allocate a sketch of its configuration.
+                    // The retired union, then the E slots. An empty
+                    // payload is an empty token set, which allocates
+                    // nothing, and `read_sketch` checks every other
+                    // payload's configuration before decoding it.
                     let payloads = (0..=epochs)
                         .map(|_| r.prefixed())
                         .collect::<Result<Vec<_>, _>>()?;
-                    let at = |slot: usize| move || format!("{} payload {slot}", what());
-                    for (slot, payload) in payloads.iter().enumerate() {
-                        if !payload.is_empty() {
-                            check_payload_config(payload, &cfg, at(slot))?;
-                        }
+                    if payloads.iter().all(|payload| payload.is_empty()) {
+                        return Err(corrupt_at(what, "a live entry holds no element"));
                     }
                     let sketch = |(slot, payload): (usize, &&[u8])| match payload {
-                        [] => Ok(ExaLogLog::new(cfg)),
-                        _ => ExaLogLog::from_bytes(payload).map_err(|e| corrupt_at(at(slot), e)),
+                        [] => AdaptiveExaLogLog::new(cfg),
+                        _ => {
+                            let at = || format!("{} payload {slot}", what());
+                            read_sketch(payload, &cfg, LIVE_DENSE, &at)
+                        }
                     };
                     let mut sketches = payloads.iter().enumerate().map(sketch);
                     let retired = sketches.next().expect("E + 1 payloads")?;
@@ -265,7 +342,7 @@ impl WindowedStore {
                 }
                 TIER_WARM => {
                     let body = r.rest();
-                    let len = read_warm_body(body, &cfg, epochs, current, &what, |_, _| {})?;
+                    let len = read_warm_body(body, &cfg, epochs, current, &what, None)?;
                     r.take(len)?;
                     Entry::warm(body[..len].into(), current)
                 }
@@ -402,6 +479,92 @@ mod tests {
         }
         // Re-serializing writes the current version.
         assert_eq!(restored.snapshot_bytes()[4], VERSION);
+    }
+
+    /// A one-key, one-slot v3 snapshot whose slot is the token set of
+    /// `hashes` under `v`, written with `cfg` into a store header of
+    /// `header`.
+    fn one_sparse_slot(header: EllConfig, cfg: EllConfig, v: u32) -> Vec<u8> {
+        let mut slot = AdaptiveExaLogLog::with_token_parameter(cfg, v).unwrap();
+        slot.insert_hashes(&[11, 22, 33]);
+        let mut out = Vec::new();
+        put_header(&mut out, MAGIC, VERSION, &header);
+        out.extend_from_slice(&1u32.to_le_bytes()); // epochs
+        out.extend_from_slice(&1u32.to_le_bytes()); // shards
+        out.extend_from_slice(&0u64.to_le_bytes()); // current
+        out.extend_from_slice(&1u64.to_le_bytes()); // entries
+        put_prefixed(&mut out, b"k");
+        out.extend_from_slice(&live_entry(
+            &AdaptiveExaLogLog::new(header).unwrap(),
+            &[slot],
+        ));
+        out
+    }
+
+    #[test]
+    fn sparse_payloads_must_carry_the_store_parameters() {
+        let cfg = EllConfig::new(2, 16, 6).unwrap();
+        let v = AdaptiveExaLogLog::default_token_parameter(&cfg);
+        let good = WindowedStore::from_snapshot_bytes(&one_sparse_slot(cfg, cfg, v)).unwrap();
+        assert_eq!(good.estimate_window("k", 1).unwrap().round(), 3.0);
+        // A token set of another (t, d, p)…
+        let other = EllConfig::new(2, 16, 7).unwrap();
+        let err = WindowedStore::from_snapshot_bytes(&one_sparse_slot(cfg, other, v));
+        assert!(err.unwrap_err().to_string().contains("configuration"));
+        // …or another token parameter is rejected, live or warm.
+        let bytes = one_sparse_slot(cfg, cfg, v + 1);
+        let err = WindowedStore::from_snapshot_bytes(&bytes).unwrap_err();
+        assert!(err.to_string().contains("token parameter"), "{err}");
+        let mut slot = AdaptiveExaLogLog::with_token_parameter(cfg, v + 1).unwrap();
+        slot.insert_hash(5);
+        let warm = encode_warm(&AdaptiveExaLogLog::new(cfg).unwrap(), &[(0, &slot)]);
+        let read = read_warm_body(&warm, &cfg, 1, 0, &String::new, None);
+        assert!(read.unwrap_err().to_string().contains("token parameter"));
+    }
+
+    #[test]
+    fn dense_payloads_must_carry_their_entry_tier_magic() {
+        let cfg = EllConfig::new(2, 16, 6).unwrap();
+        let mut registers = ExaLogLog::new(cfg);
+        registers.insert_hash(5);
+        let mut promoted = AdaptiveExaLogLog::new(cfg).unwrap();
+        promoted.insert_hash(5);
+        promoted.promote();
+        // `ELLZ` in a live entry…
+        let mut live = vec![TIER_LIVE];
+        put_prefixed(&mut live, &[]);
+        put_prefixed(&mut live, &compress(&registers));
+        let mut bytes = Vec::new();
+        put_header(&mut bytes, MAGIC, VERSION, &cfg);
+        for field in [1u32, 1] {
+            bytes.extend_from_slice(&field.to_le_bytes()); // epochs, shards
+        }
+        for field in [0u64, 1] {
+            bytes.extend_from_slice(&field.to_le_bytes()); // current, entries
+        }
+        put_prefixed(&mut bytes, b"k");
+        bytes.extend_from_slice(&live);
+        let err = WindowedStore::from_snapshot_bytes(&bytes).unwrap_err();
+        assert!(err.to_string().contains("payload magic"), "{err}");
+        // …`ELL1` in a warm one, and registers behind the `ELLS` magic.
+        let mut warm = Vec::new();
+        put_prefixed(&mut warm, &[]);
+        warm.extend_from_slice(&1u32.to_le_bytes());
+        warm.extend_from_slice(&0u64.to_le_bytes());
+        put_prefixed(&mut warm, &registers.to_bytes());
+        let read = read_warm_body(&warm, &cfg, 1, 0, &String::new, None);
+        assert!(read.unwrap_err().to_string().contains("payload magic"));
+        let mut legacy = b"ELLS".to_vec();
+        legacy.extend_from_slice(&[2, 16, 6, 26, 1]);
+        legacy.extend_from_slice(&registers.to_bytes());
+        assert!(AdaptiveExaLogLog::from_bytes(&legacy).is_ok());
+        let err = read_sketch(&legacy, &cfg, LIVE_DENSE, &String::new).unwrap_err();
+        assert!(err.to_string().contains("holds registers"), "{err}");
+        // The writer's own dense payloads pass.
+        let ok = read_sketch(&registers.to_bytes(), &cfg, LIVE_DENSE, &String::new);
+        assert_eq!(ok.unwrap(), promoted);
+        let ok = read_sketch(&compress(&registers), &cfg, WARM_DENSE, &String::new);
+        assert_eq!(ok.unwrap(), promoted);
     }
 
     #[test]

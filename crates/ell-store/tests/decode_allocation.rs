@@ -7,7 +7,10 @@
 //! precision, for the store or for an entry's empty payloads, before the
 //! first payload's check fails. Here the flipped snapshot must be
 //! rejected while the decode's largest single allocation stays within
-//! [`MAX_ALLOCATION_PER_INPUT_BYTE`] times the snapshot's length.
+//! [`MAX_ALLOCATION_PER_INPUT_BYTE`] times the snapshot's length. The
+//! same bound holds for an `ELLW` live entry whose payloads are all
+//! empty, and for a token-set payload whose token count exceeds its
+//! bytes.
 
 // The counting global allocator needs `unsafe`: `GlobalAlloc` is an
 // unsafe contract. It delegates straight to `System` and only records
@@ -107,7 +110,7 @@ fn flip_first_compressed_p(snapshot: &[u8]) -> Vec<u8> {
 /// single allocation may exceed c times its length.
 fn assert_rejected_within_bound<T>(bad: &[u8], decode: impl FnOnce(&[u8]) -> Result<T, String>) {
     let (result, largest) = largest_allocation(|| decode(bad));
-    assert!(result.is_err(), "a snapshot with a flipped p was accepted");
+    assert!(result.is_err(), "a corrupted snapshot was accepted");
     let bound = MAX_ALLOCATION_PER_INPUT_BYTE * bad.len();
     assert!(
         largest <= bound,
@@ -161,7 +164,7 @@ fn flip_header_p(snapshot: &[u8]) -> Vec<u8> {
     let mut bad = snapshot.to_vec();
     assert_eq!(
         &bad[..8],
-        b"ELLW\x02\x02\x10\x06",
+        b"ELLW\x03\x02\x10\x06",
         "magic, version, (t, d, p)"
     );
     bad[7] = 22;
@@ -191,6 +194,57 @@ fn flipped_header_p_before_a_warm_window_entry_is_rejected_before_allocating() {
     // "a-0" sorts before "fresh": the first entry is warm.
     let snapshot = window_snapshot("a");
     assert_rejected_within_bound(&flip_header_p(&snapshot), |b| {
+        WindowedStore::from_snapshot_bytes(b).map_err(|e| e.to_string())
+    });
+}
+
+/// An `ELLW` snapshot of `version` with p = 22 and E = 8, holding one
+/// live entry whose retired union and slots are all empty: 74 bytes.
+fn empty_live_entry(version: u8) -> Vec<u8> {
+    let mut bytes = b"ELLW".to_vec();
+    bytes.extend_from_slice(&[version, 2, 16, 22]);
+    bytes.extend_from_slice(&8u32.to_le_bytes()); // epochs
+    bytes.extend_from_slice(&1u32.to_le_bytes()); // shards
+    bytes.extend_from_slice(&0u64.to_le_bytes()); // current epoch
+    bytes.extend_from_slice(&1u64.to_le_bytes()); // entry count
+    bytes.extend_from_slice(&1u32.to_le_bytes());
+    bytes.extend_from_slice(b"k");
+    bytes.push(0); // live
+    for _ in 0..=8 {
+        bytes.extend_from_slice(&0u32.to_le_bytes());
+    }
+    assert_eq!(bytes.len(), 74);
+    bytes
+}
+
+#[test]
+fn an_all_empty_live_window_entry_does_not_amplify() {
+    for version in [2, 3] {
+        let bytes = empty_live_entry(version);
+        let (result, largest) =
+            largest_allocation(|| WindowedStore::from_snapshot_bytes(&bytes).map(|_| ()));
+        let bound = MAX_ALLOCATION_PER_INPUT_BYTE * bytes.len();
+        assert!(
+            result.is_err() || largest <= bound,
+            "v{version}: restoring 74 bytes allocated {largest} bytes at once (bound {bound})"
+        );
+    }
+}
+
+#[test]
+fn an_overstated_token_count_is_rejected_before_allocating() {
+    let store = WindowedStore::new(1, cfg(), 3).unwrap();
+    store.ingest(0, &[("k", 1), ("k", 2), ("k", 3)]);
+    let snapshot = store.snapshot_bytes();
+    assert!(WindowedStore::from_snapshot_bytes(&snapshot).is_ok());
+    // The sparse slot's token payload: "ELLT", v, then the u64 count.
+    let at = snapshot
+        .windows(4)
+        .position(|w| w == b"ELLT")
+        .expect("the slot is a token set");
+    let mut bad = snapshot.clone();
+    bad[at + 5..at + 13].copy_from_slice(&(1u64 << 40).to_le_bytes());
+    assert_rejected_within_bound(&bad, |b| {
         WindowedStore::from_snapshot_bytes(b).map_err(|e| e.to_string())
     });
 }

@@ -1,12 +1,15 @@
 //! Hostile snapshot bytes must never panic a decoder.
 //!
-//! A small `ELLK` snapshot (sparse, dense and warm keys) and a small
-//! `ELLW` snapshot (live and warm entries) are fed to
-//! `from_snapshot_bytes` under every single-bit flip and every
-//! truncation. Each mutation must either be rejected with `Err`, or
-//! restore a store that then survives `promote_all()` and every query
-//! without a panic: a warm entry revives from bytes the restore accepted,
-//! so whatever restore lets through, revival must be able to decode.
+//! A small `ELLK` snapshot (sparse, dense and warm keys) and small
+//! `ELLW` snapshots — one written by the version 2 writer
+//! (`tests/fixtures/ellw_v2_sweep.bin`: a live entry and a warm one of
+//! dense slots) and one of today's version 3 (sparse live and warm
+//! slots beside one dense slot) — are fed to `from_snapshot_bytes`
+//! under every single-bit flip and every truncation. Each mutation must
+//! either be rejected with `Err`, or restore a store that then survives
+//! `promote_all()` and every query without a panic: a warm entry revives
+//! from bytes the restore accepted, so whatever restore lets through,
+//! revival must be able to decode.
 
 use ell_hash::SplitMix64;
 use ell_store::{EllStore, Tier, TierConfig, WindowedStore};
@@ -83,21 +86,10 @@ fn no_flat_snapshot_mutation_panics() {
     assert!(accepted > 0);
 }
 
-#[test]
-fn no_window_snapshot_mutation_panics() {
-    let mut store = WindowedStore::new(2, cfg(), 2).unwrap();
-    store.set_warm_after(Some(1));
-    let mut rng = SplitMix64::new(73);
-    for epoch in 0..3u64 {
-        let batch: Vec<(&str, u64)> = (0..40).map(|_| ("idle", rng.next_u64())).collect();
-        store.ingest(epoch, &batch);
-    }
-    store.ingest(5, &[("live", 1), ("live", 2)]);
-    store.demote_idle();
-    let stats = store.tier_stats();
-    assert_eq!((stats.hot_keys, stats.warm_keys), (1, 1));
-    let snapshot = store.snapshot_bytes();
-    let accepted = sweep(&snapshot, |bad| {
+/// Sweeps `snapshot` through a windowed restore that, on success,
+/// promotes, queries and re-snapshots the store.
+fn sweep_window(snapshot: &[u8]) -> usize {
+    sweep(snapshot, |bad| {
         let Ok(restored) = WindowedStore::from_snapshot_bytes(bad) else {
             return false;
         };
@@ -110,6 +102,42 @@ fn no_window_snapshot_mutation_panics() {
         }
         let _ = restored.snapshot_bytes();
         true
-    });
-    assert!(accepted > 0);
+    })
+}
+
+#[test]
+fn no_window_snapshot_mutation_panics() {
+    let snapshot = include_bytes!("fixtures/ellw_v2_sweep.bin");
+    assert_eq!(snapshot[4], 2, "a version 2 snapshot");
+    let restored = WindowedStore::from_snapshot_bytes(snapshot).unwrap();
+    let stats = restored.tier_stats();
+    assert_eq!((stats.hot_keys, stats.warm_keys), (1, 1));
+    assert!(sweep_window(snapshot) > 0);
+}
+
+#[test]
+fn no_v3_window_snapshot_mutation_panics() {
+    let mut store = WindowedStore::new(2, cfg(), 3).unwrap();
+    store.set_warm_after(Some(1));
+    let mut rng = SplitMix64::new(73);
+    // "idle" demotes with a sparse retired union, a dense slot and a
+    // sparse one (break-even is 12 tokens at p = 4); "live" stays live
+    // with a sparse slot.
+    for (epoch, n) in [(0u64, 3), (2, 40), (3, 2)] {
+        let batch: Vec<(&str, u64)> = (0..n).map(|_| ("idle", rng.next_u64())).collect();
+        store.ingest(epoch, &batch);
+    }
+    store.ingest(4, &[("live", 1), ("live", 2)]);
+    store.demote_idle();
+    let stats = store.tier_stats();
+    assert_eq!((stats.hot_keys, stats.warm_keys), (1, 1));
+    let snapshot = store.snapshot_bytes();
+    assert_eq!(snapshot[4], 3);
+    let count = |magic: &[u8]| snapshot.windows(4).filter(|w| *w == magic).count();
+    assert_eq!(
+        (count(b"ELLS"), count(b"ELLZ")),
+        (3, 1),
+        "sparse and dense payloads"
+    );
+    assert!(sweep_window(&snapshot) > 0);
 }

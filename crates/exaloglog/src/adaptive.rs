@@ -106,8 +106,14 @@ impl AdaptiveExaLogLog {
     ///
     /// Propagates invalid-parameter errors from the token machinery.
     pub fn new(cfg: EllConfig) -> Result<Self, EllError> {
-        let v = (u32::from(cfg.p()) + u32::from(cfg.t())).max(26);
-        Self::with_token_parameter(cfg, v)
+        Self::with_token_parameter(cfg, Self::default_token_parameter(&cfg))
+    }
+
+    /// The token parameter [`AdaptiveExaLogLog::new`] picks for `cfg`:
+    /// `v = max(p + t, 26)`.
+    #[must_use]
+    pub fn default_token_parameter(cfg: &EllConfig) -> u32 {
+        (u32::from(cfg.p()) + u32::from(cfg.t())).max(26)
     }
 
     /// Creates an adaptive sketch with an explicit token parameter
@@ -158,6 +164,20 @@ impl AdaptiveExaLogLog {
             AdaptiveExaLogLog::Sparse { tokens, .. } => Some(tokens.v()),
             AdaptiveExaLogLog::Dense(_) => None,
         }
+    }
+
+    /// Resets the sketch to an empty token set of the same
+    /// configuration, releasing its token or register storage. The token
+    /// parameter stays; a promoted sketch, which no longer has one,
+    /// takes the default of [`AdaptiveExaLogLog::new`].
+    pub fn clear(&mut self) {
+        let cfg = *self.config();
+        let v = match self {
+            AdaptiveExaLogLog::Sparse { tokens, .. } => tokens.v(),
+            AdaptiveExaLogLog::Dense(_) => Self::default_token_parameter(&cfg),
+        };
+        let tokens = TokenSet::new(v).expect("the token parameter was valid before");
+        *self = AdaptiveExaLogLog::Sparse { cfg, tokens };
     }
 
     /// Forces promotion to the dense representation (a no-op when
@@ -552,6 +572,22 @@ mod tests {
             assert_eq!(bat.is_sparse(), n < break_even, "n = {n}");
             assert_eq!(seq, bat, "n = {n}");
         }
+    }
+
+    #[test]
+    fn clear_returns_to_an_empty_token_set() {
+        for n in [40, 20_000] {
+            let mut s = AdaptiveExaLogLog::with_token_parameter(cfg(), 30).unwrap();
+            s.insert_hashes(&hashes(n, 14));
+            s.clear();
+            assert!(s.is_sparse() && s.is_empty());
+            let v = if n == 40 { 30 } else { 26 };
+            assert_eq!(s.token_parameter(), Some(v), "n = {n}");
+            assert_eq!(s.memory_bytes(), core::mem::size_of::<AdaptiveExaLogLog>());
+        }
+        assert_eq!(AdaptiveExaLogLog::default_token_parameter(&cfg()), 26);
+        let wide = EllConfig::new(2, 16, 26).unwrap();
+        assert_eq!(AdaptiveExaLogLog::default_token_parameter(&wide), 28);
     }
 
     #[test]

@@ -259,8 +259,17 @@ pub fn compress(sketch: &ExaLogLog) -> Vec<u8> {
     out
 }
 
-/// Restores a sketch serialized with [`compress`].
-pub fn decompress(bytes: &[u8]) -> Result<ExaLogLog, EllError> {
+/// Validates the header of a [`compress`] payload, returning its
+/// configuration and carried estimate. [`decompress`] fails exactly when
+/// this does: every range-coded body decodes to some register state
+/// (input past its end reads as zero bytes), so a caller that only needs
+/// to know whether a payload will decompress can stop here.
+///
+/// # Errors
+///
+/// Fails on a short header or a wrong magic, an invalid configuration,
+/// or a carried estimate that is not a finite non-negative number.
+pub fn check_header(bytes: &[u8]) -> Result<(EllConfig, f64), EllError> {
     if bytes.len() < 16 || &bytes[..4] != MAGIC {
         return Err(EllError::CorruptSerialization {
             reason: "bad compressed header".into(),
@@ -275,6 +284,16 @@ pub fn decompress(bytes: &[u8]) -> Result<ExaLogLog, EllError> {
             reason: format!("invalid carried estimate {n_hat}"),
         });
     }
+    Ok((cfg, n_hat))
+}
+
+/// Restores a sketch serialized with [`compress`].
+///
+/// # Errors
+///
+/// Fails exactly when [`check_header`] does.
+pub fn decompress(bytes: &[u8]) -> Result<ExaLogLog, EllError> {
+    let (cfg, n_hat) = check_header(bytes)?;
     let model = RegisterModel::build(&cfg, n_hat);
     let d = cfg.d();
     let kmax = cfg.max_update_value();
@@ -368,6 +387,26 @@ mod tests {
             s.insert_hash(rng.next_u64());
         }
         s
+    }
+
+    #[test]
+    fn decompress_fails_exactly_when_the_header_check_does() {
+        let bytes = compress(&build(2, 20, 8, 3000, 5));
+        let mut cases: Vec<Vec<u8>> = (0..=bytes.len()).map(|n| bytes[..n].to_vec()).collect();
+        for i in 0..bytes.len() {
+            for bit in [0, 3, 7] {
+                let mut flipped = bytes.clone();
+                flipped[i] ^= 1 << bit;
+                cases.push(flipped);
+            }
+        }
+        let mut body_only = 0;
+        for case in &cases {
+            assert_eq!(check_header(case).is_ok(), decompress(case).is_ok());
+            body_only += usize::from(case.len() > 16 && check_header(case).is_ok());
+        }
+        // Truncated and flipped bodies are part of the sweep, and decode.
+        assert!(body_only > bytes.len());
     }
 
     #[test]
