@@ -12,7 +12,11 @@
 //! `(key, hash)` workload into a fresh [`ell_store::EllStore`], split
 //! into contiguous per-thread slices fed through buffered
 //! [`ell_store::IngestSession`]s (one per worker). Reported figures are
-//! ns per event (median over `--reps` runs) and events/s.
+//! ns per event (median over `--reps` runs, with the fastest and slowest
+//! run beside it as `ns_per_event_min` / `ns_per_event_max` and the run
+//! count as `reps`) and events/s at the median. The spread within one
+//! process understates the spread between processes: to compare two
+//! builds, alternate whole processes of each.
 //!
 //! Requested thread counts are clamped to `available_parallelism` and
 //! each result row records both `threads_requested` and `threads`
@@ -210,6 +214,7 @@ fn main() {
         }
         times.sort_by(f64::total_cmp);
         let median = times[times.len() / 2];
+        let (fastest, slowest) = (times[0] * per_op, times[times.len() - 1] * per_op);
         let store = store.expect("at least one rep");
         let snapshot = store.snapshot_bytes();
         match &reference_snapshot {
@@ -224,13 +229,16 @@ fn main() {
         let ns = median * per_op;
         let throughput = args.ops as f64 / median;
         println!(
-            "threads {threads:>2} (req {requested:>2})   {ns:8.1} ns/event   \
-             {throughput:10.0} events/s   {} keys",
+            "threads {threads:>2} (req {requested:>2})   {ns:8.1} ns/event \
+             ({fastest:.1}–{slowest:.1})   {throughput:10.0} events/s   {} keys",
             store.key_count()
         );
         rows.push(format!(
             "    {{\"threads\": {threads}, \"threads_requested\": {requested}, \
-             \"ns_per_event\": {ns:.3}, \"events_per_sec\": {throughput:.0}}}"
+             \"ns_per_event\": {ns:.3}, \"ns_per_event_min\": {fastest:.3}, \
+             \"ns_per_event_max\": {slowest:.3}, \"reps\": {}, \
+             \"events_per_sec\": {throughput:.0}}}",
+            times.len()
         ));
         measured.push((threads, ns));
         last_store = Some(store);

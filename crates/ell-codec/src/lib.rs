@@ -15,10 +15,10 @@
 //!   with static and adaptive bit models.
 //!
 //! Consumers in this workspace: `ell-baselines::cpc` compresses the PCSA
-//! state column-wise with Rice-coded bitmaps, and the `ell` CLI exposes
-//! the coders for sketch-file compression. `exaloglog::compress` keeps
-//! its own specialized coder whose probability model is derived from the
-//! paper's §3.1 register distribution.
+//! state column-wise with Rice-coded bitmaps, `exaloglog::compress`
+//! drives the [`range`] coder with a probability model derived from the
+//! paper's §3.1 register distribution (the `ELLZ` format), and the `ell`
+//! CLI exposes the coders for sketch-file compression.
 //!
 //! All decoders are hardened against truncated or corrupt input: they
 //! return [`CodecError`] instead of panicking, which the workspace-level

@@ -1,42 +1,35 @@
-//! The sharded handoff core under both stores.
+//! The sharded core under both stores.
 //!
 //! [`EllStore`](crate::EllStore) and [`WindowedStore`](crate::WindowedStore)
 //! agree on everything except what a key holds: a power-of-two table of
-//! `RwLock<Table<V>>` shards routed by a fixed-seed key hash — each a
-//! flat open-addressed [`Table`] probed by that same hash — and one
-//! handoff queue per shard on which buffered
-//! [`Session`](crate::Session)s park a flush's runs for that shard when
-//! it is contended. `V` is one sketch slot for the flat store and an
-//! epoch ring for the windowed one; the tag `T` is `()` and the epoch.
-//! [`KeyedCore`] owns that table and its iteration helpers,
+//! `RwLock<Table<V>>` shards routed by a fixed-seed key hash, each a
+//! flat open-addressed [`Table`] probed by that same hash. `V` is one
+//! sketch slot for the flat store and an epoch ring for the windowed
+//! one. [`KeyedCore`] owns that table and its iteration helpers,
 //! [`group_runs`] cuts every ingest batch and session log into per-key
-//! runs, and the [`Keyed`] trait carries the single copy of the
-//! flush/drain protocol, parameterized by each store's per-key merge.
+//! runs, tagged with `()` or the epoch, and the [`Keyed`] trait carries
+//! the single copy of the session flush, parameterized by each store's
+//! per-key merge.
 //!
-//! Register merge is commutative and idempotent (paper §1, §2), so a
-//! parked run may be applied by any thread at any time: the protocol
-//! only has to guarantee that nothing parked is lost and that a barrier
-//! flush leaves every queue empty behind it (CONCURRENCY.md § "Session
-//! handoff", modeled by `ell-verify::models::handoff`).
+//! A flush folds each shard's runs under that shard's write lock, with
+//! the store-wide state pinned ([`Keyed::pinned`]), and returns when
+//! every run is in. Register merge is commutative and idempotent
+//! (paper §1, §2), so the bytes do not depend on which flush takes a
+//! shard first. Locks are taken in one order on every path: the
+//! windowed store's epoch lock, then one shard lock, then at most one
+//! leaf mutex that guards nothing further (a query scratch, the spill
+//! file); and a flush never re-enters [`Keyed::pinned`], so no cycle of
+//! waiters can form (CONCURRENCY.md § "Session flush").
 
-use crate::sync::{Mutex, MutexGuard, RwLock, RwLockReadGuard, RwLockWriteGuard, TryLockError};
+use crate::sync::{RwLock, RwLockReadGuard, RwLockWriteGuard};
 use crate::table::Table;
 use ell_hash::{Hasher64, WyHash};
 use exaloglog::EllError;
-use std::ops::Range;
 
 /// Seed of the key-partitioning hash. Fixed so that shard assignment —
 /// and therefore snapshot layout — is stable across processes, and
 /// shared by both stores so they shard a key space identically.
 const KEY_HASH_SEED: u64 = 0xE115_70E5;
-
-/// Soft bound on a shard's handoff queue: once this many flushes are
-/// parked on it, the enqueueing session drains the shard itself
-/// (blocking on the write lock) instead of deferring to a later flush.
-const HANDOFF_SOFT_CAPACITY: usize = 64;
-
-/// One shard's handoff queue: one item per parked flush.
-type Queue<T> = Vec<Parked<T>>;
 
 /// One key's share of an ingest batch or session flush: every hash
 /// observed for `key` (whose key hash is `key_hash`) under `tag`, bound
@@ -49,60 +42,6 @@ pub(crate) struct Run<'l, T> {
     pub(crate) key: &'l str,
     pub(crate) tag: T,
     pub(crate) hashes: &'l [u64],
-}
-
-/// A contended flush's runs for one shard, owned so they can wait on
-/// the handoff queue: the keys back to back in one arena, the hashes
-/// back to back in one buffer.
-#[derive(Debug)]
-struct Parked<T> {
-    keys: String,
-    hashes: Vec<u64>,
-    /// Per run: its tag, its key hash, and where its key and its
-    /// hashes lie.
-    runs: Vec<(T, u64, Range<usize>, Range<usize>)>,
-}
-
-impl<T: Copy> Parked<T> {
-    fn new(runs: &[Run<'_, T>]) -> Self {
-        let mut parked = Parked {
-            keys: String::with_capacity(runs.iter().map(|run| run.key.len()).sum()),
-            hashes: Vec::with_capacity(runs.iter().map(|run| run.hashes.len()).sum()),
-            runs: Vec::with_capacity(runs.len()),
-        };
-        for run in runs {
-            let (key_start, hashes_start) = (parked.keys.len(), parked.hashes.len());
-            parked.keys.push_str(run.key);
-            parked.hashes.extend_from_slice(run.hashes);
-            parked.runs.push((
-                run.tag,
-                run.key_hash,
-                key_start..parked.keys.len(),
-                hashes_start..parked.hashes.len(),
-            ));
-        }
-        parked
-    }
-
-    /// The parked runs, in flush order.
-    fn runs(&self, shard: usize) -> Vec<Run<'_, T>> {
-        let run = |(tag, key_hash, key, hashes): &(T, u64, Range<usize>, Range<usize>)| Run {
-            shard,
-            key_hash: *key_hash,
-            key: &self.keys[key.clone()],
-            tag: *tag,
-            hashes: &self.hashes[hashes.clone()],
-        };
-        self.runs.iter().map(run).collect()
-    }
-}
-
-impl<T> Parked<T> {
-    fn heap_bytes(&self) -> usize {
-        self.keys.capacity()
-            + self.hashes.capacity() * core::mem::size_of::<u64>()
-            + self.runs.capacity() * core::mem::size_of::<(T, u64, Range<usize>, Range<usize>)>()
-    }
 }
 
 /// The shard of `shards` (a power of two) a key with hash `key_hash`
@@ -230,16 +169,14 @@ pub(crate) fn by_shard<'r, 'l, T>(
         .map(|group| (group[0].shard, group))
 }
 
-/// The shard table plus the per-shard handoff queues (kept strictly
-/// parallel to the shards).
+/// The shard table.
 #[derive(Debug)]
-pub(crate) struct KeyedCore<V, T> {
+pub(crate) struct KeyedCore<V> {
     hasher: WyHash,
     shards: Vec<RwLock<Table<V>>>,
-    queues: Vec<Mutex<Queue<T>>>,
 }
 
-impl<V, T> KeyedCore<V, T> {
+impl<V> KeyedCore<V> {
     /// An empty table of `shards` shards.
     ///
     /// # Errors
@@ -253,12 +190,9 @@ impl<V, T> KeyedCore<V, T> {
         }
         let mut maps = Vec::with_capacity(shards);
         maps.resize_with(shards, || RwLock::new(Table::default()));
-        let mut queues = Vec::with_capacity(shards);
-        queues.resize_with(shards, || Mutex::new(Vec::new()));
         Ok(KeyedCore {
             hasher: WyHash::new(KEY_HASH_SEED),
             shards: maps,
-            queues,
         })
     }
 
@@ -285,31 +219,15 @@ impl<V, T> KeyedCore<V, T> {
         self.shards[si].write().expect("shard lock poisoned")
     }
 
-    /// The shard write lock if it is free right now (`None` when taken).
-    fn try_write(&self, si: usize) -> Option<RwLockWriteGuard<'_, Table<V>>> {
-        match self.shards[si].try_write() {
-            Err(TryLockError::WouldBlock) => None,
-            // Poison propagates like the blocking path's expect.
-            other => Some(other.expect("shard lock poisoned")),
-        }
-    }
-
-    fn queue(&self, si: usize) -> MutexGuard<'_, Queue<T>> {
-        self.queues[si].lock().expect("handoff queue poisoned")
-    }
-
     /// Groups a direct batch of `(key, hash)` observations, all under
     /// `tag`, into per-key runs ordered by shard (see [`group_runs`]);
     /// the runs' hashes land in `hashes`.
-    pub(crate) fn group<'l>(
+    pub(crate) fn group<'l, T: Copy + Eq>(
         &self,
         tag: T,
         batch: &[(&'l str, u64)],
         hashes: &'l mut Vec<u64>,
-    ) -> Vec<Run<'l, T>>
-    where
-        T: Copy + Eq,
-    {
+    ) -> Vec<Run<'l, T>> {
         let records = batch
             .iter()
             .map(|&(key, hash)| (self.key_hash(key), tag, key, hash));
@@ -363,13 +281,11 @@ impl<V, T> KeyedCore<V, T> {
         self.sorted(|_| ()).into_iter().map(|e| e.0).collect()
     }
 
-    /// Deep footprint of the table: the shard and queue vectors, each
-    /// shard table's slots (empty ones included, each holding a value
-    /// inline) and key arena, parked runs, and `heap_bytes` of every
-    /// value.
+    /// Deep footprint of the table: the shard vector, each shard
+    /// table's slots (empty ones included, each holding a value inline)
+    /// and key arena, and `heap_bytes` of every value.
     pub(crate) fn memory_bytes(&self, heap_bytes: impl Fn(&V) -> usize) -> usize {
-        let mut total = self.shards.capacity() * core::mem::size_of::<RwLock<Table<V>>>()
-            + self.queues.capacity() * core::mem::size_of::<Mutex<Queue<T>>>();
+        let mut total = self.shards.capacity() * core::mem::size_of::<RwLock<Table<V>>>();
         for si in 0..self.shards.len() {
             let table = self.read(si);
             total += table.heap_bytes();
@@ -377,27 +293,24 @@ impl<V, T> KeyedCore<V, T> {
                 .iter()
                 .map(|(_, value)| heap_bytes(value))
                 .sum::<usize>();
-            let queue = self.queue(si);
-            total += queue.capacity() * core::mem::size_of::<Parked<T>>();
-            total += queue.iter().map(Parked::heap_bytes).sum::<usize>();
         }
         total
     }
 }
 
 /// A store built on a [`KeyedCore`]: what the generic
-/// [`Session`](crate::Session) and the handoff protocol below need from
-/// it. Only [`EllStore`](crate::EllStore) and
-/// [`WindowedStore`](crate::WindowedStore) implement it.
+/// [`Session`](crate::Session) and its flush need from it. Only
+/// [`EllStore`](crate::EllStore) and [`WindowedStore`](crate::WindowedStore)
+/// implement it.
 pub(crate) trait Keyed {
     /// What each key holds in the shard tables.
     type Value;
     /// What a buffered observation is tagged with besides its key.
     type Tag: Copy + Eq + core::fmt::Debug;
-    /// Store-wide state pinned for the length of one handoff merge.
+    /// Store-wide state pinned for the length of one shard's flush.
     type Pin: Copy;
 
-    fn core(&self) -> &KeyedCore<Self::Value, Self::Tag>;
+    fn core(&self) -> &KeyedCore<Self::Value>;
 
     /// Runs `f` with the store-wide state pinned. The windowed store
     /// holds its epoch read lock for the duration, so every run's
@@ -414,112 +327,29 @@ pub(crate) trait Keyed {
     }
 
     /// Folds one run into its key's value under the held shard write
-    /// lock: the only per-key merge of the handoff protocol.
+    /// lock: the only per-key merge of a session flush.
     fn merge_run(&self, value: &mut Self::Value, run: &Run<'_, Self::Tag>, pin: Self::Pin);
 
-    /// Folds one shard's runs into its write-locked `table`, creating
+    /// Flushes one shard's runs of a session log: pins the store, takes
+    /// the shard's write lock (epoch lock, then shard lock), and folds
+    /// every run straight from the session's log into its slot, creating
     /// new keys, in chunks whose cache misses overlap ([`Table::fold`]).
-    fn merge_hashes(
-        &self,
-        table: &mut Table<Self::Value>,
-        runs: &[Run<'_, Self::Tag>],
-        pin: Self::Pin,
-    ) {
-        table.fold(
-            runs,
-            || self.new_value(pin),
-            Self::touch,
-            |v, run| self.merge_run(v, run, pin),
-        );
-    }
-
-    /// Flushes one shard's runs of a session log: on an uncontended (or
-    /// barrier) lock each run folds straight from the session's log into
-    /// its slot. A contended auto-flush parks one owned copy of the
-    /// whole group on the handoff queue instead, and blocking-drains the
-    /// queue itself once it holds [`HANDOFF_SOFT_CAPACITY`] parked
-    /// flushes.
-    fn flush_runs(&self, si: usize, runs: &[Run<'_, Self::Tag>], barrier: bool) {
-        let core = self.core();
-        let overflow = self.pinned(|pin| {
-            let guard = if barrier {
-                Some(core.write(si))
-            } else {
-                core.try_write(si)
-            };
-            match guard {
-                Some(mut table) => {
-                    // Drain the queue first so queued items never linger
-                    // behind a direct merge.
-                    self.drain_queue_into(si, &mut table, pin);
-                    self.merge_hashes(&mut table, runs, pin);
-                    false
-                }
-                None => {
-                    let parked = Parked::new(runs);
-                    let mut queue = core.queue(si);
-                    queue.push(parked);
-                    queue.len() >= HANDOFF_SOFT_CAPACITY
-                }
-            }
+    fn flush_runs(&self, si: usize, runs: &[Run<'_, Self::Tag>]) {
+        self.pinned(|pin| {
+            self.core().write(si).fold(
+                runs,
+                || self.new_value(pin),
+                Self::touch,
+                |value, run| self.merge_run(value, run, pin),
+            );
         });
-        // The pin is released before the blocking drain re-takes it: a
-        // window flush still holding its epoch read lock here could
-        // deadlock `advance` behind a queued writer.
-        if overflow {
-            self.drain_shard(si);
-        }
-    }
-
-    /// Drains every nonempty handoff queue (blocking). The final step of
-    /// a barrier flush: read-your-writes for the flushing session even
-    /// when its earlier auto-flushes left runs parked on contended
-    /// shards.
-    fn drain_all_pending(&self) {
-        for si in 0..self.core().shard_count() {
-            // The queue guard is a temporary of the condition, released
-            // before the drain re-takes it.
-            if !self.core().queue(si).is_empty() {
-                self.drain_shard(si);
-            }
-        }
-    }
-
-    /// Drains shard `si`'s handoff queue under its write lock, with the
-    /// store-wide state pinned.
-    fn drain_shard(&self, si: usize) {
-        self.pinned(|pin| self.drain_queue_into(si, &mut self.core().write(si), pin));
-    }
-
-    /// Pops shard `si`'s queue until it is observed empty, merging under
-    /// the already-held write lock. Write lock first, then pop: when any
-    /// drainer returns after observing an empty queue, every item
-    /// enqueued before that observation has been merged under a write
-    /// lock that happens-before the next acquisition.
-    fn drain_queue_into(&self, si: usize, table: &mut Table<Self::Value>, pin: Self::Pin) {
-        loop {
-            let batch = std::mem::take(&mut *self.core().queue(si));
-            if batch.is_empty() {
-                return;
-            }
-            for parked in &batch {
-                self.merge_hashes(table, &parked.runs(si), pin);
-            }
-        }
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::EllStore;
-    use ell_hash::{mix64, SplitMix64};
-    use exaloglog::EllConfig;
-    use std::time::Duration;
-
-    fn cfg() -> EllConfig {
-        EllConfig::new(2, 16, 6).unwrap()
-    }
+    use ell_hash::SplitMix64;
 
     #[test]
     fn grouped_batches_keep_colliding_keys_apart() {
@@ -549,49 +379,5 @@ mod tests {
             assert_eq!(run.hashes, own);
         }
         assert!(group_runs::<()>(4, std::iter::empty(), &mut hashes).is_empty());
-    }
-
-    #[test]
-    fn contended_flush_parks_one_item_and_returns() {
-        // More runs than the soft capacity, on a shard whose write lock
-        // is held elsewhere: a non-barrier flush parks them as one item
-        // and returns instead of blocking on the lock.
-        let store = EllStore::new(1, cfg()).unwrap();
-        let twin = EllStore::new(1, cfg()).unwrap();
-        let keys: Vec<String> = (0..2 * HANDOFF_SOFT_CAPACITY)
-            .map(|i| format!("k{i}"))
-            .collect();
-        let hashes: Vec<u64> = (0..16).map(mix64).collect();
-        let runs: Vec<Run<'_, ()>> = keys
-            .iter()
-            .map(|key| Run {
-                shard: 0,
-                key_hash: store.core().key_hash(key),
-                key,
-                tag: (),
-                hashes: &hashes,
-            })
-            .collect();
-        let (tx, rx) = std::sync::mpsc::channel();
-        let guard = store.core().write(0);
-        std::thread::scope(|s| {
-            let (store, runs) = (&store, &runs);
-            s.spawn(move || {
-                store.flush_runs(0, runs, false);
-                tx.send(()).expect("the test thread waits for this");
-            });
-            let returned = rx.recv_timeout(Duration::from_secs(10)).is_ok();
-            let parked = store.core().queue(0).len();
-            drop(guard);
-            assert!(returned, "a contended flush blocked on the write lock");
-            assert_eq!(parked, 1);
-        });
-        store.drain_all_pending();
-        for key in &keys {
-            for &hash in &hashes {
-                twin.insert(key, hash);
-            }
-        }
-        assert_eq!(store.snapshot_bytes(), twin.snapshot_bytes());
     }
 }

@@ -18,8 +18,8 @@
 //! one probe of a batch-local table per event; per shard it then takes
 //! the write lock once and folds every run, looking each key up in the
 //! shard table once.
-//! [`WindowedStore`] shares this shard table, key hash, handoff queues
-//! and flush protocol; each store adds only its per-key value and merge.
+//! [`WindowedStore`] shares this shard table, key hash and session
+//! flush; each store adds only its per-key value and merge.
 //!
 //! # Parallel ingest sessions
 //!
@@ -28,9 +28,8 @@
 //! ([`IngestSession`] / [`WindowIngestSession`]): each thread appends
 //! observations to a thread-local log, and each flush groups the log
 //! once (the same grouper direct batches use) and folds every key's run
-//! of hashes into its slot under one write lock per shard (parking the
-//! shard's runs as one item on a per-shard queue when the lock is
-//! contended) — the hot insert loop touches no shared state at all.
+//! of hashes into its slot under one write lock per shard — the hot
+//! insert loop touches no shared state at all.
 //!
 //! Because every per-key structure is monotone (token sets union,
 //! registers only grow, promotion is threshold-crossing), the final

@@ -12,22 +12,19 @@
 //! reaches the session's threshold, or at an explicit
 //! [`Session::flush`] (and on drop), the flush groups the log once into
 //! one run per `(key, tag)`, ordered by shard — the same grouper direct
-//! batches go through, with no comparison sort — takes each shard's lock
-//! once, and folds every key's run of hashes straight into its slot
-//! through the one handoff protocol both stores share. A sparse slot takes a run as one
-//! sorted token batch, a dense slot as one batched register insert.
+//! batches go through, with no comparison sort — takes each shard's
+//! write lock once, waiting for it if another thread holds it, and folds
+//! every key's run of hashes straight into its slot. A sparse slot takes
+//! a run as one sorted token batch, a dense slot as one batched register
+//! insert. Every flush is the same flush: when it returns, everything
+//! the session buffered is in the store and visible to queries.
 //!
 //! # Buffer reuse
 //!
 //! A flush empties the log and the key arena but keeps their capacity,
 //! so a session reaches its working-set size once and then buffers
 //! without allocating. The session holds O(auto-flush threshold)
-//! records, however many distinct keys it has seen. Only when a shard's
-//! write lock is contended during an auto-flush does the session copy
-//! that shard's runs, as one parked item, onto the store's handoff
-//! queue. Oversubscribed ingest —
-//! more sessions than cores — therefore degrades gracefully instead of
-//! stalling on locks.
+//! records, however many distinct keys it has seen.
 //!
 //! # Exactness
 //!
@@ -36,7 +33,7 @@
 //! is free, and folding a run into a slot produces *bit-for-bit* the
 //! state direct insertion of the buffered hashes would have — regardless
 //! of how many threads buffered what, when each run was flushed, or
-//! which thread drained the queue. The
+//! which flush took a shard's lock first. The
 //! `proptest_session` suite pins this equivalence against sequential
 //! [`EllStore::ingest`] for random flush points and schedules.
 //!
@@ -59,7 +56,7 @@
 //!             for i in 0..10_000u64 {
 //!                 session.insert("events", ell_hash::mix64(t * 10_000 + i));
 //!             }
-//!             // Dropping the session flushes and drains everything.
+//!             // Dropping the session flushes everything.
 //!         });
 //!     }
 //! });
@@ -71,7 +68,7 @@ use crate::store::EllStore;
 use crate::window::WindowedStore;
 
 /// Default number of buffered hashes that triggers an automatic flush.
-/// Large enough to amortize the grouping and the handoff, small enough to
+/// Large enough to amortize the grouping and the shard locks, small enough to
 /// bound the session's memory (one log record per buffered hash).
 pub(crate) const DEFAULT_AUTO_FLUSH: usize = 32 * 1024;
 
@@ -132,8 +129,9 @@ impl<'a, S: Keyed> Session<'a, S> {
 
     /// Sets the buffered-hash count that triggers an automatic flush
     /// (clamped to ≥ 1). Smaller thresholds bound memory tighter and
-    /// surface data to readers sooner; larger ones amortize the handoff
-    /// better. The final state is identical either way.
+    /// surface data to readers sooner; larger ones amortize the grouping
+    /// and the shard locks better. The final state is identical either
+    /// way.
     #[must_use]
     pub fn with_auto_flush(mut self, hashes: usize) -> Self {
         self.auto_flush = hashes.max(1);
@@ -146,35 +144,27 @@ impl<'a, S: Keyed> Session<'a, S> {
         self.log.len()
     }
 
-    /// Flushes the log and drains the store's handoff queues (a
-    /// barrier): on return, everything this session ever buffered is
-    /// merged into the store and visible to queries.
+    /// Folds the log into the store: on return, everything this session
+    /// ever buffered is merged and visible to queries. An auto-flush and
+    /// the flush on drop are this same call.
     pub fn flush(&mut self) {
-        self.flush_with(true);
+        let store = self.store;
+        let runs = self.log.runs(store.core().shard_count());
+        for (si, group) in by_shard(&runs) {
+            store.flush_runs(si, group);
+        }
+        self.log.clear();
     }
 
     /// Buffers one observation of `key` under `tag`.
     fn buffer(&mut self, key: &str, tag: S::Tag, hash: u64) {
         if !self.log.fits(key) {
-            self.flush_with(false);
+            self.flush();
         }
         self.log
             .push(self.store.core().key_hash(key), key, tag, hash);
         if self.log.len() >= self.auto_flush {
-            self.flush_with(false);
-        }
-    }
-
-    fn flush_with(&mut self, barrier: bool) {
-        let store = self.store;
-        let core = store.core();
-        let runs = self.log.runs(core.shard_count());
-        for (si, group) in by_shard(&runs) {
-            store.flush_runs(si, group, barrier);
-        }
-        self.log.clear();
-        if barrier {
-            store.drain_all_pending();
+            self.flush();
         }
     }
 }
@@ -258,7 +248,7 @@ impl<T: Copy + Eq> Log<T> {
 
 impl<S: Keyed> Drop for Session<'_, S> {
     fn drop(&mut self) {
-        self.flush_with(true);
+        self.flush();
     }
 }
 

@@ -79,9 +79,8 @@ pub struct EllStore {
     cfg: EllConfig,
     /// Token parameter used for newly created (sparse) keys.
     v: u32,
-    /// Shard maps of slots plus the handoff queues buffered sessions
-    /// (see [`crate::IngestSession`]) park untagged runs of hashes on.
-    core: KeyedCore<Slot, ()>,
+    /// Shard maps of slots.
+    core: KeyedCore<Slot>,
     /// The access clock driving demotion decisions; advanced by
     /// [`EllStore::tick`], stamped into each slot on access.
     clock: AtomicU64,
@@ -246,11 +245,17 @@ impl EllStore {
     /// # Errors
     ///
     /// Fails when the sketch's configuration differs from the store's,
-    /// or (both sides sparse) on a token-parameter mismatch.
+    /// or when it is sparse with another token parameter: every sparse
+    /// slot must merge with the deltas the store's sessions create.
     pub fn merge_key(&self, key: &str, sketch: &AdaptiveExaLogLog) -> Result<(), EllError> {
         if sketch.config() != &self.cfg {
             return Err(EllError::IncompatibleSketches {
                 reason: format!("store {} vs sketch {}", self.cfg, sketch.config()),
+            });
+        }
+        if let Some(v) = sketch.token_parameter().filter(|&v| v != self.v) {
+            return Err(EllError::IncompatibleSketches {
+                reason: format!("store token parameter {} vs sketch {v}", self.v),
             });
         }
         let (si, key_hash) = self.core.locate(key);
@@ -441,7 +446,7 @@ impl Keyed for EllStore {
     type Tag = ();
     type Pin = ();
 
-    fn core(&self) -> &KeyedCore<Slot, ()> {
+    fn core(&self) -> &KeyedCore<Slot> {
         &self.core
     }
 
@@ -584,6 +589,13 @@ mod tests {
         // Incompatible configuration is rejected.
         let other = AdaptiveExaLogLog::new(EllConfig::new(2, 16, 7).unwrap()).unwrap();
         assert!(store.merge_key("k", &other).is_err());
+        // So is a token set of another token parameter, even for a new
+        // key: its slot could not take the store's session deltas.
+        let mut foreign = AdaptiveExaLogLog::with_token_parameter(cfg(), 30).unwrap();
+        foreign.insert_hash(7);
+        let err = store.merge_key("new", &foreign).unwrap_err();
+        assert!(err.to_string().contains("token parameter"), "{err}");
+        assert!(store.estimate("new").is_none());
     }
 
     #[test]
@@ -885,7 +897,7 @@ mod tests {
             })
         };
         store.ingest_shard(0, &runs("right", &left, &right));
-        store.flush_runs(0, &runs("right", &more_left, &more_right), true);
+        store.flush_runs(0, &runs("right", &more_left, &more_right));
         assert_eq!(store.key_count(), 2);
         for (key, first, then) in [("left", &left, &more_left), ("right", &right, &more_right)] {
             for &hash in first.iter().chain(then) {

@@ -427,9 +427,9 @@ impl Ladder {
     /// disk hold every flushed run. Each shard's cold bytes go to the
     /// segment file in one write; if it fails, they all stay warm.
     /// Returns `(to_warm, to_cold)`.
-    pub(crate) fn sweep<V: Rung, T>(
+    pub(crate) fn sweep<V: Rung>(
         &self,
-        core: &KeyedCore<Entry<V>, T>,
+        core: &KeyedCore<Entry<V>>,
         now: u64,
         ctx: V::Ctx,
         mut visit: impl FnMut(&mut V),
@@ -500,9 +500,9 @@ impl Ladder {
     }
 
     /// [`Ladder::sweep`] with nothing to visit; free without thresholds.
-    pub(crate) fn demote_idle<V: Rung, T>(
+    pub(crate) fn demote_idle<V: Rung>(
         &self,
-        core: &KeyedCore<Entry<V>, T>,
+        core: &KeyedCore<Entry<V>>,
         now: u64,
         ctx: V::Ctx,
     ) -> (usize, usize) {
@@ -516,9 +516,9 @@ impl Ladder {
     /// demoted entry, this is `promote_all`; with every entry holding
     /// parked runs, the flat store's snapshot settle, so its payloads
     /// hold every flushed run.
-    pub(crate) fn promote_all<V: Rung, T>(
+    pub(crate) fn promote_all<V: Rung>(
         &self,
-        core: &KeyedCore<Entry<V>, T>,
+        core: &KeyedCore<Entry<V>>,
         ctx: V::Ctx,
         which: impl Fn(&Entry<V>) -> bool,
     ) -> usize {
@@ -535,7 +535,7 @@ impl Ladder {
     /// Folds every warm entry's parked runs into its bytes, leaving it
     /// warm: the window snapshot's settle, so warm bytes travel
     /// verbatim.
-    pub(crate) fn settle_parked<V: Rung, T>(&self, core: &KeyedCore<Entry<V>, T>, ctx: V::Ctx) {
+    pub(crate) fn settle_parked<V: Rung>(&self, core: &KeyedCore<Entry<V>>, ctx: V::Ctx) {
         core.for_each_mut(|entry| {
             if let State::Warm(bytes, parked) = &mut entry.state {
                 settle::<V>(bytes, parked, ctx);
@@ -545,9 +545,9 @@ impl Ladder {
 
     /// Tier occupancy and transition counters, with `resident_bytes` as
     /// the store measured it.
-    pub(crate) fn tier_stats<V: Rung, T>(
+    pub(crate) fn tier_stats<V: Rung>(
         &self,
-        core: &KeyedCore<Entry<V>, T>,
+        core: &KeyedCore<Entry<V>>,
         resident_bytes: usize,
     ) -> TierStats {
         let c = &self.counters;

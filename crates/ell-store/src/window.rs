@@ -351,12 +351,11 @@ pub struct WindowedStore {
     /// ingest and queries, for write during rotation, so every operation
     /// sees one consistent window position.
     current: RwLock<u64>,
-    /// Shard maps of epoch rings plus the handoff queues buffered
-    /// sessions (see [`crate::WindowIngestSession`]) park
-    /// epoch-tagged runs of hashes on; queued runs drain into ring slots (or
-    /// retired unions, for rotated-out epochs) under the shard write
-    /// lock with the window position pinned.
-    core: KeyedCore<WindowEntry, u64>,
+    /// Shard maps of epoch rings. Session flushes fold epoch-tagged runs
+    /// of hashes into ring slots (or retired unions, for rotated-out
+    /// epochs) under the shard write lock with the window position
+    /// pinned.
+    core: KeyedCore<WindowEntry>,
     /// The residency ladder, measuring idle age in epochs: rotation and
     /// [`WindowedStore::demote_idle`] sweep rings whose last touch is at
     /// least `warm_after` epochs behind the current one. It also holds
@@ -918,13 +917,13 @@ impl Keyed for WindowedStore {
     type Tag = u64;
     type Pin = u64;
 
-    fn core(&self) -> &KeyedCore<WindowEntry, u64> {
+    fn core(&self) -> &KeyedCore<WindowEntry> {
         &self.core
     }
 
     /// Pins the window position: the epoch read lock is held for the
-    /// whole merge or drain, so the live-or-retired decision for every
-    /// run is consistent with rotation (which takes the write lock).
+    /// whole shard flush, so the live-or-retired decision for every run
+    /// is consistent with rotation (which takes the write lock).
     fn pinned<R>(&self, f: impl FnOnce(u64) -> R) -> R {
         let current = self.current.read().expect("epoch lock poisoned");
         f(*current)

@@ -62,10 +62,10 @@
 use crate::tiers::Entry;
 use crate::window::{WindowRing, WindowedStore};
 use crate::wire::{
-    check_payload_config, corrupt, corrupt_at, open, put_header, put_prefixed, Reader,
+    check_compressed, corrupt, corrupt_at, open, put_header, put_prefixed, read_sketch, Reader,
 };
 use exaloglog::adaptive::AdaptiveExaLogLog;
-use exaloglog::compress::{check_header, compress, decompress};
+use exaloglog::compress::compress;
 use exaloglog::{EllConfig, EllError, ExaLogLog};
 
 const MAGIC: &[u8; 4] = b"ELLW";
@@ -135,56 +135,17 @@ pub(crate) fn encode_warm(
     out
 }
 
-/// Decodes one nonempty payload of a store with configuration `cfg` by
-/// its magic: `ELLS` to a token set, which must carry the store's token
-/// parameter, and the entry's dense magic — `ELL1` in a live entry,
-/// `ELLZ` in a warm one — to registers. Any other payload is rejected,
-/// so every accepted payload is the one the writer would produce. The
-/// configuration is checked before anything is decoded.
-fn read_sketch(
-    payload: &[u8],
-    cfg: &EllConfig,
-    dense: &[u8; 4],
-    what: &dyn Fn() -> String,
-) -> Result<AdaptiveExaLogLog, EllError> {
-    check_payload_config(payload, cfg, what)?;
-    let magic = &payload[..4];
-    if magic != b"ELLS" {
-        let registers = match magic {
-            _ if magic != dense => Err(format!(
-                "payload magic {:?} in an entry of {:?} and ELLS payloads",
-                String::from_utf8_lossy(magic),
-                String::from_utf8_lossy(dense)
-            )),
-            b"ELLZ" => decompress(payload).map_err(|e| e.to_string()),
-            _ => ExaLogLog::from_bytes(payload).map_err(|e| e.to_string()),
-        };
-        return registers
-            .map(AdaptiveExaLogLog::from_dense)
-            .map_err(|e| corrupt_at(what, e));
-    }
-    let sketch = AdaptiveExaLogLog::from_bytes(payload).map_err(|e| corrupt_at(what, e))?;
-    let v = AdaptiveExaLogLog::default_token_parameter(cfg);
-    match sketch.token_parameter() {
-        Some(found) if found == v => Ok(sketch),
-        Some(found) => Err(corrupt_at(
-            what,
-            format!("token parameter {found} is not the store's {v}"),
-        )),
-        None => Err(corrupt_at(what, "an ELLS payload holds registers")),
-    }
-}
-
 /// Parses the warm entry body at the front of `bytes` for a ring of
 /// `epochs` slots at window position `current`: the retired union, then
 /// the slots in epoch order. The body must hold at least one payload,
-/// each must pass [`read_sketch`], and the slot epochs must rise and not
-/// pass `current`. Returns the body's length.
+/// each must pass [`read_sketch`] with the store's token parameter, and
+/// the slot epochs must rise and not pass `current`. Returns the body's
+/// length.
 ///
 /// With `each`, every decoded sketch is handed to it, the retired union
 /// with epoch `None`. Without, the body is only checked, and an `ELLZ`
-/// payload only by its header: its range-coded body always decodes
-/// ([`check_header`]), so the same bodies are accepted either way.
+/// payload only by its header ([`check_compressed`]), so the same bodies
+/// are accepted either way.
 pub(crate) fn read_warm_body(
     bytes: &[u8],
     cfg: &EllConfig,
@@ -193,15 +154,13 @@ pub(crate) fn read_warm_body(
     what: &dyn Fn() -> String,
     mut each: Option<&mut dyn FnMut(Option<u64>, AdaptiveExaLogLog)>,
 ) -> Result<usize, EllError> {
+    let v = AdaptiveExaLogLog::default_token_parameter(cfg);
     let mut take = |epoch, payload: &[u8], at: &dyn Fn() -> String| match each.as_mut() {
-        Some(each) => read_sketch(payload, cfg, WARM_DENSE, at).map(|sketch| each(epoch, sketch)),
-        None if payload.starts_with(WARM_DENSE) => {
-            check_payload_config(payload, cfg, at)?;
-            check_header(payload)
-                .map_err(|e| corrupt_at(at, e))
-                .map(drop)
+        Some(each) => {
+            read_sketch(payload, cfg, v, WARM_DENSE, at).map(|sketch| each(epoch, sketch))
         }
-        None => read_sketch(payload, cfg, WARM_DENSE, at).map(drop),
+        None if payload.starts_with(WARM_DENSE) => check_compressed(payload, cfg, at),
+        None => read_sketch(payload, cfg, v, WARM_DENSE, at).map(drop),
     };
     let mut r = Reader::at(bytes, 0);
     let retired = r.prefixed()?;
@@ -304,6 +263,7 @@ impl WindowedStore {
             )));
         }
         let store = WindowedStore::new(shards, cfg, epochs)?;
+        let v = AdaptiveExaLogLog::default_token_parameter(&cfg);
         // Pins the window position while the store is empty: rotation has
         // nothing to fold, and the snapshot's rings are already rotated.
         store.advance(current);
@@ -332,7 +292,7 @@ impl WindowedStore {
                         [] => AdaptiveExaLogLog::new(cfg),
                         _ => {
                             let at = || format!("{} payload {slot}", what());
-                            read_sketch(payload, &cfg, LIVE_DENSE, &at)
+                            read_sketch(payload, &cfg, v, LIVE_DENSE, &at)
                         }
                     };
                     let mut sketches = payloads.iter().enumerate().map(sketch);
@@ -558,12 +518,13 @@ mod tests {
         legacy.extend_from_slice(&[2, 16, 6, 26, 1]);
         legacy.extend_from_slice(&registers.to_bytes());
         assert!(AdaptiveExaLogLog::from_bytes(&legacy).is_ok());
-        let err = read_sketch(&legacy, &cfg, LIVE_DENSE, &String::new).unwrap_err();
+        let v = AdaptiveExaLogLog::default_token_parameter(&cfg);
+        let err = read_sketch(&legacy, &cfg, v, LIVE_DENSE, &String::new).unwrap_err();
         assert!(err.to_string().contains("holds registers"), "{err}");
         // The writer's own dense payloads pass.
-        let ok = read_sketch(&registers.to_bytes(), &cfg, LIVE_DENSE, &String::new);
+        let ok = read_sketch(&registers.to_bytes(), &cfg, v, LIVE_DENSE, &String::new);
         assert_eq!(ok.unwrap(), promoted);
-        let ok = read_sketch(&compress(&registers), &cfg, WARM_DENSE, &String::new);
+        let ok = read_sketch(&compress(&registers), &cfg, v, WARM_DENSE, &String::new);
         assert_eq!(ok.unwrap(), promoted);
     }
 

@@ -17,6 +17,12 @@
 //!                   config-validated
 //! ```
 //!
+//! Restore reads every payload through [`read_sketch`], as `ELLW`
+//! restore does: an `ELLS` payload must carry the header's token
+//! parameter `v`, so every sparse slot merges with the session deltas
+//! the store creates; an `ELL1` payload is decoded in full; and an
+//! `ELLZ` payload is checked by its header only ([`check_compressed`]).
+//!
 //! Entries are written in key order; resident slots serialize in their
 //! canonical form, while warm/cold slots embed their compressed `ELLZ`
 //! payload verbatim (no dense round trip — and restore places those
@@ -27,8 +33,8 @@
 use crate::store::EllStore;
 use crate::tiers::Entry;
 use exaloglog::adaptive::AdaptiveExaLogLog;
-use exaloglog::compress::decompress;
-use exaloglog::{EllConfig, EllError};
+use exaloglog::compress::{check_header, decompress};
+use exaloglog::{EllConfig, EllError, ExaLogLog};
 
 const MAGIC: &[u8; 4] = b"ELLK";
 const VERSION: u8 = 1;
@@ -55,7 +61,7 @@ pub(crate) fn corrupt_at(what: impl FnOnce() -> String, err: impl core::fmt::Dis
 /// sizes the sketch from them, so a corrupted payload cannot make the
 /// decoder allocate for a larger configuration. A payload that passes
 /// decodes to the header configuration.
-pub(crate) fn check_payload_config(
+fn check_payload_config(
     payload: &[u8],
     header: &EllConfig,
     what: impl FnOnce() -> String,
@@ -68,6 +74,63 @@ pub(crate) fn check_payload_config(
     } else {
         let err = format!("configuration ({t}, {d}, {p}) does not match header {header}");
         Err(corrupt_at(what, err))
+    }
+}
+
+/// Checks an `ELLZ` payload of a store with configuration `cfg` without
+/// decoding its body: its configuration, then its 16-byte header.
+/// [`decompress`] fails exactly when [`check_header`] does (the
+/// range-coded body always decodes), so a payload that passes here
+/// decodes in [`read_sketch`] too.
+pub(crate) fn check_compressed(
+    payload: &[u8],
+    cfg: &EllConfig,
+    what: &dyn Fn() -> String,
+) -> Result<(), EllError> {
+    check_payload_config(payload, cfg, what)?;
+    check_header(payload)
+        .map(drop)
+        .map_err(|e| corrupt_at(what, e))
+}
+
+/// Decodes one nonempty payload of a store with configuration `cfg` and
+/// token parameter `v` by its magic: `ELLS` to a token set, which must
+/// carry `v`, and `dense` — `ELL1` or `ELLZ`, whichever the entry holds
+/// — to registers. Any other payload is rejected, so every accepted
+/// payload is one the writer produces, and every sketch a store holds
+/// merges with the ones its sessions create. The configuration is
+/// checked before anything is decoded.
+pub(crate) fn read_sketch(
+    payload: &[u8],
+    cfg: &EllConfig,
+    v: u32,
+    dense: &[u8; 4],
+    what: &dyn Fn() -> String,
+) -> Result<AdaptiveExaLogLog, EllError> {
+    check_payload_config(payload, cfg, what)?;
+    let magic = &payload[..4];
+    if magic != b"ELLS" {
+        let registers = match magic {
+            _ if magic != dense => Err(format!(
+                "payload magic {:?} in an entry of {:?} and ELLS payloads",
+                String::from_utf8_lossy(magic),
+                String::from_utf8_lossy(dense)
+            )),
+            b"ELLZ" => decompress(payload).map_err(|e| e.to_string()),
+            _ => ExaLogLog::from_bytes(payload).map_err(|e| e.to_string()),
+        };
+        return registers
+            .map(AdaptiveExaLogLog::from_dense)
+            .map_err(|e| corrupt_at(what, e));
+    }
+    let sketch = AdaptiveExaLogLog::from_bytes(payload).map_err(|e| corrupt_at(what, e))?;
+    match sketch.token_parameter() {
+        Some(found) if found == v => Ok(sketch),
+        Some(found) => Err(corrupt_at(
+            what,
+            format!("token parameter {found} is not the store's {v}"),
+        )),
+        None => Err(corrupt_at(what, "an ELLS payload holds registers")),
     }
 }
 
@@ -234,17 +297,15 @@ impl EllStore {
             let key = r.key(i)?;
             let payload = r.prefixed()?;
             let what = || format!("entry {i} ({key:?})");
-            check_payload_config(payload, &cfg, what)?;
             // A restored store's access clock starts at 0.
             let slot = if payload.starts_with(b"ELLZ") {
-                // A warm entry: validate that it decompresses, then keep
-                // the compressed payload as a warm slot — a re-snapshot
+                // A warm entry: check its header, then keep the
+                // compressed payload as a warm slot — a re-snapshot
                 // reuses it verbatim.
-                decompress(payload).map_err(|e| corrupt_at(what, e))?;
+                check_compressed(payload, &cfg, &what)?;
                 Entry::warm(payload.into(), 0)
             } else {
-                let sketch =
-                    AdaptiveExaLogLog::from_bytes(payload).map_err(|e| corrupt_at(what, e))?;
+                let sketch = read_sketch(payload, &cfg, v, b"ELL1", &what)?;
                 Entry::new(Box::new(sketch), 0)
             };
             let placed = store.place(key, slot);

@@ -7,9 +7,11 @@
 //! slots beside one dense slot) — are fed to `from_snapshot_bytes`
 //! under every single-bit flip and every truncation. Each mutation must
 //! either be rejected with `Err`, or restore a store that then survives
-//! `promote_all()` and every query without a panic: a warm entry revives
-//! from bytes the restore accepted, so whatever restore lets through,
-//! revival must be able to decode.
+//! demotion, one parked session run per key, `promote_all()` and every
+//! query without a panic: a warm entry revives from bytes the restore
+//! accepted, merged with runs the restored store's own sessions parked,
+//! so whatever restore lets through, revival must be able to decode and
+//! merge.
 
 use ell_hash::SplitMix64;
 use ell_store::{EllStore, Tier, TierConfig, WindowedStore};
@@ -48,8 +50,25 @@ fn sweep(snapshot: &[u8], decode: impl Fn(&[u8]) -> bool) -> usize {
     accepted
 }
 
-#[test]
-fn no_flat_snapshot_mutation_panics() {
+/// Demotes every key of a restored flat store, parks one session run
+/// on each, and revives them all: the parked runs carry the store's own
+/// token parameter, so a restored sketch that cannot merge with them
+/// panics here.
+fn park_and_revive(store: &mut EllStore) {
+    store.set_tier_config(TierConfig::new().warm_after(1));
+    store.tick();
+    store.demote_idle();
+    let keys = store.keys();
+    let mut session = store.session();
+    for key in &keys {
+        session.insert(key, 0x5EED_F1A7);
+    }
+    drop(session);
+    store.promote_all();
+}
+
+/// A flat snapshot of one dense, one sparse and two warm keys.
+fn flat_snapshot() -> Vec<u8> {
     let mut store = EllStore::new(2, cfg()).unwrap();
     store.set_tier_config(TierConfig::new().warm_after(1));
     let mut rng = SplitMix64::new(71);
@@ -68,12 +87,16 @@ fn no_flat_snapshot_mutation_panics() {
         tiers.map(Option::unwrap),
         [Tier::Hot, Tier::Sparse, Tier::Warm, Tier::Warm]
     );
-    let snapshot = store.snapshot_bytes();
-    let accepted = sweep(&snapshot, |bad| {
-        let Ok(restored) = EllStore::from_snapshot_bytes(bad) else {
+    store.snapshot_bytes()
+}
+
+#[test]
+fn no_flat_snapshot_mutation_panics() {
+    let accepted = sweep(&flat_snapshot(), |bad| {
+        let Ok(mut restored) = EllStore::from_snapshot_bytes(bad) else {
             return false;
         };
-        restored.promote_all();
+        park_and_revive(&mut restored);
         for key in restored.keys() {
             let _ = restored.estimate(&key);
         }
@@ -86,13 +109,41 @@ fn no_flat_snapshot_mutation_panics() {
     assert!(accepted > 0);
 }
 
+#[test]
+fn a_foreign_token_parameter_is_rejected() {
+    // One bit flip turns the header's token parameter 26 into 30; the
+    // sparse payloads still carry 26, so their slots could not take the
+    // restored store's session runs.
+    let snapshot = flat_snapshot();
+    assert_eq!(snapshot[8], 26, "the header's token parameter");
+    let mut bad = snapshot.clone();
+    bad[8] ^= 1 << 2;
+    let err = EllStore::from_snapshot_bytes(&bad).unwrap_err();
+    assert!(err.to_string().contains("token parameter"), "{err}");
+    // The unflipped snapshot goes through the same steps cleanly.
+    let mut restored = EllStore::from_snapshot_bytes(&snapshot).unwrap();
+    park_and_revive(&mut restored);
+    assert_eq!(restored.tier_stats().warm_keys, 0);
+}
+
 /// Sweeps `snapshot` through a windowed restore that, on success,
-/// promotes, queries and re-snapshots the store.
+/// demotes every ring one epoch later, parks one session run on each
+/// for the restored current epoch, promotes, queries and re-snapshots
+/// the store.
 fn sweep_window(snapshot: &[u8]) -> usize {
     sweep(snapshot, |bad| {
-        let Ok(restored) = WindowedStore::from_snapshot_bytes(bad) else {
+        let Ok(mut restored) = WindowedStore::from_snapshot_bytes(bad) else {
             return false;
         };
+        let current = restored.current_epoch();
+        restored.set_warm_after(Some(1));
+        restored.advance(current.saturating_add(1));
+        let keys = restored.keys();
+        let mut session = restored.session();
+        for key in &keys {
+            session.insert(key, current, 0x5EED_F1A7);
+        }
+        drop(session);
         restored.promote_all();
         for key in restored.keys() {
             for k in 1..=restored.epoch_window() {

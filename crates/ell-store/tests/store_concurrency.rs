@@ -39,7 +39,7 @@ fn stress_threads() -> Vec<usize> {
 /// Deliberately tiny: the `sanitizers` CI job runs `cargo test smoke`
 /// under ThreadSanitizer and Miri, where every access is instrumented.
 /// Two racing sessions plus a demote sweep over a small workload cover
-/// the shard-lock, handoff-queue, and tier protocols the full-size
+/// the shard-lock flush and tier protocols the full-size
 /// tests stress at scale.
 #[test]
 fn smoke_sessions_race_demote_sweep() {
@@ -113,11 +113,11 @@ fn snapshot_is_independent_of_thread_count() {
 }
 
 /// Session ingest across real threads: each thread buffers into its own
-/// delta sketches with a *different* auto-flush threshold (so flush
-/// points fall at different, contention-dependent moments) and the
-/// handoff queues are drained by whichever thread gets there first —
-/// yet the quiesced snapshot must equal the single-threaded direct
-/// path, bit for bit, at every stress thread count.
+/// log with a *different* auto-flush threshold (so flush points fall at
+/// different, contention-dependent moments) and the flushes take each
+/// shard's lock in whatever order they reach it — yet the quiesced
+/// snapshot must equal the single-threaded direct path, bit for bit, at
+/// every stress thread count.
 #[test]
 fn session_flush_timing_is_invisible_in_the_snapshot() {
     let events = workload(120_000, 21);

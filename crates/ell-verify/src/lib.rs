@@ -1,26 +1,29 @@
-//! # ell-verify — model checking for the lock-free serving core
+//! # ell-verify — model checking for the concurrent serving core
 //!
 //! The store stack's concurrency story rests on a handful of subtle
-//! protocols: the CAS word-packed atomic sketch, the per-shard handoff
-//! queues with `try_write` opportunism, the double-checked suffix-chain
-//! rebuild, snapshot-during-ingest, and the tier promote/demote ladder.
-//! Stress tests sample a few interleavings of each per run; this crate
-//! instead ports each protocol to a **small-scale model** over the
-//! vendored [`shuttle`] deterministic scheduler and *enumerates*
-//! interleavings — exhaustive DFS with
+//! protocols: the CAS word-packed atomic sketch, the double-checked
+//! suffix-chain rebuild, snapshot-during-ingest, and the tier
+//! promote/demote ladder. Stress tests sample a few interleavings of
+//! each per run; this crate instead ports each protocol to a
+//! **small-scale model** over the vendored [`shuttle`] deterministic
+//! scheduler and *enumerates* interleavings — exhaustive DFS with
 //! bounded preemption, topped up with seeded-random schedules to at
 //! least 10 000 per protocol (the repo's acceptance gate).
 //!
-//! ## The five protocols
+//! ## The four protocols
 //!
 //! | model | real code | invariant checked |
 //! |---|---|---|
 //! | [`models::cas_merge`] | `exaloglog::atomic::rmw_register` | concurrent CAS insert + merge converge to the sequential join |
-//! | [`models::handoff`] | `ell-store::core::Keyed::flush_runs` / `drain_shard` (shared by `EllStore` and `WindowedStore`) | no parked run is lost; barrier drain leaves the queue empty |
 //! | [`models::suffix_chain`] | `ell-store::window::with_suffixes` | every chain-served answer equals recomputation from the slots |
 //! | [`models::snapshot`] | `exaloglog::atomic::snapshot` | snapshots are monotone, untorn, and legal sub-states |
 //! | [`models::tiers`] | `ell-store::store::demote_idle` / promote-on-access | demote/promote/flush races conserve every contribution |
-//! //!
+//!
+//! A session flush (`ell-store::core::Keyed::flush_runs`) folds under
+//! the shard write lock like a direct ingest, with no queue of its own
+//! to model; `tests/real_models.rs` races real sessions, flushes and
+//! rotation on the production types instead.
+//!
 //! Models use the shuttle shims directly, so they are deterministic
 //! under a plain `cargo test`. The crates under test additionally route
 //! their own `std::sync` use through `sync` facade modules; building

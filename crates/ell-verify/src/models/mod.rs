@@ -1,10 +1,9 @@
-//! The five protocol models. Each module exposes a `model()` closure
+//! The four protocol models. Each module exposes a `model()` closure
 //! body suitable for [`shuttle::explore`]; the invariants are asserted
 //! inside the model, so a violating interleaving panics and surfaces
 //! with a replay token.
 
 pub mod cas_merge;
-pub mod handoff;
 pub mod snapshot;
 pub mod suffix_chain;
 pub mod tiers;

@@ -89,6 +89,9 @@ fn real_atomic_sketch_concurrent_merge_converges() {
 
 #[test]
 fn real_store_sessions_race_barrier_flush() {
+    // The blocking flush on the real store: two sessions auto-flush
+    // every hash, so their flushes wait on the one shard's write lock
+    // in every order the scheduler picks.
     let report = ell_verify::explore(&Config::default().random_only(100).seed(13), || {
         let store = Arc::new(EllStore::new(1, small_cfg()).expect("store"));
 
@@ -97,7 +100,7 @@ fn real_store_sessions_race_barrier_flush() {
             let mut sess = s.session().with_auto_flush(1);
             sess.insert("k", 0x1111_2222_3333_4444);
             sess.insert("k", 0x5555_6666_7777_8888);
-            // Drop runs the session's own barrier flush.
+            // Drop runs the same flush.
         });
         let s = Arc::clone(&store);
         let session_b = shuttle::thread::spawn(move || {
@@ -124,9 +127,11 @@ fn real_store_sessions_race_barrier_flush() {
 
 #[test]
 fn real_window_sessions_race_barrier_flush_and_advance() {
-    // The shared handoff core under the window's epoch pin: two sessions
-    // auto-flush every hash (so contended flushes park on the queue)
-    // while a third thread rotates the window past every buffered epoch.
+    // The blocking flush under the window's epoch pin: two sessions
+    // auto-flush every hash (each flush takes the epoch read lock, then
+    // the shard write lock) while a third thread rotates the window past
+    // every buffered epoch under the epoch write lock. The lock order is
+    // the same on every path, so no schedule may deadlock.
     let report = ell_verify::explore(&Config::default().random_only(100).seed(15), || {
         let store = Arc::new(WindowedStore::new(1, small_cfg(), 2).expect("store"));
 
@@ -135,7 +140,7 @@ fn real_window_sessions_race_barrier_flush_and_advance() {
             let mut sess = s.session().with_auto_flush(1);
             sess.insert("k", 0, 0x1111_2222_3333_4444);
             sess.insert("k", 1, 0x5555_6666_7777_8888);
-            // Drop runs the session's own barrier flush.
+            // Drop runs the same flush.
         });
         let s = Arc::clone(&store);
         let session_b = shuttle::thread::spawn(move || {

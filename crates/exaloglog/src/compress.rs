@@ -11,7 +11,8 @@
 //!    maximum update value `u` follows the distribution (13), and each
 //!    indicator bit is an independent Bernoulli with probability
 //!    Pr(A_k) = 1 − e^(−n̂·ρ(k)/m) (12);
-//! 3. drive a binary arithmetic coder with that model.
+//! 3. drive a binary arithmetic coder with that model — the LZMA-style
+//!    range coder of [`ell_codec::range`], fed static probabilities.
 //!
 //! Because the decoder re-derives the identical model from the n̂ carried
 //! in the header, coding is fully deterministic and lossless. The achieved
@@ -22,125 +23,10 @@
 use crate::config::{EllConfig, EllError};
 use crate::pmf::{omega, rho_update};
 use crate::sketch::ExaLogLog;
+use ell_codec::{RangeDecoder, RangeEncoder, PROB_ONE};
 
 /// Magic for the compressed format.
 const MAGIC: &[u8; 4] = b"ELLZ";
-
-// ---------------------------------------------------------------------
-// Binary arithmetic coder: the LZMA-style carry-propagating range coder
-// (32-bit range, byte-wise renormalization, cache/pending-0xFF carry
-// handling). Proven design; the round-trip property tests hammer it.
-// ---------------------------------------------------------------------
-
-const PROB_BITS: u32 = 16;
-const PROB_ONE: u32 = 1 << PROB_BITS;
-const TOP: u32 = 1 << 24;
-
-struct Encoder {
-    low: u64,
-    range: u32,
-    cache: u8,
-    cache_size: u64,
-    out: Vec<u8>,
-}
-
-impl Encoder {
-    fn new() -> Self {
-        Encoder {
-            low: 0,
-            range: u32::MAX,
-            cache: 0,
-            cache_size: 1,
-            out: Vec::new(),
-        }
-    }
-
-    fn shift_low(&mut self) {
-        if (self.low as u32) < 0xff00_0000 || (self.low >> 32) != 0 {
-            let carry = (self.low >> 32) as u8;
-            self.out.push(self.cache.wrapping_add(carry));
-            for _ in 1..self.cache_size {
-                self.out.push(0xffu8.wrapping_add(carry));
-            }
-            self.cache = (self.low >> 24) as u8;
-            self.cache_size = 0;
-        }
-        self.cache_size += 1;
-        self.low = u64::from((self.low as u32) << 8);
-    }
-
-    /// Encodes one bit with P(bit = 1) = `p1` (in 1/2^16 units, clamped
-    /// away from 0 and 1 so both symbols stay codable).
-    fn encode(&mut self, bit: bool, p1: u32) {
-        let p1 = p1.clamp(1, PROB_ONE - 1);
-        let bound = (self.range >> PROB_BITS) * p1;
-        if bit {
-            self.range = bound;
-        } else {
-            self.low += u64::from(bound);
-            self.range -= bound;
-        }
-        while self.range < TOP {
-            self.range <<= 8;
-            self.shift_low();
-        }
-    }
-
-    fn finish(mut self) -> Vec<u8> {
-        for _ in 0..5 {
-            self.shift_low();
-        }
-        self.out
-    }
-}
-
-struct Decoder<'a> {
-    range: u32,
-    code: u32,
-    input: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Decoder<'a> {
-    fn new(input: &'a [u8]) -> Self {
-        let mut d = Decoder {
-            range: u32::MAX,
-            code: 0,
-            input,
-            pos: 0,
-        };
-        // The first emitted byte is the encoder's initial cache (possibly
-        // plus a carry); the decoder consumes it and loads 4 code bytes.
-        let _ = d.next_byte();
-        for _ in 0..4 {
-            d.code = (d.code << 8) | u32::from(d.next_byte());
-        }
-        d
-    }
-
-    fn next_byte(&mut self) -> u8 {
-        let b = self.input.get(self.pos).copied().unwrap_or(0);
-        self.pos += 1;
-        b
-    }
-
-    fn decode(&mut self, p1: u32) -> bool {
-        let p1 = p1.clamp(1, PROB_ONE - 1);
-        let bound = (self.range >> PROB_BITS) * p1;
-        let bit = self.code < bound;
-        if bit {
-            self.range = bound;
-        } else {
-            self.code -= bound;
-            self.range -= bound;
-        }
-        while self.range < TOP {
-            self.range <<= 8;
-            self.code = (self.code << 8) | u32::from(self.next_byte());
-        }
-        bit
-    }
-}
 
 // ---------------------------------------------------------------------
 // Register model from the §3.1 PMF.
@@ -207,7 +93,7 @@ pub fn compress(sketch: &ExaLogLog) -> Vec<u8> {
     let n_hat = sketch.estimate_ml_raw();
     let model = RegisterModel::build(&cfg, n_hat);
     let d = cfg.d();
-    let mut enc = Encoder::new();
+    let mut enc = RangeEncoder::new();
     // A zero register (u = 0) codes as exactly one "stop" bit at level 0.
     // Scanning only the nonzero registers through the word kernels and
     // gap-filling that stop bit for the runs of empty registers in
@@ -297,7 +183,7 @@ pub fn decompress(bytes: &[u8]) -> Result<ExaLogLog, EllError> {
     let model = RegisterModel::build(&cfg, n_hat);
     let d = cfg.d();
     let kmax = cfg.max_update_value();
-    let mut dec = Decoder::new(&bytes[16..]);
+    let mut dec = RangeDecoder::new(&bytes[16..]);
     let mut sketch = ExaLogLog::new(cfg);
     for i in 0..cfg.m() {
         let mut u = 0u64;
