@@ -11,7 +11,9 @@ For every file the script enforces, in order:
    ``INFORMATIONAL`` (``unreliable`` records measurement quality, not a
    law). New verdicts added to a bench are therefore gated automatically,
    with no CI edit.
-2. **String verdicts.** ``"equivalence"`` must be ``"ok"`` when present.
+2. **String verdicts.** ``"equivalence"`` and ``"codec_roundtrip"``
+   (the registers bench's compressed-format round trip) must be
+   ``"ok"`` when present.
 3. **Scaling gate.** When the file carries ``scaling_factor``, it must be
    ``>= --min-scaling`` (default 2.0) — but only when the measurement is
    trustworthy: ``available_parallelism >= 4`` and ``unreliable`` is not
@@ -42,6 +44,9 @@ import sys
 
 # Top-level booleans that describe the measurement, not a law.
 INFORMATIONAL = {"unreliable"}
+
+# Top-level strings that are verdicts: "ok" or a failure description.
+STRING_VERDICTS = ("equivalence", "codec_roundtrip")
 
 MIN_PARALLELISM = 4
 
@@ -89,9 +94,11 @@ def check_file(
         if value is not True:
             failures.append(f"verdict {key} is false")
 
+    for key in STRING_VERDICTS:
+        value = data.get(key)
+        if value is not None and value != "ok":
+            failures.append(f'{key} is "{value}", expected "ok"')
     equivalence = data.get("equivalence")
-    if equivalence is not None and equivalence != "ok":
-        failures.append(f'equivalence is "{equivalence}", expected "ok"')
 
     scaling_note = ""
     factor = _number(data, "scaling_factor", failures)

@@ -56,6 +56,16 @@ class VerdictTests(unittest.TestCase):
         self.assertFalse(ok)
         self.assertIn("law_a is false", out)
 
+    def test_codec_roundtrip_ok_passes(self):
+        ok, out = run_check({"bench": "registers", "codec_roundtrip": "ok"})
+        self.assertTrue(ok)
+        self.assertIn("OK", out)
+
+    def test_codec_roundtrip_mismatch_fails(self):
+        ok, out = run_check({"bench": "registers", "codec_roundtrip": "mismatch"})
+        self.assertFalse(ok)
+        self.assertIn('codec_roundtrip is "mismatch"', out)
+
     def test_unreadable_file_fails(self):
         out = io.StringIO()
         with redirect_stdout(out):

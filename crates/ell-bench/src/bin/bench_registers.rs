@@ -29,6 +29,14 @@
 //!   `kernel_equivalence` and the minimum SWAR speedup over the gated
 //!   shapes so CI can require both.
 //!
+//! * **codec** (once) — `exaloglog::compress` (`ELLR`) encode and
+//!   decode against the legacy `ELLZ` decoder on ELL(2, 20) at p = 10,
+//!   n ∈ {2·10³, 2·10⁴, 2·10⁶}. The `ELLZ` payloads are
+//!   `fixtures/ellz_codec.bin`, written by the last `ELLZ` encoder from
+//!   the same hash streams (`hashes(n, n)`). Each row records both
+//!   formats' bytes beside the state entropy; the JSON records
+//!   `codec_roundtrip`: both payloads must decode to the sketch, and
+//!   `compress` must reproduce its own bytes.
 //! * **scan** (once, not per configuration) — the column-count
 //!   Algorithm 3 scan behind `ml::compute_coefficients` versus the
 //!   per-bit reference (a fold of `ml::add_register`) on filled
@@ -42,6 +50,7 @@
 
 use ell_bench::hashes;
 use exaloglog::atomic::AtomicExaLogLog;
+use exaloglog::compress::{compress, decompress, state_entropy_bits};
 use exaloglog::kernels;
 use exaloglog::ml::{self, MlCoefficients};
 use exaloglog::theory::bias_correction_c;
@@ -207,6 +216,75 @@ fn bench_scan(p: u8, stream: &[u64], reps: usize, iters: usize, ok: &mut bool) -
         ),
         speedup,
     )
+}
+
+/// `ELLZ` payloads of ELL(2, 20) at p = 10 for the codec rows, each
+/// behind a little-endian `u32` length, in [`CODEC_N`] order.
+const ELLZ_CODEC: &[u8] = include_bytes!("../../fixtures/ellz_codec.bin");
+/// Distinct counts of the codec rows.
+const CODEC_N: [usize; 3] = [2_000, 20_000, 2_000_000];
+
+/// The codec rows: `ELLR` encode and decode against the `ELLZ` decode,
+/// each the minimum over `reps` of `iters` calls, plus sizes. Clears
+/// `ok` if a payload does not decode to its sketch or `compress` is not
+/// deterministic.
+fn bench_codec(reps: usize, iters: usize, ok: &mut bool) -> Vec<String> {
+    let mut rest = ELLZ_CODEC;
+    let mut rows = Vec::new();
+    for n in CODEC_N {
+        let (len, tail) = rest.split_at(4);
+        let (ellz, tail) = tail.split_at(u32::from_le_bytes(len.try_into().unwrap()) as usize);
+        rest = tail;
+        let mut sketch = ExaLogLog::new(EllConfig::optimal(10).unwrap());
+        sketch.insert_hashes(&hashes(n, n as u64));
+        let ellr = compress(&sketch);
+        if decompress(&ellr).ok().as_ref() != Some(&sketch)
+            || decompress(ellz).ok().as_ref() != Some(&sketch)
+            || compress(&sketch) != ellr
+        {
+            eprintln!("bench_registers: codec round trip MISMATCH at n={n}");
+            *ok = false;
+        }
+        // The three timings alternate rep by rep, so a slow stretch of
+        // a shared host hits all of them alike; each keeps its minimum.
+        let calls: [&dyn Fn(); 3] = [
+            &|| {
+                drop(std::hint::black_box(compress(std::hint::black_box(
+                    &sketch,
+                ))))
+            },
+            &|| {
+                drop(std::hint::black_box(decompress(std::hint::black_box(
+                    &ellr,
+                ))))
+            },
+            &|| drop(std::hint::black_box(decompress(std::hint::black_box(ellz)))),
+        ];
+        let mut best = [f64::INFINITY; 3];
+        for _ in 0..reps.max(15) {
+            for (best, call) in best.iter_mut().zip(calls) {
+                let t0 = Instant::now();
+                (0..iters).for_each(|_| call());
+                *best = best.min(t0.elapsed().as_secs_f64());
+            }
+        }
+        let [encode_us, decode_us, ellz_decode_us] = best.map(|secs| secs * 1e6 / iters as f64);
+        let entropy_bytes = state_entropy_bits(&sketch) / 8.0;
+        let (ellr_bytes, ellz_bytes) = (ellr.len(), ellz.len());
+        println!(
+            "    codec/n{n:<9} ELLR encode {encode_us:7.2} us  decode {decode_us:7.2} us   \
+             ELLZ decode {ellz_decode_us:7.2} us   bytes {ellr_bytes} vs {ellz_bytes} \
+             (entropy {entropy_bytes:.0})"
+        );
+        rows.push(format!(
+            "    \"n{n}\": {{\"ellr_encode_us\": {encode_us:.2}, \"ellr_decode_us\": {decode_us:.2}, \
+             \"ellz_decode_us\": {ellz_decode_us:.2}, \"decode_speedup\": {:.3}, \
+             \"ellr_bytes\": {ellr_bytes}, \"ellz_bytes\": {ellz_bytes}, \
+             \"entropy_bytes\": {entropy_bytes:.1}}}",
+            ellz_decode_us / decode_us
+        ));
+    }
+    rows
 }
 
 /// One merge-shape measurement: time `acc.clone + merge(b)` for the
@@ -566,13 +644,19 @@ fn main() {
         scan_min = scan_min.min(speedup);
     }
 
+    // ---- codec: ELLR against the legacy ELLZ decoder -----------------
+    println!("codec (ELL(2, 20), p = 10)");
+    let mut codec_ok = true;
+    let codec_rows = bench_codec(args.reps, if args.quick { 40 } else { 200 }, &mut codec_ok);
+
     let json = format!(
         "{{\n  \"bench\": \"registers\",\n  \"mode\": \"{}\",\n  \"precision_p\": {},\n  \
          \"hashes_per_run\": {},\n  \"reps\": {},\n  \"unit\": \"ns_per_op\",\n  \
          \"kernel_precision_p\": {},\n  \
          \"equivalence\": \"{}\",\n  \"kernel_equivalence\": \"{}\",\n  \
          \"swar_merge_speedup_min\": {:.3},\n  \"scan_speedup_min\": {:.3},\n  \
-         \"scan_speedup_ok\": {},\n  \"scan\": {{\n{}\n  }},\n  \"configs\": [\n{}\n  ]\n}}\n",
+         \"scan_speedup_ok\": {},\n  \"scan\": {{\n{}\n  }},\n  \
+         \"codec_roundtrip\": \"{}\",\n  \"codec\": {{\n{}\n  }},\n  \"configs\": [\n{}\n  ]\n}}\n",
         if args.quick { "quick" } else { "full" },
         args.p,
         args.hashes,
@@ -584,6 +668,8 @@ fn main() {
         scan_min,
         scan_min >= MIN_SCAN_SPEEDUP,
         scan_rows.join(",\n"),
+        if codec_ok { "ok" } else { "mismatch" },
+        codec_rows.join(",\n"),
         blocks.join(",\n")
     );
     std::fs::write(&args.out, &json).unwrap_or_else(|e| {
@@ -597,6 +683,10 @@ fn main() {
     }
     if !kernel_ok {
         eprintln!("bench_registers: kernel-vs-scalar equivalence self-check FAILED");
+        std::process::exit(1);
+    }
+    if !codec_ok {
+        eprintln!("bench_registers: codec round-trip self-check FAILED");
         std::process::exit(1);
     }
 }

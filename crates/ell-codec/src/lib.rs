@@ -12,13 +12,17 @@
 //!   Rice (Golomb with power-of-two divisor), each with a length
 //!   function for size accounting without encoding;
 //! * [`range`] — a carry-propagating binary range coder (LZMA design)
-//!   with static and adaptive bit models.
+//!   with static and adaptive bit models;
+//! * [`rans`] — a static-frequency multi-symbol coder (byte-renormalizing
+//!   rANS) over quantized tables in which every symbol stays codable.
 //!
 //! Consumers in this workspace: `ell-baselines::cpc` compresses the PCSA
-//! state column-wise with Rice-coded bitmaps, `exaloglog::compress`
-//! drives the [`range`] coder with a probability model derived from the
-//! paper's §3.1 register distribution (the `ELLZ` format), and the `ell`
-//! CLI exposes the coders for sketch-file compression.
+//! state column-wise with Rice-coded bitmaps, and `exaloglog::compress`
+//! codes registers with a model derived from the paper's §3.1 register
+//! distribution — one [`rans`] symbol per register's maximum update value
+//! and per group of indicator bits (the `ELLR` format it writes), or one
+//! [`range`]-coded decision per bit (the legacy `ELLZ` format it still
+//! reads). The `ell` CLI exposes both through sketch-file compression.
 //!
 //! All decoders are hardened against truncated or corrupt input: they
 //! return [`CodecError`] instead of panicking, which the workspace-level
@@ -30,9 +34,11 @@
 pub mod bitio;
 pub mod codes;
 pub mod range;
+pub mod rans;
 
 pub use bitio::{BitReader, BitWriter};
 pub use range::{AdaptiveBitModel, RangeDecoder, RangeEncoder, PROB_BITS, PROB_ONE};
+pub use rans::{IndexedTable, RansDecoder, RansEncoder, SmallTable, SymbolTable};
 
 /// Errors produced by the decoders in this crate.
 #[derive(Debug, Clone, PartialEq, Eq)]

@@ -6,7 +6,11 @@ use ell_codec::codes::{
     delta_len, gamma_len, read_delta, read_gamma, read_rice, read_unary, rice_len, unary_len,
     write_delta, write_gamma, write_rice, write_unary,
 };
-use ell_codec::{AdaptiveBitModel, BitReader, BitWriter, RangeDecoder, RangeEncoder, PROB_ONE};
+use ell_codec::rans::SCALE;
+use ell_codec::{
+    AdaptiveBitModel, BitReader, BitWriter, IndexedTable, RangeDecoder, RangeEncoder, RansDecoder,
+    RansEncoder, SmallTable, SymbolTable, PROB_ONE,
+};
 use proptest::prelude::*;
 
 proptest! {
@@ -126,6 +130,48 @@ proptest! {
         }
     }
 
+    /// The multi-symbol coder round-trips any symbol sequence drawn from
+    /// any mix of its two table shapes, whatever the weights — symbols
+    /// the weights call impossible included.
+    #[test]
+    fn rans_roundtrip(
+        small in prop::collection::vec(0.0f64..1.0, 1..=16),
+        big in prop::collection::vec(0.0f64..1.0, 1..300),
+        picks in prop::collection::vec((any::<bool>(), any::<u64>()), 0..3000),
+    ) {
+        let small = SmallTable::from_weights(&small);
+        let big = IndexedTable::from_weights(&big);
+        let (small_len, big_len) = (count_symbols(&small), big.len());
+        let coded: Vec<(bool, usize)> = picks
+            .iter()
+            .map(|&(is_big, r)| (is_big, (r % if is_big { big_len } else { small_len } as u64) as usize))
+            .collect();
+        let mut enc = RansEncoder::new();
+        for &(is_big, s) in coded.iter().rev() {
+            if is_big { enc.encode(&big, s) } else { enc.encode(&small, s) }
+        }
+        let bytes = enc.finish();
+        let mut dec = RansDecoder::new(&bytes);
+        for &(is_big, s) in &coded {
+            let got = if is_big { dec.decode(&big) } else { dec.decode(&small) };
+            prop_assert_eq!(got, s);
+        }
+    }
+
+    /// Truncated or arbitrary rANS input decodes to symbols of the table
+    /// without panicking.
+    #[test]
+    fn rans_decoder_is_total(
+        weights in prop::collection::vec(0.0f64..1.0, 1..=16),
+        bytes in prop::collection::vec(any::<u8>(), 0..64),
+    ) {
+        let table = SmallTable::from_weights(&weights);
+        let mut dec = RansDecoder::new(&bytes);
+        for _ in 0..500 {
+            prop_assert!(dec.decode(&table) < weights.len());
+        }
+    }
+
     #[test]
     fn truncated_streams_never_panic(
         values in prop::collection::vec(1u64..1_000_000, 1..50),
@@ -155,4 +201,9 @@ fn mask(width: u32) -> u64 {
     } else {
         (1u64 << width) - 1
     }
+}
+
+/// The alphabet size of a [`SmallTable`]: the symbols with a slot range.
+fn count_symbols(table: &SmallTable) -> usize {
+    (0..16).take_while(|&s| table.range(s).0 < SCALE).count()
 }

@@ -7,7 +7,7 @@ use crate::sync::atomic::{AtomicU64, Ordering};
 use crate::tiers::{Entry, Ladder, Rung, View};
 use crate::tiers::{Tier, TierConfig, TierStats};
 use exaloglog::adaptive::AdaptiveExaLogLog;
-use exaloglog::compress::{compress, decompress};
+use exaloglog::compress::{check_header, compress, decompress};
 use exaloglog::{EllConfig, EllError, ExaLogLog};
 
 /// One keyed counter on the residency ladder: a resident sketch, sparse
@@ -21,8 +21,8 @@ impl Rung for Box<AdaptiveExaLogLog> {
     type Parked = Box<AdaptiveExaLogLog>;
     type Ctx = ();
 
-    /// Range-coded `ELLZ` once dense, canonical `ELLS` while sparse
-    /// (both self-describing by magic).
+    /// Entropy-coded (`compress`) once dense, canonical `ELLS` while
+    /// sparse (both self-describing by magic).
     fn encode(&self, (): ()) -> Box<[u8]> {
         match self.as_dense() {
             Some(dense) => compress(dense),
@@ -31,11 +31,12 @@ impl Rung for Box<AdaptiveExaLogLog> {
         .into_boxed_slice()
     }
 
-    /// Dispatches on the payload magic, then folds in the pending
-    /// sketch. Monotone merge makes the result bit-identical to a slot
-    /// that was never demoted.
+    /// Decompresses what [`check_header`] calls a compressed sketch and
+    /// reads anything else as `ELLS`, then folds in the pending sketch.
+    /// Monotone merge makes the result bit-identical to a slot that was
+    /// never demoted.
     fn decode(bytes: &[u8], parked: Option<&Self::Parked>, (): ()) -> Self {
-        let mut sketch = if bytes.starts_with(b"ELLZ") {
+        let mut sketch = if check_header(bytes).is_ok() {
             AdaptiveExaLogLog::from_dense(
                 decompress(bytes).expect("warm payloads are produced by this store"),
             )

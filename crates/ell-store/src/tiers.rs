@@ -13,7 +13,7 @@
 //!          ▼                       │             ▼                      │
 //!  Sparse/Hot ──(idle ≥ warm_after)──▶ Warm ──(idle ≥ cold_after)──▶ Cold
 //!  in-memory sketch                 compressed bytes             on-disk segment
-//!  (tokens / registers / ring)      (ELLZ / ELLS / ring blob)    + in-memory index
+//!  (tokens / registers / ring)      (ELLR / ELLS / ring blob)    + in-memory index
 //! ```
 //!
 //! Demotion is driven by a store-level clock: every ingest or per-key

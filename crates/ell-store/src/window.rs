@@ -234,7 +234,7 @@ impl Rung for WindowRing {
     type Ctx = Position;
 
     /// The `ELLW` warm-entry body: one payload per nonempty slot —
-    /// `ELLS` while sparse, `ELLZ` once dense — tagged with its
+    /// `ELLS` while sparse, `ELLR` once dense — tagged with its
     /// *absolute* epoch (so rotation can skip warm rings entirely and
     /// the catch-up happens at revival), plus the retired union. Suffix
     /// unions are derived state and are dropped.
@@ -412,8 +412,8 @@ impl WindowedStore {
     /// whose ring has not been ingested into or queried for at least
     /// `epochs_idle` epochs is encoded to one payload per nonempty slot,
     /// tagged with its absolute epoch, plus one for the retired union —
-    /// a sparse sketch's `ELLS` token set verbatim, a dense one's `ELLZ`
-    /// range coding — at the next rotation or
+    /// a sparse sketch's `ELLS` token set verbatim, a dense one's `ELLR`
+    /// entropy coding — at the next rotation or
     /// [`WindowedStore::demote_idle`] sweep. Any later ingest or query
     /// promotes the ring back (late events re-demote immediately), and
     /// session flushes park their deltas on the warm entry instead of

@@ -33,10 +33,12 @@
 //!   in live and warm entries alike. Its token parameter must be the
 //!   store's default `v = max(p + t, 26)`.
 //! * `ELL1` — a dense slot in a live entry.
-//! * `ELLZ` — a dense slot in a warm entry, range-coded.
+//! * A compressed payload (`compress::check_header` decides) — a dense
+//!   slot in a warm entry: `ELLR` as written today, or `ELLZ`, the
+//!   range-coded form writers before `ELLR` used, which is still read.
 //!
-//! Any other payload — `ELLZ` in a live entry, `ELL1` in a warm one, an
-//! `ELLS` payload holding registers — is rejected.
+//! Any other payload — a compressed one in a live entry, `ELL1` in a
+//! warm one, an `ELLS` payload holding registers — is rejected.
 //!
 //! Versions 1 and 2 predate sparse slots: their live payloads are all
 //! `ELL1` and their warm ones all `ELLZ`, and a slot decoded from them
@@ -55,17 +57,18 @@
 //! slots never touch the range coder on the way: demotion, settling,
 //! restore and revival of a token set are token copies. Restore and
 //! revival read warm bodies with one parser, [`read_warm_body`], which
-//! at restore reads only the header of an `ELLZ` payload (its
-//! range-coded body always decodes), so revival decodes nothing restore
-//! did not accept.
+//! at restore reads only the header of a compressed payload (its
+//! entropy-coded body always decodes), so revival decodes nothing
+//! restore did not accept.
 
 use crate::tiers::Entry;
 use crate::window::{WindowRing, WindowedStore};
 use crate::wire::{
-    check_compressed, corrupt, corrupt_at, open, put_header, put_prefixed, read_sketch, Reader,
+    check_compressed, corrupt, corrupt_at, open, put_header, put_prefixed, read_sketch, Dense,
+    Reader,
 };
 use exaloglog::adaptive::AdaptiveExaLogLog;
-use exaloglog::compress::compress;
+use exaloglog::compress::{check_header, compress};
 use exaloglog::{EllConfig, EllError, ExaLogLog};
 
 const MAGIC: &[u8; 4] = b"ELLW";
@@ -82,9 +85,6 @@ const MAX_WIRE_EPOCHS: usize = 1 << 16;
 
 const TIER_LIVE: u8 = 0;
 const TIER_WARM: u8 = 1;
-/// The magic of a dense payload in a live entry and in a warm one.
-const LIVE_DENSE: &[u8; 4] = b"ELL1";
-const WARM_DENSE: &[u8; 4] = b"ELLZ";
 
 /// Appends `sketch` behind its length: nothing when it is empty, its
 /// `ELLS` token set while sparse, `dense` of its registers once
@@ -119,7 +119,7 @@ pub(crate) fn warm_entry(bytes: &[u8]) -> Vec<u8> {
 
 /// A warm ring's bytes, laid out as a warm entry's body: the retired
 /// union (length 0 when empty), then `(epoch, payload)` per nonempty
-/// slot, in epoch order; dense sketches as `ELLZ`.
+/// slot, in epoch order; dense sketches compressed (`ELLR`).
 pub(crate) fn encode_warm(
     retired: &AdaptiveExaLogLog,
     slots: &[(u64, &AdaptiveExaLogLog)],
@@ -143,9 +143,9 @@ pub(crate) fn encode_warm(
 /// length.
 ///
 /// With `each`, every decoded sketch is handed to it, the retired union
-/// with epoch `None`. Without, the body is only checked, and an `ELLZ`
-/// payload only by its header ([`check_compressed`]), so the same bodies
-/// are accepted either way.
+/// with epoch `None`. Without, the body is only checked, and a
+/// compressed payload only by its header ([`check_compressed`]), so the
+/// same bodies are accepted either way.
 pub(crate) fn read_warm_body(
     bytes: &[u8],
     cfg: &EllConfig,
@@ -157,10 +157,10 @@ pub(crate) fn read_warm_body(
     let v = AdaptiveExaLogLog::default_token_parameter(cfg);
     let mut take = |epoch, payload: &[u8], at: &dyn Fn() -> String| match each.as_mut() {
         Some(each) => {
-            read_sketch(payload, cfg, v, WARM_DENSE, at).map(|sketch| each(epoch, sketch))
+            read_sketch(payload, cfg, v, Dense::Compressed, at).map(|sketch| each(epoch, sketch))
         }
-        None if payload.starts_with(WARM_DENSE) => check_compressed(payload, cfg, at),
-        None => read_sketch(payload, cfg, v, WARM_DENSE, at).map(drop),
+        None if check_header(payload).is_ok() => check_compressed(payload, cfg, at),
+        None => read_sketch(payload, cfg, v, Dense::Compressed, at).map(drop),
     };
     let mut r = Reader::at(bytes, 0);
     let retired = r.prefixed()?;
@@ -292,7 +292,7 @@ impl WindowedStore {
                         [] => AdaptiveExaLogLog::new(cfg),
                         _ => {
                             let at = || format!("{} payload {slot}", what());
-                            read_sketch(payload, &cfg, v, LIVE_DENSE, &at)
+                            read_sketch(payload, &cfg, v, Dense::Registers, &at)
                         }
                     };
                     let mut sketches = payloads.iter().enumerate().map(sketch);
@@ -490,7 +490,7 @@ mod tests {
         let mut promoted = AdaptiveExaLogLog::new(cfg).unwrap();
         promoted.insert_hash(5);
         promoted.promote();
-        // `ELLZ` in a live entry…
+        // A compressed payload in a live entry…
         let mut live = vec![TIER_LIVE];
         put_prefixed(&mut live, &[]);
         put_prefixed(&mut live, &compress(&registers));
@@ -519,12 +519,24 @@ mod tests {
         legacy.extend_from_slice(&registers.to_bytes());
         assert!(AdaptiveExaLogLog::from_bytes(&legacy).is_ok());
         let v = AdaptiveExaLogLog::default_token_parameter(&cfg);
-        let err = read_sketch(&legacy, &cfg, v, LIVE_DENSE, &String::new).unwrap_err();
+        let err = read_sketch(&legacy, &cfg, v, Dense::Registers, &String::new).unwrap_err();
         assert!(err.to_string().contains("holds registers"), "{err}");
         // The writer's own dense payloads pass.
-        let ok = read_sketch(&registers.to_bytes(), &cfg, v, LIVE_DENSE, &String::new);
+        let ok = read_sketch(
+            &registers.to_bytes(),
+            &cfg,
+            v,
+            Dense::Registers,
+            &String::new,
+        );
         assert_eq!(ok.unwrap(), promoted);
-        let ok = read_sketch(&compress(&registers), &cfg, v, WARM_DENSE, &String::new);
+        let ok = read_sketch(
+            &compress(&registers),
+            &cfg,
+            v,
+            Dense::Compressed,
+            &String::new,
+        );
         assert_eq!(ok.unwrap(), promoted);
     }
 

@@ -13,22 +13,25 @@
 //!   key length      u32, then the UTF-8 key bytes
 //!   sketch length   u32, then the sketch payload — the existing
 //!                   per-sketch wire formats (`ELLS` sparse / `ELL1`
-//!                   dense / `ELLZ` range-coded), self-describing and
+//!                   dense / compressed dense: `ELLR`, or `ELLZ` from
+//!                   writers before `ELLR`), self-describing and
 //!                   config-validated
 //! ```
 //!
 //! Restore reads every payload through [`read_sketch`], as `ELLW`
 //! restore does: an `ELLS` payload must carry the header's token
 //! parameter `v`, so every sparse slot merges with the session deltas
-//! the store creates; an `ELL1` payload is decoded in full; and an
-//! `ELLZ` payload is checked by its header only ([`check_compressed`]).
+//! the store creates; an `ELL1` payload is decoded in full; and a
+//! compressed payload — whatever `compress::check_header` accepts — is
+//! checked by its header only ([`check_compressed`]).
 //!
 //! Entries are written in key order; resident slots serialize in their
-//! canonical form, while warm/cold slots embed their compressed `ELLZ`
-//! payload verbatim (no dense round trip — and restore places those
-//! entries back as warm slots, so re-snapshotting a tiered store
-//! reuses the identical bytes). Payloads are self-describing by magic,
-//! so no version bump is needed for the compressed form.
+//! canonical form, while warm/cold slots embed their compressed payload
+//! verbatim (no dense round trip — and restore places those entries
+//! back as warm slots, so re-snapshotting a tiered store reuses the
+//! identical bytes, `ELLZ` ones included until the key revives and is
+//! demoted again as `ELLR`). Payloads are self-describing by magic, so
+//! no version bump is needed for either compressed form.
 
 use crate::store::EllStore;
 use crate::tiers::Entry;
@@ -57,7 +60,7 @@ pub(crate) fn corrupt_at(what: impl FnOnce() -> String, err: impl core::fmt::Dis
 
 /// Rejects a sketch payload whose configuration differs from the
 /// header's *before* it is decoded. Every per-sketch format (`ELL1`,
-/// `ELLS`, `ELLZ`) carries `(t, d, p)` at bytes 4..7, and its decoder
+/// `ELLS`, and the compressed ones) carries `(t, d, p)` at bytes 4..7, and its decoder
 /// sizes the sketch from them, so a corrupted payload cannot make the
 /// decoder allocate for a larger configuration. A payload that passes
 /// decodes to the header configuration.
@@ -77,10 +80,10 @@ fn check_payload_config(
     }
 }
 
-/// Checks an `ELLZ` payload of a store with configuration `cfg` without
-/// decoding its body: its configuration, then its 16-byte header.
-/// [`decompress`] fails exactly when [`check_header`] does (the
-/// range-coded body always decodes), so a payload that passes here
+/// Checks a compressed payload of a store with configuration `cfg`
+/// without decoding its body: its configuration, then its 16-byte
+/// header. [`decompress`] fails exactly when [`check_header`] does (an
+/// entropy-coded body always decodes), so a payload that passes here
 /// decodes in [`read_sketch`] too.
 pub(crate) fn check_compressed(
     payload: &[u8],
@@ -93,31 +96,44 @@ pub(crate) fn check_compressed(
         .map_err(|e| corrupt_at(what, e))
 }
 
+/// The dense payloads an entry holds: `ELL1` registers in a live entry,
+/// compressed ones — what [`check_header`] accepts — in a warm one.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Dense {
+    Registers,
+    Compressed,
+}
+
 /// Decodes one nonempty payload of a store with configuration `cfg` and
 /// token parameter `v` by its magic: `ELLS` to a token set, which must
-/// carry `v`, and `dense` — `ELL1` or `ELLZ`, whichever the entry holds
-/// — to registers. Any other payload is rejected, so every accepted
-/// payload is one the writer produces, and every sketch a store holds
-/// merges with the ones its sessions create. The configuration is
-/// checked before anything is decoded.
+/// carry `v`, and the `dense` payloads of the entry to registers. Any
+/// other payload is rejected, so every accepted payload is one the
+/// writer produces, and every sketch a store holds merges with the ones
+/// its sessions create. The configuration is checked before anything is
+/// decoded.
 pub(crate) fn read_sketch(
     payload: &[u8],
     cfg: &EllConfig,
     v: u32,
-    dense: &[u8; 4],
+    dense: Dense,
     what: &dyn Fn() -> String,
 ) -> Result<AdaptiveExaLogLog, EllError> {
     check_payload_config(payload, cfg, what)?;
     let magic = &payload[..4];
     if magic != b"ELLS" {
-        let registers = match magic {
-            _ if magic != dense => Err(format!(
-                "payload magic {:?} in an entry of {:?} and ELLS payloads",
+        let registers = match dense {
+            Dense::Registers if magic == b"ELL1" => {
+                ExaLogLog::from_bytes(payload).map_err(|e| e.to_string())
+            }
+            Dense::Compressed if magic != b"ELL1" => decompress(payload).map_err(|e| e.to_string()),
+            _ => Err(format!(
+                "payload magic {:?} in an entry of {} and ELLS payloads",
                 String::from_utf8_lossy(magic),
-                String::from_utf8_lossy(dense)
+                match dense {
+                    Dense::Registers => "ELL1",
+                    Dense::Compressed => "compressed",
+                }
             )),
-            b"ELLZ" => decompress(payload).map_err(|e| e.to_string()),
-            _ => ExaLogLog::from_bytes(payload).map_err(|e| e.to_string()),
         };
         return registers
             .map(AdaptiveExaLogLog::from_dense)
@@ -298,14 +314,14 @@ impl EllStore {
             let payload = r.prefixed()?;
             let what = || format!("entry {i} ({key:?})");
             // A restored store's access clock starts at 0.
-            let slot = if payload.starts_with(b"ELLZ") {
+            let slot = if check_header(payload).is_ok() {
                 // A warm entry: check its header, then keep the
                 // compressed payload as a warm slot — a re-snapshot
                 // reuses it verbatim.
                 check_compressed(payload, &cfg, &what)?;
                 Entry::warm(payload.into(), 0)
             } else {
-                let sketch = read_sketch(payload, &cfg, v, b"ELL1", &what)?;
+                let sketch = read_sketch(payload, &cfg, v, Dense::Registers, &what)?;
                 Entry::new(Box::new(sketch), 0)
             };
             let placed = store.place(key, slot);

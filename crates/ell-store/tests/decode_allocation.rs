@@ -19,6 +19,7 @@
 
 use ell_hash::SplitMix64;
 use ell_store::{EllStore, TierConfig, WindowedStore};
+use exaloglog::compress::check_header;
 use exaloglog::EllConfig;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -93,13 +94,18 @@ fn cfg() -> EllConfig {
     EllConfig::new(2, 16, 6).unwrap()
 }
 
-/// A copy of `snapshot` with the `p` byte of its first `ELLZ` payload
-/// raised from 6 to 24.
+/// A copy of `snapshot` with the `p` byte of its first compressed
+/// payload — whichever dense magic `check_header` finds, `ELLR` from
+/// today's writer — raised from 6 to 24.
 fn flip_first_compressed_p(snapshot: &[u8]) -> Vec<u8> {
-    let at = snapshot
-        .windows(4)
-        .position(|w| w == b"ELLZ")
+    let at = (0..snapshot.len())
+        .find(|&at| check_header(&snapshot[at..]).is_ok())
         .expect("the snapshot holds a compressed payload");
+    assert_eq!(
+        &snapshot[at..at + 4],
+        b"ELLR",
+        "today's writer compresses as ELLR"
+    );
     let mut bad = snapshot.to_vec();
     assert_eq!(&bad[at + 4..at + 7], &[2, 16, 6], "the payload's (t, d, p)");
     bad[at + 6] = 24;

@@ -1,10 +1,11 @@
 //! Hostile snapshot bytes must never panic a decoder.
 //!
-//! A small `ELLK` snapshot (sparse, dense and warm keys) and small
-//! `ELLW` snapshots — one written by the version 2 writer
-//! (`tests/fixtures/ellw_v2_sweep.bin`: a live entry and a warm one of
-//! dense slots) and one of today's version 3 (sparse live and warm
-//! slots beside one dense slot) — are fed to `from_snapshot_bytes`
+//! A small `ELLK` snapshot (sparse, dense and warm keys, the warm dense
+//! one an `ELLR` payload) and small `ELLW` snapshots — one written by
+//! the version 2 writer (`tests/fixtures/ellw_v2_sweep.bin`: a live
+//! entry and a warm one of dense `ELLZ` slots) and one of today's
+//! version 3 (sparse live and warm slots beside one dense `ELLR` slot)
+//! — are fed to `from_snapshot_bytes`
 //! under every single-bit flip and every truncation. Each mutation must
 //! either be rejected with `Err`, or restore a store that then survives
 //! demotion, one parked session run per key, `promote_all()` and every
@@ -87,7 +88,10 @@ fn flat_snapshot() -> Vec<u8> {
         tiers.map(Option::unwrap),
         [Tier::Hot, Tier::Sparse, Tier::Warm, Tier::Warm]
     );
-    store.snapshot_bytes()
+    let snapshot = store.snapshot_bytes();
+    let count = |magic: &[u8]| snapshot.windows(4).filter(|w| *w == magic).count();
+    assert_eq!(count(b"ELLR"), 1, "the warm dense key's payload");
+    snapshot
 }
 
 #[test]
@@ -186,7 +190,7 @@ fn no_v3_window_snapshot_mutation_panics() {
     assert_eq!(snapshot[4], 3);
     let count = |magic: &[u8]| snapshot.windows(4).filter(|w| *w == magic).count();
     assert_eq!(
-        (count(b"ELLS"), count(b"ELLZ")),
+        (count(b"ELLS"), count(b"ELLR")),
         (3, 1),
         "sparse and dense payloads"
     );

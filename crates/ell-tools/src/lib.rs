@@ -24,7 +24,7 @@
 use ell_core::{Sketch, SketchError};
 use ell_hash::{Hasher64, WyHash};
 use ell_store::{EllStore, TierConfig};
-use exaloglog::compress::{compress, decompress, state_entropy_bits};
+use exaloglog::compress::{check_header, compress, decompress, state_entropy_bits};
 use exaloglog::{AdaptiveExaLogLog, EllConfig, EllError, ExaLogLog, TokenSet};
 use std::io::BufRead;
 use std::path::Path;
@@ -77,13 +77,18 @@ impl From<std::io::Error> for ToolError {
 }
 
 /// Reads a sketch file, auto-detecting the plain (`ELL1`) and
-/// entropy-coded (`ELLZ`) formats.
+/// entropy-coded formats.
 pub fn load_sketch(path: &Path) -> Result<ExaLogLog, ToolError> {
-    let bytes = std::fs::read(path)?;
-    if bytes.len() >= 4 && &bytes[..4] == b"ELLZ" {
-        Ok(decompress(&bytes)?)
+    read_dense(&std::fs::read(path)?)
+}
+
+/// A dense sketch from its plain (`ELL1`) bytes or from compressed ones
+/// (`ELLR`, or the legacy `ELLZ`), as `compress::check_header` decides.
+fn read_dense(bytes: &[u8]) -> Result<ExaLogLog, ToolError> {
+    if check_header(bytes).is_ok() {
+        Ok(decompress(bytes)?)
     } else {
-        Ok(ExaLogLog::from_bytes(&bytes)?)
+        Ok(ExaLogLog::from_bytes(bytes)?)
     }
 }
 
@@ -202,7 +207,7 @@ pub fn count_lines_with_algo<R: BufRead>(
 /// token set (§4.3), or an adaptive sparse→dense sketch.
 #[derive(Debug, Clone, PartialEq)]
 pub enum SketchFile {
-    /// A dense register-array sketch (`ELL1` or `ELLZ` on disk).
+    /// A dense register-array sketch (`ELL1`, `ELLR` or `ELLZ` on disk).
     Dense(ExaLogLog),
     /// A sparse token collection (`ELLT` on disk).
     Tokens(TokenSet),
@@ -225,17 +230,16 @@ impl SketchFile {
 }
 
 /// Reads any sketch file, auto-detecting dense (`ELL1`), compressed
-/// (`ELLZ`), token (`ELLT`), and adaptive (`ELLS`) formats by magic.
+/// (`ELLR`, `ELLZ`), token (`ELLT`), and adaptive (`ELLS`) formats by
+/// magic.
 pub fn load_any(path: &Path) -> Result<SketchFile, ToolError> {
     let bytes = std::fs::read(path)?;
     if bytes.len() >= 4 && &bytes[..4] == b"ELLT" {
         Ok(SketchFile::Tokens(TokenSet::from_bytes(&bytes)?))
     } else if bytes.len() >= 4 && &bytes[..4] == b"ELLS" {
         Ok(SketchFile::Adaptive(AdaptiveExaLogLog::from_bytes(&bytes)?))
-    } else if bytes.len() >= 4 && &bytes[..4] == b"ELLZ" {
-        Ok(SketchFile::Dense(decompress(&bytes)?))
     } else {
-        Ok(SketchFile::Dense(ExaLogLog::from_bytes(&bytes)?))
+        Ok(SketchFile::Dense(read_dense(&bytes)?))
     }
 }
 
@@ -882,8 +886,8 @@ mod tests {
     }
 
     /// `ell store stats --entropy` reports `state_entropy_bits`, the
-    /// information-theoretic bound the warm tier's range coder works
-    /// against: the ELLZ payload for the same state must land within a
+    /// information-theoretic bound the warm tier's entropy coder works
+    /// against: the compressed payload for the same state must land within a
     /// small constant plus ~10% of `ceil(bits / 8)` past its 16-byte
     /// header. This pins the stat to what demotion actually buys.
     #[test]

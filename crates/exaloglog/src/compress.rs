@@ -11,72 +11,241 @@
 //!    maximum update value `u` follows the distribution (13), and each
 //!    indicator bit is an independent Bernoulli with probability
 //!    Pr(A_k) = 1 − e^(−n̂·ρ(k)/m) (12);
-//! 3. drive a binary arithmetic coder with that model — the LZMA-style
-//!    range coder of [`ell_codec::range`], fed static probabilities.
+//! 3. code the registers with that model through the static-frequency
+//!    multi-symbol coder of [`ell_codec::rans`]: each register's `u` is
+//!    one symbol of a table over `[0, kmax]`, and its indicator window is
+//!    coded up to [`GROUP_BITS`] bits per symbol, each group's table the
+//!    product of its bits' Pr(A_k).
 //!
-//! Because the decoder re-derives the identical model from the n̂ carried
-//! in the header, coding is fully deterministic and lossless. The achieved
-//! size lands within a few percent of the Shannon entropy, which the
-//! extension experiment (`ell-repro --bin ext_compression`) compares to
-//! the equation-(5) prediction.
+//! The format, `ELLR`, is a 16-byte header — magic, `t`, `d`, `p`, a
+//! reserved zero byte, n̂ as a little-endian `f64` (saturated to the
+//! largest finite value) — followed by the rANS stream. Because the
+//! decoder re-derives the identical model from the n̂ carried in the
+//! header, coding is deterministic (equal sketches give equal bytes) and
+//! lossless, and every register state stays codable:
+//! each symbol keeps a frequency of at least one, so merged sketches the
+//! model does not expect still round-trip. The achieved size lands
+//! within a few percent of the Shannon entropy, which the extension
+//! experiment (`ell-repro --bin ext_compression`) compares to the
+//! equation-(5) prediction.
+//!
+//! The model is cheap to build: the `u` table takes one exponential per
+//! update value, and a group table is built the first time a register
+//! needs it, keyed by the φ(k) its bits share (or by its lowest update
+//! value when 2^t < [`GROUP_BITS`]) and its length, so a sketch pays
+//! only for the groups its registers occupy. The decoder also tallies
+//! how often each `u` and each group symbol occurs, which gives the ML
+//! coefficients without a scan of the decoded registers.
+//!
+//! `ELLZ`, the earlier format with the same header, drove the binary
+//! range coder of [`ell_codec::range`] with one decision per unary level
+//! of `u` and per indicator bit. It is read-only now: [`decompress`]
+//! still reads it, so stores, snapshots and spill segments written
+//! before `ELLR` keep restoring, and nothing writes it any more.
+//!
+//! [`check_header`] is the one place that decides whether a payload is a
+//! compressed dense sketch, and both decoders are total, so
+//! [`decompress`] fails exactly when it does.
 
 use crate::config::{EllConfig, EllError};
-use crate::pmf::{omega, rho_update};
+use crate::ml::{empty_coefficients, MlCoefficients};
+use crate::pmf::{omega, omega_exact, phi, rho_update};
 use crate::sketch::ExaLogLog;
-use ell_codec::{RangeDecoder, RangeEncoder, PROB_ONE};
+use ell_codec::rans::{IndexedTable, RansDecoder, RansEncoder, SmallTable};
+use ell_codec::{RangeDecoder, PROB_ONE};
 
-/// Magic for the compressed format.
-const MAGIC: &[u8; 4] = b"ELLZ";
+/// Magic of the format [`compress`] writes.
+const MAGIC: &[u8; 4] = b"ELLR";
+/// Magic of the read-only range-coded format.
+const LEGACY_MAGIC: &[u8; 4] = b"ELLZ";
+/// Bytes before the coded body.
+const HEADER_LEN: usize = 16;
 
-// ---------------------------------------------------------------------
-// Register model from the §3.1 PMF.
-// ---------------------------------------------------------------------
+/// Indicator bits coded per symbol at most. Groups are aligned to update
+/// values `k ≡ 1 (mod GROUP_BITS)`, clipped to the window, so for t ≥ 2
+/// every group lies inside one run of 2^t update values that share
+/// ρ(k), and one table serves every group of that ρ and length.
+pub const GROUP_BITS: u64 = 4;
 
-/// Per-sketch probability model derived from n̂.
-struct RegisterModel {
-    /// P(u > threshold | u ≥ threshold) for each u level, as coder probs.
-    /// Used to code the maximum update value with a unary-style cascade.
-    continue_probs: Vec<u32>,
-    /// P(indicator bit set) for each update value k (1-indexed).
-    bit_probs: Vec<u32>,
+/// Register rate λ = n̂/m the models are built for, kept off zero so an
+/// empty sketch still has a proper distribution.
+fn rate(cfg: &EllConfig, n_hat: f64) -> f64 {
+    (n_hat / cfg.m() as f64).max(1e-12)
 }
 
-fn to_prob(p: f64) -> u32 {
-    ((p * f64::from(PROB_ONE)) as u32).clamp(1, PROB_ONE - 1)
+/// The indicator window of a register with maximum update value `u ≥ 1`:
+/// its lowest update value `k_lo` and its length. Bit `j` of the window
+/// is the indicator of update value `k_lo + j`, stored at register bit
+/// `d − u + k_lo + j`; the sentinel of a register with `u ≤ d` (bit
+/// `d − u`) is implied and not part of the window.
+#[inline]
+fn window(u: u64, d: u64) -> (u64, u64) {
+    let k_lo = u.saturating_sub(d).max(1);
+    (k_lo, u - k_lo)
+}
+
+// ---------------------------------------------------------------------
+// The ELLR register model.
+// ---------------------------------------------------------------------
+
+/// How the registers with one maximum update value `u` are coded: the
+/// tables and lengths of their indicator groups, lowest update values
+/// first, and where the window sits in the register.
+#[derive(Clone, Copy)]
+struct Plan {
+    /// Positions in [`RegisterModel::groups`].
+    tables: [u16; MAX_GROUPS],
+    /// Bits of each group.
+    lens: [u8; MAX_GROUPS],
+    groups: u8,
+    /// Register bit of the window's lowest update value.
+    shift: u8,
+    /// The window's bits, at the bottom.
+    mask: u64,
+    /// The register without its window: `u`, and the sentinel of `u ≤ d`.
+    base: u64,
+}
+
+/// Indicator groups of the widest window (d ≤ 58, one more group when
+/// it is not aligned).
+const MAX_GROUPS: usize = 16;
+
+/// Per-sketch symbol tables derived from n̂. Group tables and plans are
+/// built the first time a register needs them.
+struct RegisterModel {
+    cfg: EllConfig,
+    rate: f64,
+    /// The distribution (13) of the maximum update value over
+    /// `[0, kmax]`.
+    u: IndexedTable,
+    /// Pr(A_k) by the exponent φ(k) of ρ(k) = 2^−φ(k), which only
+    /// changes every 2^t update values; NaN until first needed.
+    bit_prob: [f64; 65],
+    /// Whether a group's bits all share one φ (2^t ≥ GROUP_BITS), so
+    /// tables are keyed by φ rather than by update value.
+    by_phi: bool,
+    /// `(key, length)` of a group, the key its φ or lowest update value,
+    /// → its position in `groups` plus one; 0 until first needed.
+    group_index: Vec<u16>,
+    groups: Vec<SmallTable>,
+    /// A lowest update value and the length of each of `groups`.
+    group_keys: Vec<(u64, u64)>,
+    /// `u` → its plan, `None` until first needed.
+    plans: Vec<Option<Plan>>,
 }
 
 impl RegisterModel {
     fn build(cfg: &EllConfig, n_hat: f64) -> Self {
-        let m = cfg.m() as f64;
-        let rate = (n_hat / m).max(1e-12);
+        let rate = rate(cfg, n_hat);
         let kmax = cfg.max_update_value();
-        // P(max value ≥ u) = 1 − exp(−rate·(ω(u−1)))... derived from (13):
-        // the maximum is ≥ u iff some value ≥ u occurred, which has total
-        // probability ω(u−1).
-        let p_ge = |u: u64| -> f64 {
-            if u == 0 {
-                1.0
-            } else {
-                -(-rate * omega(cfg, u - 1)).exp_m1()
-            }
-        };
-        let mut continue_probs = Vec::with_capacity(kmax as usize + 1);
-        for u in 0..=kmax {
-            // P(max ≥ u+1 | max ≥ u)
-            let num = if u == kmax { 0.0 } else { p_ge(u + 1) };
-            let den = p_ge(u);
-            let p = if den > 0.0 { (num / den).min(1.0) } else { 0.0 };
-            continue_probs.push(to_prob(p));
-        }
-        let mut bit_probs = Vec::with_capacity(kmax as usize + 1);
-        bit_probs.push(0); // k = 0 unused
-        for k in 1..=kmax {
-            bit_probs.push(to_prob(-(-rate * rho_update(cfg, k)).exp_m1()));
-        }
+        // Pr(U = u) = Pr(U ≤ u) − Pr(U ≤ u − 1), where the maximum stays
+        // at or below u iff no value above u occurred: e^(−λ·ω(u)).
+        let mut below = 0.0;
+        let weights: Vec<f64> = (0..=kmax)
+            .map(|u| {
+                let at_most = (-rate * omega(cfg, u)).exp();
+                let p = at_most - below;
+                below = at_most;
+                p
+            })
+            .collect();
+        // cast: kmax + 1 ≤ (65 − 4)·2^6 + 1, within usize.
+        let values = kmax as usize + 1;
         RegisterModel {
-            continue_probs,
-            bit_probs,
+            cfg: *cfg,
+            rate,
+            u: IndexedTable::from_weights(&weights),
+            bit_prob: [f64::NAN; 65],
+            by_phi: 1 << cfg.t() >= GROUP_BITS,
+            group_index: vec![0; values.max(65) * GROUP_BITS as usize],
+            groups: Vec::new(),
+            group_keys: Vec::new(),
+            plans: vec![None; values],
         }
+    }
+
+    /// Pr(A_k) of (12).
+    fn bit_prob(&mut self, k: u64) -> f64 {
+        let e = phi(&self.cfg, k) as usize;
+        if self.bit_prob[e].is_nan() {
+            self.bit_prob[e] = -(-self.rate * rho_update(&self.cfg, k)).exp_m1();
+        }
+        self.bit_prob[e]
+    }
+
+    /// The position of the table of the `len`-bit group whose lowest
+    /// update value is `k`: symbol `s` has the probability that bit `j`
+    /// of `s` is the indicator of `k + j` for every `j`.
+    fn group(&mut self, k: u64, len: u64) -> u16 {
+        let key = if self.by_phi {
+            u64::from(phi(&self.cfg, k))
+        } else {
+            k
+        };
+        // cast: the key is at most max(kmax, 64) and len ≤ GROUP_BITS.
+        let slot = (key * GROUP_BITS + len - 1) as usize;
+        if self.group_index[slot] == 0 {
+            let mut weights = [0.0f64; 1 << GROUP_BITS];
+            weights[0] = 1.0;
+            for j in 0..len {
+                let p = self.bit_prob(k + j);
+                let half = 1usize << j;
+                for s in 0..half {
+                    weights[s + half] = weights[s] * p;
+                    weights[s] *= 1.0 - p;
+                }
+            }
+            self.groups
+                .push(SmallTable::from_weights(&weights[..1 << len]));
+            self.group_keys.push((k, len));
+            // cast: fewer than max(kmax + 1, 65)·GROUP_BITS < 2^15 tables.
+            self.group_index[slot] = self.groups.len() as u16;
+        }
+        self.group_index[slot] - 1
+    }
+
+    /// The plan of registers with maximum `u`.
+    #[inline]
+    fn plan(&mut self, u: u64) -> Plan {
+        match self.plans[u as usize] {
+            Some(plan) => plan,
+            None => self.new_plan(u),
+        }
+    }
+
+    #[cold]
+    #[inline(never)]
+    fn new_plan(&mut self, u: u64) -> Plan {
+        let d = u64::from(self.cfg.d());
+        let (k_lo, len) = window(u.max(1), d);
+        let mut plan = Plan {
+            tables: [0; MAX_GROUPS],
+            lens: [0; MAX_GROUPS],
+            groups: 0,
+            // cast: the shift is below d ≤ 58.
+            shift: (d + k_lo - u.max(1)) as u8,
+            mask: (1 << len) - 1,
+            base: (u << d)
+                | if (1..=d).contains(&u) {
+                    1 << (d - u)
+                } else {
+                    0
+                },
+        };
+        let end = k_lo + len;
+        let mut k = k_lo;
+        while k < end {
+            // Up to the next aligned update value, or the window's end.
+            let glen = (GROUP_BITS - (k - 1) % GROUP_BITS).min(end - k);
+            let g = usize::from(plan.groups);
+            plan.tables[g] = self.group(k, glen);
+            // cast: glen ≤ GROUP_BITS, and at most MAX_GROUPS groups.
+            plan.lens[g] = glen as u8;
+            plan.groups += 1;
+            k += glen;
+        }
+        self.plans[u as usize] = Some(plan);
+        plan
     }
 }
 
@@ -84,86 +253,75 @@ impl RegisterModel {
 // Public API.
 // ---------------------------------------------------------------------
 
-/// Serializes a sketch with entropy coding. Typically 35–45 % smaller
-/// than [`ExaLogLog::to_bytes`] in the mid-range of distinct counts,
-/// approaching the equation-(5) optimum (Figure 6).
+/// Serializes a sketch with entropy coding, as `ELLR`. Typically 35–45 %
+/// smaller than [`ExaLogLog::to_bytes`] in the mid-range of distinct
+/// counts, approaching the equation-(5) optimum (Figure 6).
 #[must_use]
 pub fn compress(sketch: &ExaLogLog) -> Vec<u8> {
     let cfg = *sketch.config();
-    let n_hat = sketch.estimate_ml_raw();
-    let model = RegisterModel::build(&cfg, n_hat);
+    // A sketch with every register at the largest update value estimates
+    // +∞; the header carries the largest finite value instead, which
+    // [`check_header`] accepts and which models the same saturated state.
+    let n_hat = sketch.estimate_ml_raw().min(f64::MAX);
+    let mut model = RegisterModel::build(&cfg, n_hat);
     let d = cfg.d();
-    let mut enc = RangeEncoder::new();
-    // A zero register (u = 0) codes as exactly one "stop" bit at level 0.
-    // Scanning only the nonzero registers through the word kernels and
-    // gap-filling that stop bit for the runs of empty registers in
-    // between produces a bit-identical stream to the historical
-    // every-register loop, while empty stretches cost one word compare
-    // per 64 bits instead of a register decode each.
-    let zero_codes = cfg.max_update_value() > 0;
-    let mut next = 0usize;
-    sketch.for_each_nonzero_register(|i, r| {
-        if zero_codes {
-            for _ in next..i {
-                enc.encode(false, model.continue_probs[0]);
-            }
-        }
-        next = i + 1;
+    let registers: Vec<u64> = sketch.registers().collect();
+    let mut enc = RansEncoder::new();
+    // rANS codes backwards: the last register first, and within a
+    // register the highest indicator group first and `u` last.
+    for &r in registers.iter().rev() {
         let u = r >> d;
-        // Unary-cascade code for u: one "continue" bit per level.
-        for level in 0..u {
-            enc.encode(true, model.continue_probs[level as usize]);
+        let plan = model.plan(u);
+        let mut bits = (r >> plan.shift) & plan.mask;
+        let mut at = plan.mask.count_ones();
+        for g in (0..usize::from(plan.groups)).rev() {
+            let glen = u32::from(plan.lens[g]);
+            at -= glen;
+            // cast: a group symbol is below 2^GROUP_BITS.
+            let symbol = (bits >> at) as usize;
+            bits &= (1 << at) - 1;
+            debug_assert!(symbol < 1 << glen);
+            enc.encode(&model.groups[usize::from(plan.tables[g])], symbol);
         }
-        if u < cfg.max_update_value() {
-            enc.encode(false, model.continue_probs[u as usize]);
-        }
-        // Indicator bits for values [max(1, u−d), u−1]; the sentinel bit
-        // (position d−u when u ≤ d) is implied and not coded.
-        if u >= 2 {
-            let k_lo = if u > u64::from(d) {
-                u - u64::from(d)
-            } else {
-                1
-            };
-            for k in k_lo..u {
-                let bit = r & (1u64 << (u64::from(d) - (u - k))) != 0;
-                enc.encode(bit, model.bit_probs[k as usize]);
-            }
-        }
-    });
-    if zero_codes {
-        for _ in next..cfg.m() {
-            enc.encode(false, model.continue_probs[0]);
-        }
+        // cast: u ≤ kmax < MAX_INDEXED.
+        enc.encode(&model.u, u as usize);
     }
-    let payload = enc.finish();
-    let mut out = Vec::with_capacity(16 + payload.len());
+    let body = enc.finish();
+    let mut out = Vec::with_capacity(HEADER_LEN + body.len());
     out.extend_from_slice(MAGIC);
     out.extend_from_slice(&[cfg.t(), cfg.d(), cfg.p(), 0]);
     out.extend_from_slice(&n_hat.to_le_bytes());
-    out.extend_from_slice(&payload);
+    out.extend_from_slice(&body);
     out
 }
 
-/// Validates the header of a [`compress`] payload, returning its
-/// configuration and carried estimate. [`decompress`] fails exactly when
-/// this does: every range-coded body decodes to some register state
-/// (input past its end reads as zero bytes), so a caller that only needs
-/// to know whether a payload will decompress can stop here.
+/// Validates the header of a compressed payload — `ELLR` from
+/// [`compress`] or legacy `ELLZ` — returning its configuration and
+/// carried estimate. This is the one test of whether a payload is a
+/// compressed dense sketch. [`decompress`] fails exactly when this does:
+/// every body decodes to some register state (input past its end reads
+/// as zero bytes), so a caller that only needs to know whether a payload
+/// will decompress can stop here.
 ///
 /// # Errors
 ///
-/// Fails on a short header or a wrong magic, an invalid configuration,
-/// or a carried estimate that is not a finite non-negative number.
+/// Fails on a short header or an unknown magic, an invalid
+/// configuration, a nonzero reserved byte 7, or a carried estimate that
+/// is not a finite non-negative number.
 pub fn check_header(bytes: &[u8]) -> Result<(EllConfig, f64), EllError> {
-    if bytes.len() < 16 || &bytes[..4] != MAGIC {
+    if bytes.len() < HEADER_LEN || !matches!(&bytes[..4], m if m == MAGIC || m == LEGACY_MAGIC) {
         return Err(EllError::CorruptSerialization {
             reason: "bad compressed header".into(),
         });
     }
     let cfg = EllConfig::new(bytes[4], bytes[5], bytes[6])?;
+    if bytes[7] != 0 {
+        return Err(EllError::CorruptSerialization {
+            reason: format!("reserved compressed header byte is {}", bytes[7]),
+        });
+    }
     let mut n_bytes = [0u8; 8];
-    n_bytes.copy_from_slice(&bytes[8..16]);
+    n_bytes.copy_from_slice(&bytes[8..HEADER_LEN]);
     let n_hat = f64::from_le_bytes(n_bytes);
     if !n_hat.is_finite() || n_hat < 0.0 {
         return Err(EllError::CorruptSerialization {
@@ -173,50 +331,221 @@ pub fn check_header(bytes: &[u8]) -> Result<(EllConfig, f64), EllError> {
     Ok((cfg, n_hat))
 }
 
-/// Restores a sketch serialized with [`compress`].
+/// Restores a sketch serialized with [`compress`], or in the legacy
+/// `ELLZ` format.
 ///
 /// # Errors
 ///
 /// Fails exactly when [`check_header`] does.
 pub fn decompress(bytes: &[u8]) -> Result<ExaLogLog, EllError> {
     let (cfg, n_hat) = check_header(bytes)?;
-    let model = RegisterModel::build(&cfg, n_hat);
-    let d = cfg.d();
+    let body = &bytes[HEADER_LEN..];
+    // Either way the sketch comes back with its ML coefficient cache,
+    // so a decompressed sketch — like any other deserialized sketch —
+    // estimates at cached speed instead of silently paying the
+    // Algorithm 3 scan on every call.
+    Ok(if &bytes[..4] == MAGIC {
+        decode_registers(&cfg, n_hat, body)
+    } else {
+        let mut sketch = decode_legacy(&cfg, n_hat, body);
+        sketch.refresh_coefficients();
+        sketch
+    })
+}
+
+/// Decodes an `ELLR` body.
+fn decode_registers(cfg: &EllConfig, n_hat: f64, body: &[u8]) -> ExaLogLog {
+    let mut model = RegisterModel::build(cfg, n_hat);
+    let mut dec = RansDecoder::new(body);
+    let mut packed = Packer::new(cfg);
+    // Algorithm 3's coefficients only depend on how many registers hold
+    // each maximum and how often each group symbol occurs, so they are
+    // tallied here rather than scanned from the registers afterwards.
+    let mut maxima = vec![0u64; model.plans.len()];
+    let mut symbols: Vec<[u32; 1 << GROUP_BITS]> = Vec::new();
+    for _ in 0..cfg.m() {
+        let u = dec.decode(&model.u);
+        maxima[u] += 1;
+        if u == 0 {
+            packed.push(0);
+            continue;
+        }
+        let plan = model.plan(u as u64);
+        if symbols.len() < model.groups.len() {
+            symbols.resize(model.groups.len(), [0; 1 << GROUP_BITS]);
+        }
+        let mut bits = 0u64;
+        let mut at = 0;
+        for g in 0..usize::from(plan.groups) {
+            let table = usize::from(plan.tables[g]);
+            let symbol = dec.decode(&model.groups[table]);
+            symbols[table][symbol] += 1;
+            bits |= (symbol as u64) << at;
+            at += plan.lens[g];
+        }
+        packed.push(plan.base | bits << plan.shift);
+    }
+    let coeffs = model.coefficients(&maxima, &symbols);
+    ExaLogLog::from_decoded(*cfg, &packed.finish(), coeffs)
+}
+
+/// Packs register values in index order into the dense array layout
+/// ([`ExaLogLog::register_bytes`]: fields of the register width,
+/// least significant bit first), a word at a time.
+struct Packer {
+    bytes: Vec<u8>,
+    pending: u128,
+    filled: u32,
+    width: u32,
+}
+
+impl Packer {
+    fn new(cfg: &EllConfig) -> Self {
+        Packer {
+            bytes: Vec::with_capacity(cfg.register_array_bytes() + 8),
+            pending: 0,
+            filled: 0,
+            width: cfg.register_width(),
+        }
+    }
+
+    #[inline]
+    fn push(&mut self, r: u64) {
+        self.pending |= u128::from(r) << self.filled;
+        self.filled += self.width;
+        if self.filled >= 64 {
+            // cast: the low word of the pending bits.
+            self.bytes
+                .extend_from_slice(&(self.pending as u64).to_le_bytes());
+            self.pending >>= 64;
+            self.filled -= 64;
+        }
+    }
+
+    fn finish(mut self) -> Vec<u8> {
+        let tail = self.filled.div_ceil(8) as usize;
+        self.bytes
+            .extend_from_slice(&self.pending.to_le_bytes()[..tail]);
+        self.bytes
+    }
+}
+
+impl RegisterModel {
+    /// Algorithm 3's coefficients of registers tallied as `maxima[u]`
+    /// registers with maximum `u` and `symbols[t][s]` occurrences of
+    /// symbol `s` of group table `t`: exactly the column-count scan's
+    /// sums, gathered per update value instead of per register.
+    fn coefficients(&self, maxima: &[u64], symbols: &[[u32; 1 << GROUP_BITS]]) -> MlCoefficients {
+        let cfg = &self.cfg;
+        let d = u64::from(cfg.d());
+        let mut coeffs = empty_coefficients(0);
+        // Only φ(k) of an update value k enters the coefficients, so the
+        // indicators are counted per φ: registers whose window holds a
+        // value of that φ, and how many of those indicators are set.
+        let mut windows = [0u64; 65];
+        let mut set = [0u64; 65];
+        for (u, &n) in (0u64..).zip(maxima) {
+            if n == 0 {
+                continue;
+            }
+            let (num, e) = omega_exact(cfg, u);
+            coeffs.alpha_times_2_64 += u128::from(n) * (u128::from(num) << (64 - e));
+            if u >= 1 {
+                coeffs.beta[phi(cfg, u) as usize] += n;
+                let (k_lo, len) = window(u, d);
+                for k in k_lo..k_lo + len {
+                    windows[phi(cfg, k) as usize] += n;
+                }
+            }
+        }
+        for (&(k, len), counts) in self.group_keys.iter().zip(symbols) {
+            // Occurrences of each bit of the group among its symbols.
+            let mut ones = [0u64; GROUP_BITS as usize];
+            for (s, &n) in counts.iter().enumerate() {
+                for (j, ones) in ones.iter_mut().enumerate() {
+                    *ones += u64::from(n) * ((s >> j) & 1) as u64;
+                }
+            }
+            // Bit j of the table stands for values with the φ of k + j,
+            // wherever a φ-keyed table is used.
+            for (j, ones) in (0..len).zip(ones) {
+                set[phi(cfg, k + j) as usize] += ones;
+            }
+        }
+        for (j, (&n, &set)) in windows.iter().zip(&set).enumerate() {
+            if n > 0 {
+                coeffs.beta[j] += set;
+                coeffs.alpha_times_2_64 += u128::from(n - set) << (64 - j);
+            }
+        }
+        coeffs
+    }
+}
+
+// ---------------------------------------------------------------------
+// The legacy ELLZ reader.
+// ---------------------------------------------------------------------
+
+fn to_prob(p: f64) -> u32 {
+    ((p * f64::from(PROB_ONE)) as u32).clamp(1, PROB_ONE - 1)
+}
+
+/// Decodes an `ELLZ` body: a unary cascade of "continue" decisions for
+/// `u`, then one decision per indicator bit, each with its static
+/// probability under the §3.1 model.
+fn decode_legacy(cfg: &EllConfig, n_hat: f64, body: &[u8]) -> ExaLogLog {
+    let rate = rate(cfg, n_hat);
     let kmax = cfg.max_update_value();
-    let mut dec = RangeDecoder::new(&bytes[16..]);
-    let mut sketch = ExaLogLog::new(cfg);
+    // P(max ≥ u) = 1 − e^(−λ·ω(u − 1)): the maximum is ≥ u iff some
+    // value ≥ u occurred.
+    let p_ge = |u: u64| -> f64 {
+        if u == 0 {
+            1.0
+        } else {
+            -(-rate * omega(cfg, u - 1)).exp_m1()
+        }
+    };
+    // P(max ≥ u + 1 | max ≥ u), per level u.
+    let continue_probs: Vec<u32> = (0..=kmax)
+        .map(|u| {
+            let num = if u == kmax { 0.0 } else { p_ge(u + 1) };
+            let den = p_ge(u);
+            to_prob(if den > 0.0 { (num / den).min(1.0) } else { 0.0 })
+        })
+        .collect();
+    let bit_probs: Vec<u32> = (0..=kmax)
+        .map(|k| {
+            if k == 0 {
+                0
+            } else {
+                to_prob(-(-rate * rho_update(cfg, k)).exp_m1())
+            }
+        })
+        .collect();
+    let d = u64::from(cfg.d());
+    let mut dec = RangeDecoder::new(body);
+    let mut sketch = ExaLogLog::new(*cfg);
     for i in 0..cfg.m() {
         let mut u = 0u64;
-        while u < kmax && dec.decode(model.continue_probs[u as usize]) {
+        while u < kmax && dec.decode(continue_probs[u as usize]) {
             u += 1;
         }
         if u == 0 {
             continue;
         }
         let mut r = u << d;
-        if u <= u64::from(d) {
-            r |= 1 << (u64::from(d) - u); // implied sentinel
+        if u <= d {
+            r |= 1 << (d - u); // implied sentinel
         }
-        if u >= 2 {
-            let k_lo = if u > u64::from(d) {
-                u - u64::from(d)
-            } else {
-                1
-            };
-            for k in k_lo..u {
-                if dec.decode(model.bit_probs[k as usize]) {
-                    r |= 1 << (u64::from(d) - (u - k));
-                }
+        let (k_lo, _) = window(u, d);
+        for k in k_lo..u {
+            if dec.decode(bit_probs[k as usize]) {
+                r |= 1 << (d - (u - k));
             }
         }
         sketch.set_register_unchecked(i, r);
     }
-    // The raw register overwrites above dropped the incremental ML
-    // coefficient cache; rebuild it here so a decompressed sketch —
-    // like any other deserialized sketch — estimates at cached speed
-    // instead of silently paying the Algorithm 3 scan on every call.
-    sketch.refresh_coefficients();
-    Ok(sketch)
+    sketch
 }
 
 /// The Shannon entropy of the sketch's state in bits under its own fitted
@@ -275,24 +604,66 @@ mod tests {
         s
     }
 
+    /// The legacy `ELLZ` payload of ELL(2, 20) at p = 10 with 3 000
+    /// distinct hashes, from the golden fixture of `tests/ellz_golden.rs`.
+    fn legacy_payload() -> Vec<u8> {
+        let mut rest: &[u8] = include_bytes!("../tests/fixtures/ellz_golden.bin");
+        for _ in 0..2 {
+            let len = u32::from_le_bytes(rest[..4].try_into().unwrap()) as usize;
+            rest = &rest[4 + len..];
+        }
+        let len = u32::from_le_bytes(rest[..4].try_into().unwrap()) as usize;
+        rest[4..4 + len].to_vec()
+    }
+
     #[test]
     fn decompress_fails_exactly_when_the_header_check_does() {
-        let bytes = compress(&build(2, 20, 8, 3000, 5));
-        let mut cases: Vec<Vec<u8>> = (0..=bytes.len()).map(|n| bytes[..n].to_vec()).collect();
-        for i in 0..bytes.len() {
-            for bit in [0, 3, 7] {
+        let written = compress(&build(2, 20, 8, 3000, 5));
+        let legacy = legacy_payload();
+        assert_eq!((&written[..4], &legacy[..4]), (&b"ELLR"[..], &b"ELLZ"[..]));
+        // Every truncation, and every single-bit flip of the payload
+        // `compress` writes (three bits per byte of the legacy one).
+        for (bytes, bits) in [
+            (written, &[0, 1, 2, 3, 4, 5, 6, 7][..]),
+            (legacy, &[0, 3, 7]),
+        ] {
+            let mut cases: Vec<Vec<u8>> = (0..=bytes.len()).map(|n| bytes[..n].to_vec()).collect();
+            for i in 0..bytes.len() {
+                for &bit in bits {
+                    let mut flipped = bytes.clone();
+                    flipped[i] ^= 1 << bit;
+                    cases.push(flipped);
+                }
+            }
+            let mut body_only = 0;
+            for case in &cases {
+                assert_eq!(check_header(case).is_ok(), decompress(case).is_ok());
+                body_only += usize::from(case.len() > HEADER_LEN && check_header(case).is_ok());
+            }
+            // Truncated and flipped bodies are part of the sweep, and decode.
+            assert!(body_only > bytes.len());
+            // The reserved byte 7 must stay zero.
+            for bit in 0..8 {
                 let mut flipped = bytes.clone();
-                flipped[i] ^= 1 << bit;
-                cases.push(flipped);
+                flipped[7] ^= 1 << bit;
+                assert!(check_header(&flipped).is_err(), "byte 7 bit {bit}");
+                assert!(decompress(&flipped).is_err(), "byte 7 bit {bit}");
             }
         }
-        let mut body_only = 0;
-        for case in &cases {
-            assert_eq!(check_header(case).is_ok(), decompress(case).is_ok());
-            body_only += usize::from(case.len() > 16 && check_header(case).is_ok());
-        }
-        // Truncated and flipped bodies are part of the sweep, and decode.
-        assert!(body_only > bytes.len());
+    }
+
+    #[test]
+    fn compress_writes_ellr_and_both_formats_read_back() {
+        let legacy = legacy_payload();
+        let sketch = decompress(&legacy).unwrap();
+        assert_eq!(sketch, build(2, 20, 10, 3000, 3));
+        let written = compress(&sketch);
+        assert_eq!(&written[..4], b"ELLR");
+        // Same header apart from the magic: the carried estimate is the
+        // sketch's own.
+        assert_eq!(written[4..HEADER_LEN], legacy[4..HEADER_LEN]);
+        assert_eq!(decompress(&written).unwrap(), sketch);
+        assert!(written.len() as f64 <= 1.02 * legacy.len() as f64);
     }
 
     #[test]

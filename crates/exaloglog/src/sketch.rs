@@ -145,6 +145,27 @@ impl ExaLogLog {
         ExaLogLog { cfg, regs, coeffs }
     }
 
+    /// Builds a sketch from the register array an entropy decoder packed
+    /// (the [`ExaLogLog::register_bytes`] layout) and the coefficients it
+    /// tallied on the way, in place of the scan of
+    /// [`ExaLogLog::from_valid_parts`]. Both must be exact: the decoder
+    /// writes only valid registers, and debug builds check the
+    /// coefficients against a scan.
+    pub(crate) fn from_decoded(cfg: EllConfig, packed: &[u8], coeffs: MlCoefficients) -> Self {
+        let regs = PackedArray::from_bytes(cfg.register_width(), cfg.m(), packed)
+            .expect("the decoder packs exactly m registers");
+        let sketch = ExaLogLog {
+            cfg,
+            regs,
+            coeffs: Some(Box::new(coeffs)),
+        };
+        debug_assert!(
+            sketch.coefficients() == sketch.coefficients_scan(),
+            "tallied coefficients disagree with the scan"
+        );
+        sketch
+    }
+
     /// Creates an empty sketch from raw parameters.
     pub fn with_params(t: u8, d: u8, p: u8) -> Result<Self, EllError> {
         Ok(Self::new(EllConfig::new(t, d, p)?))

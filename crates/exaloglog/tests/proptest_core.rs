@@ -1,5 +1,7 @@
 //! Property-based tests of the core register and estimation invariants.
 
+use ell_hash::SplitMix64;
+use exaloglog::compress::{compress, decompress};
 use exaloglog::ml::{log_likelihood, ml_estimate_from_coefficients, MlCoefficients};
 use exaloglog::pmf::{omega, rho_update};
 use exaloglog::registers;
@@ -8,6 +10,58 @@ use proptest::prelude::*;
 
 fn config_strategy() -> impl Strategy<Value = EllConfig> {
     (0u8..=4, 0u8..=30, 2u8..=10).prop_map(|(t, d, p)| EllConfig::new(t, d, p).expect("in range"))
+}
+
+/// The `(t, d)` register layouts the compressed-format shapes cover:
+/// HyperLogLog, the martingale-optimal and aligned layouts and the
+/// space-optimal ELL(2, 20).
+const CODED: [(u8, u8); 5] = [(0, 0), (1, 9), (2, 16), (2, 20), (2, 24)];
+
+/// A sketch of `cfg` in one of five shapes: `n` random hashes; a merge
+/// of sketches whose counts differ 10⁴-fold; the same large count
+/// confined to half the registers, so no single n̂ fits the state; one
+/// nonzero register; every register at the largest update value `kmax`
+/// with random indicator bits.
+fn shaped_sketch(cfg: EllConfig, shape: u8, n: u64, seed: u64) -> ExaLogLog {
+    let mut rng = SplitMix64::new(seed);
+    let mut s = ExaLogLog::new(cfg);
+    let kmax = cfg.max_update_value();
+    let small = n % 50 + 1;
+    match shape {
+        0 => (0..n).for_each(|_| {
+            s.insert_hash(rng.next_u64());
+        }),
+        1 | 2 => {
+            (0..small).for_each(|_| {
+                s.insert_hash(rng.next_u64());
+            });
+            let mut big = ExaLogLog::new(cfg);
+            for _ in 0..small * 10_000 {
+                let h = rng.next_u64();
+                if shape == 1 || big.decompose_hash(h).0 < cfg.m() / 2 {
+                    big.insert_hash(h);
+                }
+            }
+            s.merge_from(&big).unwrap();
+        }
+        3 => {
+            let i = (n as usize) % cfg.m();
+            for _ in 0..3 {
+                s.apply_update(i, 1 + rng.next_u64() % kmax);
+            }
+        }
+        _ => {
+            for i in 0..cfg.m() {
+                s.apply_update(i, kmax);
+                for k in kmax.saturating_sub(u64::from(cfg.d())).max(1)..kmax {
+                    if rng.next_u64() & 1 == 1 {
+                        s.apply_update(i, k);
+                    }
+                }
+            }
+        }
+    }
+    s
 }
 
 proptest! {
@@ -137,6 +191,28 @@ proptest! {
         let packed = exaloglog::compress::compress(&s);
         let restored = exaloglog::compress::decompress(&packed).unwrap();
         prop_assert_eq!(restored, s);
+    }
+
+    /// Every register shape round-trips bit-identically through `ELLR`,
+    /// including states the coder's model does not expect, restores its
+    /// exact ML coefficients, and re-compresses to the same bytes.
+    #[test]
+    fn compressed_shapes_round_trip_bit_identically(
+        layout in 0usize..CODED.len(),
+        p in 4u8..=14,
+        shape in 0u8..5,
+        n in 0u64..20_000,
+        seed in any::<u64>(),
+    ) {
+        let (t, d) = CODED[layout];
+        let cfg = EllConfig::new(t, d, p).unwrap();
+        let s = shaped_sketch(cfg, shape, n, seed);
+        let packed = compress(&s);
+        prop_assert_eq!(&packed[..4], b"ELLR");
+        let restored = decompress(&packed).unwrap();
+        prop_assert_eq!(&restored, &s);
+        prop_assert_eq!(restored.coefficients(), s.coefficients_scan());
+        prop_assert_eq!(compress(&restored), packed);
     }
 
     /// Sketch-level: the estimate is invariant under serialization and
