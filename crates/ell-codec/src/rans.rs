@@ -13,6 +13,8 @@
 //! * the state lives in `[2^23, 2^31)`; the encoder emits its low bytes
 //!   before a step would leave that interval and the decoder pulls bytes
 //!   back in, at most two per symbol;
+//! * [`LANES`] states interleave: symbols take them in turn, so a
+//!   decoder works on independent dependency chains;
 //! * the encoder runs **backwards**: [`RansEncoder::put`] takes the
 //!   symbols in the reverse of the order [`RansDecoder`] returns them,
 //!   and [`RansEncoder::finish`] reverses the bytes so the decoder reads
@@ -25,10 +27,9 @@
 //! the range coder it cannot detect corruption by itself; the caller's
 //! framing must.
 //!
-//! Two table shapes cover the alphabets in use: [`SmallTable`], up to 16
-//! symbols searched with one vectorizable comparison sweep, and
-//! [`IndexedTable`], up to [`MAX_INDEXED`] symbols found through a bucket
-//! index.
+//! Two table shapes cover the alphabets in use, both found through a
+//! bucket index of the slots: [`SmallTable`], up to 16 symbols held
+//! inline, and [`IndexedTable`], up to [`MAX_INDEXED`] symbols.
 
 /// Resolution of the quantized frequencies, in bits.
 pub const SCALE_BITS: u32 = 15;
